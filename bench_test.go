@@ -30,6 +30,7 @@ import (
 	"cognicryptgen/rules"
 	"cognicryptgen/service"
 	"cognicryptgen/templates"
+	"cognicryptgen/wire"
 )
 
 var (
@@ -252,8 +253,8 @@ func allUseCases() []templates.UseCase {
 
 // BenchmarkServiceGenerate measures daemon throughput: concurrent clients
 // round-robining over all 13 use cases against one warm service (compiled
-// rule registry shared, result cache enabled). The op is one /v1/generate
-// equivalent through the pool + cache.
+// rule registry shared, plans resident). The op is one /v1/generate
+// equivalent, a plan splice.
 func BenchmarkServiceGenerate(b *testing.B) {
 	srv, err := service.New(service.Config{CacheSize: 64})
 	if err != nil {
@@ -261,9 +262,9 @@ func BenchmarkServiceGenerate(b *testing.B) {
 	}
 	defer srv.Close()
 	cases := allUseCases()
-	// Warm: one generation per use case populates the result cache.
+	// Warm: one generation per use case makes its plan resident.
 	for _, uc := range cases {
-		if _, err := srv.Generate(context.Background(), service.GenerateRequest{UseCase: uc.ID}); err != nil {
+		if _, err := srv.Generate(context.Background(), wire.GenerateRequest{UseCase: uc.ID}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -273,7 +274,7 @@ func BenchmarkServiceGenerate(b *testing.B) {
 		for pb.Next() {
 			i := atomic.AddInt64(&next, 1)
 			uc := cases[int(i)%len(cases)]
-			if _, err := srv.Generate(context.Background(), service.GenerateRequest{UseCase: uc.ID}); err != nil {
+			if _, err := srv.Generate(context.Background(), wire.GenerateRequest{UseCase: uc.ID}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -283,7 +284,7 @@ func BenchmarkServiceGenerate(b *testing.B) {
 // BenchmarkServiceColdVsWarm quantifies what the daemon amortises: Cold is
 // the one-shot CLI cost (compile all 14 rules, build a Generator, generate)
 // per request; Warm is the same request against a long-lived service with
-// the compiled-rule registry and result cache. The acceptance bar for the
+// the compiled-rule registry and plan cache. The acceptance bar for the
 // service subsystem is Warm ≥ 5× faster than Cold.
 func BenchmarkServiceColdVsWarm(b *testing.B) {
 	uc, _ := templates.ByID(3)
@@ -312,21 +313,21 @@ func BenchmarkServiceColdVsWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer srv.Close()
-		if _, err := srv.Generate(context.Background(), service.GenerateRequest{UseCase: uc.ID}); err != nil {
+		if _, err := srv.Generate(context.Background(), wire.GenerateRequest{UseCase: uc.ID}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := srv.Generate(context.Background(), service.GenerateRequest{UseCase: uc.ID}); err != nil {
+			if _, err := srv.Generate(context.Background(), wire.GenerateRequest{UseCase: uc.ID}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// BenchmarkServiceUncached isolates pool + registry overhead with the
-// result cache defeated (unique template name per iteration): what a
-// stream of never-before-seen templates costs on a warm daemon.
+// BenchmarkServiceUncached isolates pool + registry overhead with the plan
+// cache defeated (unique template body per iteration): what a stream of
+// never-before-seen templates costs on a warm daemon.
 func BenchmarkServiceUncached(b *testing.B) {
 	srv, err := service.New(service.Config{CacheSize: 1})
 	if err != nil {
@@ -339,13 +340,14 @@ func BenchmarkServiceUncached(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Warm the workers' generators.
-	if _, err := srv.Generate(context.Background(), service.GenerateRequest{Name: "warm.go", Source: src}); err != nil {
+	if _, err := srv.Generate(context.Background(), wire.GenerateRequest{Name: "warm.go", Source: src}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		name := fmt.Sprintf("uniq%d.go", i)
-		if _, err := srv.Generate(context.Background(), service.GenerateRequest{Name: name, Source: src}); err != nil {
+		body := src + fmt.Sprintf("\n// uncached %d\n", i)
+		if _, err := srv.Generate(context.Background(), wire.GenerateRequest{Name: name, Source: body}); err != nil {
 			b.Fatal(err)
 		}
 	}

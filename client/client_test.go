@@ -302,7 +302,7 @@ func TestConsistentRouting(t *testing.T) {
 	}
 	send := func(i int) {
 		t.Helper()
-		if _, err := c.Generate(context.Background(), wire.GenerateRequest{Name: reqName(i), Source: "package p"}); err != nil {
+		if _, err := c.Generate(context.Background(), wire.GenerateRequest{Name: reqName(i), Source: reqSource(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,6 +364,10 @@ func TestConsistentRouting(t *testing.T) {
 
 func reqName(i int) string { return "t" + strconv.Itoa(i) + ".go" }
 
+// reqSource gives request i its own template body: the routing key is
+// body-level, so distinct names over one body would share one owner.
+func reqSource(i int) string { return "package p // " + strconv.Itoa(i) }
+
 // TestBatchSplitsAcrossNodes: one batch is split by key owner, sent as
 // per-node sub-batches, and reassembled in the caller's order with every
 // item accounted for exactly once.
@@ -379,7 +383,7 @@ func TestBatchSplitsAcrossNodes(t *testing.T) {
 	var req wire.BatchRequest
 	const items = 40
 	for i := 0; i < items; i++ {
-		req.Requests = append(req.Requests, wire.GenerateRequest{Name: reqName(i), Source: "package p"})
+		req.Requests = append(req.Requests, wire.GenerateRequest{Name: reqName(i), Source: reqSource(i)})
 	}
 	resp, err := c.GenerateBatch(context.Background(), req)
 	if err != nil {

@@ -44,6 +44,7 @@ import (
 	"cognicryptgen/rules"
 	"cognicryptgen/service"
 	"cognicryptgen/templates"
+	"cognicryptgen/wire"
 )
 
 func main() {
@@ -262,30 +263,26 @@ type serviceBenchResult struct {
 	ColdSingleShotMS      float64 `json:"cold_single_shot_ms"`
 	WarmCachedMS          float64 `json:"warm_cached_ms"`
 	WarmUncachedMS        float64 `json:"warm_uncached_ms"`
-	WarmUncachedPlanMS    float64 `json:"warm_uncached_plan_ms"`
-	PlanSpeedup           float64 `json:"plan_speedup"`
-	PlanHits              int64   `json:"plan_hits"`
-	PlanMisses            int64   `json:"plan_misses"`
 	Speedup               float64 `json:"cold_vs_warm_speedup"`
-	ThroughputRPS    float64 `json:"throughput_rps"`
-	BatchItemsPerS   float64 `json:"batch_items_per_s"`
-	BatchItems       int     `json:"batch_items"`
-	Coalesced        int64   `json:"coalesced_requests"`
-	CoalesceHits     int64   `json:"coalesce_cache_hits"`
-	CoalesceClients  int     `json:"coalesce_clients"`
-	PanicsRecovered  int64   `json:"panics_recovered"`
-	ShedTotal        int64   `json:"shed_total"`
-	ShedRecoveryMS   float64 `json:"shed_recovery_ms"`
-	CacheHitRate     float64 `json:"cache_hit_rate"`
-	Clients          int     `json:"clients"`
-	Requests         int     `json:"total_requests"`
-	UseCases         int     `json:"use_cases"`
-	Workers          int     `json:"workers"`
-	Fingerprint      string  `json:"ruleset_fingerprint"`
+	ThroughputRPS         float64 `json:"throughput_rps"`
+	BatchItemsPerS        float64 `json:"batch_items_per_s"`
+	BatchItems            int     `json:"batch_items"`
+	Coalesced             int64   `json:"coalesced_requests"`
+	CoalesceHits          int64   `json:"coalesce_cache_hits"`
+	CoalesceClients       int     `json:"coalesce_clients"`
+	PanicsRecovered       int64   `json:"panics_recovered"`
+	ShedTotal             int64   `json:"shed_total"`
+	ShedRecoveryMS        float64 `json:"shed_recovery_ms"`
+	CacheHitRate          float64 `json:"cache_hit_rate"`
+	Clients               int     `json:"clients"`
+	Requests              int     `json:"total_requests"`
+	UseCases              int     `json:"use_cases"`
+	Workers               int     `json:"workers"`
+	Fingerprint           string  `json:"ruleset_fingerprint"`
 
 	// Cluster rows (internal/loadgen over in-process nodes + the SDK):
 	// closed-loop mixed workload whose working set exceeds one node's
-	// result cache, at 1/2/4 nodes with hash routing, plus a 4-node
+	// plan cache, at 1/2/4 nodes with hash routing, plus a 4-node
 	// unrouted (round-robin) pass where cache locality comes from the
 	// daemons' peer forwarding instead of the client.
 	ClusterWorkingSet   int                  `json:"cluster_working_set"`
@@ -312,8 +309,8 @@ type serviceBenchResult struct {
 	// Warm-restart rows (S24/E14, internal/loadgen.RunWarmRestart): one
 	// snapshot-enabled node of three crashed mid-load (no drain, no
 	// parting snapshot) and restarted. RestoreHitRate is the restored
-	// node's cache hit rate over the first post-restart window (gated at
-	// >= 0.5 by -smoke); WarmRestartMS is gated against a multiple of
+	// node's cache hit rate over the first window after its boot warm
+	// (gated at >= 0.5 by -smoke); WarmRestartMS is gated against a multiple of
 	// PlainRestartMS so restoring can never dominate boot.
 	PlainRestartMS float64 `json:"plain_restart_ms"`
 	WarmRestartMS  float64 `json:"warm_restart_ms"`
@@ -332,7 +329,7 @@ type serviceBenchResult struct {
 // cold-start anatomy (rule compilation, first vs subsequent Generator
 // construction over the shared srccheck universe, registry reload), cold
 // one-shot generation vs the warm service (compiled-rule registry +
-// result cache), sustained throughput with concurrent clients
+// plan cache), sustained throughput with concurrent clients
 // round-robining over all 13 embedded use cases, batch-endpoint
 // throughput, and singleflight coalescing. smoke trims every repetition
 // count for CI gating; gate additionally fails the run if subsequent
@@ -405,9 +402,9 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 	defer srv.Close()
 	ctx := context.Background()
 
-	// Warm the registry, worker generators, and result cache.
+	// Warm the registry, worker generators, and plan cache.
 	for _, c := range cases {
-		if _, err := srv.Generate(ctx, service.GenerateRequest{UseCase: c.ID}); err != nil {
+		if _, err := srv.Generate(ctx, wire.GenerateRequest{UseCase: c.ID}); err != nil {
 			log.Fatalf("use case %d: %v", c.ID, err)
 		}
 	}
@@ -415,21 +412,20 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 	// Warm cached latency: repeated identical request.
 	warmStart := time.Now()
 	for i := 0; i < warmRuns; i++ {
-		if _, err := srv.Generate(ctx, service.GenerateRequest{UseCase: uc.ID}); err != nil {
+		if _, err := srv.Generate(ctx, wire.GenerateRequest{UseCase: uc.ID}); err != nil {
 			log.Fatal(err)
 		}
 	}
 	warmMS := float64(time.Since(warmStart)) / float64(time.Millisecond) / float64(warmRuns)
 
-	// Warm uncached latency, legacy pipeline: unique template *bodies*
-	// defeat the result cache AND the plan cache, so every request pays
-	// the full parse → resolve → emit → print pipeline over the warm
-	// registry and path cache. (Unique names alone no longer measure
-	// this: one body under many names is exactly the workload the plan
-	// cache serves by byte splicing.)
+	// Warm uncached latency, full pipeline: unique template *bodies* miss
+	// the plan cache, so every request pays the full parse → resolve →
+	// emit → print pipeline over the warm registry and path cache. (Unique
+	// names alone do not measure this: one body under many names is
+	// exactly what a plan serves by byte splicing.)
 	uncachedStart := time.Now()
 	for i := 0; i < uncachedRuns; i++ {
-		req := service.GenerateRequest{
+		req := wire.GenerateRequest{
 			Name:   fmt.Sprintf("uniq%d.go", i),
 			Source: src + fmt.Sprintf("\n// uncached %d\n", i),
 		}
@@ -438,21 +434,6 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 		}
 	}
 	uncachedMS := float64(time.Since(uncachedStart)) / float64(time.Millisecond) / float64(uncachedRuns)
-
-	// Warm uncached latency, plan path (E12): unique names over one warm
-	// body miss the result cache but execute the precompiled plan — two
-	// byte copies instead of AST assembly. The plan is resident from the
-	// warm-up above, so every iteration is the steady-state splice.
-	planRuns := warmRuns
-	planStart := time.Now()
-	for i := 0; i < planRuns; i++ {
-		req := service.GenerateRequest{Name: fmt.Sprintf("planuniq%d.go", i), Source: src}
-		if _, err := srv.Generate(ctx, req); err != nil {
-			log.Fatal(err)
-		}
-	}
-	planMS := float64(time.Since(planStart)) / float64(time.Millisecond) / float64(planRuns)
-	planSpeedup := uncachedMS / planMS
 
 	// Throughput: clients × perClient requests over all 13 use cases.
 	var wg sync.WaitGroup
@@ -463,7 +444,7 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
 				id := cases[(c+i)%len(cases)].ID
-				if _, err := srv.Generate(ctx, service.GenerateRequest{UseCase: id}); err != nil {
+				if _, err := srv.Generate(ctx, wire.GenerateRequest{UseCase: id}); err != nil {
 					log.Fatal(err)
 				}
 			}
@@ -479,9 +460,9 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 	var batchItems int
 	batchStart := time.Now()
 	for i := 0; i < batchRounds; i++ {
-		var breq service.BatchRequest
+		var breq wire.BatchRequest
 		for _, c := range cases {
-			breq.Requests = append(breq.Requests, service.GenerateRequest{UseCase: c.ID})
+			breq.Requests = append(breq.Requests, wire.GenerateRequest{UseCase: c.ID})
 		}
 		bresp, err := srv.GenerateBatch(ctx, breq)
 		if err != nil {
@@ -530,7 +511,7 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 			// A body no plan was ever compiled for: the leader must take
 			// the worker path (where the latency fault is armed) rather
 			// than serve an inline byte splice, or no follower coalesces.
-			req := service.GenerateRequest{Name: "coalesce_bench.go", Source: src + "\n// coalesce stage\n"}
+			req := wire.GenerateRequest{Name: "coalesce_bench.go", Source: src + "\n// coalesce stage\n"}
 			if _, err := cosrv.Generate(ctx, req); err != nil {
 				log.Fatal(err)
 			}
@@ -565,14 +546,14 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 	// test live on the worker path, and a body matching a resident plan
 	// would be byte-spliced inline without ever reaching the pool.
 	resSrc := func(tag string) string { return src + "\n// resilience: " + tag + "\n" }
-	if _, err := resrv.Generate(ctx, service.GenerateRequest{Name: "res_warm.go", Source: resSrc("warm")}); err != nil {
+	if _, err := resrv.Generate(ctx, wire.GenerateRequest{Name: "res_warm.go", Source: resSrc("warm")}); err != nil {
 		log.Fatal(err)
 	}
 	faultinject.Arm(faultinject.PointWorkerExec, faultinject.Fault{Mode: faultinject.ModePanic, Times: 1})
-	if _, err := resrv.Generate(ctx, service.GenerateRequest{Name: "res_panic.go", Source: resSrc("panic")}); err == nil {
+	if _, err := resrv.Generate(ctx, wire.GenerateRequest{Name: "res_panic.go", Source: resSrc("panic")}); err == nil {
 		log.Fatal("injected worker panic did not fail its request")
 	}
-	if _, err := resrv.Generate(ctx, service.GenerateRequest{Name: "res_after_panic.go", Source: resSrc("after_panic")}); err != nil {
+	if _, err := resrv.Generate(ctx, wire.GenerateRequest{Name: "res_after_panic.go", Source: resSrc("after_panic")}); err != nil {
 		log.Fatalf("generation after recovered worker panic: %v", err)
 	}
 	faultinject.Arm(faultinject.PointWorkerExec, faultinject.Fault{Mode: faultinject.ModeLatency, Latency: 100 * time.Millisecond})
@@ -582,13 +563,13 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 		go func(i int) {
 			defer shedWG.Done()
 			// Shed requests fail with 429-mapped errors by design.
-			_, _ = resrv.Generate(ctx, service.GenerateRequest{Name: fmt.Sprintf("res_storm%d.go", i), Source: resSrc(fmt.Sprintf("storm%d", i))})
+			_, _ = resrv.Generate(ctx, wire.GenerateRequest{Name: fmt.Sprintf("res_storm%d.go", i), Source: resSrc(fmt.Sprintf("storm%d", i))})
 		}(i)
 	}
 	shedWG.Wait()
 	faultinject.Reset()
 	recoverStart := time.Now()
-	if _, err := resrv.Generate(ctx, service.GenerateRequest{Name: "res_recover.go", Source: resSrc("recover")}); err != nil {
+	if _, err := resrv.Generate(ctx, wire.GenerateRequest{Name: "res_recover.go", Source: resSrc("recover")}); err != nil {
 		log.Fatalf("generation after shedding storm: %v", err)
 	}
 	shedRecoveryMS := float64(time.Since(recoverStart)) / float64(time.Millisecond)
@@ -598,7 +579,7 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 	resrv.Close()
 
 	// Cluster rows. The workload is sized so its working set does not fit
-	// one node's result cache but does fit four: the single node thrashes
+	// one node's plan cache but does fit four: the single node thrashes
 	// (most requests pay a full generation), while the routed cluster
 	// shards the key space and serves cache hits — on a single-CPU box the
 	// speedup comes from aggregate cache capacity, not parallel compute.
@@ -716,10 +697,6 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 		ColdSingleShotMS:      coldMS,
 		WarmCachedMS:          warmMS,
 		WarmUncachedMS:        uncachedMS,
-		WarmUncachedPlanMS:    planMS,
-		PlanSpeedup:           planSpeedup,
-		PlanHits:              m.PlanHits,
-		PlanMisses:            m.PlanMisses,
 		Speedup:               coldMS / warmMS,
 		ThroughputRPS:         rps,
 		BatchItemsPerS:        batchItemsPerS,
@@ -766,10 +743,8 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 		res.SubsequentGeneratorMS, res.GeneratorReuseSpeedup)
 	fmt.Printf("  registry reload (recompile + path warm):     %10.2f ms\n", res.ReloadMS)
 	fmt.Printf("  cold single-shot (rules+generator+generate): %10.2f ms\n", res.ColdSingleShotMS)
-	fmt.Printf("  warm, result cache hit:                      %10.4f ms  (%.0fx speedup)\n", res.WarmCachedMS, res.Speedup)
+	fmt.Printf("  warm, plan splice:                           %10.4f ms  (%.0fx speedup)\n", res.WarmCachedMS, res.Speedup)
 	fmt.Printf("  warm, cache miss (full pipeline):            %10.2f ms\n", res.WarmUncachedMS)
-	fmt.Printf("  warm, cache miss via plan (byte splice):     %10.4f ms  (%.0fx faster than pipeline; %d plan hits, %d misses)\n",
-		res.WarmUncachedPlanMS, res.PlanSpeedup, res.PlanHits, res.PlanMisses)
 	fmt.Printf("  throughput: %d clients x %d reqs over %d use cases: %.0f req/s (cache hit rate %.1f%%)\n",
 		clients, perClient, len(cases), res.ThroughputRPS, 100*res.CacheHitRate)
 	fmt.Printf("  batch: %d rounds x %d use cases per request: %.0f items/s\n",
@@ -819,14 +794,6 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 	if gate && subsequentGenMS >= 0.10*firstGenMS {
 		log.Fatalf("cold-start gate: subsequent Generator construction %.2fms >= 10%% of first %.2fms — shared type-check universe is not being reused",
 			subsequentGenMS, firstGenMS)
-	}
-	// Plan-path gate (E12 acceptance): a warm-uncached request served from
-	// a compiled plan must land within 5x of a result-cache hit. If it
-	// drifts past that, the byte-splice fast path has stopped engaging
-	// (requests are falling through to the full pipeline again).
-	if gate && planMS > 5*warmMS {
-		log.Fatalf("plan gate: warm-uncached-via-plan %.4fms > 5x warm-cached %.4fms — the plan fast path is not serving warm misses",
-			planMS, warmMS)
 	}
 	// Failover gate (E13 acceptance): after a killed node restarts, the
 	// survivors' probers must re-admit it within two probe rounds. Slower

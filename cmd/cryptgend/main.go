@@ -4,7 +4,7 @@
 //
 //	cryptgend                          serve on :8572 with one worker per CPU
 //	cryptgend -addr :9000 -workers 8   custom listen address and pool size
-//	cryptgend -timeout 10s -cache 512  request timeout, result-cache entries
+//	cryptgend -timeout 10s -cache 512  request timeout, compiled-plan cache entries
 //
 // Endpoints:
 //
@@ -15,14 +15,15 @@
 //	GET  /v1/rules           compiled rules + rule-set fingerprint
 //	GET  /v1/templates       embedded use-case templates
 //	GET  /healthz            liveness + rule-set fingerprint
-//	GET  /readyz             readiness: ok | restoring (snapshot re-warm) | degraded (last reload failed) | draining
+//	GET  /readyz             readiness: ok | restoring (boot warm) | degraded (last reload failed) | draining
 //	GET  /metrics            request/cache/coalescing/latency/resilience counters
 //	GET  /debug/pprof/       live profiling endpoints (only with -pprof)
 //
 // The daemon compiles the embedded rule set once at startup and shares the
-// immutable result across all workers; repeated generations are served
-// from an LRU result cache, and concurrent identical cache misses are
-// coalesced into a single generation (singleflight). Cancelled or expired
+// immutable result across all workers. The first generation of a template
+// body compiles a plan; every later request over that body, under any name
+// or package, is served by splicing the plan, and concurrent misses over
+// one body are coalesced into a single pipeline run (singleflight). Cancelled or expired
 // requests stop mid-pipeline at the next workflow-step boundary instead of
 // holding their worker. SIGINT/SIGTERM trigger a graceful drain: the
 // listener stops accepting, in-flight and queued requests finish, then the
@@ -41,10 +42,10 @@
 // edited live (a broken edit degrades, it does not crash).
 //
 // -peers URL,URL with -self URL runs the daemon as one node of a cluster:
-// a request whose cache key rendezvous-hashes to a peer is forwarded there
-// (one hop, X-Cryptgend-Forwarded) so the nodes' result caches and
-// singleflights shard by key — N nodes act as one large cache instead of N
-// copies of the same hot set. Peers are probed via /readyz every
+// a request no local plan serves and whose body key rendezvous-hashes to a
+// peer is forwarded there (one hop, X-Cryptgend-Forwarded) so the nodes'
+// plans and singleflights shard by body — N nodes act as one large cache
+// instead of N copies of the same hot set. Peers are probed via /readyz every
 // -peer-probe; unreachable or draining peers are ejected from the
 // forwarding set (their keys served locally) and re-admitted on recovery.
 // forwarded_total, forward_hit_rate, and per-peer health appear in
@@ -88,7 +89,7 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "worker pool size")
 	queue := flag.Int("queue", 0, "pending-job queue size (0 = 4x workers)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
-	cacheSize := flag.Int("cache", 256, "result cache entries")
+	cacheSize := flag.Int("cache", 256, "compiled-plan cache entries, the only generation cache")
 	dir := flag.String("dir", "", "module directory (default: working directory)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful shutdown deadline")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/ (opt-in: profiles reveal source being generated)")
@@ -97,9 +98,9 @@ func main() {
 	rulesDir := flag.String("rules", "", "serve GoCrySL rules from this directory instead of the embedded set; /v1/reload recompiles from it")
 	faults := flag.String("faults", "", `arm chaos fault points, e.g. "worker-exec=panic:1,reload-swap=error" (also via CRYPTGEND_FAULTS)`)
 	self := flag.String("self", "", `this node's base URL as peers address it, e.g. "http://10.0.0.1:8572" (cluster mode; required with -peers)`)
-	peers := flag.String("peers", "", `comma-separated peer base URLs; enables peer forwarding so the cluster's result caches shard by key instead of duplicating`)
+	peers := flag.String("peers", "", `comma-separated peer base URLs; enables peer forwarding so the cluster's plans shard by template body instead of duplicating`)
 	probe := flag.Duration("peer-probe", 2*time.Second, "peer /readyz probe interval (cluster mode)")
-	snapshotDir := flag.String("snapshot-dir", "", "enable warm-restart durability: periodically write a crash-safe snapshot of the result cache and rule source here, and restore it at boot")
+	snapshotDir := flag.String("snapshot-dir", "", "enable warm-restart durability: periodically write a crash-safe snapshot of the plans' compile tuples and rule source here, and replay it at boot")
 	snapshotEvery := flag.Duration("snapshot-interval", time.Minute, "periodic snapshot cadence (with -snapshot-dir)")
 	flag.Parse()
 

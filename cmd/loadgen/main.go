@@ -65,7 +65,7 @@ func main() {
 		rate       = flag.Float64("rate", 0, "open-loop arrivals per second (0 = closed loop)")
 		duration   = flag.Duration("duration", 5*time.Second, "open-loop run length")
 		workingSet = flag.Int("working-set", 160, "distinct template keys in the workload")
-		cacheSize  = flag.Int("cache", 64, "per-node result cache capacity")
+		cacheSize  = flag.Int("cache", 64, "per-node plan cache capacity")
 		workers    = flag.Int("workers", 2, "per-node worker pool size")
 		noRouting  = flag.Bool("no-routing", false, "SDK round-robins instead of hash-routing (daemons forward)")
 		seed       = flag.Int64("seed", 1, "workload key sequence seed")

@@ -250,7 +250,7 @@ func (g *Generator) GenerateFileCtx(ctx context.Context, name, src string) (res 
 		if outPkg == "" {
 			outPkg = tmplPkg
 		}
-		if p, cerr := compilePlan(res, name, outPkg, tmplPkg, rulesFP); cerr == nil {
+		if p, cerr := compilePlan(res, PlanSeed{Name: name, Source: src, Verify: g.opts.Verify}, outPkg, tmplPkg, rulesFP); cerr == nil {
 			g.opts.Plans.put(key, p)
 		}
 	}

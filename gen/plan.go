@@ -48,6 +48,18 @@ type Plan struct {
 	// rulesFP identifies the rule-set the plan was compiled against;
 	// PlanCache.Retain evicts by it when rule sets are unloaded.
 	rulesFP string
+	// seed is the request tuple the plan was compiled from (PlanCache.Seeds).
+	seed PlanSeed
+}
+
+// PlanSeed is the request tuple a plan was compiled from. Replaying it
+// through a Generator wired to a PlanCache (default options plus Verify)
+// recompiles the same plan, which is how a restarted daemon rebuilds its
+// plans from a snapshot without ever persisting plan bytes.
+type PlanSeed struct {
+	Name   string
+	Source string
+	Verify bool
 }
 
 // errNotPlannable reports an output whose shape the splicer does not
@@ -55,17 +67,17 @@ type Plan struct {
 // plan.
 var errNotPlannable = errors.New("gen: output shape not plannable")
 
-// compilePlan distils a legacy pipeline Result into a Plan. name and
+// compilePlan distils a legacy pipeline Result into a Plan. seed and
 // outPkg must be the values the Result was generated under (outPkg is the
 // effective output package: the override if one was set, else the
 // template's own); tmplPkg is the template's own package name, kept as the
 // default splice value.
-func compilePlan(res *Result, name, outPkg, tmplPkg, rulesFP string) (*Plan, error) {
+func compilePlan(res *Result, seed PlanSeed, outPkg, tmplPkg, rulesFP string) (*Plan, error) {
 	out := res.Output
-	if !strings.HasPrefix(out, planHeaderPrefix+name+". DO NOT EDIT.") {
+	if !strings.HasPrefix(out, planHeaderPrefix+seed.Name+". DO NOT EDIT.") {
 		return nil, errNotPlannable
 	}
-	nameEnd := len(planHeaderPrefix) + len(name)
+	nameEnd := len(planHeaderPrefix) + len(seed.Name)
 	// The first line starting "package " is the clause: every line before
 	// it is a comment or blank, so matching the known identifier is exact.
 	clause := "\npackage " + outPkg + "\n"
@@ -80,6 +92,7 @@ func compilePlan(res *Result, name, outPkg, tmplPkg, rulesFP string) (*Plan, err
 		defaultPkg: tmplPkg,
 		report:     res.Report,
 		rulesFP:    rulesFP,
+		seed:       seed,
 	}, nil
 }
 

@@ -486,3 +486,46 @@ ORDER
 		t.Errorf("wildcard diagnostic reported %d times, want once: %v", diag, res.Report.PushedUp)
 	}
 }
+
+// TestPlanSeeds: every plan remembers the tuple it was compiled from, and
+// Seeds lists a rule set's tuples least recently used first — the order a
+// replay must follow to rebuild the cache's recency.
+func TestPlanSeeds(t *testing.T) {
+	rs := rules.MustLoad()
+	plans := NewPlanCache(0)
+	g, err := New(rs, "", Options{Plans: plans})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := plans.FingerprintFor(rs)
+	var seeds []PlanSeed
+	for i, id := range []int{11, 4} {
+		uc, err := templates.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := templates.Source(uc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := PlanSeed{Name: uc.File, Source: src, Verify: i == 1}
+		if _, err := g.WithOptions(Options{Verify: seed.Verify, Plans: plans}).GenerateFile(seed.Name, seed.Source); err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, seed)
+	}
+	if got := plans.Seeds(fp); len(got) != 2 || got[0] != seeds[0] || got[1] != seeds[1] {
+		t.Fatalf("Seeds = %+v, want the compile tuples LRU first", got)
+	}
+	// Splicing the older plan under another name makes it most recent; the
+	// seed keeps the compiling request's name.
+	if _, ok := plans.Execute(fp, "renamed.go", seeds[0].Source, Options{}); !ok {
+		t.Fatal("no plan for the first seed")
+	}
+	if got := plans.Seeds(fp); len(got) != 2 || got[0] != seeds[1] || got[1] != seeds[0] {
+		t.Fatalf("Seeds after a touch = %+v, want %+v then %+v", got, seeds[1], seeds[0])
+	}
+	if got := plans.Seeds("another-rule-set"); len(got) != 0 {
+		t.Fatalf("Seeds of an absent rule set = %+v, want none", got)
+	}
+}

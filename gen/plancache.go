@@ -9,8 +9,9 @@ import (
 )
 
 // DefaultMaxPlans bounds a PlanCache's resident plan count when the
-// constructor is given no explicit capacity.
-const DefaultMaxPlans = 128
+// constructor is given no explicit capacity. It is also cryptgend's default
+// cache size: the plan cache is the daemon's only generation cache.
+const DefaultMaxPlans = 256
 
 // PlanCache memoizes compiled Plans across Generators, keyed by (template
 // source hash, rule-set fingerprint, options fingerprint). Like PathCache
@@ -166,6 +167,21 @@ func (c *PlanCache) Retain(keep map[string]bool) int {
 		}
 	}
 	return dropped
+}
+
+// Seeds returns the compile tuples of the plans resident for rule set
+// rulesFP, least recently used first, so replaying them in order rebuilds
+// the same plans in the same recency order.
+func (c *PlanCache) Seeds(rulesFP string) []PlanSeed {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]PlanSeed, 0, c.ll.Len())
+	for el := c.ll.Back(); el != nil; el = el.Prev() {
+		if p := el.Value.(*planEntry).plan; p.rulesFP == rulesFP {
+			out = append(out, p.seed)
+		}
+	}
+	return out
 }
 
 // Len returns the resident plan count.

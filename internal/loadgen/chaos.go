@@ -23,7 +23,7 @@ type ChaosOptions struct {
 	Clients int
 	// WorkingSet is the number of distinct template keys under load.
 	WorkingSet int
-	// CacheSize is each node's result-LRU capacity.
+	// CacheSize is each node's plan-cache capacity.
 	CacheSize int
 	// Workers is each node's worker-pool size.
 	Workers int

@@ -44,7 +44,7 @@ type Options struct {
 	// WorkingSet is the number of distinct template keys in the workload.
 	// Make it larger than CacheSize to thrash one node and fit N.
 	WorkingSet int
-	// CacheSize is each node's result-LRU capacity.
+	// CacheSize is each node's plan-cache capacity.
 	CacheSize int
 	// Workers is each node's worker-pool size.
 	Workers int
@@ -133,11 +133,10 @@ func Run(ctx context.Context, opts Options) (Result, error) {
 	defer sdk.Close()
 
 	// One real template per working-set key, made a distinct *body* by a
-	// per-key comment: distinct Names alone stopped being a thrash
-	// workload when the daemons learned to byte-splice one compiled plan
-	// across any number of names — a result-cache miss must still cost a
-	// full generation here, or the cluster's aggregate cache capacity has
-	// nothing to save.
+	// per-key comment: distinct Names alone are one body, served by one
+	// compiled plan under any number of names — a cache miss must still
+	// cost a full generation here, or the cluster's aggregate cache
+	// capacity has nothing to save.
 	uc := templates.UseCases[2]
 	src, err := templates.Source(uc)
 	if err != nil {

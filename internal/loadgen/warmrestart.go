@@ -2,7 +2,9 @@ package loadgen
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -27,7 +29,7 @@ type WarmRestartOptions struct {
 	// WorkingSet is the number of distinct template keys under load. Keep
 	// it a healthy multiple of Nodes so the victim owns a fair share.
 	WorkingSet int
-	// CacheSize is each node's result-LRU capacity.
+	// CacheSize is each node's plan-cache capacity.
 	CacheSize int
 	// Workers is each node's worker-pool size.
 	Workers int
@@ -58,8 +60,8 @@ type WarmRestartResult struct {
 	RestoreEntries int64 `json:"restore_entries"`
 	SnapshotBytes  int64 `json:"snapshot_bytes"`
 	// RestoreHitRate is the victim's cache hit rate over the first
-	// measurement window after the warm restart — the durability payoff.
-	// A cold restart scores 0 here.
+	// measurement window after the warm restart's boot warm — the
+	// durability payoff. A cold restart scores 0 here.
 	RestoreHitRate float64 `json:"restore_hit_rate"`
 	// Requests/Errors cover the background load across the crash;
 	// Divergence counts any response that differed from the primed answer
@@ -246,10 +248,15 @@ func RunWarmRestart(ctx context.Context, opts WarmRestartOptions) (WarmRestartRe
 	if res.RestoreEntries <= 0 {
 		return res, fmt.Errorf("loadgen: restarted victim restored no entries")
 	}
+	victimURL := cl.URLs()[opts.Victim]
+	if err := awaitWarm(ctx, victimURL); err != nil {
+		return res, err
+	}
+	before := victim.Srv.MetricsSnapshot()
 
 	// First measurement window: a fresh SDK (closed breakers) walks the
-	// whole working set; the victim's own hit/miss counters — zeroed by the
-	// restart — are the restored cache's first-contact hit rate.
+	// whole working set; the victim's own hit/miss counters since its boot
+	// warm finished are the restored plans' first-contact hit rate.
 	probe, err := client.New(client.Config{Nodes: cl.URLs(), MaxRetries: 4, ProbeInterval: -1})
 	if err != nil {
 		return res, err
@@ -265,8 +272,9 @@ func RunWarmRestart(ctx context.Context, opts WarmRestartOptions) (WarmRestartRe
 		}
 	}
 	m := victim.Srv.MetricsSnapshot()
-	if seen := m.CacheHits + m.CacheMisses; seen > 0 {
-		res.RestoreHitRate = float64(m.CacheHits) / float64(seen)
+	hits, misses := m.CacheHits-before.CacheHits, m.CacheMisses-before.CacheMisses
+	if hits+misses > 0 {
+		res.RestoreHitRate = float64(hits) / float64(hits+misses)
 	}
 
 	// Corruption leg: crash again, mangle the snapshot, and the node must
@@ -303,4 +311,35 @@ func RunWarmRestart(ctx context.Context, opts WarmRestartOptions) (WarmRestartRe
 	}
 	res.CorruptColdStart = true
 	return res, ctx.Err()
+}
+
+// awaitWarm polls url's /readyz until it leaves "restoring": the node's
+// boot warm has then recompiled the plans its snapshot named, so a window
+// measured afterwards sees the restored state rather than racing its
+// recompilation.
+func awaitWarm(ctx context.Context, url string) error {
+	for {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/readyz", nil)
+		if err != nil {
+			return err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return fmt.Errorf("loadgen: waiting for %s to warm: %w", url, err)
+		}
+		var ready wire.ReadyResponse
+		err = json.NewDecoder(resp.Body).Decode(&ready)
+		resp.Body.Close()
+		if err != nil {
+			return fmt.Errorf("loadgen: decoding %s/readyz: %w", url, err)
+		}
+		if ready.Status != wire.ReadyRestoring {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
 }

@@ -1,7 +1,9 @@
 // Package persist is cryptgend's crash-safe snapshot store: the warm state
-// a node would otherwise lose on restart — result-cache entries, the plan
-// warm list they imply, and the active rule-set source — written as one
-// atomic, versioned, CRC-checked file.
+// a node would otherwise lose on restart — the compile tuples of its
+// resident plans and the active rule-set source — written as one atomic,
+// versioned, CRC-checked file. No generated bytes are stored: a restarted
+// node re-derives every plan by replaying its tuple through the pipeline,
+// so nothing it serves is ever read back from disk.
 //
 // The write path is the classic durable-rename protocol: marshal to a temp
 // file in the destination directory, fsync the file, rename it over the
@@ -25,7 +27,6 @@ import (
 	"path/filepath"
 
 	"cognicryptgen/internal/faultinject"
-	"cognicryptgen/wire"
 )
 
 // SnapshotFile is the live snapshot's file name inside a Store directory.
@@ -46,35 +47,31 @@ const headerLen = 8 + 4 + 4 + 8
 
 // Snapshot is the durable payload: everything a restarted node needs to
 // serve warm. Entries are ordered LRU→MRU so a restore that replays them
-// in order reproduces the cache's recency ordering exactly.
+// in order reproduces the plan cache's recency ordering exactly.
 type Snapshot struct {
 	// SavedAtUnixMS is the wall-clock write time (snapshot_age_seconds).
 	SavedAtUnixMS int64 `json:"saved_at_unix_ms"`
-	// Fingerprint is the rule-set fingerprint every entry was generated
-	// under. A restore into a registry running a different rule set is a
-	// stale snapshot: discarded whole, cold start.
+	// Fingerprint is the rule-set fingerprint every entry's plan was
+	// compiled under. A restore into a registry running a different rule
+	// set is a stale snapshot: discarded whole, cold start.
 	Fingerprint string `json:"ruleset_fingerprint"`
 	// RuleFiles maps rule file names to CrySL source text — the active rule
 	// set itself, so a node whose rule source is gone at boot (wiped config
 	// dir) can recompile its last-good rules from the snapshot.
 	RuleFiles map[string]string `json:"rule_files,omitempty"`
-	// Entries are the result-cache entries, LRU first.
+	// Entries are the resident plans' compile tuples, LRU first.
 	Entries []Entry `json:"entries"`
 }
 
-// Entry is one cached generation with the request tuple that produced it,
-// so the restore can both refill the result cache (Key → Response) and
-// re-warm the plan cache (distinct Name/Source/Package/Verify tuples are
-// the plan warm list — plans are recompiled, not serialized, because plan
-// bytes are an in-memory representation, and recompilation is determinis-
-// tic and cheap next to a cold miss).
+// Entry is one plan's compile tuple. Plans are recompiled, not serialized:
+// their bytes are an in-memory representation, and recompilation is
+// deterministic and cheap next to a cold miss. A file written when entries
+// also carried a cache key, a package and a response still decodes (JSON
+// ignores the extra fields), so the format version did not change.
 type Entry struct {
-	Key      string                `json:"key"`
-	Name     string                `json:"name"`
-	Source   string                `json:"source"`
-	Package  string                `json:"package,omitempty"`
-	Verify   bool                  `json:"verify,omitempty"`
-	Response wire.GenerateResponse `json:"response"`
+	Name   string `json:"name"`
+	Source string `json:"source"`
+	Verify bool   `json:"verify,omitempty"`
 }
 
 // ErrNoSnapshot reports a clean absence: the store directory has no

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"cognicryptgen/internal/faultinject"
-	"cognicryptgen/wire"
 )
 
 func testSnapshot() *Snapshot {
@@ -19,14 +18,8 @@ func testSnapshot() *Snapshot {
 		Fingerprint:   "fp-abc123",
 		RuleFiles:     map[string]string{"Cipher.crysl": "SPEC gca.Cipher"},
 		Entries: []Entry{
-			{
-				Key: "k1", Name: "uc1.go", Source: "package t1", Package: "out", Verify: true,
-				Response: wire.GenerateResponse{Name: "uc1.go", Output: "package out\n", Fingerprint: "fp-abc123"},
-			},
-			{
-				Key: "k2", Name: "uc2.go", Source: "package t2",
-				Response: wire.GenerateResponse{Name: "uc2.go", Output: "package t2\n", Fingerprint: "fp-abc123"},
-			},
+			{Name: "uc1.go", Source: "package t1", Verify: true},
+			{Name: "uc2.go", Source: "package t2"},
 		},
 	}
 }
@@ -55,14 +48,41 @@ func TestRoundTrip(t *testing.T) {
 	if got.Fingerprint != want.Fingerprint || got.SavedAtUnixMS != want.SavedAtUnixMS {
 		t.Fatalf("metadata mismatch: %+v", got)
 	}
-	if len(got.Entries) != 2 || got.Entries[0].Response.Output != want.Entries[0].Response.Output {
+	if len(got.Entries) != 2 || got.Entries[0] != want.Entries[0] || got.Entries[1] != want.Entries[1] {
 		t.Fatalf("entries mismatch: %+v", got.Entries)
-	}
-	if !got.Entries[0].Verify || got.Entries[0].Package != "out" {
-		t.Fatalf("request tuple lost: %+v", got.Entries[0])
 	}
 	if got.RuleFiles["Cipher.crysl"] != "SPEC gca.Cipher" {
 		t.Fatalf("rule files lost: %+v", got.RuleFiles)
+	}
+}
+
+// TestParentFormatDecodes: a snapshot written when entries also carried a
+// cache key, a package override and the whole response still loads under
+// FormatVersion 1, yielding each entry's compile tuple.
+func TestParentFormatDecodes(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte(`{"saved_at_unix_ms":1,"ruleset_fingerprint":"fp-old","entries":[` +
+		`{"key":"k1","name":"uc1.go","source":"package t1","package":"out","verify":true,` +
+		`"response":{"name":"uc1.go","output":"package out\n","ruleset_fingerprint":"fp-old","cached":false,"duration_ms":1}},` +
+		`{"key":"k2","name":"uc2.go","source":"package t2","response":{"name":"uc2.go","output":"package t2\n"}}]}`)
+	raw := make([]byte, headerLen, headerLen+len(payload))
+	copy(raw, Magic[:])
+	binary.LittleEndian.PutUint32(raw[8:], FormatVersion)
+	binary.LittleEndian.PutUint32(raw[12:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint64(raw[16:], uint64(len(payload)))
+	if err := os.WriteFile(st.Path(), append(raw, payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Entry{{Name: "uc1.go", Source: "package t1", Verify: true}, {Name: "uc2.go", Source: "package t2"}}
+	if got.Fingerprint != "fp-old" || len(got.Entries) != 2 || got.Entries[0] != want[0] || got.Entries[1] != want[1] {
+		t.Fatalf("parent-format snapshot decoded as %+v, want entries %+v", got, want)
 	}
 }
 

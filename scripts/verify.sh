@@ -74,8 +74,9 @@ echo "==> loadgen chaos drill (kill 1 of 3 under load)"
 go run ./cmd/loadgen -chaos
 
 # Warm-restart durability drill: crash a snapshot-enabled node mid-load
-# (no drain, no parting snapshot), restart it, and require restored
-# entries served byte-identically with first-window cache hits; then
+# (no drain, no parting snapshot), restart it, wait for its boot warm to
+# replay the snapshot's plan tuples (/readyz leaves "restoring"), and
+# require byte-identical first-window cache hits; then
 # corrupt the snapshot and require a clean cold start instead of a crash.
 echo "==> loadgen warm-restart drill (crash, snapshot restore, corruption)"
 go run ./cmd/loadgen -warmrestart
@@ -87,17 +88,15 @@ echo "==> loadgen hedge drill (300ms slow node, budget-gated hedging)"
 go run ./cmd/loadgen -hedge
 
 # Smoke the daemon benchmark end to end (batch + coalescing tables
-# included) without the full measurement repetitions. This doubles as two
+# included) without the full measurement repetitions. This doubles as
 # regression gates: benchtables exits non-zero if subsequent Generator
 # construction costs >= 10% of the first (the shared type-check universe
-# stopped being reused), or if a warm-uncached request served from a
-# compiled plan costs more than 5x a result-cache hit (the plan fast path
-# stopped engaging), or if node-kill recovery in the E13 chaos stage takes
+# stopped being reused), or if node-kill recovery in the E13 chaos stage takes
 # longer than 2x the peer probe interval (probe success stopped
 # re-admitting restarted nodes), or if the warm-restart stage restores
 # under a 0.5 first-window hit rate / costs more than 5x a plain restart
 # (durability regressed or began dominating boot).
-echo "==> benchtables service smoke (incl. cold-start + plan + failover + durability gates)"
+echo "==> benchtables service smoke (incl. cold-start + failover + durability gates)"
 go run ./cmd/benchtables -table service -smoke
 
 echo "==> verify OK"

@@ -37,11 +37,11 @@ func generateKey(pwd []rune) (*gca.SecretKeySpec, error) {
 // the paper's running example and names their kinds.
 func TestAnalyzeFindsFigure1Misuses(t *testing.T) {
 	_, ts := sharedService(t)
-	resp, body := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Name: "fig1.go", Source: figure1Misuse})
+	resp, body := postJSON(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Name: "fig1.go", Source: figure1Misuse})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var got AnalyzeResponse
+	var got wire.AnalyzeResponse
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -67,19 +67,19 @@ func TestAnalyzeFindsFigure1Misuses(t *testing.T) {
 // generated by /v1/generate passes /v1/analyze with zero findings.
 func TestAnalyzeCleanGenerated(t *testing.T) {
 	_, ts := sharedService(t)
-	resp, body := postJSON(t, ts.URL+"/v1/generate", GenerateRequest{UseCase: 3})
+	resp, body := postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{UseCase: 3})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("generate: status %d: %s", resp.StatusCode, body)
 	}
-	var genResp GenerateResponse
+	var genResp wire.GenerateResponse
 	if err := json.Unmarshal(body, &genResp); err != nil {
 		t.Fatal(err)
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Name: "generated.go", Source: genResp.Output})
+	resp, body = postJSON(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Name: "generated.go", Source: genResp.Output})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("analyze: status %d: %s", resp.StatusCode, body)
 	}
-	var anaResp AnalyzeResponse
+	var anaResp wire.AnalyzeResponse
 	if err := json.Unmarshal(body, &anaResp); err != nil {
 		t.Fatal(err)
 	}
@@ -206,37 +206,11 @@ func TestReloadEndpoint(t *testing.T) {
 	if after.Fingerprint != before.Fingerprint {
 		t.Error("identical embedded sources changed the fingerprint on reload")
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/generate", GenerateRequest{UseCase: 11})
+	resp, body = postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{UseCase: 11})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("generate after reload: status %d: %s", resp.StatusCode, body)
 	}
 }
-
-// TestCacheLRUEviction exercises the LRU bound directly.
-func TestCacheLRUEviction(t *testing.T) {
-	c := newResultCache(2)
-	c.put("a", GenerateResponse{Name: "a"}, "a.go", "src-a", "", false)
-	c.put("b", GenerateResponse{Name: "b"}, "b.go", "src-b", "", false)
-	if _, ok := c.get("a"); !ok { // touch a: b becomes LRU
-		t.Fatal("a missing")
-	}
-	c.put("c", GenerateResponse{Name: "c"}, "c.go", "src-c", "", false)
-	if _, ok := c.get("b"); ok {
-		t.Error("b should have been evicted as least-recently-used")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("a should have survived")
-	}
-	if _, ok := c.get("c"); !ok {
-		t.Error("c should be present")
-	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
-	}
-}
-
-// The cache-key sensitivity test moved to the wire package with the key
-// derivation itself (wire.CacheKey doubles as the cluster routing key).
 
 // decodeEnvelope asserts body is a wire.Error with the expected status and
 // returns it.

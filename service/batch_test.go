@@ -3,11 +3,16 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"cognicryptgen/internal/faultinject"
 	"cognicryptgen/templates"
+	"cognicryptgen/wire"
 )
 
 // TestBatchMatchesSequential: POST /v1/generate/batch over all 13 embedded
@@ -18,25 +23,25 @@ func TestBatchMatchesSequential(t *testing.T) {
 	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
 
 	want := make([]string, len(cases))
-	var breq BatchRequest
+	var breq wire.BatchRequest
 	for i, uc := range cases {
-		resp, body := postJSON(t, ts.URL+"/v1/generate", GenerateRequest{UseCase: uc.ID})
+		resp, body := postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{UseCase: uc.ID})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("sequential use case %d: status %d: %s", uc.ID, resp.StatusCode, body)
 		}
-		var g GenerateResponse
+		var g wire.GenerateResponse
 		if err := json.Unmarshal(body, &g); err != nil {
 			t.Fatal(err)
 		}
 		want[i] = g.Output
-		breq.Requests = append(breq.Requests, GenerateRequest{UseCase: uc.ID})
+		breq.Requests = append(breq.Requests, wire.GenerateRequest{UseCase: uc.ID})
 	}
 
 	resp, body := postJSON(t, ts.URL+"/v1/generate/batch", breq)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d: %s", resp.StatusCode, body)
 	}
-	var bresp BatchResponse
+	var bresp wire.BatchResponse
 	if err := json.Unmarshal(body, &bresp); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +66,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 // TestBatchPartialFailure: one bad template fails its own slot only.
 func TestBatchPartialFailure(t *testing.T) {
 	_, ts := sharedService(t)
-	breq := BatchRequest{Requests: []GenerateRequest{
+	breq := wire.BatchRequest{Requests: []wire.GenerateRequest{
 		{UseCase: 11},
 		{Name: "bad.go", Source: "package bad\n\nfunc B() { undefinedSymbol() }\n"},
 	}}
@@ -69,7 +74,7 @@ func TestBatchPartialFailure(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("partial batch must be 200, got %d: %s", resp.StatusCode, body)
 	}
-	var bresp BatchResponse
+	var bresp wire.BatchResponse
 	if err := json.Unmarshal(body, &bresp); err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +93,11 @@ func TestBatchPartialFailure(t *testing.T) {
 // check holds.
 func TestBatchValidation(t *testing.T) {
 	_, ts := sharedService(t)
-	resp, body := postJSON(t, ts.URL+"/v1/generate/batch", BatchRequest{})
+	resp, body := postJSON(t, ts.URL+"/v1/generate/batch", wire.BatchRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty batch: status %d, want 400: %s", resp.StatusCode, body)
 	}
-	over := BatchRequest{Requests: make([]GenerateRequest, maxBatchItems+1)}
+	over := wire.BatchRequest{Requests: make([]wire.GenerateRequest, maxBatchItems+1)}
 	resp, body = postJSON(t, ts.URL+"/v1/generate/batch", over)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversize batch: status %d, want 400: %s", resp.StatusCode, body)
@@ -108,10 +113,11 @@ func TestBatchValidation(t *testing.T) {
 }
 
 // TestCoalescingSingleGeneration is the singleflight contract: N
-// concurrent identical cache misses trigger exactly one generation
-// (cache_misses == 1) and every caller receives byte-identical output. The
-// followers are accounted for as either coalesced (joined the leader's
-// flight) or cache hits (arrived after the leader populated the cache).
+// concurrent identical misses over an unseen body trigger exactly one
+// pipeline run (cache_misses == 1) and every caller receives
+// byte-identical output. The followers are accounted for as either
+// coalesced (spliced from the leader's plan when its flight ended) or
+// cache hits (arrived after the leader's plan was resident).
 func TestCoalescingSingleGeneration(t *testing.T) {
 	srv, err := New(Config{Workers: 4, CacheSize: 64})
 	if err != nil {
@@ -119,15 +125,7 @@ func TestCoalescingSingleGeneration(t *testing.T) {
 	}
 	defer srv.Close()
 
-	uc, err := templates.ByID(11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := templates.Source(uc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := GenerateRequest{Name: "coalesce_test.go", Source: src}
+	req := wire.GenerateRequest{Name: "coalesce_test.go", Source: unseenBody(t, 11, "coalesce identical")}
 
 	const n = 8
 	outputs := make([]string, n)
@@ -164,8 +162,9 @@ func TestCoalescingSingleGeneration(t *testing.T) {
 	}
 }
 
-// TestBatchDuplicatesCoalesce: a batch full of the same request costs one
-// generation thanks to the shared singleflight path.
+// TestBatchDuplicatesCoalesce: a batch full of the same request over an
+// unseen body costs one pipeline run thanks to the shared singleflight
+// path.
 func TestBatchDuplicatesCoalesce(t *testing.T) {
 	srv, err := New(Config{Workers: 4, CacheSize: 64})
 	if err != nil {
@@ -173,17 +172,10 @@ func TestBatchDuplicatesCoalesce(t *testing.T) {
 	}
 	defer srv.Close()
 
-	uc, err := templates.ByID(11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := templates.Source(uc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var breq BatchRequest
+	src := unseenBody(t, 11, "duplicate batch")
+	var breq wire.BatchRequest
 	for i := 0; i < 6; i++ {
-		breq.Requests = append(breq.Requests, GenerateRequest{Name: "dup_batch.go", Source: src})
+		breq.Requests = append(breq.Requests, wire.GenerateRequest{Name: "dup_batch.go", Source: src})
 	}
 	bresp, err := srv.GenerateBatch(context.Background(), breq)
 	if err != nil {
@@ -206,4 +198,76 @@ func TestBatchDuplicatesCoalesce(t *testing.T) {
 	if misses := m.CacheMisses; misses != 1 {
 		t.Errorf("cache_misses = %d, want 1 for a duplicate batch", misses)
 	}
+}
+
+// TestCoalescingDistinctNames: N concurrent requests with distinct names
+// over one unseen body share one flight and one pipeline run. The leader
+// is held in the pipeline by an armed generate latency fault while the
+// followers join; each follower then splices its own response, with its
+// own name, from the plan the leader compiled.
+func TestCoalescingDistinctNames(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	srv, err := New(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	waitWarm(t, srv)
+	before := srv.MetricsSnapshot()
+	src := unseenBody(t, 11, "coalesce distinct names")
+
+	faultinject.Arm(faultinject.PointGenerate, faultinject.Fault{Mode: faultinject.ModeLatency, Latency: 400 * time.Millisecond})
+	const n = 6
+	names := make([]string, n)
+	resps := make([]wire.GenerateResponse, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	run := func(i int) {
+		defer wg.Done()
+		names[i] = fmt.Sprintf("distinct_%d.go", i)
+		resps[i], errs[i] = srv.Generate(context.Background(), wire.GenerateRequest{Name: names[i], Source: src})
+	}
+	wg.Add(1)
+	go run(0)
+	// The leader counts its pipeline run just before it enters the pool,
+	// after its flight is registered.
+	for srv.MetricsSnapshot().CacheMisses == before.CacheMisses {
+		time.Sleep(time.Millisecond)
+	}
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go run(i)
+	}
+	wg.Wait()
+	faultinject.Reset()
+
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if resps[i].Name != names[i] || !strings.HasPrefix(resps[i].Output, "// Code generated by CogniCryptGEN from "+names[i]+". DO NOT EDIT.") {
+			t.Errorf("request %d: response does not carry its own name %q: name %q, header %q", i, names[i], resps[i].Name, firstLine(resps[i].Output))
+		}
+		if stripHeaderLine(resps[i].Output) != stripHeaderLine(resps[0].Output) {
+			t.Errorf("request %d: output differs from the leader's beyond the name", i)
+		}
+	}
+	m := srv.MetricsSnapshot()
+	if runs := m.CacheMisses - before.CacheMisses; runs != 1 {
+		t.Errorf("%d pipeline runs for %d distinct names over one body, want 1", runs, n)
+	}
+	if planMisses := m.PlanMisses - before.PlanMisses; planMisses != 1 {
+		t.Errorf("%d plan compilations, want 1", planMisses)
+	}
+	if coalesced := m.Coalesced - before.Coalesced; coalesced != n-1 {
+		t.Errorf("coalesced = %d, want all %d followers spliced from the leader's plan", coalesced, n-1)
+	}
+}
+
+func firstLine(s string) string {
+	if i := strings.IndexByte(s, '\n'); i >= 0 {
+		return s[:i]
+	}
+	return s
 }

@@ -14,6 +14,7 @@ import (
 
 	"cognicryptgen/internal/faultinject"
 	"cognicryptgen/templates"
+	"cognicryptgen/wire"
 )
 
 // The chaos suite drives the daemon through injected faults — worker
@@ -68,7 +69,7 @@ func TestChaosWorkerPanic(t *testing.T) {
 	// would be served by the byte-splice fast path without ever reaching
 	// the pool.
 	faultinject.Arm(faultinject.PointWorkerExec, faultinject.Fault{Mode: faultinject.ModePanic, Times: 1})
-	resp, body := postJSON(t, ts.URL+"/v1/generate", GenerateRequest{Name: "chaos_panic_1.go", Source: src + "\n// chaos: panic 1\n"})
+	resp, body := postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{Name: "chaos_panic_1.go", Source: src + "\n// chaos: panic 1\n"})
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("request during injected panic: status %d, want 500: %s", resp.StatusCode, body)
 	}
@@ -78,7 +79,7 @@ func TestChaosWorkerPanic(t *testing.T) {
 
 	// The fault self-disarmed after one firing; the same daemon — and
 	// possibly the same worker goroutine — must serve the next request.
-	resp, body = postJSON(t, ts.URL+"/v1/generate", GenerateRequest{Name: "chaos_panic_2.go", Source: src + "\n// chaos: panic 2\n"})
+	resp, body = postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{Name: "chaos_panic_2.go", Source: src + "\n// chaos: panic 2\n"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after recovered panic: status %d: %s", resp.StatusCode, body)
 	}
@@ -99,6 +100,7 @@ func TestChaosReloadFailureKeepsLastGood(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
 	srv, ts := chaosServer(t, Config{Workers: 2, CacheSize: 4})
+	waitWarm(t, srv) // so the final readyz check sees "ok", not "restoring"
 
 	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
 	want := make(map[int]string, len(cases))
@@ -108,11 +110,11 @@ func TestChaosReloadFailureKeepsLastGood(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp, body := postJSON(t, ts.URL+"/v1/generate",
-			GenerateRequest{Name: fmt.Sprintf("chaos_pre_%d.go", uc.ID), Source: src})
+			wire.GenerateRequest{Name: fmt.Sprintf("chaos_pre_%d.go", uc.ID), Source: src})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("use case %d before fault: status %d: %s", uc.ID, resp.StatusCode, body)
 		}
-		var gr GenerateResponse
+		var gr wire.GenerateResponse
 		mustUnmarshal(t, body, &gr)
 		want[uc.ID] = stripHeaderLine(gr.Output)
 	}
@@ -147,11 +149,11 @@ func TestChaosReloadFailureKeepsLastGood(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp, body := postJSON(t, ts.URL+"/v1/generate",
-			GenerateRequest{Name: fmt.Sprintf("chaos_post_%d.go", uc.ID), Source: src})
+			wire.GenerateRequest{Name: fmt.Sprintf("chaos_post_%d.go", uc.ID), Source: src})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("use case %d after failed reload: status %d: %s", uc.ID, resp.StatusCode, body)
 		}
-		var gr GenerateResponse
+		var gr wire.GenerateResponse
 		mustUnmarshal(t, body, &gr)
 		if got := stripHeaderLine(gr.Output); got != want[uc.ID] {
 			t.Errorf("use case %d: output changed after failed reload", uc.ID)
@@ -196,7 +198,7 @@ func TestChaosLatencyShedding(t *testing.T) {
 	}
 	// Warm the worker's generator so the storm measures queueing, not the
 	// one-off type-check warm-up.
-	if resp, body := postJSON(t, ts.URL+"/v1/generate", GenerateRequest{Name: "chaos_warm.go", Source: src}); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{Name: "chaos_warm.go", Source: src}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm-up: status %d: %s", resp.StatusCode, body)
 	}
 	baseline := runtime.NumGoroutine()
@@ -214,7 +216,7 @@ func TestChaosLatencyShedding(t *testing.T) {
 			// resident plan would be spliced inline and never saturate the
 			// pool this test is wedging.
 			resp, _ := postJSONNoFatal(ts.URL+"/v1/generate",
-				GenerateRequest{Name: fmt.Sprintf("chaos_storm_%d.go", i), Source: src + fmt.Sprintf("\n// chaos: storm %d\n", i)})
+				wire.GenerateRequest{Name: fmt.Sprintf("chaos_storm_%d.go", i), Source: src + fmt.Sprintf("\n// chaos: storm %d\n", i)})
 			if resp != nil {
 				statuses[i] = resp.StatusCode
 				retryAfter[i] = resp.Header.Get("Retry-After")
@@ -244,7 +246,7 @@ func TestChaosLatencyShedding(t *testing.T) {
 
 	// Clear the fault: the daemon must recover on its own.
 	faultinject.Reset()
-	if resp, body := postJSON(t, ts.URL+"/v1/generate", GenerateRequest{Name: "chaos_recover.go", Source: src}); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{Name: "chaos_recover.go", Source: src}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after latency cleared: status %d: %s", resp.StatusCode, body)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -264,14 +266,14 @@ func TestChaosLatencyShedding(t *testing.T) {
 // body.
 func TestBodyCap413(t *testing.T) {
 	_, ts := chaosServer(t, Config{Workers: 1, MaxBodyBytes: 2048})
-	big := GenerateRequest{Name: "big.go", Source: strings.Repeat("// padding\n", 1024)}
+	big := wire.GenerateRequest{Name: "big.go", Source: strings.Repeat("// padding\n", 1024)}
 	for _, url := range []string{ts.URL + "/v1/generate", ts.URL + "/v1/analyze"} {
 		resp, body := postJSON(t, url, big)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s: status %d, want 413: %s", url, resp.StatusCode, body)
 		}
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/generate/batch", BatchRequest{Requests: []GenerateRequest{big}})
+	resp, body := postJSON(t, ts.URL+"/v1/generate/batch", wire.BatchRequest{Requests: []wire.GenerateRequest{big}})
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("batch: status %d, want 413: %s", resp.StatusCode, body)
 	}
@@ -288,7 +290,7 @@ func TestBodyCap413(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp, body := postJSON(t, sts.URL+"/v1/generate", GenerateRequest{Name: "cap_ok.go", Source: src}); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, sts.URL+"/v1/generate", wire.GenerateRequest{Name: "cap_ok.go", Source: src}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("under-cap request: status %d: %s", resp.StatusCode, body)
 	}
 }

@@ -277,14 +277,14 @@ func (c *cluster) probe(peer string) (healthy bool, errMsg string) {
 	return true, ""
 }
 
-// forward sends req to the peer owning its cache key over the peer channel
+// forward sends req to the peer owning its body key over the peer channel
 // (an ordinary POST /v1/generate carrying the wire.HeaderForwarded hop
-// guard) and interprets the outcome for the flight leader in runLeader:
+// guard) and interprets the outcome for Server.attempt:
 //
 //   - handled=true, err=nil: the peer answered; resp carries its output
 //     with Forwarded set. Counted as a forward hit when the owner served it
-//     without a fresh generation (cache or coalesced flight) — the
-//     shared-cache payoff the forward exists for.
+//     without a fresh pipeline run (a plan splice, direct or coalesced) —
+//     the shared-cache payoff the forward exists for.
 //   - handled=true, err=*wire.Error: the peer rejected the request
 //     terminally (e.g. 400 malformed template). The verdict is as valid
 //     here as there; re-running the same template locally would burn a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"cognicryptgen/client"
+	"cognicryptgen/gen"
+	"cognicryptgen/rules"
 	"cognicryptgen/templates"
 	"cognicryptgen/wire"
 )
@@ -60,9 +64,11 @@ func startClusterProbe(t *testing.T, n int, probeEvery time.Duration) ([]*Server
 
 // TestClusterSharedCacheByteIdentical is the cluster's core guarantee: the
 // same 13 templates, sent to every node of a 3-node cluster, come back
-// byte-identical to a standalone daemon — and each template is generated
-// exactly once across the whole cluster, because every key is served (via
-// one-hop forwarding) by the node that owns it.
+// byte-identical to a standalone daemon — and each template body runs the
+// pipeline exactly once across the whole cluster, because every body is
+// served (via one-hop forwarding) by the node that owns it. The bodies are
+// unseen, so no boot warm has compiled them; a second pass by use case
+// pins byte identity for the embedded templates' warmed plans too.
 func TestClusterSharedCacheByteIdentical(t *testing.T) {
 	standalone, err := New(Config{Workers: 2, CacheSize: 64})
 	if err != nil {
@@ -73,27 +79,31 @@ func TestClusterSharedCacheByteIdentical(t *testing.T) {
 	srvs, tss, _ := startCluster(t, 3)
 	ctx := context.Background()
 	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
-	for _, uc := range cases {
-		want, err := standalone.Generate(ctx, wire.GenerateRequest{UseCase: uc.ID})
+	sendAll := func(req wire.GenerateRequest, what string) {
+		t.Helper()
+		want, err := standalone.Generate(ctx, req)
 		if err != nil {
-			t.Fatalf("standalone use case %d: %v", uc.ID, err)
+			t.Fatalf("standalone %s: %v", what, err)
 		}
 		for i, ts := range tss {
-			resp, body := postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{UseCase: uc.ID})
+			resp, body := postJSON(t, ts.URL+"/v1/generate", req)
 			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("node %d use case %d: status %d: %s", i, uc.ID, resp.StatusCode, body)
+				t.Fatalf("node %d %s: status %d: %s", i, what, resp.StatusCode, body)
 			}
 			var got wire.GenerateResponse
 			if err := json.Unmarshal(body, &got); err != nil {
 				t.Fatal(err)
 			}
 			if got.Output != want.Output {
-				t.Fatalf("node %d use case %d: output differs from standalone", i, uc.ID)
+				t.Fatalf("node %d %s: output differs from standalone", i, what)
 			}
 			if got.Fingerprint != want.Fingerprint {
-				t.Fatalf("node %d use case %d: fingerprint %s != standalone %s", i, uc.ID, got.Fingerprint, want.Fingerprint)
+				t.Fatalf("node %d %s: fingerprint %s != standalone %s", i, what, got.Fingerprint, want.Fingerprint)
 			}
 		}
+	}
+	for _, uc := range cases {
+		sendAll(wire.GenerateRequest{Name: uc.File, Source: unseenBody(t, uc.ID, "shared cache")}, fmt.Sprintf("unseen body %d", uc.ID))
 	}
 
 	var misses, forwarded, forwardHits int64
@@ -106,16 +116,71 @@ func TestClusterSharedCacheByteIdentical(t *testing.T) {
 			t.Errorf("node %s: %d forward fallbacks in a healthy cluster", m.Self, m.ForwardFallbacks)
 		}
 	}
-	// 39 requests (13 templates × 3 nodes), one generation per template:
-	// the cluster's caches shard, they do not duplicate.
+	// 39 requests (13 bodies × 3 nodes), one pipeline run per body: the
+	// cluster's plans shard, they do not duplicate.
 	if misses != int64(len(cases)) {
-		t.Errorf("cluster generated %d times for %d distinct templates — caches are duplicating, not sharding", misses, len(cases))
+		t.Errorf("cluster ran the pipeline %d times for %d distinct bodies — plans are duplicating, not sharding", misses, len(cases))
 	}
 	if forwarded == 0 {
-		t.Error("no request was forwarded: 3 nodes cannot all own every key")
+		t.Error("no request was forwarded: 3 nodes cannot all own every body")
 	}
 	if forwardHits == 0 {
-		t.Error("no forward was answered from the owner's cache")
+		t.Error("no forward was answered from the owner's plan")
+	}
+	for _, uc := range cases {
+		sendAll(wire.GenerateRequest{UseCase: uc.ID}, fmt.Sprintf("use case %d", uc.ID))
+	}
+}
+
+// TestClusterOneRunPerBody: with the body-level key, distinct names and
+// package overrides over one body share its owner, its flight and its
+// plan. An unrouted SDK spreads K unseen bodies × 3 names × 2 packages over
+// 3 nodes; the cluster runs the pipeline exactly K times, never falls
+// back, and every output is byte-identical to an uncached gen run.
+func TestClusterOneRunPerBody(t *testing.T) {
+	srvs, _, urls := startCluster(t, 3)
+	sdk, err := client.New(client.Config{Nodes: urls, DisableRouting: true, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sdk.Close()
+	base, err := gen.New(rules.MustLoad(), "", gen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const bodies = 4
+	for k := 0; k < bodies; k++ {
+		id := []int{1, 4, 9, 11}[k]
+		src := unseenBody(t, id, fmt.Sprintf("one run per body %d", k))
+		for _, name := range []string{"a.go", "b.go", "c.go"} {
+			for _, pkg := range []string{"", "app"} {
+				req := wire.GenerateRequest{Name: fmt.Sprintf("k%d_%s", k, name), Source: src, Package: pkg}
+				want, err := base.WithOptions(gen.Options{PackageName: pkg}).GenerateFile(req.Name, src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sdk.Generate(context.Background(), req)
+				if err != nil {
+					t.Fatalf("body %d %s package %q: %v", k, req.Name, pkg, err)
+				}
+				if got.Output != want.Output {
+					t.Errorf("body %d %s package %q: output differs from an uncached pipeline run", k, req.Name, pkg)
+				}
+			}
+		}
+	}
+	var misses, fallbacks int64
+	for _, s := range srvs {
+		m := s.MetricsSnapshot()
+		misses += m.CacheMisses
+		fallbacks += m.ForwardFallbacks
+	}
+	if misses != bodies {
+		t.Errorf("cluster-wide cache_misses = %d, want %d (one pipeline run per distinct body)", misses, bodies)
+	}
+	if fallbacks != 0 {
+		t.Errorf("forward_fallbacks = %d in a healthy cluster, want 0", fallbacks)
 	}
 }
 
@@ -125,22 +190,19 @@ func TestClusterSharedCacheByteIdentical(t *testing.T) {
 // forever.
 func TestClusterHopGuard(t *testing.T) {
 	srvs, tss, _ := startCluster(t, 2)
-	// Find a template owned by node 1, then send it to node 0 with the hop
-	// header already set: node 0 must generate locally, not re-forward.
-	snap := srvs[0].Registry().Snapshot()
-	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
+	// Find an unseen body owned by node 1, then send it to node 0 with the
+	// hop header already set: node 0 must generate locally, not re-forward.
+	fp := srvs[0].Registry().Snapshot().Fingerprint
 	var req wire.GenerateRequest
-	found := false
-	for _, uc := range cases {
-		key := wire.RouteKey(snap.Fingerprint, wire.GenerateRequest{UseCase: uc.ID})
-		if srvs[0].cluster.ownerPeer(key) != "" {
-			req = wire.GenerateRequest{UseCase: uc.ID}
-			found = true
+	for _, uc := range append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...) {
+		r := wire.GenerateRequest{Name: uc.File, Source: unseenBody(t, uc.ID, "hop guard")}
+		if srvs[0].cluster.ownerPeer(wire.RouteKey(fp, r)) != "" {
+			req = r
 			break
 		}
 	}
-	if !found {
-		t.Fatal("no template hashes to the peer — rendezvous distribution is broken")
+	if req.Source == "" {
+		t.Fatal("no template body hashes to the peer — rendezvous distribution is broken")
 	}
 	body, _ := json.Marshal(req)
 	hreq, err := http.NewRequest(http.MethodPost, tss[0].URL+"/v1/generate", bytes.NewReader(body))
@@ -189,18 +251,22 @@ func TestClusterPeerDownFallback(t *testing.T) {
 	ctx := context.Background()
 	snap := srvs[0].Registry().Snapshot()
 	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
+	// Unseen bodies: a warmed plan would splice locally before any forward.
+	reqFor := func(uc templates.UseCase) wire.GenerateRequest {
+		return wire.GenerateRequest{Name: uc.File, Source: unseenBody(t, uc.ID, "peer down")}
+	}
 	served := 0
 	var peerKey string
-	// Send every peer-owned key: a single failed forward must NOT eject
+	// Send every peer-owned body: a single failed forward must NOT eject
 	// (one blip is not evidence), but the accumulated streak across these
 	// attempts opens the breaker. Each one is served locally meanwhile.
 	for _, uc := range cases {
-		key := wire.RouteKey(snap.Fingerprint, wire.GenerateRequest{UseCase: uc.ID})
+		key := wire.RouteKey(snap.Fingerprint, reqFor(uc))
 		if srvs[0].cluster.ownerPeer(key) == "" {
-			continue // need keys the dead peer owns
+			continue // need bodies the dead peer owns
 		}
 		peerKey = key
-		resp, err := srvs[0].Generate(ctx, wire.GenerateRequest{UseCase: uc.ID})
+		resp, err := srvs[0].Generate(ctx, reqFor(uc))
 		if err != nil {
 			t.Fatalf("use case %d with dead owner: %v", uc.ID, err)
 		}
@@ -225,10 +291,10 @@ func TestClusterPeerDownFallback(t *testing.T) {
 	}
 	// With the breaker open no forward attempt reaches the wire (the open
 	// window matches the probe interval, far beyond this test): repeating
-	// every request is served from the local cache or generated locally.
+	// every request is spliced from a local plan or generated locally.
 	before := srvs[0].MetricsSnapshot().ForwardedTotal
 	for _, uc := range cases {
-		if _, err := srvs[0].Generate(ctx, wire.GenerateRequest{UseCase: uc.ID}); err != nil {
+		if _, err := srvs[0].Generate(ctx, reqFor(uc)); err != nil {
 			t.Fatalf("use case %d after ejection: %v", uc.ID, err)
 		}
 	}

@@ -25,11 +25,17 @@
 //     strands a job. Close drains queued jobs before returning (graceful
 //     SIGTERM shutdown).
 //
-//   - resultCache (cache.go) + flightGroup (singleflight.go): an LRU over
-//     generation results keyed by (template-source hash, rule-set
-//     fingerprint, options), fronted by singleflight coalescing — N
-//     concurrent identical cache misses submit exactly one generation and
-//     the followers wait for the leader's result.
+//   - The registry's gen.PlanCache + flightGroup (singleflight.go): the
+//     node's only generation cache. Every request is served on one
+//     body-level key, wire.CacheKey over (rule-set fingerprint, template
+//     source, verify); the name and package are the compiled plan's splice
+//     points. Generate first splices from a resident plan; on a miss it
+//     joins the body's singleflight, whose leader forwards to the body's
+//     rendezvous owner (cluster.go) or runs the pipeline on the pool,
+//     compiling the plan. Followers then splice their own response from
+//     that plan — N concurrent misses over one body, under any names, cost
+//     exactly one pipeline run — or, when no plan was left, make their own
+//     attempt.
 //
 //   - Server (server.go, batch.go): the HTTP JSON API — POST /v1/generate,
 //     POST /v1/generate/batch (concurrent fan-out with per-item results
@@ -39,6 +45,7 @@
 //     queue depth, nearest-rank p50/p99 latency) behind /metrics.
 //
 // Generation through the service is byte-identical to cmd/cryptgen: both
-// run the same Generator over the same compiled rules; the service merely
-// amortises rule compilation and path enumeration and adds caching.
+// run the same Generator over the same compiled rules, and a plan splice
+// reproduces the pipeline's bytes exactly; the service merely amortises
+// rule compilation, path enumeration and whole generations.
 package service

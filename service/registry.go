@@ -83,9 +83,10 @@ type Registry struct {
 }
 
 // NewRegistry compiles the initial snapshot using loader (nil = the
-// embedded gca rule set via rules.LoadFresh).
+// embedded gca rule set via rules.LoadFresh), with a default-sized plan
+// cache.
 func NewRegistry(loader func() (*crysl.RuleSet, error)) (*Registry, error) {
-	return NewRegistryWithFallback(loader, nil)
+	return NewRegistryWithFallback(loader, nil, 0)
 }
 
 // NewRegistryWithFallback is NewRegistry with a boot-only escape hatch:
@@ -95,15 +96,16 @@ func NewRegistry(loader func() (*crysl.RuleSet, error)) (*Registry, error) {
 // operator's loader stays wired for /v1/reload — a later successful reload
 // swaps the real rules in and clears the degraded state — and the boot
 // failure is recorded as degraded so /readyz tells the operator their
-// configured rules are not the ones serving.
-func NewRegistryWithFallback(loader, fallback func() (*crysl.RuleSet, error)) (*Registry, error) {
+// configured rules are not the ones serving. maxPlans bounds the plan
+// cache (<= 0 = gen.DefaultMaxPlans).
+func NewRegistryWithFallback(loader, fallback func() (*crysl.RuleSet, error), maxPlans int) (*Registry, error) {
 	if loader == nil {
 		loader = rules.LoadFresh
 	}
 	r := &Registry{
 		loader:   loader,
 		paths:    gen.NewPathCache(),
-		plans:    gen.NewPlanCache(0),
+		plans:    gen.NewPlanCache(maxPlans),
 		building: map[*crysl.RuleSet]bool{},
 	}
 	if _, err := r.Reload(); err != nil {

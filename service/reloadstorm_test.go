@@ -11,6 +11,7 @@ import (
 	"cognicryptgen/crysl"
 	"cognicryptgen/gen"
 	"cognicryptgen/templates"
+	"cognicryptgen/wire"
 )
 
 // stormTemplate is a minimal valid template against the one-rule storm
@@ -108,6 +109,7 @@ func TestReloadStormKeepsCachesBounded(t *testing.T) {
 // daemon warms plans in the background at startup.
 func TestPlanMetricsReported(t *testing.T) {
 	srv, ts := chaosServer(t, Config{Workers: 1, CacheSize: 4})
+	waitWarm(t, srv) // the warm would otherwise evict from the 4-plan cache mid-test
 	before := srv.MetricsSnapshot()
 
 	uc, err := templates.ByID(1)
@@ -118,11 +120,11 @@ func TestPlanMetricsReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Distinct names over one body: every request misses the result cache,
-	// and at latest the second is served straight from the compiled plan.
+	// Distinct names over one body: at latest the second request is
+	// spliced straight from the compiled plan.
 	for i := 0; i < 3; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/generate",
-			GenerateRequest{Name: fmt.Sprintf("plan_metric_%d.go", i), Source: src})
+			wire.GenerateRequest{Name: fmt.Sprintf("plan_metric_%d.go", i), Source: src})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, body)
 		}
@@ -172,7 +174,7 @@ func TestConcurrentReloadAndGenerate(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				resp, body := postJSONNoFatal(ts.URL+"/v1/generate",
-					GenerateRequest{Name: fmt.Sprintf("race_%d_%d.go", c, i), Source: stormTemplate})
+					wire.GenerateRequest{Name: fmt.Sprintf("race_%d_%d.go", c, i), Source: stormTemplate})
 				if resp == nil || resp.StatusCode != http.StatusOK {
 					var b []byte
 					if resp != nil {

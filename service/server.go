@@ -44,7 +44,8 @@ type Config struct {
 	// RequestTimeout caps per-request processing time (0 = 30s). Requests
 	// that expire while queued are answered 503 without running.
 	RequestTimeout time.Duration
-	// CacheSize bounds the generation result cache (0 = 256 entries).
+	// CacheSize bounds the compiled-plan cache, the node's only generation
+	// cache (0 = gen.DefaultMaxPlans, 256 plans).
 	CacheSize int
 	// MaxWaiters bounds submissions allowed to wait behind a full worker
 	// queue before admission control sheds with 429 (0 = 2×QueueSize,
@@ -58,11 +59,11 @@ type Config struct {
 	Loader func() (*crysl.RuleSet, error)
 
 	// SnapshotDir enables warm-restart durability: the server periodically
-	// (and on graceful Close) writes a crash-safe snapshot of its result
-	// cache and rule-set source there, and restores it at boot — before the
-	// caller can start a listener — so a restarted node serves warm instead
-	// of cold ("" = snapshots off). Any unusable snapshot degrades to a
-	// logged cold start.
+	// (and on graceful Close) writes a crash-safe snapshot of its plans'
+	// compile tuples and rule-set source there, and replays the tuples in
+	// its boot warm, so a restarted node serves warm instead of cold
+	// ("" = snapshots off). Any unusable snapshot degrades to a logged cold
+	// start.
 	SnapshotDir string
 	// SnapshotInterval paces the periodic snapshot writer (0 = 60s).
 	SnapshotInterval time.Duration
@@ -78,9 +79,10 @@ type Config struct {
 	// nodes list in their Peers.
 	Self string
 	// Peers lists the other cluster nodes' base URLs. Non-empty enables
-	// peer forwarding: a request whose cache key hashes to a peer is
-	// forwarded there (one hop, wire.HeaderForwarded) so the cluster's
-	// caches and singleflights shard by key instead of duplicating.
+	// peer forwarding: a request no local plan serves and whose body key
+	// hashes to a peer is forwarded there (one hop, wire.HeaderForwarded) so
+	// the cluster's plans and singleflights shard by body instead of
+	// duplicating.
 	Peers []string
 	// PeerProbeInterval paces the background /readyz probe that ejects
 	// unhealthy peers from the forwarding set and re-admits them on
@@ -92,7 +94,7 @@ type Config struct {
 	PeerFailureThreshold int
 }
 
-// Server is the generation daemon: registry + worker pool + result cache
+// Server is the generation daemon: registry + plan cache + worker pool
 // behind an HTTP JSON API. Create with New, expose via Handler, stop with
 // Close. Server implements the API interface; the HTTP glue lives in the
 // transport (transport.go), which serves both the public listener and the
@@ -101,7 +103,6 @@ type Server struct {
 	cfg       Config
 	registry  *Registry
 	pool      *Pool
-	cache     *resultCache
 	flights   *flightGroup
 	metrics   *metrics
 	transport *transport
@@ -113,7 +114,7 @@ type Server struct {
 	snapStop       chan struct{}
 	snapDone       chan struct{}
 	snapOnce       sync.Once
-	restoring      atomic.Bool // boot restore's plan re-warm still running
+	restoring      atomic.Bool // boot warm still running
 	snapshotBytes  atomic.Int64
 	snapshotAt     atomic.Int64 // UnixNano of the last successful write
 	restoreEntries atomic.Int64
@@ -148,9 +149,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 30 * time.Second
 	}
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = 256
-	}
 	go func() {
 		if root, err := srccheck.ModuleRoot(cfg.Dir); err == nil {
 			srccheck.SharedUniverse(root).Warm(srccheck.ModulePath + "/gca")
@@ -164,7 +162,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Load the warm-restart snapshot BEFORE building the registry: its
 	// captured rule source is the boot fallback when the operator's loader
-	// fails, and its cache entries refill the result cache below.
+	// fails, and its plan tuples join the boot warm below.
 	var store *persist.Store
 	var restored *persist.Snapshot
 	if cfg.SnapshotDir != "" {
@@ -175,14 +173,13 @@ func New(cfg Config) (*Server, error) {
 		store = st
 		restored = loadSnapshot(store)
 	}
-	registry, err := NewRegistryWithFallback(cfg.Loader, snapshotRuleLoader(restored))
+	registry, err := NewRegistryWithFallback(cfg.Loader, snapshotRuleLoader(restored), cfg.CacheSize)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:        cfg,
 		registry:   registry,
-		cache:      newResultCache(cfg.CacheSize),
 		flights:    newFlightGroup(),
 		metrics:    newMetrics(),
 		started:    time.Now(),
@@ -209,23 +206,20 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Peers) > 0 {
 		s.cluster = newCluster(cfg.Self, cfg.Peers, cfg.PeerProbeInterval, cfg.PeerFailureThreshold)
 	}
-	// Refill the result cache from the snapshot synchronously — New has not
-	// returned, so no listener exists yet and the first request a restarted
-	// node sees already finds warm state.
+	// Every boot warms in the background: the embedded templates, then a
+	// restored snapshot's tuples, each compiled into a plan through the
+	// pipeline. The gen.New inside rides the universe warm-up started above
+	// rather than racing the first request for it. /readyz reports
+	// "restoring" from here until the warm finishes; requests are served
+	// correctly throughout, by the pipeline until their plan is resident.
 	s.store = store
-	warm := restored != nil && s.restoreSnapshot(restored)
-	s.restoring.Store(warm)
-	// Warm the embedded templates' plans in the background. The gen.New
-	// inside rides the universe warm-up started above rather than racing
-	// the first request for it, and every warmed template's first real
-	// request lands on the byte-splice fast path. A warm restore then
-	// replays its entries' request tuples so restored hot templates get
-	// their compiled plans back too; /readyz reports "restoring" until
-	// that re-warm finishes.
+	seeds := s.restorable(restored)
+	s.restoring.Store(true)
 	go func() {
-		s.warmPlans(registry.Snapshot())
-		if warm {
-			s.rewarmRestoredPlans(restored)
+		start := time.Now()
+		s.warm(registry.Snapshot(), seeds)
+		if len(seeds) > 0 {
+			s.restoreMS.Store(time.Since(start).Milliseconds())
 		}
 		s.restoring.Store(false)
 	}()
@@ -278,8 +272,8 @@ func (s *Server) Handler() http.Handler {
 // Close drains the worker pool: queued requests finish, new submissions
 // fail with 503. /readyz flips to draining immediately so load balancers
 // stop routing, and the peer prober stops. With snapshots enabled, a final
-// snapshot is written after the pool drains (so it captures every result
-// the drain completed). Call after the HTTP listener stopped accepting.
+// snapshot is written after the pool drains (so it captures every plan
+// the drain compiled). Call after the HTTP listener stopped accepting.
 func (s *Server) Close() {
 	s.shutdown(true)
 }
@@ -368,7 +362,7 @@ func (s *Server) ReloadRules() (wire.ReloadResponse, error) {
 		return wire.ReloadResponse{}, err
 	}
 	s.metrics.reloads.Add(1)
-	s.warmPlans(snap)
+	s.warm(snap, nil)
 	return wire.ReloadResponse{
 		Fingerprint: snap.Fingerprint,
 		Version:     snap.Version,
@@ -376,25 +370,29 @@ func (s *Server) ReloadRules() (wire.ReloadResponse, error) {
 	}, nil
 }
 
-// warmPlans runs the embedded use-case templates through a plan-wired
-// Generator so their compiled plans are resident before traffic asks for
-// them. Warm failures are advisory: the daemon still serves (the legacy
+// warm runs the embedded use-case templates, then extra (a restored
+// snapshot's tuples, LRU first, so the restored recency order ends on top),
+// through a plan-wired Generator so their compiled plans are resident
+// before traffic asks for them. A tuple whose plan is already resident is
+// a plan hit. Warm failures are advisory: the daemon still serves (the
 // pipeline remains the transparent fallback), so they are logged — once
-// per pass, not once per template — never propagated.
-func (s *Server) warmPlans(snap *Snapshot) {
+// per pass, not once per tuple — never propagated.
+func (s *Server) warm(snap *Snapshot, extra []persist.Entry) {
 	g, err := gen.New(snap.Rules, s.cfg.Dir, gen.Options{Paths: snap.Paths, Plans: snap.Plans})
 	if err != nil {
 		log.Printf("service: plan warm: %v", err)
 		return
 	}
+	var tuples []persist.Entry
+	for _, uc := range append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...) {
+		src, _ := templates.Source(uc) // embedded: a missing one fails its warm below
+		tuples = append(tuples, persist.Entry{Name: uc.File, Source: src})
+	}
 	var firstErr error
 	failed := 0
-	for _, uc := range append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...) {
-		src, err := templates.Source(uc)
-		if err == nil {
-			_, err = g.GenerateFile(uc.File, src)
-		}
-		if err != nil {
+	for _, t := range append(tuples, extra...) {
+		gw := g.WithOptions(gen.Options{Verify: t.Verify, Paths: snap.Paths, Plans: snap.Plans})
+		if _, err := gw.GenerateFile(t.Name, t.Source); err != nil {
 			failed++
 			if firstErr == nil {
 				firstErr = err
@@ -402,7 +400,7 @@ func (s *Server) warmPlans(snap *Snapshot) {
 		}
 	}
 	if firstErr != nil {
-		log.Printf("service: plan warm: %d template(s) failed, first: %v", failed, firstErr)
+		log.Printf("service: plan warm: %d tuple(s) failed, first: %v", failed, firstErr)
 	}
 }
 
@@ -449,10 +447,11 @@ func (s *Server) HealthInfo() wire.HealthResponse {
 
 // ReadyInfo is the readiness probe, distinct from /healthz liveness: a
 // live daemon can still be the wrong place to route traffic. It reports
-// one of three states — "ok", "degraded" (serving, but the last reload
-// failed and the last-good rule set is live instead of the operator's new
-// one, with the failed candidate's fingerprint and error), and "draining"
-// (Close has begun, stop routing — the transport serves it with 503).
+// one of four states — "ok", "restoring" (the boot warm is still compiling
+// plans), "degraded" (serving, but the last reload failed and the
+// last-good rule set is live instead of the operator's new one, with the
+// failed candidate's fingerprint and error), and "draining" (Close has
+// begun, stop routing — the transport serves it with 503).
 func (s *Server) ReadyInfo() wire.ReadyResponse {
 	if s.draining.Load() {
 		return wire.ReadyResponse{Status: wire.ReadyDraining}
@@ -464,8 +463,8 @@ func (s *Server) ReadyInfo() wire.ReadyResponse {
 		Version:     snap.Version,
 	}
 	if s.restoring.Load() {
-		// Serving correctly from restored cache state while the plan
-		// re-warm finishes; informational like degraded, served with 200.
+		// Serving correctly while the boot warm compiles plans;
+		// informational like degraded, served with 200.
 		out.Status = wire.ReadyRestoring
 	}
 	if h := s.registry.Health(); h.Degraded {
@@ -480,13 +479,12 @@ func (s *Server) ReadyInfo() wire.ReadyResponse {
 // MetricsSnapshot returns the current counters as served by GET /metrics
 // (benchmark harnesses consume this without going through HTTP).
 func (s *Server) MetricsSnapshot() wire.Metrics {
-	m := s.metrics.snapshot(s.pool.QueueDepth(), s.pool.Waiters(), s.cache.len())
-	if plans := s.registry.Plans(); plans != nil {
-		m.PlanHits = plans.Hits()
-		m.PlanMisses = plans.Misses()
-		m.PlanEntries = plans.Len()
-		m.PlanBytes = plans.Bytes()
-	}
+	plans := s.registry.Plans()
+	m := s.metrics.snapshot(s.pool.QueueDepth(), s.pool.Waiters(), plans.Len())
+	m.PlanHits = plans.Hits()
+	m.PlanMisses = plans.Misses()
+	m.PlanEntries = plans.Len()
+	m.PlanBytes = plans.Bytes()
 	if s.cluster != nil {
 		m.Self = s.cluster.self
 		m.Peers = s.cluster.peerStatuses()
@@ -562,23 +560,31 @@ func (s *Server) Analyze(ctx context.Context, name, src string) (*analysis.Repor
 }
 
 // Generate runs one generation in-process, bypassing HTTP but using the
-// same pool, cache, and coalescing as the API (used by the batch endpoint,
+// same plans, coalescing and pool as the API (used by the batch endpoint,
 // the benchmark harness, and embedders).
 //
-// The request path is: result-cache lookup → singleflight join → peer
-// forward or worker pool. N concurrent identical cache misses submit
-// exactly one generation; the followers wait on the leader's flight and
-// count toward the `coalesced` metric. A follower whose leader fails with
-// the *leader's* cancellation (or pool shutdown) retries with its own
-// still-live context instead of inheriting an error it did not cause.
+// Every generation is served on one body-level key, wire.CacheKey over
+// (rule-set fingerprint, source, verify): the request's name and package
+// are the plan's splice points, so they never decide where or whether a
+// request runs. The path is:
 //
-// In cluster mode the flight leader first checks which node the key
-// rendezvous-hashes to: if a healthy peer owns it and this request has not
-// already taken its one forwarding hop, the leader forwards instead of
-// generating, and the whole coalesced cohort shares the peer's answer.
-// Forwarded responses are deliberately NOT cached locally — each key is
-// cached only at its owner, which is what makes N nodes one effective
-// cache instead of N copies of the same hot set.
+//  1. Splice from a resident plan (cache_hits, Cached: true).
+//  2. Otherwise join the body's singleflight.
+//  3. The leader makes the one attempt: a forward to the body's rendezvous
+//     owner when that is a healthy peer and this request has not already
+//     hopped, else a pipeline run on the worker pool (cache_misses), which
+//     compiles the body's plan.
+//
+// A follower never adopts the leader's bytes, since its name and package
+// may differ: once the flight ends it splices its own response from the
+// plan the leader left behind (coalesced, Coalesced: true). When there is
+// no plan — the leader forwarded, failed or timed out, or planExecutable
+// rejects the request's name or package — the follower makes its own
+// attempt without joining a second flight.
+//
+// Forwarded responses leave no plan on this node: each body's plan lives
+// at its owner, which is what makes N nodes one effective cache instead of
+// N copies of the same hot set.
 func (s *Server) Generate(ctx context.Context, req wire.GenerateRequest) (wire.GenerateResponse, error) {
 	if req.UseCase != 0 && req.Source != "" {
 		return wire.GenerateResponse{}, errors.New("source and usecase are mutually exclusive")
@@ -601,112 +607,73 @@ func (s *Server) Generate(ctx context.Context, req wire.GenerateRequest) (wire.G
 	if strings.TrimSpace(src) == "" {
 		return wire.GenerateResponse{}, errors.New("service: need source or usecase")
 	}
-	for {
-		snap := s.registry.Snapshot()
-		key := wire.CacheKey(snap.Fingerprint, name, src, req.Package, req.Verify)
-		if resp, ok := s.cache.get(key); ok {
-			s.metrics.cacheHits.Add(1)
-			resp.Cached = true
+	if resp, ok := s.splice(name, src, req); ok {
+		s.metrics.cacheHits.Add(1)
+		resp.Cached = true
+		return resp, nil
+	}
+	key := wire.CacheKey(s.registry.Snapshot().Fingerprint, name, src, req.Package, req.Verify)
+	done, leader := s.flights.join(key)
+	if leader {
+		defer s.flights.finish(key, done)
+	} else {
+		select {
+		case <-done:
+		case <-ctx.Done():
+			return wire.GenerateResponse{}, ctx.Err()
+		}
+		if resp, ok := s.splice(name, src, req); ok {
+			s.metrics.coalesced.Add(1)
+			resp.Coalesced = true
 			return resp, nil
 		}
-		f, leader := s.flights.join(key)
-		if !leader {
-			s.metrics.coalesced.Add(1)
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return wire.GenerateResponse{}, ctx.Err()
-			}
-			if f.err == nil {
-				resp := f.resp
-				resp.Coalesced = true
-				return resp, nil
-			}
-			if retryableFlightErr(f.err) && ctx.Err() == nil {
-				continue
-			}
-			return wire.GenerateResponse{}, f.err
-		}
-		return s.runLeader(ctx, key, f, name, src, req)
 	}
+	return s.attempt(ctx, key, name, src, req)
 }
 
-// runLeader executes a singleflight leader's generation (or peer forward).
-// The flight is finished in a defer, unconditionally: whatever happens on
-// this path — including a panic between pool submission and cache
-// population — the followers parked on f.done are woken with a result or
-// an error, never left waiting on a flight whose leader is gone.
-func (s *Server) runLeader(ctx context.Context, key string, f *flight, name, src string, req wire.GenerateRequest) (resp wire.GenerateResponse, err error) {
+// splice serves a request from the resident plan for its body, if any.
+func (s *Server) splice(name, src string, req wire.GenerateRequest) (wire.GenerateResponse, bool) {
+	snap := s.registry.Snapshot()
+	res, ok := snap.Plans.Execute(snap.Fingerprint, name, src, gen.Options{PackageName: req.Package, Verify: req.Verify})
+	if !ok {
+		return wire.GenerateResponse{}, false
+	}
+	return wire.GenerateResponse{
+		Name:        name,
+		Output:      res.Output,
+		Report:      toWireReport(res.Report),
+		Fingerprint: snap.Fingerprint,
+	}, true
+}
+
+// attempt produces a response the splice could not: a forward to the
+// body's owner, or a local pipeline run. A definitive peer answer (success
+// or the peer's own terminal error envelope) is the attempt's result; a
+// transport failure falls back to generating locally. A panic on this path
+// becomes this request's InternalError; Generate's deferred finish still
+// releases the flight's followers.
+func (s *Server) attempt(ctx context.Context, key, name, src string, req wire.GenerateRequest) (resp wire.GenerateResponse, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			stack := debug.Stack()
-			s.recordPanic("generate-leader", rec, stack)
-			resp, err = wire.GenerateResponse{}, &InternalError{Op: "generate-leader", Value: rec, Stack: stack}
+			s.recordPanic("generate-attempt", rec, stack)
+			resp, err = wire.GenerateResponse{}, &InternalError{Op: "generate-attempt", Value: rec, Stack: stack}
 		}
-		s.flights.finish(key, f, resp, err)
 	}()
-	// Cluster: forward to the key's owner if that is a healthy peer and the
-	// request has not already hopped. A definitive peer answer (success or
-	// the peer's own terminal error envelope) is the whole flight's result;
-	// a transport failure falls back to generating locally.
 	if s.cluster != nil && !isPeerHop(ctx) {
 		if owner := s.cluster.ownerPeer(key); owner != "" {
-			fwd, ferr, handled := s.forward(ctx, owner, name, src, req)
-			if handled {
-				return fwd, ferr
+			if resp, err, handled := s.forward(ctx, owner, name, src, req); handled {
+				return resp, err
 			}
 		}
 	}
-	// cache_misses counts local generations, not local cache lookups that
-	// missed: a forwarded request is the owner's miss (or hit), not this
-	// node's, so the cluster-wide sum of cache_misses equals the number of
-	// distinct generations actually run.
-	s.metrics.cacheMisses.Add(1)
-	// Deadline-budget admission for forwarded work: the forwarder told us
-	// (X-Cryptgend-Deadline-Ms → this context's deadline) how much budget
-	// remains, and observed p99 service time says a full generation will
-	// not fit — shed 429 now so the forwarder's fallback generates locally
-	// instead of both nodes burning a doomed request. The plan fast path
-	// below is NOT gated by this: a resident plan splices in microseconds
-	// and fits any budget a request could still be alive under. So the shed
-	// must sit between them — after forwarding, before pool submission —
-	// which is why it cannot reuse the pool's own saturation-gated check.
-	deadlineShed := func() error {
-		if !isPeerHop(ctx) {
-			return nil
-		}
-		dl, ok := ctx.Deadline()
-		if !ok {
-			return nil
-		}
-		p99, have := s.pool.p99ServiceTime()
-		if !have || time.Until(dl) >= p99 {
-			return nil
-		}
-		s.metrics.shed.Add(1)
-		return fmt.Errorf("service: forwarded budget %v is under the observed p99 service time %v: %w",
-			time.Until(dl).Round(time.Millisecond), p99.Round(time.Millisecond), ErrOverloaded)
-	}
-	// Plan fast path: when a compiled plan for this (template body, rule
-	// set, options) is resident, the miss is served by byte splicing right
-	// here on the request goroutine — no pool round-trip, and no queueing
-	// behind full-pipeline generations. A miss here is not counted (the
-	// worker below owns the authoritative plan miss + compile).
-	if snap := s.registry.Snapshot(); snap.Plans != nil && ctx.Err() == nil {
-		if res, ok := snap.Plans.Execute(snap.Fingerprint, name, src, gen.Options{PackageName: req.Package, Verify: req.Verify}); ok {
-			resp = wire.GenerateResponse{
-				Name:        name,
-				Output:      res.Output,
-				Report:      toWireReport(res.Report),
-				Fingerprint: snap.Fingerprint,
-			}
-			s.cache.put(wire.CacheKey(snap.Fingerprint, name, src, req.Package, req.Verify), resp, name, src, req.Package, req.Verify)
-			return resp, nil
-		}
-	}
-	if err := deadlineShed(); err != nil {
+	if err := s.deadlineShed(ctx); err != nil {
 		return wire.GenerateResponse{}, err
 	}
+	// cache_misses counts local pipeline runs: a forwarded request is the
+	// owner's miss (or hit), not this node's, so the cluster-wide sum of
+	// cache_misses equals the number of pipeline runs actually made.
+	s.metrics.cacheMisses.Add(1)
 	v, err := s.pool.Submit(ctx, func(ctx context.Context, worker *Worker) (any, error) {
 		g := worker.Generator(gen.Options{PackageName: req.Package, Verify: req.Verify})
 		res, err := g.GenerateFileCtx(ctx, name, src)
@@ -723,25 +690,38 @@ func (s *Server) runLeader(ctx context.Context, key string, f *flight, name, src
 	if err != nil {
 		// gen's own guard converts pipeline panics to *gen.PanicError
 		// before the worker sees them; count those recoveries here, at the
-		// one place per flight they surface.
+		// one place per attempt they surface.
 		var pe *gen.PanicError
 		if errors.As(err, &pe) {
 			s.metrics.panics.Add(1)
 		}
 		return wire.GenerateResponse{}, err
 	}
-	resp = v.(wire.GenerateResponse)
-	// Populate the cache before releasing the flight so a request landing
-	// between the two sees one or the other, never a fresh miss.
-	s.cache.put(wire.CacheKey(resp.Fingerprint, name, src, req.Package, req.Verify), resp, name, src, req.Package, req.Verify)
-	return resp, nil
+	return v.(wire.GenerateResponse), nil
 }
 
-// retryableFlightErr reports whether a coalesced follower should retry
-// after its leader failed: the leader's own context expiring (or the pool
-// shutting down under it) says nothing about the follower's request.
-func retryableFlightErr(err error) bool {
-	return errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, ErrClosed)
+// deadlineShed is deadline-budget admission for forwarded work: the
+// forwarder told us (X-Cryptgend-Deadline-Ms → this context's deadline) how
+// much budget remains, and observed p99 service time says a full pipeline
+// run will not fit — shed 429 now so the forwarder's fallback generates
+// locally instead of both nodes burning a doomed request. Splices never
+// reach it: a resident plan splices in microseconds and fits any budget a
+// request could still be alive under. So the shed sits after forwarding,
+// before pool submission, which is why it cannot reuse the pool's own
+// saturation-gated check.
+func (s *Server) deadlineShed(ctx context.Context) error {
+	if !isPeerHop(ctx) {
+		return nil
+	}
+	dl, ok := ctx.Deadline()
+	if !ok {
+		return nil
+	}
+	p99, have := s.pool.p99ServiceTime()
+	if !have || time.Until(dl) >= p99 {
+		return nil
+	}
+	s.metrics.shed.Add(1)
+	return fmt.Errorf("service: forwarded budget %v is under the observed p99 service time %v: %w",
+		time.Until(dl).Round(time.Millisecond), p99.Round(time.Millisecond), ErrOverloaded)
 }

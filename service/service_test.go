@@ -42,6 +42,35 @@ func sharedService(t *testing.T) (*Server, *httptest.Server) {
 	return sharedSrv, sharedHTTP
 }
 
+// unseenBody returns use case id's template source made a body no other
+// request in the package sends, by a trailing comment naming tag: no plan
+// exists for it until a request's pipeline run compiles one.
+func unseenBody(t *testing.T, id int, tag string) string {
+	t.Helper()
+	uc, err := templates.ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := templates.Source(uc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src + "\n// " + tag + "\n"
+}
+
+// waitWarm blocks until srv's boot warm has finished, so a test can tell
+// the plans it compiled from the ones its own requests compile.
+func waitWarm(t *testing.T, srv *Server) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Minute)
+	for srv.restoring.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("boot warm did not finish")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	data, err := json.Marshal(body)
@@ -92,11 +121,11 @@ func TestGenerateAllUseCasesByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("direct generation of %s: %v", uc.File, err)
 		}
-		resp, body := postJSON(t, ts.URL+"/v1/generate", GenerateRequest{UseCase: uc.ID, Verify: true})
+		resp, body := postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{UseCase: uc.ID, Verify: true})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("use case %d: status %d: %s", uc.ID, resp.StatusCode, body)
 		}
-		var got GenerateResponse
+		var got wire.GenerateResponse
 		if err := json.Unmarshal(body, &got); err != nil {
 			t.Fatal(err)
 		}
@@ -115,16 +144,16 @@ func TestGenerateAllUseCasesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestGenerateCached: a repeated identical request is served from the
-// result cache and marked as such.
+// TestGenerateCached: a repeated identical request is spliced from the
+// plan the first one left behind and marked as such.
 func TestGenerateCached(t *testing.T) {
 	_, ts := sharedService(t)
-	req := GenerateRequest{UseCase: 11} // hashing: cheap
+	req := wire.GenerateRequest{UseCase: 11} // hashing: cheap
 	resp, body := postJSON(t, ts.URL+"/v1/generate", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var first GenerateResponse
+	var first wire.GenerateResponse
 	if err := json.Unmarshal(body, &first); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +162,7 @@ func TestGenerateCached(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var second GenerateResponse
+	var second wire.GenerateResponse
 	if err := json.Unmarshal(body, &second); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +184,7 @@ func TestGenerateCached(t *testing.T) {
 // the client's error.
 func TestGenerateMalformedTemplate400(t *testing.T) {
 	_, ts := sharedService(t)
-	resp, body := postJSON(t, ts.URL+"/v1/generate", GenerateRequest{
+	resp, body := postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{
 		Name:   "broken.go",
 		Source: "package broken\n\nfunc Broken() { undefinedSymbol() }\n",
 	})
@@ -201,7 +230,8 @@ func TestGenerateBadRequests(t *testing.T) {
 }
 
 // TestGenerateTimeout503: a request whose context expires before a worker
-// picks it up is answered 503, the retryable class.
+// picks it up is answered 503, the retryable class. The body is unseen: a
+// resident plan would splice it without a worker, whatever the deadline.
 func TestGenerateTimeout503(t *testing.T) {
 	srv, err := New(Config{Workers: 1, RequestTimeout: time.Nanosecond})
 	if err != nil {
@@ -211,7 +241,7 @@ func TestGenerateTimeout503(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, body := postJSON(t, ts.URL+"/v1/generate", GenerateRequest{UseCase: 11})
+	resp, body := postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{Name: "timeout.go", Source: unseenBody(t, 11, "timeout")})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503; body: %s", resp.StatusCode, body)
 	}
@@ -274,7 +304,7 @@ func TestConcurrentGenerateRequests(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			uc := cases[i%len(cases)]
-			resp, body := postJSONNoFatal(ts.URL+"/v1/generate", GenerateRequest{UseCase: uc.ID})
+			resp, body := postJSONNoFatal(ts.URL+"/v1/generate", wire.GenerateRequest{UseCase: uc.ID})
 			if resp == nil {
 				errs <- fmt.Errorf("client %d: request failed", i)
 				return
@@ -304,4 +334,57 @@ func postJSONNoFatal(url string, body any) (*http.Response, []byte) {
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
 	return resp, buf.Bytes()
+}
+
+// TestNonPlannableRequests: requests whose name or package the splicer
+// cannot serve exactly (a newline in the name, surrounding whitespace, a
+// package that is not a Go identifier) take the same path as every other
+// request and simply never find a plan. Sent concurrently, so followers
+// exercise the no-plan fallback to their own attempt, each matches the
+// uncached pipeline byte for byte (or fails as it fails), and none leaves
+// a plan behind.
+func TestNonPlannableRequests(t *testing.T) {
+	srv, err := New(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base, err := gen.New(rules.MustLoad(), "", gen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := unseenBody(t, 11, "non-plannable")
+	for _, tc := range []struct{ name, pkg string }{
+		{"a\n.go", ""},
+		{" pad.go", ""},
+		{"ok.go", "not-an-identifier"},
+	} {
+		want, wantErr := base.WithOptions(gen.Options{PackageName: tc.pkg}).GenerateFile(tc.name, src)
+		const n = 3
+		resps := make([]wire.GenerateResponse, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resps[i], errs[i] = srv.Generate(context.Background(), wire.GenerateRequest{Name: tc.name, Source: src, Package: tc.pkg})
+			}(i)
+		}
+		wg.Wait()
+		for i := 0; i < n; i++ {
+			switch {
+			case (errs[i] != nil) != (wantErr != nil):
+				t.Errorf("name %q package %q: service error %v, pipeline error %v", tc.name, tc.pkg, errs[i], wantErr)
+			case wantErr == nil && resps[i].Output != want.Output:
+				t.Errorf("name %q package %q: output differs from the pipeline", tc.name, tc.pkg)
+			case resps[i].Cached || resps[i].Coalesced:
+				t.Errorf("name %q package %q: served from a plan it cannot have", tc.name, tc.pkg)
+			}
+		}
+	}
+	snap := srv.Registry().Snapshot()
+	if _, ok := snap.Plans.Execute(snap.Fingerprint, "ok.go", src, gen.Options{}); ok {
+		t.Error("a non-plannable request left a plan behind for its body")
+	}
 }

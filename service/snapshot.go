@@ -8,22 +8,20 @@ import (
 	"testing/fstest"
 
 	"cognicryptgen/crysl"
-	"cognicryptgen/gen"
 	"cognicryptgen/internal/persist"
 )
 
 // Warm-restart snapshots. With Config.SnapshotDir set, the server
 // periodically (and on graceful Close) writes a crash-safe snapshot of its
-// result-cache entries plus the active rule-set source, both keyed by the
-// rule-set fingerprint, through internal/persist. At boot the snapshot is
-// loaded and — if its fingerprint matches the live rule set — the result
-// cache is refilled synchronously before New returns, so the first request
-// after a restart hits warm state; the plan cache is re-warmed from the
-// restored entries' request tuples in the background (plans recompile
-// deterministically; their bytes are never serialized). Every failure mode
-// on this path — corrupt file, stale fingerprint, injected fault, panic —
-// degrades to a logged cold start. A snapshot must never be able to take
-// the daemon down.
+// resident plans' compile tuples (name, source, verify) plus the active
+// rule-set source, both keyed by the rule-set fingerprint, through
+// internal/persist. At boot the snapshot is loaded and — if its
+// fingerprint matches the live rule set — its tuples join the background
+// boot warm, which recompiles each plan through the pipeline. Plan bytes
+// are never serialized, so no served byte is ever read back from disk.
+// Every failure mode on this path — corrupt file, stale fingerprint,
+// injected fault, panic — degrades to a logged cold start. A snapshot must
+// never be able to take the daemon down.
 
 // loadSnapshot reads the store's snapshot, converting every failure —
 // including a panic out of an armed snapshot-load fault — into a logged
@@ -72,67 +70,28 @@ func snapshotRuleLoader(snap *persist.Snapshot) func() (*crysl.RuleSet, error) {
 	}
 }
 
-// restoreSnapshot refills the result cache from a loaded snapshot,
-// returning whether a warm restore actually happened. Runs synchronously
-// inside New — before the caller can start a listener — so a restored
-// node's first request already sees the warm cache.
-func (s *Server) restoreSnapshot(restored *persist.Snapshot) bool {
-	live := s.registry.Snapshot().Fingerprint
-	if restored.Fingerprint != live {
+// restorable returns a loaded snapshot's plan tuples for the boot warm
+// when its rule-set fingerprint matches the live one, and counts them as
+// restore_entries. A mismatch is a stale snapshot: nothing restores.
+func (s *Server) restorable(restored *persist.Snapshot) []persist.Entry {
+	if restored == nil {
+		return nil
+	}
+	if live := s.registry.Snapshot().Fingerprint; restored.Fingerprint != live {
 		log.Printf("service: snapshot rule-set fingerprint %s does not match live %s (cold start)", restored.Fingerprint, live)
-		return false
+		return nil
 	}
-	start := time.Now()
-	n := s.cache.restore(restored.Entries)
-	s.restoreEntries.Store(int64(n))
-	s.restoreMS.Store(time.Since(start).Milliseconds())
-	if n > 0 {
-		log.Printf("service: restored %d cached result(s) from snapshot (%.1fms)", n, float64(time.Since(start).Microseconds())/1000)
+	s.restoreEntries.Store(int64(len(restored.Entries)))
+	if len(restored.Entries) > 0 {
+		log.Printf("service: restoring %d plan tuple(s) from snapshot", len(restored.Entries))
 	}
-	return n > 0
-}
-
-// rewarmRestoredPlans replays the restored entries' distinct request
-// tuples through a plan-wired Generator so the byte-splice fast path is
-// compiled for every template the cache proves was hot. Best-effort and
-// background, like warmPlans: failures are logged, never propagated.
-func (s *Server) rewarmRestoredPlans(restored *persist.Snapshot) {
-	snap := s.registry.Snapshot()
-	g, err := gen.New(snap.Rules, s.cfg.Dir, gen.Options{Paths: snap.Paths, Plans: snap.Plans})
-	if err != nil {
-		log.Printf("service: restore plan warm: %v", err)
-		return
-	}
-	type tuple struct {
-		name, src, pkg string
-		verify         bool
-	}
-	seen := map[tuple]bool{}
-	failed := 0
-	var firstErr error
-	for _, e := range restored.Entries {
-		tp := tuple{e.Name, e.Source, e.Package, e.Verify}
-		if e.Source == "" || seen[tp] {
-			continue
-		}
-		seen[tp] = true
-		gw := g.WithOptions(gen.Options{PackageName: e.Package, Verify: e.Verify, Paths: snap.Paths, Plans: snap.Plans})
-		if _, err := gw.GenerateFile(e.Name, e.Source); err != nil {
-			failed++
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if firstErr != nil {
-		log.Printf("service: restore plan warm: %d tuple(s) failed, first: %v", failed, firstErr)
-	}
+	return restored.Entries
 }
 
 // ruleSources resolves the rule-source capture for snapshots: the
 // configured hook, or the embedded rule sources when the server runs the
 // default loader. A custom Loader without a RuleSources hook snapshots no
-// rule files (the cache entries still restore).
+// rule files (the plan tuples still restore).
 func (s *Server) ruleSources() map[string]string {
 	fn := s.cfg.RuleSources
 	if fn == nil {
@@ -158,11 +117,15 @@ func (s *Server) writeSnapshot() (err error) {
 		}
 	}()
 	snap := s.registry.Snapshot()
+	seeds := snap.Plans.Seeds(snap.Fingerprint)
 	ps := &persist.Snapshot{
 		SavedAtUnixMS: time.Now().UnixMilli(),
 		Fingerprint:   snap.Fingerprint,
 		RuleFiles:     s.ruleSources(),
-		Entries:       s.cache.export(),
+		Entries:       make([]persist.Entry, len(seeds)),
+	}
+	for i, sd := range seeds {
+		ps.Entries[i] = persist.Entry(sd)
 	}
 	n, err := s.store.Save(ps)
 	if err != nil {

@@ -2,9 +2,12 @@ package service
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,9 +28,11 @@ func allUseCases() []templates.UseCase {
 }
 
 // TestSnapshotWarmRestart is the durability round-trip: a server generates
-// all embedded templates, closes gracefully (writing its final snapshot),
-// and a second server booted on the same directory serves every one of
-// them from the restored cache — byte-identical to standalone generation.
+// all embedded templates with verification (tuples its boot warm does not
+// cover), closes gracefully (writing its final snapshot), and a second
+// server booted on the same directory replays the snapshot's tuples in its
+// boot warm and then splices every one of them from a restored plan —
+// byte-identical to standalone generation.
 func TestSnapshotWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	a, err := New(Config{Workers: 2, CacheSize: 64, SnapshotDir: dir, SnapshotInterval: time.Hour})
@@ -54,6 +59,10 @@ func TestSnapshotWarmRestart(t *testing.T) {
 	if m.RestoreEntries < int64(len(allUseCases())) {
 		t.Fatalf("restored %d entries, want >= %d", m.RestoreEntries, len(allUseCases()))
 	}
+	waitWarm(t, b)
+	if ms := b.MetricsSnapshot().RestoreMS; ms <= 0 {
+		t.Errorf("restore_ms = %v after a warm replaying %d tuples", ms, m.RestoreEntries)
+	}
 
 	direct, err := gen.New(rules.MustLoad(), "", gen.Options{Verify: true})
 	if err != nil {
@@ -73,7 +82,7 @@ func TestSnapshotWarmRestart(t *testing.T) {
 			t.Fatalf("use case %d after restore: %v", uc.ID, err)
 		}
 		if !got.Cached {
-			t.Errorf("use case %d not served from the restored cache", uc.ID)
+			t.Errorf("use case %d not spliced from a restored plan", uc.ID)
 		}
 		if got.Output != want.Output {
 			t.Errorf("use case %d (%s): restored output differs from standalone generation", uc.ID, uc.File)
@@ -84,6 +93,11 @@ func TestSnapshotWarmRestart(t *testing.T) {
 	}
 }
 
+// seedRequest is the request writeSeedSnapshot's server generates. Verify
+// keeps its plan out of every boot warm's embedded templates, so only a
+// restored snapshot makes it resident.
+var seedRequest = wire.GenerateRequest{UseCase: 11, Verify: true}
+
 // writeSeedSnapshot boots a throwaway server on dir, generates one result,
 // and closes it so dir holds a small valid snapshot to corrupt.
 func writeSeedSnapshot(t *testing.T, dir string) {
@@ -92,7 +106,7 @@ func writeSeedSnapshot(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Generate(context.Background(), wire.GenerateRequest{UseCase: 11}); err != nil {
+	if _, err := s.Generate(context.Background(), seedRequest); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -144,14 +158,11 @@ func TestSnapshotCorruptionColdStart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			uc, _ := templates.ByID(seedRequest.UseCase)
+			src, _ := templates.Source(uc)
 			if _, err := st.Save(&persist.Snapshot{
 				Fingerprint: "not-the-live-fingerprint",
-				Entries: []persist.Entry{{
-					Key:      "stale-key",
-					Name:     "t.go",
-					Source:   "package p",
-					Response: wire.GenerateResponse{Name: "t.go", Output: "stale"},
-				}},
+				Entries:     []persist.Entry{{Name: uc.File, Source: src, Verify: true}},
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -170,11 +181,12 @@ func TestSnapshotCorruptionColdStart(t *testing.T) {
 			if n := s.MetricsSnapshot().RestoreEntries; n != 0 {
 				t.Fatalf("restored %d entries from a corrupt snapshot", n)
 			}
-			resp, err := s.Generate(context.Background(), wire.GenerateRequest{UseCase: 11})
+			waitWarm(t, s)
+			resp, err := s.Generate(context.Background(), seedRequest)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resp.Cached || resp.Output == "" || resp.Output == "stale" {
+			if resp.Cached || resp.Output == "" {
 				t.Fatalf("cold start served wrong state: cached=%v", resp.Cached)
 			}
 		})
@@ -234,50 +246,100 @@ func TestSnapshotRulesFallbackBoot(t *testing.T) {
 		t.Fatal("degraded readyz missing the boot loader error")
 	}
 	// The restored rule set is the embedded one (that's what the seed
-	// server snapshotted), so restored cache entries are live too.
+	// server snapshotted), so the restored plan tuples are live too.
 	if fp := s.Registry().Snapshot().Fingerprint; fp != rules.MustLoad().Fingerprint() {
 		t.Fatalf("fallback rule set fingerprint %s differs from embedded", fp)
 	}
-	resp, err := s.Generate(context.Background(), wire.GenerateRequest{UseCase: 11})
+	waitWarm(t, s)
+	resp, err := s.Generate(context.Background(), seedRequest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp.Cached {
-		t.Error("restored entry not served warm on the fallback-booted node")
+		t.Error("restored tuple not served warm on the fallback-booted node")
 	}
 }
 
-// TestReadyzRestoring: while the boot restore's plan re-warm is still
-// running the node reports "restoring" — served with HTTP 200 like
-// degraded, because it answers correctly from restored cache state and
-// must not be ejected by peers or SDK probes.
+// TestReadyzRestoring: every boot reports "restoring" until its boot warm
+// finishes — served with HTTP 200 like degraded, because the node answers
+// correctly throughout and must not be ejected by peers or SDK probes —
+// then "ok". An armed generate latency fault holds each of the warm's
+// pipeline runs, so the restoring window is observable.
 func TestReadyzRestoring(t *testing.T) {
-	srv, _ := sharedService(t)
-	defer srv.restoring.Store(false)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	faultinject.Reset()
+	defer faultinject.Reset()
+	faultinject.Arm(faultinject.PointGenerate, faultinject.Fault{Mode: faultinject.ModeLatency, Latency: 50 * time.Millisecond})
+	srv, ts := chaosServer(t, Config{Workers: 1})
 
-	// New's background plan warm-up clears restoring exactly once; if it
-	// races our Store(true), retry — after its single Store(false) the
-	// flag can no longer be reset under us.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		srv.restoring.Store(true)
-		var ready wire.ReadyResponse
-		resp := getJSON(t, ts.URL+"/readyz", &ready)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("restoring readyz served %d, want 200", resp.StatusCode)
-		}
-		if ready.Status == wire.ReadyRestoring {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("readyz never reported %q (last %q)", wire.ReadyRestoring, ready.Status)
-		}
-		time.Sleep(20 * time.Millisecond)
+	var ready wire.ReadyResponse
+	if resp := getJSON(t, ts.URL+"/readyz", &ready); resp.StatusCode != http.StatusOK {
+		t.Fatalf("restoring readyz served %d, want 200", resp.StatusCode)
+	}
+	if ready.Status != wire.ReadyRestoring {
+		t.Fatalf("readyz status %q while the boot warm is held, want %q", ready.Status, wire.ReadyRestoring)
 	}
 	if got := srv.ReadyInfo().Status; got != wire.ReadyRestoring {
 		t.Fatalf("ReadyInfo status %q, want %q", got, wire.ReadyRestoring)
+	}
+	faultinject.Reset()
+	waitWarm(t, srv)
+	if got := srv.ReadyInfo().Status; got != wire.ReadyOK {
+		t.Fatalf("ReadyInfo status %q after the boot warm, want %q", got, wire.ReadyOK)
+	}
+	if n := srv.MetricsSnapshot().PlanEntries; n < len(allUseCases()) {
+		t.Errorf("boot warm left %d plans, want the %d embedded templates'", n, len(allUseCases()))
+	}
+}
+
+// TestSnapshotParentFormatRestores: a snapshot file in the parent format —
+// entries carrying a cache key, a package override and a whole response
+// next to the tuple — still restores its tuples. The stored response is
+// never served: the plan is recompiled, and a request under another name
+// and package splices byte-identically to the pipeline.
+func TestSnapshotParentFormatRestores(t *testing.T) {
+	dir := t.TempDir()
+	src := unseenBody(t, 4, "parent-format snapshot")
+	entry, err := json.Marshal(map[string]any{
+		"key": "parent-key", "name": "old.go", "source": src, "package": "vault", "verify": true,
+		"response": map[string]any{"name": "old.go", "output": "stale", "cached": false, "duration_ms": 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := fmt.Appendf(nil, `{"saved_at_unix_ms":1,"ruleset_fingerprint":%q,"entries":[%s]}`, rules.MustLoad().Fingerprint(), entry)
+	raw := make([]byte, 24, 24+len(payload)) // magic | version | crc | payload length
+	copy(raw, persist.Magic[:])
+	binary.LittleEndian.PutUint32(raw[8:], persist.FormatVersion)
+	binary.LittleEndian.PutUint32(raw[12:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint64(raw[16:], uint64(len(payload)))
+	writeFile(t, dir, append(raw, payload...))
+
+	s, err := New(Config{Workers: 1, SnapshotDir: dir, SnapshotInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if n := s.MetricsSnapshot().RestoreEntries; n != 1 {
+		t.Fatalf("restored %d tuples from a parent-format snapshot, want 1", n)
+	}
+	waitWarm(t, s)
+	direct, err := gen.New(rules.MustLoad(), "", gen.Options{PackageName: "app", Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := direct.GenerateFile("new.go", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Generate(context.Background(), wire.GenerateRequest{Name: "new.go", Source: src, Package: "app", Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Cached {
+		t.Error("restored tuple not spliced from a recompiled plan")
+	}
+	if got.Output != want.Output {
+		t.Error("output spliced from the restored plan differs from the pipeline")
 	}
 }
 
@@ -297,8 +359,8 @@ func TestForwardedDeadlineShed(t *testing.T) {
 		s.pool.observeServiceTime(10 * time.Second)
 	}
 
-	// An uncached template so neither the result cache nor the plan fast
-	// path short-circuits ahead of the admission check.
+	// An unseen body, so no resident plan splices it ahead of the
+	// admission check.
 	req := wire.GenerateRequest{Name: "shed.go", Source: "package shed\n\nfunc noop() {}\n"}
 
 	fwdCtx, cancel := context.WithTimeout(withPeerHop(context.Background()), 200*time.Millisecond)

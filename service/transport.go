@@ -142,7 +142,7 @@ func isPeerHop(ctx context.Context) bool {
 // forwarded deadline budget (wire.HeaderDeadlineMS) can only tighten the
 // configured timeout, never extend it — the forwarder's remaining budget
 // becomes this request's deadline, so downstream admission (the pool's
-// deadline-vs-p99 shed and the forwarded-work check in runLeader) reasons
+// deadline-vs-p99 shed and Server.deadlineShed for forwarded work) reasons
 // about the budget the caller actually has.
 func (t *transport) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	ctx := r.Context()

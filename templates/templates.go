@@ -67,38 +67,50 @@ func ByID(id int) (UseCase, error) {
 	return UseCase{}, fmt.Errorf("templates: no use case %d", id)
 }
 
-// Source returns the template source text for a use case.
-func Source(uc UseCase) (string, error) {
-	data, err := templateFS.ReadFile("src/" + uc.File)
-	if err != nil {
-		return "", fmt.Errorf("templates: %w", err)
-	}
-	return string(data), nil
-}
-
-// Sources returns all template sources keyed by file name.
-func Sources() (map[string]string, error) {
+// sources holds every embedded template's text keyed by file name, read
+// once: Source is on the daemon's and the SDK's per-request path, where a
+// per-call string conversion would copy the whole file.
+var sources = func() map[string]string {
 	entries, err := templateFS.ReadDir("src")
 	if err != nil {
-		return nil, err
+		panic(err) // the directory is embedded; failing to read it is a build defect
 	}
-	out := map[string]string{}
+	out := make(map[string]string, len(entries))
 	for _, e := range entries {
 		data, err := templateFS.ReadFile("src/" + e.Name())
 		if err != nil {
-			return nil, err
+			panic(err)
 		}
 		out[e.Name()] = string(data)
+	}
+	return out
+}()
+
+// Source returns the template source text for a use case. The string is
+// shared, not copied.
+func Source(uc UseCase) (string, error) {
+	src, ok := sources[uc.File]
+	if !ok {
+		return "", fmt.Errorf("templates: no embedded template %s", uc.File)
+	}
+	return src, nil
+}
+
+// Sources returns all template sources keyed by file name (a fresh map
+// over the shared strings).
+func Sources() (map[string]string, error) {
+	out := make(map[string]string, len(sources))
+	for name, src := range sources {
+		out[name] = src
 	}
 	return out, nil
 }
 
 // Names returns the embedded template file names, sorted.
 func Names() []string {
-	entries, _ := templateFS.ReadDir("src")
-	var out []string
-	for _, e := range entries {
-		out = append(out, e.Name())
+	out := make([]string, 0, len(sources))
+	for name := range sources {
+		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out

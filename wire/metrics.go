@@ -4,6 +4,13 @@ package wire
 // snapshot, shared by the daemon (which fills it), the SDK (which decodes
 // it), and the load generator (which diffs before/after snapshots into
 // per-node benchmark rows).
+//
+// The cache counters describe the plan cache, the node's only generation
+// cache: CacheHits counts requests spliced from a resident plan on the
+// request path, before any flight, forward or pool work; CacheMisses
+// counts local pipeline runs (a forwarded request is its owner's miss, so
+// the cluster-wide sum is the number of pipeline runs); CacheEntries is
+// the resident compiled-plan count.
 type Metrics struct {
 	Requests         int64   `json:"requests"`
 	GenerateRequests int64   `json:"generate_requests"`
@@ -24,11 +31,11 @@ type Metrics struct {
 	LatencyP50MS     float64 `json:"latency_p50_ms"`
 	LatencyP99MS     float64 `json:"latency_p99_ms"`
 
-	// Plan-cache counters: the precompiled-generation fast path (see
-	// gen.PlanCache). A plan hit is a result-cache miss served by byte
-	// splicing instead of the full pipeline.
+	// Plan-cache counters (see gen.PlanCache).
 
-	// PlanHits counts generations served from a compiled plan.
+	// PlanHits counts generations served by splicing a compiled plan: the
+	// request-path splices counted in CacheHits, coalesced followers, and
+	// pipeline submissions that found their plan compiled meanwhile.
 	PlanHits int64 `json:"plan_hits"`
 	// PlanMisses counts plan-eligible generations that ran the legacy
 	// pipeline (and compiled a plan for next time).
@@ -62,11 +69,12 @@ type Metrics struct {
 	SnapshotAgeSeconds float64 `json:"snapshot_age_seconds"`
 	// SnapshotBytes is the last successful snapshot's on-disk size.
 	SnapshotBytes int64 `json:"snapshot_bytes"`
-	// RestoreEntries counts result-cache entries restored from the snapshot
-	// at boot (0 after a cold start).
+	// RestoreEntries counts the plan compile tuples (name, source, verify)
+	// a boot took from the snapshot for its warm (0 after a cold start).
 	RestoreEntries int64 `json:"restore_entries"`
-	// RestoreMS is the synchronous boot-restore duration (load + verify +
-	// cache refill; the background plan re-warm is not included).
+	// RestoreMS is how long the boot warm took to replay the embedded
+	// templates and the snapshot's tuples (0 until it finishes, and after a
+	// cold start).
 	RestoreMS float64 `json:"restore_ms"`
 	// Self is this node's advertised base URL in cluster mode.
 	Self string `json:"self,omitempty"`

@@ -10,42 +10,41 @@ import (
 	"cognicryptgen/templates"
 )
 
-// CacheKey derives the daemon's result-cache key — which is also the
-// cluster routing key. It folds in the rule-set fingerprint (so a reload
-// with different rules invalidates everything), a hash of the template
-// source, and every option that influences the output. The daemon's LRU,
-// its singleflight group, the peer forwarder, and the client SDK's
-// rendezvous router all key on exactly this string, which is what keeps
-// each node's cache and coalescer hot: every identical request lands on
-// the same node.
+// CacheKey derives the body-level generation key: the rule-set fingerprint
+// (so a reload with different rules invalidates everything), a hash of the
+// template source, and the verify option. It is the daemon's singleflight
+// key and the cluster routing key, so the peer forwarder and the client
+// SDK's rendezvous router send every request over one body to the node
+// holding that body's compiled plan.
+//
+// name and pkg are the plan's two splice points and never enter the key,
+// just as gen's plan options fingerprint ignores PackageName: requests that
+// differ only in them share one plan, one owner and one flight. The
+// parameters stay so every caller passes the full request tuple.
 func CacheKey(fingerprint, name, source, pkg string, verify bool) string {
-	srcSum := sha256.Sum256([]byte(source))
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%t", fingerprint, name, hex.EncodeToString(srcSum[:]), pkg, verify)
-	return hex.EncodeToString(h.Sum(nil))
+	src := sha256.Sum256([]byte(source))
+	sum := sha256.Sum256(fmt.Appendf(nil, "%s\x00%x\x00%t", fingerprint, src, verify))
+	return hex.EncodeToString(sum[:])
 }
 
 // RouteKey computes the routing key for a GenerateRequest as the daemon
 // will see it: a UseCase reference is resolved to its embedded template
-// file and source first, so a client routing {"usecase": 3} and a daemon
-// hashing the resolved template agree on the owner. fingerprint may be ""
+// source first, so a client routing {"usecase": 3} and a daemon hashing
+// the resolved template agree on the owner. fingerprint may be ""
 // when the client has not yet observed the cluster's rule-set fingerprint;
 // the key is then still deterministic, merely in a different (equally
 // consistent) shard layout, and the owning daemon's one-hop forward
 // corrects any disagreement.
 func RouteKey(fingerprint string, req GenerateRequest) string {
-	name, src := req.Name, req.Source
+	src := req.Source
 	if req.UseCase != 0 {
 		if uc, err := templates.ByID(req.UseCase); err == nil {
 			if s, serr := templates.Source(uc); serr == nil {
-				name, src = uc.File, s
+				src = s
 			}
 		}
 	}
-	if name == "" {
-		name = "template.go"
-	}
-	return CacheKey(fingerprint, name, src, req.Package, req.Verify)
+	return CacheKey(fingerprint, req.Name, src, req.Package, req.Verify)
 }
 
 // rendezvousScore is the highest-random-weight score of (node, key).

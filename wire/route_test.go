@@ -5,19 +5,26 @@ import (
 	"testing"
 )
 
-// TestCacheKeySensitivity: every key component matters (moved here from
-// the service package with the key derivation itself).
+// TestCacheKeySensitivity: the key is body-level. Fingerprint, source and
+// verify change it; name and package are plan splice points and must not.
 func TestCacheKeySensitivity(t *testing.T) {
 	base := CacheKey("fp", "n.go", "src", "", false)
 	for name, other := range map[string]string{
 		"fingerprint": CacheKey("fp2", "n.go", "src", "", false),
-		"name":        CacheKey("fp", "m.go", "src", "", false),
 		"source":      CacheKey("fp", "n.go", "src2", "", false),
-		"package":     CacheKey("fp", "n.go", "src", "p", false),
 		"verify":      CacheKey("fp", "n.go", "src", "", true),
 	} {
 		if other == base {
 			t.Errorf("changing %s did not change the cache key", name)
+		}
+	}
+	for name, other := range map[string]string{
+		"name":    CacheKey("fp", "m.go", "src", "", false),
+		"package": CacheKey("fp", "n.go", "src", "p", false),
+		"both":    CacheKey("fp", "", "src", "vault", false),
+	} {
+		if other != base {
+			t.Errorf("changing %s changed the cache key; it is a splice point", name)
 		}
 	}
 }
@@ -35,9 +42,12 @@ func TestRouteKeyResolvesUseCase(t *testing.T) {
 	if RouteKey("fp", GenerateRequest{UseCase: 99}) != RouteKey("fp", GenerateRequest{UseCase: 99}) {
 		t.Fatal("unknown use case key is not deterministic")
 	}
-	// Defaulted name matches the daemon's "template.go" default.
+	// A package override is a splice point: same body, same owner.
+	if byID != RouteKey("fp", GenerateRequest{UseCase: 3, Package: "app"}) {
+		t.Fatal("a package override moved a use case to another route key")
+	}
 	if RouteKey("fp", GenerateRequest{Source: "package p"}) != CacheKey("fp", "template.go", "package p", "", false) {
-		t.Fatal("defaulted name does not match the daemon's template.go default")
+		t.Fatal("an explicit source does not route on its own body key")
 	}
 }
 
@@ -56,7 +66,7 @@ func TestRendezvousDistribution(t *testing.T) {
 	const keys = 8000
 	counts := map[string]int{}
 	for i := 0; i < keys; i++ {
-		key := CacheKey("fp", fmt.Sprintf("t%05d.go", i), "package p", "", false)
+		key := CacheKey("fp", "t.go", fmt.Sprintf("package p // %05d", i), "", false)
 		counts[RendezvousOwner(key, nodes)]++
 	}
 	share := keys / len(nodes)
@@ -75,7 +85,7 @@ func TestRendezvousMinimalReshuffle(t *testing.T) {
 	const keys = 4000
 	before := make(map[string]string, keys)
 	for i := 0; i < keys; i++ {
-		key := CacheKey("fp", fmt.Sprintf("t%05d.go", i), "package p", "", false)
+		key := CacheKey("fp", "t.go", fmt.Sprintf("package p // %05d", i), "", false)
 		before[key] = RendezvousOwner(key, nodes)
 	}
 	lost := nodes[2]

@@ -50,8 +50,9 @@ type GenerateResponse struct {
 	Report      *Report `json:"report,omitempty"`
 	Fingerprint string  `json:"ruleset_fingerprint"`
 	Cached      bool    `json:"cached"`
-	// Coalesced marks a response served from another request's in-flight
-	// generation (singleflight) rather than the cache or a fresh run.
+	// Coalesced marks a response spliced from the plan that another
+	// request's in-flight generation over the same body compiled
+	// (singleflight), rather than a resident plan or a fresh run.
 	Coalesced bool `json:"coalesced,omitempty"`
 	// Forwarded marks a response obtained from the cluster peer owning
 	// this request's cache key rather than produced by the node that
@@ -192,9 +193,9 @@ type HealthResponse struct {
 
 // ReadyResponse is the body of GET /readyz (readiness). Status is one of
 // "ok", "degraded" (serving, but the last reload failed and the last-good
-// rule set is live), "restoring" (serving from a restored warm-restart
-// snapshot while plan re-warm finishes), or "draining" (shutdown began;
-// stop routing — the only state served with HTTP 503).
+// rule set is live), "restoring" (serving while the boot warm compiles
+// plans), or "draining" (shutdown began; stop routing — the only state
+// served with HTTP 503).
 type ReadyResponse struct {
 	Status            string `json:"status"`
 	Fingerprint       string `json:"ruleset_fingerprint,omitempty"`
@@ -209,11 +210,12 @@ const (
 	ReadyOK       = "ok"
 	ReadyDegraded = "degraded"
 	ReadyDraining = "draining"
-	// ReadyRestoring reports a node that restored its result cache from a
-	// warm-restart snapshot and is still re-warming the implied plan-cache
-	// entries in the background. Served with HTTP 200 (like degraded): the
-	// node answers correctly throughout — restoring is a warm-up signal,
-	// not an exclusion signal, and a 503 here would make peers and SDK
-	// probes eject a node that is healthier than a cold one.
+	// ReadyRestoring reports a node whose boot warm is still running: every
+	// boot replays the embedded templates, plus the tuples of a restored
+	// warm-restart snapshot, through the pipeline to compile their plans.
+	// Served with HTTP 200 (like degraded): the node answers correctly
+	// throughout — restoring is a warm-up signal, not an exclusion signal,
+	// and a 503 here would make peers and SDK probes eject a node that is
+	// healthier than a cold one.
 	ReadyRestoring = "restoring"
 )
