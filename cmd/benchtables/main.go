@@ -38,9 +38,8 @@ import (
 	"cognicryptgen/analysis"
 	"cognicryptgen/effort"
 	"cognicryptgen/gen"
+	"cognicryptgen/internal/clustertest"
 	"cognicryptgen/internal/faultinject"
-	"cognicryptgen/internal/loadgen"
-	"cognicryptgen/oldgen"
 	"cognicryptgen/rules"
 	"cognicryptgen/service"
 	"cognicryptgen/templates"
@@ -280,24 +279,11 @@ type serviceBenchResult struct {
 	Workers               int     `json:"workers"`
 	Fingerprint           string  `json:"ruleset_fingerprint"`
 
-	// Cluster rows (internal/loadgen over in-process nodes + the SDK):
-	// closed-loop mixed workload whose working set exceeds one node's
-	// plan cache, at 1/2/4 nodes with hash routing, plus a 4-node
-	// unrouted (round-robin) pass where cache locality comes from the
-	// daemons' peer forwarding instead of the client.
-	ClusterWorkingSet   int                  `json:"cluster_working_set"`
-	ClusterCacheSize    int                  `json:"cluster_cache_size"`
-	ClusterRequests     int                  `json:"cluster_requests"`
-	ClusterRPS          map[string]float64   `json:"cluster_rps"`
-	ClusterSpeedup4     float64              `json:"cluster_speedup_4x_vs_1"`
-	ForwardHitRate      float64              `json:"forward_hit_rate"`
-	ClusterNodeHitRates map[string][]float64 `json:"cluster_node_cache_hit_rates"`
-
-	// Chaos rows (E13, internal/loadgen.RunChaos): a node-kill failover
-	// drill — one node of three killed and restarted under continuous SDK
-	// load. FailoverP99MS is the latency tail while the node was down;
+	// Chaos rows (E13, the node-kill row of the clustertest drill table):
+	// one node of three killed and restarted under continuous SDK load.
+	// FailoverP99MS is the latency tail while the node was down;
 	// NodeKillRecoveryMS the time from restart until every survivor
-	// re-admitted it (gated at 2x the probe interval by -smoke).
+	// re-admitted it (the drill bounds it at 2x the probe interval).
 	ChaosRequests        int     `json:"chaos_requests"`
 	ChaosProbeIntervalMS float64 `json:"chaos_probe_interval_ms"`
 	SteadyP99MS          float64 `json:"steady_p99_ms"`
@@ -306,18 +292,18 @@ type serviceBenchResult struct {
 	BreakerRejects       int64   `json:"breaker_rejects"`
 	ChaosClientRetries   int64   `json:"chaos_client_retries"`
 
-	// Warm-restart rows (S24/E14, internal/loadgen.RunWarmRestart): one
+	// Warm-restart rows (S24/E14, the warm-restart drill): one
 	// snapshot-enabled node of three crashed mid-load (no drain, no
 	// parting snapshot) and restarted. RestoreHitRate is the restored
 	// node's cache hit rate over the first window after its boot warm
-	// (gated at >= 0.5 by -smoke); WarmRestartMS is gated against a multiple of
-	// PlainRestartMS so restoring can never dominate boot.
+	// (the drill requires >= 0.5); the drill bounds WarmRestartMS by a
+	// multiple of PlainRestartMS so restoring can never dominate boot.
 	PlainRestartMS float64 `json:"plain_restart_ms"`
 	WarmRestartMS  float64 `json:"warm_restart_ms"`
 	RestoreEntries int64   `json:"restore_entries"`
 	RestoreHitRate float64 `json:"restore_hit_rate"`
 
-	// Hedge rows (internal/loadgen.RunHedge): one node of three gets
+	// Hedge rows (E14, the hedge drill): one node of three gets
 	// injected client-path latency (slow but healthy); the hedged pass
 	// must beat the unhedged p99 with wins and zero budget exhaustion.
 	UnhedgedP99MS float64 `json:"unhedged_p99_ms"`
@@ -331,7 +317,8 @@ type serviceBenchResult struct {
 // one-shot generation vs the warm service (compiled-rule registry +
 // plan cache), sustained throughput with concurrent clients
 // round-robining over all 13 embedded use cases, batch-endpoint
-// throughput, and singleflight coalescing. smoke trims every repetition
+// throughput, singleflight coalescing, and the cluster drill table
+// (E13/E14). smoke trims every repetition
 // count for CI gating; gate additionally fails the run if subsequent
 // Generator construction costs >= 10% of the first — i.e. if the shared
 // type-check universe ever stops being reused.
@@ -578,112 +565,29 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 	shedTotal := rem.ShedTotal
 	resrv.Close()
 
-	// Cluster rows. The workload is sized so its working set does not fit
-	// one node's plan cache but does fit four: the single node thrashes
-	// (most requests pay a full generation), while the routed cluster
-	// shards the key space and serves cache hits — on a single-CPU box the
-	// speedup comes from aggregate cache capacity, not parallel compute.
-	clusterWS, clusterCache, clusterReqs := 160, 64, 2000
-	if smoke {
-		clusterWS, clusterCache, clusterReqs = 36, 16, 240
-	}
-	clusterRPS := make(map[string]float64, 4)
-	clusterHitRates := make(map[string][]float64, 4)
-	for _, n := range []int{1, 2, 4} {
-		lres, err := loadgen.Run(ctx, loadgen.Options{
-			Nodes:      n,
-			Clients:    8,
-			Requests:   clusterReqs,
-			WorkingSet: clusterWS,
-			CacheSize:  clusterCache,
-			Workers:    2,
-			Seed:       1,
-		})
+	// Drill stages (E13/E14): every row of the clustertest drill table,
+	// the same rows TestDrills runs. Run enforces each row's assertions
+	// (zero lost requests, byte identity, convergence, and the row's own
+	// bounds), so a drill that fails them fails the benchmark too.
+	var kill, warm, hedge clustertest.Report
+	var killProbeMS float64
+	for _, d := range clustertest.Drills {
+		r, err := clustertest.Run(ctx, d)
 		if err != nil {
-			log.Fatalf("cluster stage (%d nodes): %v", n, err)
+			log.Fatalf("%v\nreport: %+v", err, r)
 		}
-		if lres.Errors > 0 {
-			log.Fatalf("cluster stage (%d nodes): %d request errors", n, lres.Errors)
+		switch d.Name {
+		case "node-kill":
+			kill, killProbeMS = r, float64(d.Server.PeerProbeInterval)/float64(time.Millisecond)
+		case "warm-restart":
+			warm = r
+		case "hedge":
+			hedge = r
 		}
-		key := fmt.Sprintf("%d", n)
-		clusterRPS[key] = lres.RPS
-		clusterHitRates[key] = lres.NodeHitRates()
-	}
-	fres, err := loadgen.Run(ctx, loadgen.Options{
-		Nodes:          4,
-		Clients:        8,
-		Requests:       clusterReqs,
-		WorkingSet:     clusterWS,
-		CacheSize:      clusterCache,
-		Workers:        2,
-		Seed:           1,
-		DisableRouting: true,
-	})
-	if err != nil {
-		log.Fatalf("cluster stage (4 nodes, unrouted): %v", err)
-	}
-	if fres.Errors > 0 {
-		log.Fatalf("cluster stage (4 nodes, unrouted): %d request errors", fres.Errors)
-	}
-	clusterRPS["4_unrouted"] = fres.RPS
-	clusterHitRates["4_unrouted"] = fres.NodeHitRates()
-	forwardHitRate := fres.AggregateForwardHitRate()
-	if forwardHitRate == 0 {
-		log.Fatal("cluster stage: unrouted 4-node run produced no forward hits — peer forwarding is not sharing the cache")
-	}
-	clusterSpeedup4 := clusterRPS["4"] / clusterRPS["1"]
-
-	// Chaos stage (E13): kill one node of three under load, restart it,
-	// and measure what the outage cost. The drill's own contract (zero
-	// lost requests, byte-identical output) is enforced here regardless of
-	// gating; the recovery-time gate is -smoke only.
-	cres, err := loadgen.RunChaos(ctx, loadgen.ChaosOptions{})
-	if err != nil {
-		log.Fatalf("chaos stage: %v", err)
-	}
-	if cres.Errors > 0 {
-		log.Fatalf("chaos stage: %d of %d requests failed across the node kill — failover lost accepted requests", cres.Errors, cres.Requests)
-	}
-	if cres.Divergence > 0 {
-		log.Fatalf("chaos stage: %d responses diverged from their key's first answer", cres.Divergence)
-	}
-
-	// Warm-restart stage (S24/E14): crash a snapshot-enabled node under
-	// load, restart it warm, then corrupt the snapshot and prove the same
-	// crash cold-starts cleanly. The durability contract is enforced here
-	// regardless of gating; the hit-rate and restart-cost gates are -smoke.
-	wres, err := loadgen.RunWarmRestart(ctx, loadgen.WarmRestartOptions{})
-	if err != nil {
-		log.Fatalf("warm-restart stage: %v", err)
-	}
-	if wres.Divergence > 0 {
-		log.Fatalf("warm-restart stage: %d responses diverged across the crash/restart", wres.Divergence)
-	}
-	if !wres.CorruptColdStart {
-		log.Fatal("warm-restart stage: corrupt-snapshot leg did not complete")
-	}
-
-	// Hedge stage: hedged requests against a slow-but-healthy node must
-	// win races, beat the unhedged p99, and stay within the retry budget.
-	hres, err := loadgen.RunHedge(ctx, loadgen.HedgeOptions{})
-	if err != nil {
-		log.Fatalf("hedge stage: %v", err)
-	}
-	if hres.HedgeWins == 0 {
-		log.Fatal("hedge stage: no hedge ever won — hedging did not engage against the slow node")
-	}
-	if hres.RetryBudgetExhausted != 0 {
-		log.Fatalf("hedge stage: retry budget exhausted %d time(s)", hres.RetryBudgetExhausted)
-	}
-	if hres.Divergence > 0 {
-		log.Fatalf("hedge stage: %d hedged responses diverged", hres.Divergence)
-	}
-	if hres.HedgedP99MS >= hres.UnhedgedP99MS {
-		log.Fatalf("hedge stage: hedged p99 %.2fms did not beat unhedged %.2fms", hres.HedgedP99MS, hres.UnhedgedP99MS)
 	}
 	hedgeWinRate := 0.0
-	if hres.HedgedTotal > 0 {
-		hedgeWinRate = float64(hres.HedgeWins) / float64(hres.HedgedTotal)
+	if hedge.HedgedTotal > 0 {
+		hedgeWinRate = float64(hedge.HedgeWins) / float64(hedge.HedgedTotal)
 	}
 
 	m := srv.MetricsSnapshot()
@@ -713,26 +617,19 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 		UseCases:              len(cases),
 		Workers:               workers,
 		Fingerprint:           srv.Registry().Snapshot().Fingerprint,
-		ClusterWorkingSet:     clusterWS,
-		ClusterCacheSize:      clusterCache,
-		ClusterRequests:       clusterReqs,
-		ClusterRPS:            clusterRPS,
-		ClusterSpeedup4:       clusterSpeedup4,
-		ForwardHitRate:        forwardHitRate,
-		ClusterNodeHitRates:   clusterHitRates,
-		ChaosRequests:         cres.Requests,
-		ChaosProbeIntervalMS:  cres.ProbeIntervalMS,
-		SteadyP99MS:           cres.SteadyP99MS,
-		FailoverP99MS:         cres.FailoverP99MS,
-		NodeKillRecoveryMS:    cres.NodeKillRecoveryMS,
-		BreakerRejects:        cres.BreakerRejects,
-		ChaosClientRetries:    cres.ClientRetries,
-		PlainRestartMS:        wres.PlainRestartMS,
-		WarmRestartMS:         wres.WarmRestartMS,
-		RestoreEntries:        wres.RestoreEntries,
-		RestoreHitRate:        wres.RestoreHitRate,
-		UnhedgedP99MS:         hres.UnhedgedP99MS,
-		HedgedP99MS:           hres.HedgedP99MS,
+		ChaosRequests:         kill.Requests,
+		ChaosProbeIntervalMS:  killProbeMS,
+		SteadyP99MS:           kill.SteadyP99MS,
+		FailoverP99MS:         kill.FailoverP99MS,
+		NodeKillRecoveryMS:    kill.RecoveryMS,
+		BreakerRejects:        kill.BreakerRejects,
+		ChaosClientRetries:    kill.ClientRetries,
+		PlainRestartMS:        warm.PlainRestartMS,
+		WarmRestartMS:         warm.WarmRestartMS,
+		RestoreEntries:        warm.RestoreEntries,
+		RestoreHitRate:        warm.RestoreHitRate,
+		UnhedgedP99MS:         hedge.UnhedgedP99MS,
+		HedgedP99MS:           hedge.HedgedP99MS,
 		HedgeWinRate:          hedgeWinRate,
 	}
 
@@ -753,18 +650,7 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 		coalesceClients, res.Coalesced, res.CoalesceHits)
 	fmt.Printf("  resilience: %d worker panics recovered, %d requests shed, %.2f ms to first success after storm\n",
 		res.PanicsRecovered, res.ShedTotal, res.ShedRecoveryMS)
-	fmt.Printf("  cluster (working set %d keys vs per-node cache %d, %d reqs): 1 node %.0f req/s, 2 nodes %.0f, 4 nodes %.0f (%.1fx vs 1)\n",
-		res.ClusterWorkingSet, res.ClusterCacheSize, res.ClusterRequests,
-		res.ClusterRPS["1"], res.ClusterRPS["2"], res.ClusterRPS["4"], res.ClusterSpeedup4)
-	fmt.Printf("  cluster unrouted 4 nodes (daemon forwarding): %.0f req/s, forward hit rate %.2f\n",
-		res.ClusterRPS["4_unrouted"], res.ForwardHitRate)
-	for _, key := range []string{"1", "2", "4", "4_unrouted"} {
-		fmt.Printf("    per-node cache hit rate [%s]:", key)
-		for _, hr := range res.ClusterNodeHitRates[key] {
-			fmt.Printf(" %.2f", hr)
-		}
-		fmt.Println()
-	}
+	fmt.Printf("  drills: %d rows of the cluster drill table passed\n", len(clustertest.Drills))
 	fmt.Printf("  chaos (kill 1 of 3 under load, probe %.0fms): %d reqs 0 lost; p99 steady %.2fms -> failover %.2fms; recovery %.1fms; %d retries, %d breaker rejects\n",
 		res.ChaosProbeIntervalMS, res.ChaosRequests, res.SteadyP99MS, res.FailoverP99MS,
 		res.NodeKillRecoveryMS, res.ChaosClientRetries, res.BreakerRejects)
@@ -772,9 +658,6 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 		res.WarmRestartMS, res.PlainRestartMS, res.RestoreEntries, res.RestoreHitRate)
 	fmt.Printf("  hedging (300ms slow node): p99 unhedged %.2fms -> hedged %.2fms, win rate %.2f\n",
 		res.UnhedgedP99MS, res.HedgedP99MS, res.HedgeWinRate)
-	if res.ClusterSpeedup4 < 2 && !smoke {
-		fmt.Printf("  WARNING: 4-node cluster speedup %.2fx < 2x target\n", res.ClusterSpeedup4)
-	}
 	if jsonPath != "" {
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
@@ -795,34 +678,4 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 		log.Fatalf("cold-start gate: subsequent Generator construction %.2fms >= 10%% of first %.2fms — shared type-check universe is not being reused",
 			subsequentGenMS, firstGenMS)
 	}
-	// Failover gate (E13 acceptance): after a killed node restarts, the
-	// survivors' probers must re-admit it within two probe rounds. Slower
-	// than that means re-admission is waiting on something other than the
-	// first successful probe (a decaying penalty, a stale breaker window).
-	if gate && res.NodeKillRecoveryMS > 2*res.ChaosProbeIntervalMS {
-		log.Fatalf("failover gate: node-kill recovery %.1fms > 2x probe interval %.0fms — probe success is not re-admitting the restarted node",
-			res.NodeKillRecoveryMS, res.ChaosProbeIntervalMS)
-	}
-	// Durability gates (E14 acceptance): the restored node's first window
-	// must be mostly warm (>= 0.5 hit rate — it owned those keys before
-	// the crash), and restoring must not turn restart into the new
-	// outage: warm restart within 5x a plain one (100ms floor, because
-	// sub-100ms restarts are scheduler-noise-dominated).
-	if gate && res.RestoreHitRate < 0.5 {
-		log.Fatalf("restore gate: first-window hit rate %.2f < 0.5 — the snapshot is not restoring the working set", res.RestoreHitRate)
-	}
-	if gate {
-		base := res.PlainRestartMS
-		if base < 100 {
-			base = 100
-		}
-		if res.WarmRestartMS > 5*base {
-			log.Fatalf("restart-cost gate: warm restart %.1fms > 5x plain restart baseline %.1fms — snapshot restore dominates boot",
-				res.WarmRestartMS, base)
-		}
-	}
 }
-
-// baseline generation sanity (referenced by -table all consumers that want
-// to confirm the old-gen pipeline is alive).
-var _ = oldgen.UseCases

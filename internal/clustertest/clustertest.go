@@ -1,9 +1,9 @@
 // Package clustertest boots N in-process cryptgend nodes wired as a
 // cluster: real service.Server instances behind real HTTP listeners on
-// loopback, each configured with the others as peers. The load generator,
-// the cluster smoke in scripts/verify.sh, and the client SDK's integration
-// tests all drive clusters through this package, so "a cluster" means the
-// same thing in every harness.
+// loopback, each configured with the others as peers. The drill table
+// (drill.go), run by TestDrills and by cmd/benchtables -table service,
+// drives every cluster through this package, so "a cluster" means the same
+// thing in both.
 //
 // The only trick is ordering: every node must know all URLs before any
 // node is constructed (Config.Peers is static), but ports are only known
@@ -49,8 +49,7 @@ type Cluster struct {
 
 // Start boots n nodes. cfg is the per-node configuration; Self and Peers
 // are overwritten per node. Callers that need fast peer-health reaction
-// (tests, the load generator's failover runs) should set a short
-// PeerProbeInterval.
+// (the failover drills) should set a short PeerProbeInterval.
 func Start(n int, cfg service.Config) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("clustertest: need at least one node, got %d", n)
@@ -84,29 +83,41 @@ func Start(n int, cfg service.Config) (*Cluster, error) {
 		if cfg.SnapshotDir != "" {
 			nodeCfg.SnapshotDir = filepath.Join(cfg.SnapshotDir, fmt.Sprintf("node%d", i))
 		}
-		srv, err := service.New(nodeCfg)
-		if err != nil {
+		n := &Node{URL: urls[i], cfg: nodeCfg}
+		if err := n.boot(listeners[i]); err != nil {
 			c.Close()
-			for _, l := range listeners[i:] {
+			for _, l := range listeners[i+1:] {
 				l.Close()
 			}
 			return nil, err
 		}
-		ts := httptest.NewUnstartedServer(srv.Handler())
-		ts.Listener.Close()
-		ts.Listener = listeners[i]
-		ts.Start()
-		c.Nodes = append(c.Nodes, &Node{Srv: srv, HTTP: ts, URL: urls[i], cfg: nodeCfg})
+		c.Nodes = append(c.Nodes, n)
 	}
 	return c, nil
+}
+
+// boot starts a fresh daemon from the node's configuration on l, which it
+// then owns.
+func (n *Node) boot(l net.Listener) error {
+	srv, err := service.New(n.cfg)
+	if err != nil {
+		l.Close()
+		return err
+	}
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Listener.Close()
+	ts.Listener = l
+	ts.Start()
+	n.Srv, n.HTTP, n.killed = srv, ts, false
+	return nil
 }
 
 // Kill takes node i down hard: in-flight connections are severed, the
 // listener closes (peers and clients see connection refused), and the
 // daemon is aborted crash-shaped — no drain, no parting snapshot, so a
 // snapshot-enabled node restores only what its periodic writer already
-// made durable, exactly like a real crash. The chaos suite's "kubectl
-// delete pod". The node's address stays reserved in every other node's
+// made durable, exactly like a real crash. The drills' "kubectl delete
+// pod". The node's address stays reserved in every other node's
 // Peers list; Restart brings a fresh daemon back on it.
 func (c *Cluster) Kill(i int) {
 	n := c.Nodes[i]
@@ -140,17 +151,7 @@ func (c *Cluster) Restart(i int) error {
 	if err != nil {
 		return fmt.Errorf("clustertest: rebinding %s: %w", addr, err)
 	}
-	srv, err := service.New(n.cfg)
-	if err != nil {
-		l.Close()
-		return err
-	}
-	ts := httptest.NewUnstartedServer(srv.Handler())
-	ts.Listener.Close()
-	ts.Listener = l
-	ts.Start()
-	n.Srv, n.HTTP, n.killed = srv, ts, false
-	return nil
+	return n.boot(l)
 }
 
 // URLs returns the nodes' base URLs in node order (the SDK's member list).

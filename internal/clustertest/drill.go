@@ -1,0 +1,797 @@
+package clustertest
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"cognicryptgen/client"
+	"cognicryptgen/internal/faultinject"
+	"cognicryptgen/internal/persist"
+	"cognicryptgen/service"
+	"cognicryptgen/templates"
+	"cognicryptgen/wire"
+)
+
+// Fault names a drill's fault plan: what the engine does to the cluster
+// between priming the working set and requiring it to converge.
+type Fault int
+
+const (
+	// NoFault answers the working set from a healthy cluster, hash-routed
+	// and round-robin, against a standalone node's answers.
+	NoFault Fault = iota
+	// KillRestart kills the victim under client load, waits until every
+	// survivor has noticed, restarts it and times its re-admission.
+	KillRestart
+	// Partition arms Inject on the peer channel to the victim while
+	// another node keeps taking fresh keys: that node must fall back
+	// locally, then reject at the open breaker.
+	Partition
+	// SlowPeers arms Inject on the peer channel to every node. A node's
+	// prober never overlaps its rounds, so once the bounded fault has
+	// disarmed itself, Inject.Times-1 slowed rounds completed everywhere.
+	SlowPeers
+	// CrashRestore crashes the snapshot-enabled victim under load (no
+	// drain, no parting snapshot), restarts it warm, then crashes it again
+	// with its snapshot corrupted.
+	CrashRestore
+	// SlowClient arms Inject on the client channel to the victim and runs
+	// Load requests unhedged, then hedged. The peer channel stays fast, so
+	// a hedge's forward reaches the owner's warm plan.
+	SlowClient
+)
+
+// Drill is one row of the cluster drill table.
+type Drill struct {
+	Name  string
+	Nodes int
+	// Server is every node's configuration. Start sets Self and Peers; a
+	// drill that snapshots gets a fresh SnapshotDir.
+	Server service.Config
+	// Client is the SDK configuration; Run fills in Nodes. Priming, load
+	// and convergence run with Hedge off, so no hedge fires early.
+	Client client.Config
+	// Work is the working set. Its first key picks the victim, so the
+	// victim always owns traffic.
+	Work []wire.GenerateRequest
+	// Load is the request count of each load phase (KillRestart) or pass
+	// (SlowClient).
+	Load   int
+	Fault  Fault
+	Inject faultinject.Fault
+	// Checks are the row's own assertions, made after the shared ones.
+	Checks []Check
+}
+
+// Check is one assertion over a drill's Report.
+type Check struct {
+	What string
+	OK   func(Report) bool
+}
+
+// Report is what one drill run observed; fields the fault plan does not
+// exercise stay zero.
+type Report struct {
+	// Requests counts the drill's requests, Errors the failed ones, and
+	// Divergence the answers whose output or rule-set fingerprint differed
+	// from the key's first answer.
+	Requests, Errors, Divergence int
+	// Converged: after the fault every node sees every peer healthy with a
+	// closed breaker, and so does the drill's client. Settled: goroutines
+	// returned to the pre-drill baseline after teardown.
+	Converged, Settled bool
+	// Victim is the faulted node, VictimKeys how many keys it owns.
+	Victim     string
+	VictimKeys int
+
+	// NoFault: cluster-wide forwards, local fallbacks and pipeline runs.
+	Forwarded, Fallbacks, Generations int64
+
+	// KillRestart: the p99 before and during the outage; restart until
+	// every survivor re-admitted the victim.
+	SteadyP99MS, FailoverP99MS float64
+	RecoveryMS                 float64
+	// BreakerRejects sums server-side breaker rejections (KillRestart,
+	// Partition); ClientRetries and RetryBudgetExhausted are the drill
+	// client's retry spend (KillRestart, SlowClient).
+	BreakerRejects                      int64
+	ClientRetries, RetryBudgetExhausted int64
+
+	// Partition: in order, a forward to the partitioned owner fell back
+	// or was rejected, its breaker opened, and rejections were counted.
+	FellBack, BreakerOpened, Rejected bool
+
+	// SlowPeers: peer ejections seen while the slowed rounds ran.
+	Ejections int
+
+	// CrashRestore: restart times without and with a snapshot; the
+	// victim's durable bytes and restored entries; its hit rate over the
+	// first walk after its boot warm; and whether, with its snapshot
+	// corrupted, it restored nothing and still answered every key.
+	PlainRestartMS, WarmRestartMS float64
+	SnapshotBytes, RestoreEntries int64
+	RestoreHitRate                float64
+	CorruptColdStart              bool
+
+	// SlowClient.
+	UnhedgedP99MS, HedgedP99MS float64
+	HedgedTotal, HedgeWins     int64
+}
+
+// killProbe is the node-kill drill's peer probe interval, which also
+// bounds its recovery.
+const killProbe = 250 * time.Millisecond
+
+// failover is the client of the drills that take a node down under load:
+// quick retries, and health from request outcomes alone.
+var failover = client.Config{
+	MaxRetries:         4,
+	BackoffBase:        5 * time.Millisecond,
+	BackoffMax:         50 * time.Millisecond,
+	BreakerOpenTimeout: 250 * time.Millisecond,
+	RetryBudget:        100,
+	ProbeInterval:      -1,
+}
+
+// Drills is the cluster drill table. TestDrills runs every row, and
+// cmd/benchtables -table service reports its E13/E14 rows from the same
+// runs.
+var Drills = []Drill{
+	{
+		Name:   "smoke",
+		Nodes:  3,
+		Server: service.Config{Workers: 2, CacheSize: 64, PeerProbeInterval: 100 * time.Millisecond},
+		Client: client.Config{ProbeInterval: -1},
+		Work:   catalogue(),
+		Fault:  NoFault,
+		Checks: []Check{
+			{"round-robin requests forwarded to owners", func(r Report) bool { return r.Forwarded > 0 }},
+			{"no local fallback", func(r Report) bool { return r.Fallbacks == 0 }},
+			{"one pipeline run per body", func(r Report) bool { return r.Generations == int64(len(catalogue())) }},
+		},
+	},
+	{
+		Name:   "node-kill",
+		Nodes:  3,
+		Server: service.Config{Workers: 2, CacheSize: 64, PeerProbeInterval: killProbe},
+		Client: failover,
+		Work:   bodies("kill", 12),
+		Load:   60,
+		Fault:  KillRestart,
+		Checks: []Check{
+			{"recovery within 2x the probe interval", func(r Report) bool { return r.RecoveryMS <= 2*ms(killProbe) }},
+			{"client spent retries", func(r Report) bool { return r.ClientRetries > 0 }},
+		},
+	},
+	{
+		Name:   "partition",
+		Nodes:  3,
+		Server: service.Config{Workers: 2, CacheSize: 64, PeerProbeInterval: 100 * time.Millisecond},
+		Client: client.Config{ProbeInterval: -1},
+		Work:   bodies("part", 6),
+		Fault:  Partition,
+		Inject: faultinject.Fault{Mode: faultinject.ModeRefuse},
+		Checks: []Check{
+			{"forward fell back or was rejected", func(r Report) bool { return r.FellBack }},
+			{"breaker opened", func(r Report) bool { return r.BreakerOpened }},
+			{"open breaker rejected forwards", func(r Report) bool { return r.Rejected }},
+		},
+	},
+	{
+		Name:   "slow-peer",
+		Nodes:  2,
+		Server: service.Config{Workers: 2, CacheSize: 64, PeerProbeInterval: 50 * time.Millisecond},
+		Client: client.Config{ProbeInterval: -1},
+		Work:   bodies("slow", 4),
+		Fault:  SlowPeers,
+		// The fourth firing per node follows three completed slowed rounds.
+		Inject: faultinject.Fault{Mode: faultinject.ModeLatency, Latency: 300 * time.Millisecond, Times: 4},
+		Checks: []Check{{"no peer ejected", func(r Report) bool { return r.Ejections == 0 }}},
+	},
+	{
+		Name:  "warm-restart",
+		Nodes: 3,
+		Server: service.Config{Workers: 2, CacheSize: 64, PeerProbeInterval: 250 * time.Millisecond,
+			SnapshotInterval: 50 * time.Millisecond},
+		Client: failover,
+		Work:   bodies("warm", 24),
+		Fault:  CrashRestore,
+		Checks: []Check{
+			{"durable snapshot written", func(r Report) bool { return r.SnapshotBytes > 0 }},
+			{"entries restored", func(r Report) bool { return r.RestoreEntries > 0 }},
+			{"first-window hit rate >= 0.5", func(r Report) bool { return r.RestoreHitRate >= 0.5 }},
+			// Sub-100ms restarts are scheduler noise, hence the floor.
+			{"warm restart <= 5x max(plain restart, 100ms)", func(r Report) bool {
+				return r.WarmRestartMS <= 5*max(r.PlainRestartMS, 100)
+			}},
+			{"corrupt snapshot cold-starts cleanly", func(r Report) bool { return r.CorruptColdStart }},
+		},
+	},
+	{
+		Name:   "hedge",
+		Nodes:  3,
+		Server: service.Config{Workers: 2, CacheSize: 64},
+		Client: client.Config{MaxRetries: 4, Hedge: true, HedgeDelay: 25 * time.Millisecond, RetryBudget: 120, ProbeInterval: -1},
+		Work:   bodies("hedge", 12),
+		Load:   120,
+		Fault:  SlowClient,
+		// Slow but healthy: breakers and probes never see it.
+		Inject: faultinject.Fault{Mode: faultinject.ModeLatency, Latency: 300 * time.Millisecond},
+		Checks: []Check{
+			{"hedges won", func(r Report) bool { return r.HedgeWins > 0 }},
+			{"retry budget never exhausted", func(r Report) bool { return r.RetryBudgetExhausted == 0 }},
+			{"hedged p99 < unhedged p99", func(r Report) bool { return r.HedgedP99MS < r.UnhedgedP99MS }},
+		},
+	},
+}
+
+// shared are the assertions every drill makes.
+var shared = []Check{
+	{"zero lost requests", func(r Report) bool { return r.Errors == 0 }},
+	{"byte-identical to each key's first answer", func(r Report) bool { return r.Divergence == 0 }},
+	{"victim owns working-set keys", func(r Report) bool { return r.Victim == "" || r.VictimKeys > 0 }},
+	{"health and breakers converged", func(r Report) bool { return r.Converged }},
+	{"goroutines back to baseline", func(r Report) bool { return r.Settled }},
+}
+
+// catalogue is the 13 embedded templates, verified.
+func catalogue() []wire.GenerateRequest {
+	var work []wire.GenerateRequest
+	for _, uc := range append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...) {
+		work = append(work, wire.GenerateRequest{UseCase: uc.ID, Verify: true})
+	}
+	return work
+}
+
+// bodies is n distinct template bodies over the paper's running example
+// (PBE on byte arrays): the per-key comment makes each its own plan,
+// flight and rendezvous owner, so a miss costs a full pipeline run.
+func bodies(tag string, n int) []wire.GenerateRequest {
+	src, err := templates.Source(templates.UseCases[2])
+	if err != nil {
+		panic(err) // the template table is embedded
+	}
+	work := make([]wire.GenerateRequest, n)
+	for k := range work {
+		work[k] = wire.GenerateRequest{
+			Name:   fmt.Sprintf("%s%03d.go", tag, k),
+			Source: src + fmt.Sprintf("\n// %s working-set key %03d\n", tag, k),
+		}
+	}
+	return work
+}
+
+// victimFor returns the index in urls of the rendezvous owner of the
+// working set's first key, and how many keys of the set it owns.
+func victimFor(fingerprint string, work []wire.GenerateRequest, urls []string) (victim, keys int) {
+	owner := func(req wire.GenerateRequest) string {
+		return wire.RendezvousOwner(wire.RouteKey(fingerprint, req), urls)
+	}
+	first := owner(work[0])
+	for _, req := range work {
+		if owner(req) == first {
+			keys++
+		}
+	}
+	return slices.Index(urls, first), keys
+}
+
+// Run boots d's cluster, drives its fault plan, tears everything down and
+// makes the shared assertions and then d.Checks. The error names every
+// failed assertion; the Report is returned either way.
+func Run(ctx context.Context, d Drill) (Report, error) {
+	defer faultinject.Reset()
+	baseline := runtime.NumGoroutine()
+	x := &drillRun{d: d, ctx: ctx}
+	err := x.run()
+	x.r.Requests = int(x.requests.Load())
+	x.r.Errors = int(x.errors.Load())
+	x.r.Divergence = int(x.divergence.Load())
+	if err != nil {
+		return x.r, fmt.Errorf("drill %s: %w", d.Name, err)
+	}
+	x.r.Settled = x.waitFor(5*time.Second, func() bool {
+		runtime.GC()
+		return runtime.NumGoroutine() <= baseline+5
+	})
+	var failed []string
+	for _, c := range append(append([]Check(nil), shared...), d.Checks...) {
+		if !c.OK(x.r) {
+			failed = append(failed, c.What)
+		}
+	}
+	if failed != nil {
+		return x.r, fmt.Errorf("drill %s failed: %s", d.Name, strings.Join(failed, "; "))
+	}
+	return x.r, nil
+}
+
+// drillRun is one execution of a Drill.
+type drillRun struct {
+	d   Drill
+	ctx context.Context
+	r   Report
+
+	cl     *Cluster
+	sdk    *client.Client
+	victim int // index into cl.Nodes
+
+	// first holds each working-set key's first answer, fp the rule-set
+	// fingerprint it came with.
+	first []string
+	fp    string
+
+	requests, errors, divergence atomic.Int64
+
+	// phase files background-load latencies: steady, outage, recovery.
+	phase atomic.Int32
+	latMu sync.Mutex
+	lats  [3][]time.Duration
+}
+
+func (x *drillRun) run() error {
+	cfg := x.d.Server
+	if cfg.SnapshotInterval > 0 {
+		dir, err := os.MkdirTemp("", "ccg-drill-")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		cfg.SnapshotDir = dir
+	}
+	cl, err := Start(x.d.Nodes, cfg)
+	if err != nil {
+		return err
+	}
+	defer cl.Close()
+	x.cl = cl
+	if x.sdk, err = x.client(false); err != nil {
+		return err
+	}
+	defer x.sdk.Close()
+	// A fault hits a steady-state cluster whose plans its first answers
+	// warmed; the smoke drill compares the cluster with a standalone node.
+	ref := cl
+	if x.d.Fault == NoFault {
+		if ref, err = Start(1, cfg); err != nil {
+			return err
+		}
+		defer ref.Close()
+	}
+	if err := x.prime(ref); err != nil {
+		return err
+	}
+	if x.d.Fault != NoFault && x.d.Fault != SlowPeers {
+		x.victim, x.r.VictimKeys = victimFor(x.fp, x.d.Work, cl.URLs())
+		x.r.Victim = cl.Nodes[x.victim].URL
+	}
+	switch x.d.Fault {
+	case NoFault:
+		err = x.smoke()
+	case KillRestart:
+		err = x.killRestart()
+	case Partition:
+		err = x.partition()
+	case SlowPeers:
+		err = x.slowPeers()
+	case CrashRestore:
+		err = x.crashRestore()
+	case SlowClient:
+		err = x.slowClient()
+	default:
+		err = fmt.Errorf("unknown fault plan %d", x.d.Fault)
+	}
+	if err != nil {
+		return err
+	}
+	// Heal every injected fault, then require the cluster to recover.
+	faultinject.Reset()
+	x.r.Converged = x.converge()
+	return nil
+}
+
+// client builds an SDK over the cluster from the drill's configuration,
+// hedging only when asked.
+func (x *drillRun) client(hedge bool) (*client.Client, error) {
+	cfg := x.d.Client
+	cfg.Nodes = x.cl.URLs()
+	cfg.Hedge = hedge && cfg.Hedge
+	return client.New(cfg)
+}
+
+// prime records every working-set key's first answer from c.
+func (x *drillRun) prime(c *Cluster) error {
+	sdk, err := client.New(client.Config{Nodes: c.URLs(), ProbeInterval: -1})
+	if err != nil {
+		return err
+	}
+	defer sdk.Close()
+	x.first = make([]string, len(x.d.Work))
+	for k, req := range x.d.Work {
+		resp, err := sdk.Generate(x.ctx, req)
+		if err != nil {
+			return fmt.Errorf("priming key %d: %w", k, err)
+		}
+		x.first[k], x.fp = resp.Output, resp.Fingerprint
+	}
+	return nil
+}
+
+// call issues working-set key k through c and checks the answer against
+// the key's first one.
+func (x *drillRun) call(c *client.Client, k int) (time.Duration, error) {
+	t0 := time.Now()
+	resp, err := c.Generate(x.ctx, x.d.Work[k])
+	d := time.Since(t0)
+	x.requests.Add(1)
+	if err != nil {
+		x.errors.Add(1)
+		return d, err
+	}
+	if resp.Output != x.first[k] || resp.Fingerprint != x.fp {
+		x.divergence.Add(1)
+	}
+	return d, nil
+}
+
+// walk calls every working-set key once through c, or through a fresh
+// client (closed breakers) when c is nil.
+func (x *drillRun) walk(c *client.Client) error {
+	if c == nil {
+		fresh, err := x.client(false)
+		if err != nil {
+			return err
+		}
+		defer fresh.Close()
+		c = fresh
+	}
+	for k := range x.d.Work {
+		if _, err := x.call(c, k); err != nil {
+			return fmt.Errorf("key %d: %w", k, err)
+		}
+	}
+	return nil
+}
+
+// waitFor polls cond until it holds or d passes.
+func (x *drillRun) waitFor(d time.Duration, cond func() bool) bool {
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) || x.ctx.Err() != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// peersHealthy reports whether every live node sees every peer (or, with
+// url set, that one peer) healthy with a closed breaker.
+func (x *drillRun) peersHealthy(url string) bool {
+	for _, n := range x.cl.Nodes {
+		if n.killed || n.URL == url {
+			continue
+		}
+		for peer, ps := range n.Srv.MetricsSnapshot().Peers {
+			if (url == "" || peer == url) && (!ps.Healthy || ps.BreakerState != "closed") {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// converge waits until every node re-admits every peer and walking the
+// working set has closed every breaker of the drill's client.
+func (x *drillRun) converge() bool {
+	return x.waitFor(5*time.Second, func() bool { return x.peersHealthy("") }) &&
+		x.waitFor(5*time.Second, func() bool {
+			if x.walk(x.sdk) != nil {
+				return false
+			}
+			for _, state := range x.sdk.Stats().BreakerStates {
+				if state != "closed" {
+					return false
+				}
+			}
+			return true
+		})
+}
+
+// background runs closed-loop clients over the working set until the
+// returned stop is called (once or more), filing each latency under the
+// phase its request was sent in.
+func (x *drillRun) background(clients int) (stop func()) {
+	done := make(chan struct{})
+	var (
+		wg   sync.WaitGroup
+		once sync.Once
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ph := x.phase.Load()
+				if d, err := x.call(x.sdk, i%len(x.d.Work)); err == nil {
+					x.latMu.Lock()
+					x.lats[ph] = append(x.lats[ph], d)
+					x.latMu.Unlock()
+				}
+			}
+		}()
+	}
+	return func() {
+		once.Do(func() { close(done) })
+		wg.Wait()
+	}
+}
+
+// loadPhase waits until n more requests completed: phases advance on
+// completed work, not wall time, so they mean the same on a slow box.
+func (x *drillRun) loadPhase(n int, what string) error {
+	target := x.requests.Load() + int64(n)
+	if !x.waitFor(60*time.Second, func() bool { return x.requests.Load() >= target }) {
+		return fmt.Errorf("load stalled during %s (%d requests)", what, x.requests.Load())
+	}
+	return nil
+}
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+func p99MS(lats []time.Duration) float64 {
+	if len(lats) == 0 {
+		return 0
+	}
+	slices.Sort(lats)
+	return ms(lats[(99*len(lats)+99)/100-1])
+}
+
+func (x *drillRun) killRestart() error {
+	const (
+		steady = iota
+		outage
+		recovery
+	)
+	stop := x.background(2)
+	defer stop()
+	if err := x.loadPhase(x.d.Load, "steady state"); err != nil {
+		return err
+	}
+	x.phase.Store(outage)
+	x.cl.Kill(x.victim)
+	if err := x.loadPhase(x.d.Load, "outage"); err != nil {
+		return err
+	}
+	// Restarting before every survivor's prober noticed the kill would
+	// measure a recovery from an outage nobody detected.
+	url := x.r.Victim
+	noticed := x.waitFor(30*time.Second, func() bool {
+		for _, n := range x.cl.Nodes {
+			if n.URL != url && n.Srv.MetricsSnapshot().Peers[url].Healthy {
+				return false
+			}
+		}
+		return true
+	})
+	if !noticed {
+		return fmt.Errorf("survivors never noticed the killed node")
+	}
+	x.phase.Store(recovery)
+	if err := x.cl.Restart(x.victim); err != nil {
+		return err
+	}
+	restarted := time.Now()
+	if !x.waitFor(30*time.Second, func() bool { return x.peersHealthy(url) }) {
+		return fmt.Errorf("survivors never re-admitted the restarted node")
+	}
+	x.r.RecoveryMS = ms(time.Since(restarted))
+	if err := x.loadPhase(x.d.Load, "recovery"); err != nil {
+		return err
+	}
+	stop()
+
+	for _, n := range x.cl.Nodes {
+		x.r.BreakerRejects += n.Srv.MetricsSnapshot().BreakerRejects
+	}
+	st := x.sdk.Stats()
+	x.r.ClientRetries, x.r.RetryBudgetExhausted = st.Retries, st.RetryBudgetExhausted
+	x.r.SteadyP99MS, x.r.FailoverP99MS = p99MS(x.lats[steady]), p99MS(x.lats[outage])
+	return nil
+}
+
+func (x *drillRun) partition() error {
+	faultinject.Arm(faultinject.PointPeerTransport+"@"+host(x.r.Victim), x.d.Inject)
+	entry := x.cl.Nodes[(x.victim+1)%len(x.cl.Nodes)].Srv
+	round := 0
+	sendRound := func() {
+		for i := 0; i < 6; i++ {
+			name := fmt.Sprintf("part-r%d-%02d.go", round, i)
+			req := wire.GenerateRequest{Name: name, Source: x.d.Work[0].Source + "\n// " + name + "\n"}
+			x.requests.Add(1)
+			if _, err := entry.Generate(x.ctx, req); err != nil {
+				x.errors.Add(1)
+			}
+		}
+		round++
+	}
+	// Whether the first forward falls back or meets an already-open
+	// breaker depends on scheduling, so either counts.
+	x.r.FellBack = x.waitFor(10*time.Second, func() bool {
+		sendRound()
+		m := entry.MetricsSnapshot()
+		return m.ForwardFallbacks > 0 || m.BreakerRejects > 0
+	})
+	x.r.BreakerOpened = x.waitFor(5*time.Second, func() bool {
+		return entry.MetricsSnapshot().Peers[x.r.Victim].BreakerState == "open"
+	})
+	x.r.Rejected = x.waitFor(5*time.Second, func() bool {
+		sendRound()
+		return entry.MetricsSnapshot().BreakerRejects > 0
+	})
+	x.r.BreakerRejects = entry.MetricsSnapshot().BreakerRejects
+	return nil
+}
+
+func (x *drillRun) slowPeers() error {
+	for _, n := range x.cl.Nodes {
+		faultinject.Arm(faultinject.PointPeerTransport+"@"+host(n.URL), x.d.Inject)
+	}
+	disarmed := x.waitFor(30*time.Second, func() bool {
+		for _, n := range x.cl.Nodes {
+			for _, ps := range n.Srv.MetricsSnapshot().Peers {
+				if !ps.Healthy {
+					x.r.Ejections++
+				}
+			}
+		}
+		return !faultinject.Enabled() // this drill arms no other point
+	})
+	if !disarmed {
+		return fmt.Errorf("peer probes never completed %d slowed rounds", x.d.Inject.Times-1)
+	}
+	return nil
+}
+
+func (x *drillRun) crashRestore() error {
+	// Baseline: a snapshot-less node's kill-to-serving time.
+	plain, err := Start(1, service.Config{Workers: x.d.Server.Workers, CacheSize: x.d.Server.CacheSize})
+	if err != nil {
+		return err
+	}
+	plain.Kill(0)
+	t0 := time.Now()
+	err = plain.Restart(0)
+	x.r.PlainRestartMS = ms(time.Since(t0))
+	plain.Close()
+	if err != nil {
+		return err
+	}
+
+	victim := x.cl.Nodes[x.victim]
+	// Make the primed state durable at a deterministic point, independent
+	// of the periodic writer's timing.
+	if err := victim.Srv.SnapshotNow(); err != nil {
+		return fmt.Errorf("victim snapshot: %w", err)
+	}
+	x.r.SnapshotBytes = victim.Srv.MetricsSnapshot().SnapshotBytes
+	stop := x.background(2)
+	x.cl.Kill(x.victim)
+	t0 = time.Now()
+	err = x.cl.Restart(x.victim)
+	x.r.WarmRestartMS = ms(time.Since(t0))
+	stop()
+	if err != nil {
+		return err
+	}
+	x.r.RestoreEntries = victim.Srv.MetricsSnapshot().RestoreEntries
+	// The first window opens once the boot warm has recompiled the
+	// snapshot's plans, so it measures the restored state, not a race.
+	if !x.waitFor(30*time.Second, func() bool { return victim.Srv.ReadyInfo().Status != wire.ReadyRestoring }) {
+		return fmt.Errorf("restarted victim never finished its boot warm")
+	}
+	before := victim.Srv.MetricsSnapshot()
+	if err := x.walk(nil); err != nil {
+		return fmt.Errorf("after warm restart: %w", err)
+	}
+	m := victim.Srv.MetricsSnapshot()
+	if hits, misses := m.CacheHits-before.CacheHits, m.CacheMisses-before.CacheMisses; hits+misses > 0 {
+		x.r.RestoreHitRate = float64(hits) / float64(hits+misses)
+	}
+
+	x.cl.Kill(x.victim)
+	snap := filepath.Join(victim.cfg.SnapshotDir, persist.SnapshotFile)
+	raw, err := os.ReadFile(snap)
+	if err != nil {
+		return fmt.Errorf("reading snapshot to corrupt: %w", err)
+	}
+	raw[len(raw)-1] ^= 0x01
+	if err := os.WriteFile(snap, raw, 0o644); err != nil {
+		return err
+	}
+	if err := x.cl.Restart(x.victim); err != nil {
+		return err
+	}
+	restored := victim.Srv.MetricsSnapshot().RestoreEntries
+	// Byte identity of the walk is a shared assertion.
+	if err := x.walk(nil); err != nil {
+		return fmt.Errorf("after corrupt restart: %w", err)
+	}
+	x.r.CorruptColdStart = restored == 0
+	return nil
+}
+
+func (x *drillRun) slowClient() error {
+	faultinject.Arm(faultinject.PointClientTransport+"@"+host(x.r.Victim), x.d.Inject)
+	pass := func(c *client.Client) (float64, error) {
+		// An unmeasured first request teaches a fresh client the rule-set
+		// fingerprint, so the measured ones route to their true owners.
+		if _, err := x.call(c, 0); err != nil {
+			return 0, err
+		}
+		var lats []time.Duration
+		for i := 0; i < x.d.Load; i++ {
+			if d, err := x.call(c, i%len(x.d.Work)); err == nil {
+				lats = append(lats, d)
+			}
+		}
+		return p99MS(lats), nil
+	}
+	var err error
+	if x.r.UnhedgedP99MS, err = pass(x.sdk); err != nil {
+		return err
+	}
+	hedged, err := x.client(true)
+	if err != nil {
+		return err
+	}
+	defer hedged.Close()
+	if x.r.HedgedP99MS, err = pass(hedged); err != nil {
+		return err
+	}
+	st := hedged.Stats()
+	x.r.HedgedTotal, x.r.HedgeWins, x.r.RetryBudgetExhausted = st.HedgedTotal, st.HedgeWins, st.RetryBudgetExhausted
+	return nil
+}
+
+// smoke walks the working set through the hash-routed client, then three
+// times through a round-robin one, whose requests reach their owners only
+// by the daemons' own forwarding.
+func (x *drillRun) smoke() error {
+	if err := x.walk(x.sdk); err != nil {
+		return fmt.Errorf("routed: %w", err)
+	}
+	cfg := x.d.Client
+	cfg.Nodes, cfg.DisableRouting = x.cl.URLs(), true
+	rr, err := client.New(cfg)
+	if err != nil {
+		return err
+	}
+	defer rr.Close()
+	for round := 0; round < 3; round++ {
+		if err := x.walk(rr); err != nil {
+			return fmt.Errorf("round-robin: %w", err)
+		}
+	}
+	for _, n := range x.cl.Nodes {
+		m := n.Srv.MetricsSnapshot()
+		x.r.Forwarded += m.ForwardedTotal
+		x.r.Fallbacks += m.ForwardFallbacks
+		x.r.Generations += m.CacheMisses
+	}
+	return nil
+}
+
+// host is a node URL's host:port, the suffix of a host-targeted fault point.
+func host(url string) string { return strings.TrimPrefix(url, "http://") }

@@ -37,14 +37,8 @@ echo "==> fuzz smoke (10s per target)"
 go test -run NONE -fuzz 'FuzzParseRule' -fuzztime 10s ./crysl
 go test -run NONE -fuzz 'FuzzParseTemplate' -fuzztime 10s ./gen
 
-# Cluster smoke: 3 in-process nodes behind the client SDK must produce
-# byte-identical output to a standalone node for all 13 templates, and an
-# unrouted pass must show the daemons forwarding to cache owners
-# (forwarded_total > 0, exactly 13 generations cluster-wide). The wire
-# contract and the SDK's retry/routing state get an extra explicit pass
-# under -race on top of the package run above.
-echo "==> cluster smoke (3 nodes, SDK, forwarding)"
-go run ./cmd/loadgen -smoke
+# The wire contract and the SDK's retry/routing state get an extra
+# explicit pass under -race on top of the package run above.
 echo "==> wire/client race pass"
 go test -race -count=1 ./wire ./client
 
@@ -60,43 +54,34 @@ go test -race -count=1 \
 go test -race -count=1 \
     -run 'TestReloadStormKeepsCachesBounded|TestConcurrentReloadAndGenerate' ./service
 
-# Cluster chaos suite: whole-cluster failure drills — node kill/restart
-# under live client load, peer-channel partitions via injected transport
-# faults, slow peers vs the probe-timeout floor. Zero lost requests,
-# byte-identical output, health convergence, goroutines back to baseline.
-echo "==> cluster chaos suite (kill/restart, partition, slow peer under -race)"
-go test -race -run 'TestClusterChaos' -count=1 ./internal/clustertest
+# Cluster drill table (internal/clustertest/drill.go), one row per drill,
+# on both 1 and 2 CPUs under -race:
+#   smoke         3 nodes answer all 13 templates byte-identically to a
+#                 standalone node, routed and round-robin; forwards > 0,
+#                 no fallbacks, one pipeline run per body
+#   node-kill     kill 1 of 3 under load and restart it: retries spent,
+#                 re-admission within 2x the probe interval
+#   partition     refused peer channel: fallback or rejection, breaker
+#                 opens, peer re-admitted after healing
+#   slow-peer     300ms peer channel through 3 full probe rounds per
+#                 node: nobody ejected
+#   warm-restart  crash + snapshot restore: entries restored, first-window
+#                 hit rate >= 0.5, warm restart <= 5x max(plain, 100ms);
+#                 corrupt snapshot -> clean cold start
+#   hedge         300ms slow node: hedge wins, no budget exhaustion,
+#                 hedged p99 < unhedged p99
+# Every row also requires zero lost requests, byte-identical output,
+# health and breaker convergence, and goroutines back to baseline.
+echo "==> cluster drills (TestDrills, -race, 1 and 2 CPUs)"
+go test -race -cpu 1,2 -count=1 -run TestDrills ./internal/clustertest
 
-# Node-kill failover drill through the real CLI: 3 nodes, kill 1 mid-run,
-# restart it — the drill exits non-zero if any request failed, any
-# response diverged, or the client spent no retries (outage not exercised).
-echo "==> loadgen chaos drill (kill 1 of 3 under load)"
-go run ./cmd/loadgen -chaos
-
-# Warm-restart durability drill: crash a snapshot-enabled node mid-load
-# (no drain, no parting snapshot), restart it, wait for its boot warm to
-# replay the snapshot's plan tuples (/readyz leaves "restoring"), and
-# require byte-identical first-window cache hits; then
-# corrupt the snapshot and require a clean cold start instead of a crash.
-echo "==> loadgen warm-restart drill (crash, snapshot restore, corruption)"
-go run ./cmd/loadgen -warmrestart
-
-# Hedged-request tail drill: one node gets 300ms injected client-path
-# latency (slow but healthy — invisible to breakers); hedging must win
-# races, beat the unhedged p99, and never exhaust the retry budget.
-echo "==> loadgen hedge drill (300ms slow node, budget-gated hedging)"
-go run ./cmd/loadgen -hedge
-
-# Smoke the daemon benchmark end to end (batch + coalescing tables
-# included) without the full measurement repetitions. This doubles as
-# regression gates: benchtables exits non-zero if subsequent Generator
-# construction costs >= 10% of the first (the shared type-check universe
-# stopped being reused), or if node-kill recovery in the E13 chaos stage takes
-# longer than 2x the peer probe interval (probe success stopped
-# re-admitting restarted nodes), or if the warm-restart stage restores
-# under a 0.5 first-window hit rate / costs more than 5x a plain restart
-# (durability regressed or began dominating boot).
-echo "==> benchtables service smoke (incl. cold-start + failover + durability gates)"
+# Smoke the daemon benchmark end to end (batch + coalescing tables and the
+# drill rows included) without the full measurement repetitions. This
+# doubles as the cold-start regression gate: benchtables exits non-zero if
+# subsequent Generator construction costs >= 10% of the first (the shared
+# type-check universe stopped being reused), and if any drill row fails
+# its assertions.
+echo "==> benchtables service smoke (incl. cold-start gate)"
 go run ./cmd/benchtables -table service -smoke
 
 echo "==> verify OK"
