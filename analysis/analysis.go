@@ -131,6 +131,9 @@ func (a *Analyzer) AnalyzeSource(name, src string) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s does not type-check: %w", name, err)
 	}
+	// Findings hold resolved token.Positions, so the file's line table can
+	// go once the analysis has run.
+	defer a.checker.Release(file)
 	return a.analyzeFiles([]*ast.File{file}, info), nil
 }
 
@@ -142,6 +145,7 @@ func (a *Analyzer) AnalyzeDir(dir string) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s does not type-check: %w", dir, err)
 	}
+	defer a.checker.Release(files...)
 	return a.analyzeFiles(files, info), nil
 }
 

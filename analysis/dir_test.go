@@ -1,13 +1,15 @@
 package analysis
 
 import (
+	"go/token"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 // TestAnalyzeDir checks multi-file package analysis: a misuse in one file,
-// clean code in another, types resolving across files.
+// clean code in another, types resolving across files. The package's files
+// leave the shared FileSet once the analysis is done.
 func TestAnalyzeDir(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, src string) {
@@ -57,9 +59,14 @@ import "testing"
 func TestNothing(t *testing.T) {}
 `)
 
-	rep, err := sharedAnalyzer(t).AnalyzeDir(dir)
+	an := sharedAnalyzer(t)
+	before := countFiles(an.checker.Fset)
+	rep, err := an.AnalyzeDir(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if after := countFiles(an.checker.Fset); after != before {
+		t.Errorf("FileSet holds %d files after AnalyzeDir, %d before", after, before)
 	}
 	if n := len(rep.Findings); n != 1 {
 		t.Fatalf("want exactly the MD5 finding, got %d: %v", n, rep.Findings)
@@ -87,4 +94,10 @@ func TestAnalyzeDirEmpty(t *testing.T) {
 	if _, err := sharedAnalyzer(t).AnalyzeDir(t.TempDir()); err == nil {
 		t.Fatal("empty dir accepted")
 	}
+}
+
+func countFiles(fset *token.FileSet) int {
+	n := 0
+	fset.Iterate(func(*token.File) bool { n++; return true })
+	return n
 }

@@ -268,6 +268,7 @@ func (g *Generator) generate(ctx context.Context, name, src string, start time.T
 	if err != nil {
 		return nil, "", fmt.Errorf("gen: template %s does not type-check: %w", name, err)
 	}
+	defer g.checker.Release(file)
 	tmpl, err := scanTemplate(name, src, file, g.checker.Fset, pkg, info)
 	if err != nil {
 		return nil, "", err
@@ -310,9 +311,11 @@ func (g *Generator) generate(ctx context.Context, name, src string, start time.T
 		if err := cancelled(ctx, name, "output verification"); err != nil {
 			return nil, "", err
 		}
-		if _, _, _, err := g.checker.CheckSource("generated_"+name, out); err != nil {
+		vfile, _, _, err := g.checker.CheckSource("generated_"+name, out)
+		if err != nil {
 			return nil, "", fmt.Errorf("gen: generated code failed verification (this is a generator bug): %w", err)
 		}
+		g.checker.Release(vfile)
 	}
 	report.Duration = time.Since(start)
 	return &Result{Output: out, Report: report}, tmpl.File.Name.Name, nil

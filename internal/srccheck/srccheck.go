@@ -15,6 +15,14 @@
 // the one-time cost of importing the crypto façade's transitive closure,
 // every later Checker constructs in microseconds, and concurrent imports
 // are both safe and deduplicated.
+//
+// Positions resolve against the universe's one token.FileSet. The files of
+// universe packages stay in it for the life of the process; a file a
+// Checker parses for one call (a template, a verified output, an analyzed
+// source) is removed again with Checker.Release once its positions have
+// been resolved, and the Check methods release it themselves when they
+// fail. A long-running daemon's FileSet therefore stays the size of its
+// universe however many sources it checks.
 package srccheck
 
 import (
@@ -103,6 +111,11 @@ func (imp *Importer) ImportFrom(path, srcDir string, _ types.ImportMode) (*types
 // A Checker is safe for concurrent use: its FileSet is the universe's
 // shared, internally synchronized FileSet, and imports resolve through the
 // concurrency-safe universe. Each Check call builds its own types.Info.
+//
+// The files a successful CheckSource or CheckDir returns keep their line
+// tables in that FileSet, where they would stay for the life of the
+// process; the caller passes them to Release once it has resolved their
+// positions. Universe package files are never released.
 type Checker struct {
 	Fset *token.FileSet
 	u    *Universe
@@ -133,7 +146,10 @@ func (c *Checker) importer() types.ImporterFrom {
 }
 
 // CheckDir parses and type-checks all non-test Go files of the package in
-// dir, returning the files and the shared type info.
+// dir, returning the files and the shared type info. The files' line
+// tables live in the shared FileSet until the caller passes them to
+// Release; on error CheckDir releases them itself and returns only the
+// error.
 func (c *Checker) CheckDir(dir string) ([]*ast.File, *types.Package, *types.Info, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -146,32 +162,20 @@ func (c *Checker) CheckDir(dir string) ([]*ast.File, *types.Package, *types.Info
 			continue
 		}
 		f, err := parser.ParseFile(c.Fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		files = append(files, f)
 		if err != nil {
+			c.Release(files...)
 			return nil, nil, nil, fmt.Errorf("srccheck: parsing %s: %w", name, err)
 		}
-		files = append(files, f)
 	}
 	if len(files) == 0 {
 		return nil, nil, nil, fmt.Errorf("srccheck: no Go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	var errs []error
-	conf := types.Config{
-		Importer: c.importer(),
-		Error:    func(err error) { errs = append(errs, err) },
-	}
-	pkg, err := conf.Check(files[0].Name.Name, c.Fset, files, info)
-	if len(errs) > 0 {
-		return files, pkg, info, fmt.Errorf("srccheck: type errors: %w", errors.Join(errs...))
-	}
+	info := newInfo()
+	pkg, err := c.check(files[0].Name.Name, files, info)
 	if err != nil {
-		return files, pkg, info, fmt.Errorf("srccheck: type errors: %w", err)
+		c.Release(files...)
+		return nil, nil, nil, err
 	}
 	return files, pkg, info, nil
 }
@@ -179,13 +183,15 @@ func (c *Checker) CheckDir(dir string) ([]*ast.File, *types.Package, *types.Info
 // CheckPackageWith type-checks the Go package in dir together with one
 // additional in-memory file (filename/src), as if the file had been saved
 // into the directory. Test files are ignored. An empty or non-existent
-// directory degrades to checking the new file alone.
+// directory degrades to checking the new file alone. Every file it parses
+// is released before it returns.
 func (c *Checker) CheckPackageWith(dir, filename, src string) error {
 	extra, err := parser.ParseFile(c.Fset, filename, src, parser.SkipObjectResolution)
+	files := []*ast.File{extra}
+	defer func() { c.Release(files...) }()
 	if err != nil {
 		return fmt.Errorf("srccheck: parse %s: %w", filename, err)
 	}
-	files := []*ast.File{extra}
 	entries, err := os.ReadDir(dir)
 	if err == nil {
 		for _, e := range entries {
@@ -194,27 +200,17 @@ func (c *Checker) CheckPackageWith(dir, filename, src string) error {
 				continue
 			}
 			f, err := parser.ParseFile(c.Fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			files = append(files, f)
 			if err != nil {
 				return fmt.Errorf("srccheck: parsing existing %s: %w", name, err)
 			}
 			if f.Name.Name != extra.Name.Name {
 				return fmt.Errorf("srccheck: package mismatch: %s declares %q, new file declares %q", name, f.Name.Name, extra.Name.Name)
 			}
-			files = append(files, f)
 		}
 	}
-	var errs []error
-	conf := types.Config{
-		Importer: c.importer(),
-		Error:    func(err error) { errs = append(errs, err) },
-	}
-	if _, err := conf.Check(extra.Name.Name, c.Fset, files, nil); err != nil && len(errs) == 0 {
-		errs = append(errs, err)
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("srccheck: type errors: %w", errors.Join(errs...))
-	}
-	return nil
+	_, err = c.check(extra.Name.Name, files, nil)
+	return err
 }
 
 // PackageNameOf reports the package name declared by the Go files in dir,
@@ -241,30 +237,65 @@ func PackageNameOf(dir string) string {
 
 // CheckSource parses and type-checks a single in-memory Go file named
 // filename containing src. It returns the parsed file, its package, and
-// the type info.
+// the type info. The file's line table lives in the shared FileSet until
+// the caller passes the file to Release; on error CheckSource releases it
+// itself and returns only the error.
 func (c *Checker) CheckSource(filename, src string) (*ast.File, *types.Package, *types.Info, error) {
 	f, err := parser.ParseFile(c.Fset, filename, src, parser.SkipObjectResolution)
 	if err != nil {
+		c.Release(f)
 		return nil, nil, nil, fmt.Errorf("srccheck: parse: %w", err)
 	}
-	info := &types.Info{
+	info := newInfo()
+	pkg, err := c.check(f.Name.Name, []*ast.File{f}, info)
+	if err != nil {
+		c.Release(f)
+		return nil, nil, nil, err
+	}
+	return f, pkg, info, nil
+}
+
+// Release removes each file's line table from the shared FileSet. Call it
+// once nothing resolves the file's positions any more: afterwards they
+// print as "-". Checks render their error messages before returning, so
+// an error outlives the release of the file it names. Releasing nil or an
+// already released file is a no-op; universe files are never passed here.
+func (c *Checker) Release(files ...*ast.File) {
+	for _, f := range files {
+		if f == nil {
+			continue
+		}
+		if tf := c.Fset.File(f.FileStart); tf != nil {
+			c.Fset.RemoveFile(tf)
+		}
+	}
+}
+
+// check type-checks files as package name against the universe, joining
+// every type error into one. The returned error's message is rendered
+// here, while the files' positions still resolve.
+func (c *Checker) check(name string, files []*ast.File, info *types.Info) (*types.Package, error) {
+	var errs []error
+	conf := types.Config{
+		Importer: c.importer(),
+		Error:    func(err error) { errs = append(errs, err) },
+	}
+	pkg, err := conf.Check(name, c.Fset, files, info)
+	if len(errs) == 0 && err != nil {
+		errs = append(errs, err)
+	}
+	if len(errs) > 0 {
+		return nil, fmt.Errorf("srccheck: type errors: %w", errors.Join(errs...))
+	}
+	return pkg, nil
+}
+
+func newInfo() *types.Info {
+	return &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Implicits:  map[ast.Node]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	var errs []error
-	conf := types.Config{
-		Importer: c.importer(),
-		Error:    func(err error) { errs = append(errs, err) },
-	}
-	pkg, err := conf.Check(f.Name.Name, c.Fset, []*ast.File{f}, info)
-	if len(errs) > 0 {
-		return f, pkg, info, fmt.Errorf("srccheck: type errors: %w", errors.Join(errs...))
-	}
-	if err != nil {
-		return f, pkg, info, fmt.Errorf("srccheck: type errors: %w", err)
-	}
-	return f, pkg, info, nil
 }

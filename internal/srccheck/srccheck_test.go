@@ -1,6 +1,7 @@
 package srccheck
 
 import (
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -112,4 +113,81 @@ func TestImportUnknownModulePackage(t *testing.T) {
 	if _, err := c.ImportPackage(ModulePath + "/doesnotexist"); err == nil {
 		t.Fatal("unknown module package imported")
 	}
+}
+
+// TestChecksReleaseFiles: each Check method leaves nothing in the shared
+// FileSet when it fails, CheckPackageWith releases every file it parsed
+// even when it succeeds, and Release drops what CheckSource and CheckDir
+// return. A released file's error message still names its line.
+func TestChecksReleaseFiles(t *testing.T) {
+	c, err := NewChecker("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ok = "package p\n\nimport \"cognicryptgen/gca\"\n\nvar _ = gca.NewSecureRandom\n"
+	if _, _, _, err := c.CheckSource("warm.go", ok); err != nil {
+		t.Fatal(err)
+	}
+	base := countFiles(c)
+
+	good := t.TempDir()
+	if err := os.WriteFile(filepath.Join(good, "a.go"), []byte(ok), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad := t.TempDir()
+	if err := os.WriteFile(filepath.Join(bad, "a.go"), []byte("package p\n\nvar x int = \"s\"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	unparsable := t.TempDir()
+	for name, src := range map[string]string{"a.go": ok, "b.go": "package p\nfunc {"} {
+		if err := os.WriteFile(filepath.Join(unparsable, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name    string
+		wantErr bool
+		check   func() error
+	}{
+		{"source syntax error", true, func() error { _, _, _, err := c.CheckSource("s.go", "package p\nfunc {"); return err }},
+		{"source type error", true, func() error {
+			_, _, _, err := c.CheckSource("t.go", "package p\n\nvar x int = \"s\"\n")
+			if err != nil && !strings.Contains(err.Error(), "t.go:3:13") {
+				t.Errorf("type error %q does not name t.go:3:13", err)
+			}
+			return err
+		}},
+		{"dir type error", true, func() error { _, _, _, err := c.CheckDir(bad); return err }},
+		{"dir syntax error", true, func() error { _, _, _, err := c.CheckDir(unparsable); return err }},
+		{"package-with conflict", true, func() error { return c.CheckPackageWith(good, "n.go", "package q\n") }},
+		{"package-with type error", true, func() error { return c.CheckPackageWith(good, "n.go", "package p\n\nvar y int = \"s\"\n") }},
+		{"package-with syntax error", true, func() error { return c.CheckPackageWith(good, "n.go", "package p\nfunc {") }},
+		{"package-with ok", false, func() error { return c.CheckPackageWith(good, "n.go", "package p\n\nvar y = 1\n") }},
+		{"source ok, released", false, func() error {
+			f, _, _, err := c.CheckSource("o.go", ok)
+			c.Release(f)
+			c.Release(f) // releasing twice is a no-op
+			return err
+		}},
+		{"dir ok, released", false, func() error {
+			files, _, _, err := c.CheckDir(good)
+			c.Release(files...)
+			return err
+		}},
+	} {
+		if err := tc.check(); (err != nil) != tc.wantErr {
+			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+		if got := countFiles(c); got != base {
+			t.Errorf("%s: FileSet holds %d files, %d before", tc.name, got, base)
+			base = got
+		}
+	}
+}
+
+func countFiles(c *Checker) int {
+	n := 0
+	c.Fset.Iterate(func(*token.File) bool { n++; return true })
+	return n
 }

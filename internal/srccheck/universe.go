@@ -30,7 +30,12 @@ import (
 // synchronized, so concurrent parses and type-checks are safe) and one
 // consistent package graph — mixing packages from two universes would
 // break named-type identity, which is why the cache is keyed by module
-// root and shared process-wide rather than per Checker.
+// root and shared process-wide rather than per Checker. The FileSet holds
+// two kinds of file. Universe package files stay for the life of the
+// process: the cached packages' positions resolve against them. Files a
+// Checker parses for one call are removed again (Checker.Release), so the
+// FileSet, and with it the resident heap, does not grow with the number of
+// sources checked.
 type Universe struct {
 	fset  *token.FileSet
 	root  string // module root directory (absolute, cleaned)
@@ -50,8 +55,17 @@ type Universe struct {
 type resolveKey struct{ srcDir, path string }
 
 type resolveResult struct {
-	bp  *build.Package
+	bp  *buildInputs
 	err error
+}
+
+// buildInputs is what build and importFrom read of a go/build resolution.
+// The resolve cache keeps only these fields: a *build.Package also carries
+// the import positions and header data of every file, which nothing reads
+// after resolution.
+type buildInputs struct {
+	ImportPath, Dir   string
+	GoFiles, CgoFiles []string
 }
 
 // entry is the per-package build latch: the first importer creates it and
@@ -129,7 +143,7 @@ func (u *Universe) importFrom(path, srcDir string, stack map[string]bool) (*type
 		return types.Unsafe, nil
 	}
 	canonical := path
-	var bp *build.Package
+	var bp *buildInputs
 	if !moduleLocal(path) {
 		var err error
 		bp, err = u.resolve(path, srcDir)
@@ -159,14 +173,18 @@ func (u *Universe) importFrom(path, srcDir string, stack map[string]bool) (*type
 // resolve locates a non-module package through go/build, memoizing per
 // (importing directory, path). Duplicate concurrent resolutions are
 // possible and harmless (both results are equal; first store wins).
-func (u *Universe) resolve(path, srcDir string) (*build.Package, error) {
+func (u *Universe) resolve(path, srcDir string) (*buildInputs, error) {
 	key := resolveKey{srcDir, path}
 	if r, ok := u.resolved.Load(key); ok {
 		rr := r.(resolveResult)
 		return rr.bp, rr.err
 	}
 	bp, err := u.ctxt.Import(path, srcDir, 0)
-	actual, _ := u.resolved.LoadOrStore(key, resolveResult{bp, err})
+	r := resolveResult{err: err}
+	if err == nil {
+		r.bp = &buildInputs{ImportPath: bp.ImportPath, Dir: bp.Dir, GoFiles: bp.GoFiles, CgoFiles: bp.CgoFiles}
+	}
+	actual, _ := u.resolved.LoadOrStore(key, r)
 	rr := actual.(resolveResult)
 	return rr.bp, rr.err
 }
@@ -176,7 +194,7 @@ func (u *Universe) resolve(path, srcDir string) (*build.Package, error) {
 // like the standard source importer, function bodies are ignored — an
 // import needs the exported API, and skipping bodies cuts the cost of the
 // crypto/* closure severalfold.
-func (u *Universe) build(path string, bp *build.Package, stack map[string]bool) (*types.Package, error) {
+func (u *Universe) build(path string, bp *buildInputs, stack map[string]bool) (*types.Package, error) {
 	sub := make(map[string]bool, len(stack)+1)
 	for k := range stack {
 		sub[k] = true

@@ -177,3 +177,46 @@ func TestImportCycleDetected(t *testing.T) {
 		t.Fatalf("want import-cycle error, got %v", err)
 	}
 }
+
+// TestVendoredImportResolves: a GOROOT package that imports a vendored
+// path resolves it through the go/build cache to its canonical
+// "vendor/..." import path, and every Checker of the root gets the same
+// *types.Package for it and for the importer.
+func TestVendoredImportResolves(t *testing.T) {
+	c1, err := NewChecker("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := NewChecker("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tls1, err := c1.ImportPackage("crypto/tls")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tls2, err := c2.ImportPackage("crypto/tls")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tls1 != tls2 {
+		t.Error("two Checkers got different crypto/tls packages")
+	}
+	const canonical = "vendor/golang.org/x/crypto/cryptobyte"
+	var vendored *types.Package
+	for _, imp := range tls1.Imports() {
+		if strings.HasSuffix(imp.Path(), "golang.org/x/crypto/cryptobyte") {
+			vendored = imp
+		}
+	}
+	if vendored == nil || vendored.Path() != canonical {
+		t.Fatalf("crypto/tls imports %v, want %s", vendored, canonical)
+	}
+	direct, err := c2.ImportPackage(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct != vendored {
+		t.Error("importing the canonical path gave a different package than crypto/tls imports")
+	}
+}

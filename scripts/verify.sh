@@ -54,6 +54,20 @@ go test -race -count=1 \
 go test -race -count=1 \
     -run 'TestReloadStormKeepsCachesBounded|TestConcurrentReloadAndGenerate' ./service
 
+# Bounded resident heap: every file a generation, a verification, an
+# analysis or a failing template parses leaves the shared token.FileSet
+# again, so a daemon's FileSet stays the size of its type-check universe.
+# Four goroutines churn one FileSet; repeat it under -race.
+echo "==> FileSet returns to baseline (-race, 3 runs)"
+go test -race -count=3 -run 'TestFileSetReturnsToBaseline' ./gen
+go test -race -count=3 -run 'TestChecksReleaseFiles' ./internal/srccheck
+
+# The benchmark harness (bench/, a module of its own, so the package run
+# above does not reach it): its own tests, without the 4-workload smoke
+# run that -short skips, offline.
+echo "==> bench harness tests (-short)"
+(cd bench && GOFLAGS=-buildvcs=false GOPROXY=off go test -short ./...)
+
 # Cluster drill table (internal/clustertest/drill.go), one row per drill,
 # on both 1 and 2 CPUs under -race:
 #   smoke         3 nodes answer all 13 templates byte-identically to a

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -60,6 +61,32 @@ func TestAnalyzeFindsFigure1Misuses(t *testing.T) {
 	}
 	if got.Fingerprint == "" {
 		t.Error("missing rule-set fingerprint")
+	}
+}
+
+// TestAnalyzePositionsSurviveRelease: the analyzed source's line table
+// leaves the shared FileSet after each call, so every finding must carry
+// its file:line:col resolved before that, on every repeat.
+func TestAnalyzePositionsSurviveRelease(t *testing.T) {
+	srv, _ := sharedService(t)
+	for i := 0; i < 3; i++ {
+		resp, err := srv.AnalyzeJSON(context.Background(), wire.AnalyzeRequest{Name: "fig1.go", Source: figure1Misuse})
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, f := range resp.Findings {
+			if f.Kind == "RequiredPredicateError" {
+				found = true
+				// Line 7, column 15: the gca.NewPBEKeySpec call taking the constant salt.
+				if f.Position != "fig1.go:7:15" {
+					t.Errorf("call %d: constant-salt finding at %q, want fig1.go:7:15", i, f.Position)
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("call %d: no RequiredPredicateError in %+v", i, resp.Findings)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -181,7 +182,8 @@ func TestGenerateCached(t *testing.T) {
 }
 
 // TestGenerateMalformedTemplate400: a template that does not type-check is
-// the client's error.
+// the client's error, and the message names the offending line although
+// the template's line table is released before the response is written.
 func TestGenerateMalformedTemplate400(t *testing.T) {
 	_, ts := sharedService(t)
 	resp, body := postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{
@@ -197,6 +199,9 @@ func TestGenerateMalformedTemplate400(t *testing.T) {
 	}
 	if e.Status != http.StatusBadRequest || e.Message == "" || e.Code != wire.CodeInvalidRequest {
 		t.Errorf("error body = %+v, want an invalid_request envelope with a message", e)
+	}
+	if !strings.Contains(e.Message, "broken.go:3:17: undefined: undefinedSymbol") {
+		t.Errorf("message %q does not name the type error's position", e.Message)
 	}
 }
 
