@@ -33,7 +33,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -326,7 +325,7 @@ func (c *Client) probe(node string, timeout time.Duration) {
 	}
 	defer resp.Body.Close()
 	var ready wire.ReadyResponse
-	if json.NewDecoder(io.LimitReader(resp.Body, maxRespBytes)).Decode(&ready) == nil {
+	if data, err := wire.ReadBody(resp, maxRespBytes); err == nil && json.Unmarshal(data, &ready) == nil {
 		c.noteFingerprint(ready.Fingerprint)
 	}
 	if resp.StatusCode == http.StatusOK {
@@ -365,14 +364,12 @@ func (c *Client) post(ctx context.Context, node, path string, body []byte, out a
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRespBytes+1))
+	// A body that is oversized or ends short of its Content-Length is a
+	// transport failure: it is not trustworthy, and the node (or whatever
+	// is in front of it) is misbehaving.
+	data, err := wire.ReadBody(resp, maxRespBytes)
 	if err != nil {
 		return nil, 0, err
-	}
-	if len(data) > maxRespBytes {
-		// Treated as a transport failure: the body is not trustworthy, and
-		// the node (or whatever is in front of it) is misbehaving.
-		return nil, 0, fmt.Errorf("%s%s: response body exceeds %d bytes", node, path, maxRespBytes)
 	}
 	if resp.StatusCode < 300 {
 		return nil, 0, json.Unmarshal(data, out)
@@ -662,8 +659,12 @@ func (c *Client) Metrics(ctx context.Context, node string) (wire.Metrics, error)
 		return wire.Metrics{}, err
 	}
 	defer resp.Body.Close()
+	data, err := wire.ReadBody(resp, maxRespBytes)
+	if err != nil {
+		return wire.Metrics{}, err
+	}
 	var m wire.Metrics
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxRespBytes)).Decode(&m); err != nil {
+	if err := json.Unmarshal(data, &m); err != nil {
 		return wire.Metrics{}, err
 	}
 	return m, nil

@@ -563,6 +563,39 @@ func TestResponseBodyCapped(t *testing.T) {
 	}
 }
 
+// TestTruncatedBodyFailsOver: a 200 whose body ends short of its
+// Content-Length (the connection dropped mid-body) is a transport failure,
+// never a half-decoded response: the call fails over to the next ranked
+// node, which serves it.
+func TestTruncatedBodyFailsOver(t *testing.T) {
+	a, b := newFakeNode(t), newFakeNode(t)
+	byURL := map[string]*fakeNode{a.ts.URL: a, b.ts.URL: b}
+	req := wire.GenerateRequest{Name: "a.go", Source: "package p"}
+	// No probe has reported a fingerprint, so the client ranks by "".
+	rank := wire.RendezvousRank(wire.RouteKey("", req), []string{a.ts.URL, b.ts.URL})
+	owner, runnerUp := byURL[rank[0]], byURL[rank[1]]
+	owner.script = func(w http.ResponseWriter, n int, req wire.GenerateRequest) bool {
+		full, _ := json.Marshal(wire.GenerateResponse{Name: req.Name, Output: "out:" + owner.ts.URL})
+		w.Header().Set("Content-Length", strconv.Itoa(len(full)))
+		w.Write(full[:len(full)/2])
+		return true
+	}
+	c := mustClient(t, Config{Nodes: []string{a.ts.URL, b.ts.URL}, BackoffBase: time.Millisecond})
+	resp, err := c.Generate(context.Background(), req)
+	if err != nil {
+		t.Fatalf("truncated body did not fail over: %v", err)
+	}
+	if resp.Output != "out:"+runnerUp.ts.URL {
+		t.Errorf("served %q, want the runner-up %s", resp.Output, runnerUp.ts.URL)
+	}
+	if got := owner.generateCount(); got != 1 {
+		t.Errorf("owner saw %d requests, want 1", got)
+	}
+	if got := c.Stats().Retries; got != 1 {
+		t.Errorf("retries = %d, want exactly 1 (the failover)", got)
+	}
+}
+
 // TestRetryHintPrecedence exercises post's Retry-After resolution
 // directly: the envelope's millisecond hint wins over the coarser header,
 // the header is the fallback when the envelope carries no hint, and a

@@ -1,12 +1,13 @@
 package gen
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"go/token"
 	"strings"
 	"time"
+
+	"cognicryptgen/internal/srchash"
 )
 
 // planHeaderPrefix is the very first byte sequence of every generated
@@ -151,7 +152,7 @@ type planKey struct {
 }
 
 func newPlanKey(rulesFP, src string, opts Options) planKey {
-	return planKey{src: sha256.Sum256([]byte(src)), rules: rulesFP, opts: optionsFingerprint(opts)}
+	return planKey{src: srchash.Sum(src), rules: rulesFP, opts: optionsFingerprint(opts)}
 }
 
 // optionsFingerprint canonicalizes the Options fields that change the

@@ -25,10 +25,18 @@ go test -race -run 'TestPoolSubmitCloseStress' -count=2 ./service
 
 # Chaos suite: injected worker panics, reload failures, and latency storms
 # must leave the daemon serving (500-then-recover, last-good snapshot,
-# 429 + Retry-After shedding). Re-run explicitly under -race so a fault
-# regression names itself even when the package run above is filtered.
-echo "==> chaos suite (fault injection under -race)"
-go test -race -run 'TestChaos|TestBodyCap' -count=1 ./service
+# 429 + Retry-After shedding), and every response stays compact JSON
+# framed by its Content-Length. Re-run explicitly under -race so a fault
+# or framing regression names itself even when the package run above is
+# filtered.
+echo "==> chaos suite (fault injection + response framing under -race)"
+go test -race -run 'TestChaos|TestBodyCap|TestCompactFraming' -count=1 ./service
+
+# Peer-down fallback builds its peer-owned bodies by construction; it once
+# failed ~1 run in 60 when too few embedded templates hashed to the dead
+# peer. Twenty repetitions pin the fix.
+echo "==> peer-down fallback (-race, 20 runs)"
+go test -race -count=20 -run TestClusterPeerDownFallback ./service
 
 # Timed fuzz smoke: 10s of exploration per parser entry point on top of
 # the seed-corpus replay in the normal test run. Any crasher fails the

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"cognicryptgen/wire"
@@ -300,5 +304,79 @@ func TestErrorEnvelopeUnified(t *testing.T) {
 			}
 			decodeEnvelope(t, buf.Bytes(), tc.wantStatus)
 		})
+	}
+}
+
+// TestCompactFraming: every response is one line of compact JSON framed
+// by an explicit Content-Length equal to the body's length, so a reader
+// (wire.ReadBody) allocates the body once at its final size.
+func TestCompactFraming(t *testing.T) {
+	_, ts := sharedService(t)
+	for _, tc := range []struct {
+		name, method, path string
+		body               any
+		status             int
+	}{
+		{"generate", http.MethodPost, "/v1/generate", wire.GenerateRequest{UseCase: 11}, http.StatusOK},
+		{"analyze", http.MethodPost, "/v1/analyze", wire.AnalyzeRequest{Name: "fig1.go", Source: figure1Misuse}, http.StatusOK},
+		{"metrics", http.MethodGet, "/metrics", nil, http.StatusOK},
+		{"error envelope", http.MethodPost, "/v1/generate", wire.GenerateRequest{UseCase: 99}, http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var resp *http.Response
+			var err error
+			if tc.method == http.MethodGet {
+				resp, err = http.Get(ts.URL + tc.path)
+			} else {
+				data, _ := json.Marshal(tc.body)
+				resp, err = http.Post(ts.URL+tc.path, "application/json", bytes.NewReader(data))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, body)
+			}
+			if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(body)) {
+				t.Errorf("Content-Length %q for a %d-byte body", got, len(body))
+			}
+			if !json.Valid(body) {
+				t.Fatalf("body is not JSON: %s", body)
+			}
+			if i := bytes.IndexByte(body, '\n'); i != len(body)-1 {
+				t.Errorf("body is not one line of JSON: newline at %d of %d bytes", i, len(body))
+			}
+			var compact bytes.Buffer
+			if err := json.Compact(&compact, body); err != nil {
+				t.Fatal(err)
+			}
+			if compact.Len() != len(body)-1 {
+				t.Errorf("body carries %d bytes of whitespace; want compact JSON", len(body)-1-compact.Len())
+			}
+		})
+	}
+}
+
+// TestUnencodableResponseIs500: a value that cannot be encoded (a NaN
+// metric, say) is answered with the 500 envelope, never a 200 carrying a
+// truncated or empty body.
+func TestUnencodableResponseIs500(t *testing.T) {
+	tr := newTransport(nil, nil, transportOptions{})
+	rec := httptest.NewRecorder()
+	tr.writeJSON(rec, http.StatusOK, math.NaN())
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var e wire.Error
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code != wire.CodeInternal {
+		t.Fatalf("body %q is not the internal-error envelope (%v)", rec.Body.Bytes(), err)
+	}
+	if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
+		t.Errorf("Content-Length %q for a %d-byte body", got, rec.Body.Len())
 	}
 }

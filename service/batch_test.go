@@ -162,6 +162,57 @@ func TestCoalescingSingleGeneration(t *testing.T) {
 	}
 }
 
+// TestLeaderSplicesResidentPlan drives Generate's post-join step directly
+// with the body's plan already resident: the state a request is in when it
+// missed the splice just as a flight over its body finished. Winning the
+// join, it must splice that plan rather than run the pipeline again — no
+// cache miss, no pool slot — and leave no flight behind.
+func TestLeaderSplicesResidentPlan(t *testing.T) {
+	srv, err := New(Config{Workers: 1, CacheSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	waitWarm(t, srv) // the boot warm compiles use case 11's plan
+
+	uc, err := templates.ByID(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := templates.Source(uc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := wire.GenerateRequest{Name: "renamed.go", Source: src, Package: "vault"}
+	resp, err := srv.afterMiss(context.Background(), req.Name, src, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Cached {
+		t.Error("response not marked cached although it was spliced from the resident plan")
+	}
+	want, err := srv.Generate(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Output != want.Output {
+		t.Error("post-join splice differs from an ordinary splice of the same request")
+	}
+	m := srv.MetricsSnapshot()
+	if m.CacheMisses != 0 {
+		t.Errorf("cache_misses = %d, want 0: the plan was resident", m.CacheMisses)
+	}
+	if m.CacheHits != 2 {
+		t.Errorf("cache_hits = %d, want 2 (the post-join splice and the ordinary one)", m.CacheHits)
+	}
+	srv.flights.mu.Lock()
+	left := len(srv.flights.m)
+	srv.flights.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d flights left open after the leader returned", left)
+	}
+}
+
 // TestBatchDuplicatesCoalesce: a batch full of the same request over an
 // unseen body costs one pipeline run thanks to the shared singleflight
 // path.

@@ -330,7 +330,7 @@ func (s *Server) forward(ctx context.Context, peer, name, src string, req wire.G
 		return wire.GenerateResponse{}, nil, false
 	}
 	defer hresp.Body.Close()
-	data, rerr := io.ReadAll(io.LimitReader(hresp.Body, s.cfg.MaxBodyBytes+DefaultMaxBodyBytes))
+	data, rerr := wire.ReadBody(hresp, s.cfg.MaxBodyBytes+DefaultMaxBodyBytes)
 	if rerr != nil {
 		s.cluster.markForward(peer, rerr)
 		s.metrics.forwardFallbacks.Add(1)

@@ -251,32 +251,35 @@ func TestClusterPeerDownFallback(t *testing.T) {
 	ctx := context.Background()
 	snap := srvs[0].Registry().Snapshot()
 	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
-	// Unseen bodies: a warmed plan would splice locally before any forward.
-	reqFor := func(uc templates.UseCase) wire.GenerateRequest {
-		return wire.GenerateRequest{Name: uc.File, Source: unseenBody(t, uc.ID, "peer down")}
-	}
-	served := 0
+	// Peer-owned bodies by construction: vary each template's trailing
+	// comment until the dead peer owns the body's key. The bodies are unseen
+	// (a warmed plan would splice locally before any forward), and there is
+	// one more than the default failure streak of 3, so the last arrives
+	// with the breaker already open.
+	var peerReqs []wire.GenerateRequest
 	var peerKey string
-	// Send every peer-owned body: a single failed forward must NOT eject
-	// (one blip is not evidence), but the accumulated streak across these
-	// attempts opens the breaker. Each one is served locally meanwhile.
-	for _, uc := range cases {
-		key := wire.RouteKey(snap.Fingerprint, reqFor(uc))
-		if srvs[0].cluster.ownerPeer(key) == "" {
-			continue // need bodies the dead peer owns
+	for i := 0; len(peerReqs) < 4; i++ {
+		if i == 1000 {
+			t.Fatalf("only %d of 1000 bodies are forwarded to the dead peer (peer state %+v) — rendezvous distribution or the breaker is broken",
+				len(peerReqs), srvs[0].MetricsSnapshot().Peers)
 		}
-		peerKey = key
-		resp, err := srvs[0].Generate(ctx, reqFor(uc))
+		uc := cases[i%len(cases)]
+		r := wire.GenerateRequest{Name: uc.File, Source: unseenBody(t, uc.ID, fmt.Sprintf("peer down %d", i))}
+		if key := wire.RouteKey(snap.Fingerprint, r); srvs[0].cluster.ownerPeer(key) != "" {
+			peerReqs, peerKey = append(peerReqs, r), key
+		}
+	}
+	// A single failed forward must NOT eject (one blip is not evidence),
+	// but the accumulated streak across these attempts opens the breaker.
+	// Each one is served locally meanwhile.
+	for _, r := range peerReqs {
+		resp, err := srvs[0].Generate(ctx, r)
 		if err != nil {
-			t.Fatalf("use case %d with dead owner: %v", uc.ID, err)
+			t.Fatalf("%s with dead owner: %v", r.Name, err)
 		}
 		if resp.Forwarded {
-			t.Errorf("use case %d: response claims forwarded with the owner down", uc.ID)
+			t.Errorf("%s: response claims forwarded with the owner down", r.Name)
 		}
-		served++
-	}
-	if served < 3 {
-		t.Fatalf("only %d templates hash to the dead peer, need >= 3 to complete a failure streak", served)
 	}
 	m := srvs[0].MetricsSnapshot()
 	if m.ForwardFallbacks < 1 {
@@ -293,9 +296,9 @@ func TestClusterPeerDownFallback(t *testing.T) {
 	// window matches the probe interval, far beyond this test): repeating
 	// every request is spliced from a local plan or generated locally.
 	before := srvs[0].MetricsSnapshot().ForwardedTotal
-	for _, uc := range cases {
-		if _, err := srvs[0].Generate(ctx, reqFor(uc)); err != nil {
-			t.Fatalf("use case %d after ejection: %v", uc.ID, err)
+	for _, r := range peerReqs {
+		if _, err := srvs[0].Generate(ctx, r); err != nil {
+			t.Fatalf("%s after ejection: %v", r.Name, err)
 		}
 	}
 	if after := srvs[0].MetricsSnapshot().ForwardedTotal; after != before {

@@ -612,10 +612,25 @@ func (s *Server) Generate(ctx context.Context, req wire.GenerateRequest) (wire.G
 		resp.Cached = true
 		return resp, nil
 	}
+	return s.afterMiss(ctx, name, src, req)
+}
+
+// afterMiss is Generate past a splice miss: join the body's flight, then
+// splice or attempt. A follower waits for the leader and splices the plan
+// its run left. The leader looks the plan up once more after winning the
+// join, because a flight over the same body may have finished between the
+// miss and the join: its plan is then resident, and attempting anyway
+// would count a spurious cache miss and take a pool slot to recompile it.
+func (s *Server) afterMiss(ctx context.Context, name, src string, req wire.GenerateRequest) (wire.GenerateResponse, error) {
 	key := wire.CacheKey(s.registry.Snapshot().Fingerprint, name, src, req.Package, req.Verify)
 	done, leader := s.flights.join(key)
 	if leader {
 		defer s.flights.finish(key, done)
+		if resp, ok := s.splice(name, src, req); ok {
+			s.metrics.cacheHits.Add(1)
+			resp.Cached = true
+			return resp, nil
+		}
 	} else {
 		select {
 		case <-done:

@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"time"
 
 	"cognicryptgen/wire"
@@ -160,15 +162,39 @@ func (t *transport) requestCtx(r *http.Request) (context.Context, context.Cancel
 	return context.WithTimeout(ctx, timeout)
 }
 
+// maxPooledBody bounds the encode buffers kept for reuse: a buffer grown
+// past it (a full batch response) goes back to the GC, not the pool.
+const maxPooledBody = 64 << 10
+
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON answers with v as compact, single-line JSON framed by an
+// explicit Content-Length: the body is encoded into a pooled buffer first
+// and written in one Write, so the SDK and the peer forwarder
+// (wire.ReadBody) read it into exactly one allocation of its length. A
+// value that fails to encode becomes a 500 envelope rather than a
+// truncated 2xx.
 func (t *transport) writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		// The envelope itself always encodes, so this recursion ends.
+		t.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
 	if status >= 400 {
 		t.m.errors.Add(1)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // writeError answers with the wire.Error envelope — the one error shape

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"sort"
 
+	"cognicryptgen/internal/srchash"
 	"cognicryptgen/templates"
 )
 
@@ -22,7 +23,7 @@ import (
 // differ only in them share one plan, one owner and one flight. The
 // parameters stay so every caller passes the full request tuple.
 func CacheKey(fingerprint, name, source, pkg string, verify bool) string {
-	src := sha256.Sum256([]byte(source))
+	src := srchash.Sum(source)
 	sum := sha256.Sum256(fmt.Appendf(nil, "%s\x00%x\x00%t", fingerprint, src, verify))
 	return hex.EncodeToString(sum[:])
 }

@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -25,6 +28,28 @@ func TestCacheKeySensitivity(t *testing.T) {
 	} {
 		if other != base {
 			t.Errorf("changing %s changed the cache key; it is a splice point", name)
+		}
+	}
+}
+
+// TestCacheKeyValue pins the key's derivation: SHA-256 over the
+// fingerprint, the hex SHA-256 of the source and the verify flag, NUL
+// separated. Daemons and SDKs of different builds route by this value, so
+// it must not change when the way the source is digested does.
+func TestCacheKeyValue(t *testing.T) {
+	for _, tc := range []struct {
+		fp, src string
+		verify  bool
+	}{
+		{"fp", "src", false},
+		{"", "", true},
+		{"fp", strings.Repeat("package p\n", 500), false},
+	} {
+		src := sha256.Sum256([]byte(tc.src))
+		sum := sha256.Sum256(fmt.Appendf(nil, "%s\x00%x\x00%t", tc.fp, src, tc.verify))
+		want := hex.EncodeToString(sum[:])
+		if got := CacheKey(tc.fp, "n.go", tc.src, "", tc.verify); got != want {
+			t.Errorf("CacheKey(fp len %d, src len %d, %t) = %s, want %s", len(tc.fp), len(tc.src), tc.verify, got, want)
 		}
 	}
 }
