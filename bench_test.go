@@ -4,6 +4,7 @@ package cognicryptgen_test
 // experiment index):
 //
 //	E1/E2  BenchmarkGen/*          — Table 1 runtime and memory, per use case
+//	E2     BenchmarkGenFresh/*     — per-request memory of a never-seen body
 //	E6     BenchmarkOldGen/*       — the XSL+Clafer baseline on its 8 use cases
 //	E7     BenchmarkAblation/*     — generator design-choice ablations
 //	       BenchmarkAnalysis/*     — misuse-analyzer throughput
@@ -92,6 +93,45 @@ func BenchmarkGenVerified(b *testing.B) {
 		if _, err := g.GenerateFile(uc.File, src); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGenFresh measures Table 1 memory the way the daemon pays it: a
+// pipeline run over a never-seen body, on a Generator sharing the
+// process's PathCache and PlanCache (which only insert here), with
+// verification off and on. Each iteration appends a distinct comment to
+// the next of the 13 templates, so no plan is ever reused; BenchmarkGen
+// has no PathCache and measures enumeration the daemon does not repeat.
+func BenchmarkGenFresh(b *testing.B) {
+	benchSetup(b)
+	rs := rules.MustLoad()
+	paths := gen.NewPathCache()
+	plans := gen.NewPlanCache(0)
+	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
+	srcs := make([]string, len(cases))
+	for i, uc := range cases {
+		var err error
+		if srcs[i], err = templates.Source(uc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var body atomic.Int64 // never-seen bodies across both sub-benchmarks
+	for _, verify := range []bool{false, true} {
+		b.Run(fmt.Sprintf("verify=%t", verify), func(b *testing.B) {
+			g, err := gen.New(rs, "", gen.Options{Verify: verify, Paths: paths, Plans: plans})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(cases)
+				src := fmt.Sprintf("%s\n// body %d\n", srcs[k], body.Add(1))
+				if _, err := g.GenerateFile(cases[k].File, src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 // (for the instanceof predicate of paper §4).
 type apiModel struct {
 	pkg *types.Package
-	// funcs maps package-level function names to their signatures.
-	funcs map[string]*types.Func
-	// methods maps "TypeName" -> method name -> func, for pointer and value
-	// receivers alike.
-	methods map[string]map[string]*types.Func
+	// funcs maps package-level function names to their call shapes.
+	funcs map[string]*callShape
+	// methods maps "TypeName" -> method name -> call shape, for pointer and
+	// value receivers alike.
+	methods map[string]map[string]*callShape
 	// supertypes maps qualified type names ("gca.SecretKeySpec") to the
 	// qualified names of interfaces they implement and structs they embed,
 	// transitively.
@@ -29,8 +29,8 @@ type apiModel struct {
 func buildAPIModel(pkg *types.Package) *apiModel {
 	m := &apiModel{
 		pkg:        pkg,
-		funcs:      map[string]*types.Func{},
-		methods:    map[string]map[string]*types.Func{},
+		funcs:      map[string]*callShape{},
+		methods:    map[string]map[string]*callShape{},
 		supertypes: map[string][]string{},
 	}
 	scope := pkg.Scope()
@@ -40,7 +40,7 @@ func buildAPIModel(pkg *types.Package) *apiModel {
 		obj := scope.Lookup(name)
 		switch obj := obj.(type) {
 		case *types.Func:
-			m.funcs[obj.Name()] = obj
+			m.funcs[obj.Name()] = shapeOf(obj)
 		case *types.TypeName:
 			named, ok := obj.Type().(*types.Named)
 			if !ok {
@@ -50,17 +50,17 @@ func buildAPIModel(pkg *types.Package) *apiModel {
 			if types.IsInterface(named.Underlying()) {
 				ifaces = append(ifaces, named)
 			}
-			tbl := map[string]*types.Func{}
+			tbl := map[string]*callShape{}
 			for i := 0; i < named.NumMethods(); i++ {
 				f := named.Method(i)
-				tbl[f.Name()] = f
+				tbl[f.Name()] = shapeOf(f)
 			}
 			// Include promoted methods from embedded fields.
 			mset := types.NewMethodSet(types.NewPointer(named))
 			for i := 0; i < mset.Len(); i++ {
 				if f, ok := mset.At(i).Obj().(*types.Func); ok {
 					if _, exists := tbl[f.Name()]; !exists {
-						tbl[f.Name()] = f
+						tbl[f.Name()] = shapeOf(f)
 					}
 				}
 			}
@@ -131,7 +131,9 @@ func (m *apiModel) unqualify(qname string) string {
 	return qname
 }
 
-// callShape describes the parameters and results of an API call.
+// callShape describes the parameters and results of an API call. The API
+// model computes each shape once; every lookup returns that shared value,
+// which nothing may modify.
 type callShape struct {
 	fn         *types.Func
 	params     []types.Type
@@ -168,31 +170,17 @@ func isErrorType(t types.Type) bool {
 // constructorFor reports whether method is a package-level constructor for
 // the given (unqualified) type: a function whose first result is T or *T.
 func (m *apiModel) constructorFor(method, typeName string) (*callShape, bool) {
-	fn, ok := m.funcs[method]
-	if !ok {
+	s, ok := m.funcs[method]
+	if !ok || s.value == nil || typeNameOf(s.value) != typeName {
 		return nil, false
 	}
-	s := shapeOf(fn)
-	if s.value == nil {
-		return nil, false
-	}
-	if typeNameOf(s.value) == typeName {
-		return s, true
-	}
-	return nil, false
+	return s, true
 }
 
 // methodOn returns the shape of a method on the (unqualified) type.
 func (m *apiModel) methodOn(typeName, method string) (*callShape, bool) {
-	tbl, ok := m.methods[typeName]
-	if !ok {
-		return nil, false
-	}
-	fn, ok := tbl[method]
-	if !ok {
-		return nil, false
-	}
-	return shapeOf(fn), true
+	s, ok := m.methods[typeName][method]
+	return s, ok
 }
 
 // typeNameOf extracts the bare named-type name from T, *T or returns "".
@@ -267,8 +255,7 @@ func (m *apiModel) matchesCrySLType(goType types.Type, decl ast.Type) bool {
 func (m *apiModel) goTypeStringFor(decl ast.Type) string {
 	if decl.IsNamed() {
 		name := m.unqualify(decl.Name)
-		if named, ok := m.methods[name]; ok {
-			_ = named
+		if _, ok := m.methods[name]; ok {
 			// Interfaces stay bare; concrete types are used via pointers.
 			if obj := m.pkg.Scope().Lookup(name); obj != nil {
 				if types.IsInterface(obj.Type().Underlying()) {

@@ -58,6 +58,51 @@ func TestMethodShapes(t *testing.T) {
 	}
 }
 
+// TestAPIShapeLookupsDoNotAllocate: the API model computes every call
+// shape once, so the lookups path ranking and emission make per event
+// allocate nothing and hand out the same shared shape each time.
+func TestAPIShapeLookupsDoNotAllocate(t *testing.T) {
+	api := testAPI(t)
+	lookups := []struct {
+		ctor       bool
+		typ, event string
+	}{
+		{true, "PBEKeySpec", "NewPBEKeySpec"},
+		{true, "Cipher", "NewCipher"},
+		{true, "SecretKeySpec", "NewSecretKeySpec"},
+		{false, "PBEKeySpec", "ClearPassword"},
+		{false, "SecretKeyFactory", "GenerateSecret"},
+		{false, "SecretKeySpec", "Encoded"}, // promoted
+	}
+	lookup := func(i int) *callShape {
+		l := lookups[i]
+		var s *callShape
+		var ok bool
+		if l.ctor {
+			s, ok = api.constructorFor(l.event, l.typ)
+		} else {
+			s, ok = api.methodOn(l.typ, l.event)
+		}
+		if !ok {
+			t.Fatalf("no shape for %s.%s", l.typ, l.event)
+		}
+		return s
+	}
+	for i, l := range lookups {
+		if first, again := lookup(i), lookup(i); first != again {
+			t.Errorf("%s.%s: two lookups returned different shapes", l.typ, l.event)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range lookups {
+			lookup(i)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("shape lookups allocate %.1f times per run, want 0", allocs)
+	}
+}
+
 func TestPromotedMethodsVisible(t *testing.T) {
 	api := testAPI(t)
 	// SecretKeySpec embeds SecretKey; Encoded is promoted.

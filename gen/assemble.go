@@ -3,7 +3,6 @@ package gen
 import (
 	"fmt"
 	"go/types"
-	"regexp"
 	"strings"
 
 	"cognicryptgen/crysl"
@@ -133,8 +132,8 @@ func (st *chainState) suppressUnused() {
 	}
 	text := strings.Join(st.lines, "\n")
 	for _, name := range st.declared {
-		re := regexp.MustCompile(`\b` + regexp.QuoteMeta(name) + `\b`)
-		if len(re.FindAllStringIndex(text, 2)) < 2 {
+		// The declaration is one occurrence; a use is a second.
+		if i := indexWord(text, name, 0); i < 0 || indexWord(text, name, i+len(name)) < 0 {
 			st.lines = append(st.lines, "_ = "+name)
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"reflect"
+	"regexp"
 	"testing"
 
 	"cognicryptgen/templates"
@@ -52,6 +54,54 @@ func FuzzParseTemplate(f *testing.F) {
 		tmpl, err := scanTemplate(name, src, file, fset, types.NewPackage("fuzz", "fuzz"), info)
 		if tmpl == nil && err == nil {
 			t.Fatal("scanTemplate returned neither template nor error")
+		}
+	})
+}
+
+// FuzzWordMatches pins indexWord and usesQualifier to the regexps they
+// replace: `\bNAME\b` (the first two matches, as suppressUnused counts
+// them) and `\bNAME\.`. Names are Go identifiers, text is any bytes. The
+// seeds are the embedded templates, whose fluent chains are the texts the
+// generator scans, plus Unicode and invalid-UTF-8 boundaries: RE2's \b is
+// ASCII-only, so "éa" after a space is not a word match.
+func FuzzWordMatches(f *testing.F) {
+	for _, uc := range append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...) {
+		src, err := templates.Source(uc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, name := range []string{"gca", "err", "cipher", "key", "salt"} {
+			f.Add(src, name)
+		}
+	}
+	for _, seed := range [][2]string{
+		{"x éa y", "éa"},
+		{"éa", "éa"},
+		{"bé bé", "bé"},
+		{"xéa éa", "éa"},
+		{"\xffkey\xff key", "key"},
+		{"\xc3key.x", "key"},
+		{"key2 key _key key_ key", "key"},
+		{"gca.X gcax.Y xgca.Z", "gca"},
+		{"", "v"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, text, name string) {
+		if !token.IsIdentifier(name) {
+			return
+		}
+		want := regexp.MustCompile(`\b`+regexp.QuoteMeta(name)+`\b`).FindAllStringIndex(text, 2)
+		var got [][]int
+		for i := indexWord(text, name, 0); i >= 0 && len(got) < 2; i = indexWord(text, name, i+len(name)) {
+			got = append(got, []int{i, i + len(name)})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("indexWord(%q, %q) matches %v, regexp %v", text, name, got, want)
+		}
+		qual := regexp.MustCompile(`\b` + regexp.QuoteMeta(name) + `\.`).MatchString(text)
+		if got := usesQualifier(text, name); got != qual {
+			t.Errorf("usesQualifier(%q, %q) = %v, regexp %v", text, name, got, qual)
 		}
 	})
 }

@@ -311,11 +311,9 @@ func (g *Generator) generate(ctx context.Context, name, src string, start time.T
 		if err := cancelled(ctx, name, "output verification"); err != nil {
 			return nil, "", err
 		}
-		vfile, _, _, err := g.checker.CheckSource("generated_"+name, out)
-		if err != nil {
+		if err := g.checker.VerifySource("generated_"+name, out); err != nil {
 			return nil, "", fmt.Errorf("gen: generated code failed verification (this is a generator bug): %w", err)
 		}
-		g.checker.Release(vfile)
 	}
 	report.Duration = time.Since(start)
 	return &Result{Output: out, Report: report}, tmpl.File.Name.Name, nil

@@ -1,12 +1,12 @@
 package gen
 
 import (
+	"bytes"
 	"fmt"
 	"go/format"
 	"regexp"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 var buildTagRE = regexp.MustCompile(`(?m)^//go:build cryptgen_template\r?\n(\r?\n)?`)
@@ -14,9 +14,8 @@ var buildTagRE = regexp.MustCompile(`(?m)^//go:build cryptgen_template\r?\n(\r?\
 // generatedUsesGCA reports whether any generated snippet references the
 // crypto façade package by name.
 func generatedUsesGCA(texts []string, pkgName string) bool {
-	re := regexp.MustCompile(`\b` + regexp.QuoteMeta(pkgName) + `\.`)
 	for _, t := range texts {
-		if re.MatchString(t) {
+		if usesQualifier(t, pkgName) {
 			return true
 		}
 	}
@@ -78,27 +77,56 @@ func (g *Generator) spliceOutput(tmpl *Template, repl map[int][2]int, texts []st
 		edits = append(edits, edit{start: start, end: end, text: g.opts.PackageName})
 	}
 
-	sort.Slice(edits, func(i, j int) bool { return edits[i].start > edits[j].start })
-	out := tmpl.Src
-	for _, e := range edits {
-		if e.start < 0 || e.end > len(out) || e.start > e.end {
-			return "", fmt.Errorf("gen: splice out of range [%d,%d)", e.start, e.end)
-		}
-		out = out[:e.start] + e.text + out[e.end:]
-	}
-
-	out = buildTagRE.ReplaceAllString(out, "")
-	header := planHeaderPrefix + tmpl.Name + ". DO NOT EDIT.\n//\n" +
+	// One buffer, sized up front: the header, the template with its edits
+	// applied in offset order, the build tag removed, the usage function.
+	sort.Slice(edits, func(i, j int) bool { return edits[i].start < edits[j].start })
+	const headerRest = ". DO NOT EDIT.\n//\n" +
 		"// The implementation below was derived from GoCrySL rules; edit the\n" +
 		"// template and the rules, then regenerate, instead of patching this file.\n\n"
-	out = header + out
+	size := len(planHeaderPrefix) + len(tmpl.Name) + len(headerRest) + len(tmpl.Src) + len("\n\n") + len(usage)
+	for _, e := range edits {
+		size += len(e.text)
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, planHeaderPrefix...)
+	buf = append(buf, tmpl.Name...)
+	buf = append(buf, headerRest...)
+	body := len(buf)
+	prev := 0
+	for _, e := range edits {
+		if e.start < prev || e.end > len(tmpl.Src) || e.start > e.end {
+			return "", fmt.Errorf("gen: splice out of range [%d,%d)", e.start, e.end)
+		}
+		buf = append(buf, tmpl.Src[prev:e.start]...)
+		buf = append(buf, e.text...)
+		prev = e.end
+	}
+	buf = append(buf, tmpl.Src[prev:]...)
+	buf = buf[:body+removeBuildTags(buf[body:])]
 	if usage != "" {
-		out = strings.TrimRight(out, "\n") + "\n\n" + usage
+		buf = bytes.TrimRight(buf, "\n")
+		buf = append(buf, "\n\n"...)
+		buf = append(buf, usage...)
 	}
 
-	formatted, err := format.Source([]byte(out))
+	formatted, err := format.Source(buf)
 	if err != nil {
-		return out, fmt.Errorf("gen: generated file does not parse (generator bug): %w\n--- output ---\n%s", err, out)
+		return string(buf), fmt.Errorf("gen: generated file does not parse (generator bug): %w\n--- output ---\n%s", err, buf)
 	}
 	return string(formatted), nil
+}
+
+// removeBuildTags deletes every match of buildTagRE from b in place and
+// returns the length of what remains. b starts at a line start.
+func removeBuildTags(b []byte) int {
+	locs := buildTagRE.FindAllIndex(b, -1)
+	if locs == nil {
+		return len(b)
+	}
+	w, prev := 0, 0
+	for _, loc := range locs {
+		w += copy(b[w:], b[prev:loc[0]])
+		prev = loc[1]
+	}
+	return w + copy(b[w:], b[prev:])
 }

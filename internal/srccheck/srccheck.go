@@ -110,7 +110,8 @@ func (imp *Importer) ImportFrom(path, srcDir string, _ types.ImportMode) (*types
 //
 // A Checker is safe for concurrent use: its FileSet is the universe's
 // shared, internally synchronized FileSet, and imports resolve through the
-// concurrency-safe universe. Each Check call builds its own types.Info.
+// concurrency-safe universe. Each Check call builds its own types.Info;
+// VerifySource builds none.
 //
 // The files a successful CheckSource or CheckDir returns keep their line
 // tables in that FileSet, where they would stay for the life of the
@@ -241,18 +242,39 @@ func PackageNameOf(dir string) string {
 // the caller passes the file to Release; on error CheckSource releases it
 // itself and returns only the error.
 func (c *Checker) CheckSource(filename, src string) (*ast.File, *types.Package, *types.Info, error) {
-	f, err := parser.ParseFile(c.Fset, filename, src, parser.SkipObjectResolution)
-	if err != nil {
-		c.Release(f)
-		return nil, nil, nil, fmt.Errorf("srccheck: parse: %w", err)
-	}
 	info := newInfo()
-	pkg, err := c.check(f.Name.Name, []*ast.File{f}, info)
+	f, pkg, err := c.checkSource(filename, src, info)
 	if err != nil {
-		c.Release(f)
 		return nil, nil, nil, err
 	}
 	return f, pkg, info, nil
+}
+
+// VerifySource is CheckSource for a caller that only needs the verdict:
+// it type-checks the file without recording type info, which the checker
+// would otherwise fill for every expression and identifier, and releases
+// the file itself before it returns. Errors are the ones CheckSource
+// reports, file:line:col positions included.
+func (c *Checker) VerifySource(filename, src string) error {
+	f, _, err := c.checkSource(filename, src, nil)
+	c.Release(f)
+	return err
+}
+
+// checkSource parses and checks one in-memory file, recording into info
+// when it is non-nil. On error the file is already released.
+func (c *Checker) checkSource(filename, src string, info *types.Info) (*ast.File, *types.Package, error) {
+	f, err := parser.ParseFile(c.Fset, filename, src, parser.SkipObjectResolution)
+	if err != nil {
+		c.Release(f)
+		return nil, nil, fmt.Errorf("srccheck: parse: %w", err)
+	}
+	pkg, err := c.check(f.Name.Name, []*ast.File{f}, info)
+	if err != nil {
+		c.Release(f)
+		return nil, nil, err
+	}
+	return f, pkg, nil
 }
 
 // Release removes each file's line table from the shared FileSet. Call it

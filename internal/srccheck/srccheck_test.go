@@ -116,9 +116,10 @@ func TestImportUnknownModulePackage(t *testing.T) {
 }
 
 // TestChecksReleaseFiles: each Check method leaves nothing in the shared
-// FileSet when it fails, CheckPackageWith releases every file it parsed
-// even when it succeeds, and Release drops what CheckSource and CheckDir
-// return. A released file's error message still names its line.
+// FileSet when it fails, CheckPackageWith and VerifySource release every
+// file they parsed even when they succeed, and Release drops what
+// CheckSource and CheckDir return. A released file's error message still
+// names its line.
 func TestChecksReleaseFiles(t *testing.T) {
 	c, err := NewChecker("")
 	if err != nil {
@@ -158,6 +159,21 @@ func TestChecksReleaseFiles(t *testing.T) {
 			}
 			return err
 		}},
+		{"verify syntax error", true, func() error {
+			err := c.VerifySource("generated_s.go", "package p\nfunc {")
+			if err != nil && !strings.Contains(err.Error(), "parse") {
+				t.Errorf("syntax error %q is not reported as a parse error", err)
+			}
+			return err
+		}},
+		{"verify type error", true, func() error {
+			err := c.VerifySource("generated_x.go", "package p\n\nvar x int = \"s\"\n")
+			if err != nil && !strings.Contains(err.Error(), "generated_x.go:3:13") {
+				t.Errorf("type error %q does not name generated_x.go:3:13", err)
+			}
+			return err
+		}},
+		{"verify ok", false, func() error { return c.VerifySource("generated_o.go", ok) }},
 		{"dir type error", true, func() error { _, _, _, err := c.CheckDir(bad); return err }},
 		{"dir syntax error", true, func() error { _, _, _, err := c.CheckDir(unparsable); return err }},
 		{"package-with conflict", true, func() error { return c.CheckPackageWith(good, "n.go", "package q\n") }},

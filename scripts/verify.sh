@@ -38,12 +38,14 @@ go test -race -run 'TestChaos|TestBodyCap|TestCompactFraming' -count=1 ./service
 echo "==> peer-down fallback (-race, 20 runs)"
 go test -race -count=20 -run TestClusterPeerDownFallback ./service
 
-# Timed fuzz smoke: 10s of exploration per parser entry point on top of
-# the seed-corpus replay in the normal test run. Any crasher fails the
-# gate and lands in testdata/fuzz/ for triage.
+# Timed fuzz smoke: 10s of exploration per parser entry point, and for
+# the generator's word scanner against the regexps it replaces, on top of
+# the seed-corpus replay in the normal test run. Any crasher or mismatch
+# fails the gate and lands in testdata/fuzz/ for triage.
 echo "==> fuzz smoke (10s per target)"
 go test -run NONE -fuzz 'FuzzParseRule' -fuzztime 10s ./crysl
 go test -run NONE -fuzz 'FuzzParseTemplate' -fuzztime 10s ./gen
+go test -run NONE -fuzz 'FuzzWordMatches' -fuzztime 10s ./gen
 
 # The wire contract and the SDK's retry/routing state get an extra
 # explicit pass under -race on top of the package run above.
