@@ -7,7 +7,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -21,10 +20,12 @@ import (
 //
 // Before the universe existed, every Checker owned a private importer and
 // re-type-checked the entire transitive closure of its imports (for the
-// generator: gca and the whole crypto/* subtree, ~900 ms). N daemon
-// workers paid N× that tax; now the first Import builds each package
-// exactly once, concurrent importers of the same path wait on a per-path
-// latch, and importers of different paths build in parallel.
+// generator: gca and 114 standard-library packages, about 0.5 s on a
+// 2-CPU x86-64 host, BenchmarkUniverseWarm). N daemon workers paid N× that
+// tax; now the first Import builds each package exactly once, concurrent
+// importers of the same path wait on a per-path latch, and importers of
+// different paths build in parallel. go/build scans each package
+// directory once, inside that latch, however many directories import it.
 //
 // All packages in a universe share one token.FileSet (FileSet methods are
 // synchronized, so concurrent parses and type-checks are safe) and one
@@ -45,27 +46,22 @@ type Universe struct {
 	mu      sync.Mutex
 	entries map[string]*entry // canonical import path → build state
 
-	// resolved caches go/build path resolution keyed by (srcDir, path):
-	// resolution scans the package directory and parses every file header,
-	// so paying it once per importing directory instead of once per Import
-	// call roughly halves the first warm-up and makes cache hits cheap.
-	resolved sync.Map // resolveKey → resolveResult
+	// located caches the first step of resolution per (srcDir, path):
+	// go/build's FindOnly lookup of the package directory and canonical
+	// import path, which stats directories but reads no file. The second
+	// step, the scan that lists the directory and reads every file header,
+	// runs once per package inside its build latch, so errors, io or sync
+	// are scanned once, not once per importing directory.
+	located sync.Map // locateKey → location
 }
 
-type resolveKey struct{ srcDir, path string }
+type locateKey struct{ srcDir, path string }
 
-type resolveResult struct {
-	bp  *buildInputs
-	err error
-}
-
-// buildInputs is what build and importFrom read of a go/build resolution.
-// The resolve cache keeps only these fields: a *build.Package also carries
-// the import positions and header data of every file, which nothing reads
-// after resolution.
-type buildInputs struct {
-	ImportPath, Dir   string
-	GoFiles, CgoFiles []string
+// location is a located package: its canonical import path and directory,
+// or the error go/build gave for it.
+type location struct {
+	importPath, dir string
+	err             error
 }
 
 // entry is the per-package build latch: the first importer creates it and
@@ -87,16 +83,20 @@ func SharedUniverse(root string) *Universe {
 	if u, ok := universes.Load(key); ok {
 		return u.(*Universe)
 	}
-	ctxt := build.Default
-	u := &Universe{
+	actual, _ := universes.LoadOrStore(key, newUniverse(key, build.Default))
+	return actual.(*Universe)
+}
+
+// newUniverse returns an unshared universe for the module rooted at root
+// that resolves and scans packages through ctxt.
+func newUniverse(root string, ctxt build.Context) *Universe {
+	return &Universe{
 		fset:    token.NewFileSet(),
-		root:    key,
+		root:    root,
 		ctxt:    &ctxt,
 		sizes:   types.SizesFor(ctxt.Compiler, ctxt.GOARCH),
 		entries: map[string]*entry{},
 	}
-	actual, _ := universes.LoadOrStore(key, u)
-	return actual.(*Universe)
 }
 
 // Fset returns the universe's shared FileSet. All positions of all cached
@@ -142,15 +142,16 @@ func (u *Universe) importFrom(path, srcDir string, stack map[string]bool) (*type
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	canonical := path
-	var bp *buildInputs
-	if !moduleLocal(path) {
-		var err error
-		bp, err = u.resolve(path, srcDir)
-		if err != nil {
-			return nil, fmt.Errorf("srccheck: importing %q: %w", path, err)
+	canonical, dir := path, ""
+	if moduleLocal(path) {
+		rel := strings.TrimPrefix(strings.TrimPrefix(path, ModulePath), "/")
+		dir = filepath.Join(u.root, filepath.FromSlash(rel))
+	} else {
+		loc := u.locate(path, srcDir)
+		if loc.err != nil {
+			return nil, fmt.Errorf("srccheck: importing %q: %w", path, loc.err)
 		}
-		canonical = bp.ImportPath
+		canonical, dir = loc.importPath, loc.dir
 	}
 	if stack[canonical] {
 		return nil, fmt.Errorf("srccheck: import cycle through %q", canonical)
@@ -161,7 +162,7 @@ func (u *Universe) importFrom(path, srcDir string, stack map[string]bool) (*type
 		e = &entry{done: make(chan struct{})}
 		u.entries[canonical] = e
 		u.mu.Unlock()
-		e.pkg, e.err = u.build(canonical, bp, stack)
+		e.pkg, e.err = u.build(canonical, dir, stack)
 		close(e.done)
 	} else {
 		u.mu.Unlock()
@@ -170,66 +171,46 @@ func (u *Universe) importFrom(path, srcDir string, stack map[string]bool) (*type
 	return e.pkg, e.err
 }
 
-// resolve locates a non-module package through go/build, memoizing per
-// (importing directory, path). Duplicate concurrent resolutions are
-// possible and harmless (both results are equal; first store wins).
-func (u *Universe) resolve(path, srcDir string) (*buildInputs, error) {
-	key := resolveKey{srcDir, path}
-	if r, ok := u.resolved.Load(key); ok {
-		rr := r.(resolveResult)
-		return rr.bp, rr.err
+// locate finds a non-module package's directory and canonical import path
+// through go/build, memoizing per (importing directory, path). FindOnly
+// keeps go/build's vendor search (crypto/tls's
+// golang.org/x/crypto/cryptobyte is vendor/golang.org/x/crypto/cryptobyte)
+// but skips the directory scan. Duplicate concurrent lookups are possible
+// and harmless (both results are equal; first store wins).
+func (u *Universe) locate(path, srcDir string) location {
+	key := locateKey{srcDir, path}
+	if l, ok := u.located.Load(key); ok {
+		return l.(location)
 	}
-	bp, err := u.ctxt.Import(path, srcDir, 0)
-	r := resolveResult{err: err}
-	if err == nil {
-		r.bp = &buildInputs{ImportPath: bp.ImportPath, Dir: bp.Dir, GoFiles: bp.GoFiles, CgoFiles: bp.CgoFiles}
-	}
-	actual, _ := u.resolved.LoadOrStore(key, r)
-	rr := actual.(resolveResult)
-	return rr.bp, rr.err
+	bp, err := u.ctxt.Import(path, srcDir, build.FindOnly)
+	l := location{importPath: bp.ImportPath, dir: bp.Dir, err: err}
+	actual, _ := u.located.LoadOrStore(key, l)
+	return actual.(location)
 }
 
-// build parses and type-checks one package. bp is the go/build resolution
-// for non-module packages (nil for module-local paths). Signatures only:
-// like the standard source importer, function bodies are ignored — an
-// import needs the exported API, and skipping bodies cuts the cost of the
-// crypto/* closure severalfold.
-func (u *Universe) build(path string, bp *buildInputs, stack map[string]bool) (*types.Package, error) {
+// build scans, parses and type-checks the package in dir, which path
+// names canonically. The scan is go/build's, for module-local and
+// standard-library packages alike, so both honour build constraints and
+// file-name GOOS/GOARCH suffixes and leave test files out. Signatures
+// only: like the standard source importer, function bodies are ignored —
+// an import needs the exported API, and skipping bodies cuts the cost of
+// the crypto/* closure severalfold.
+func (u *Universe) build(path, dir string, stack map[string]bool) (*types.Package, error) {
 	sub := make(map[string]bool, len(stack)+1)
 	for k := range stack {
 		sub[k] = true
 	}
 	sub[path] = true
 
-	var dir string
-	var filenames []string
-	cgo := false
-	if bp == nil { // module-local: resolve against the source tree
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, ModulePath), "/")
-		dir = filepath.Join(u.root, filepath.FromSlash(rel))
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return nil, fmt.Errorf("srccheck: reading %s: %w", dir, err)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			filenames = append(filenames, name)
-		}
-		if len(filenames) == 0 {
-			return nil, fmt.Errorf("srccheck: no Go files in %s", dir)
-		}
-	} else {
-		dir = bp.Dir
-		filenames = append(filenames, bp.GoFiles...)
-		filenames = append(filenames, bp.CgoFiles...)
-		// Cgo packages are checked with FakeImportC (C.* selectors resolve
-		// to invalid types) — enough for every package whose exported API is
-		// pure Go, which is all the generator can reach.
-		cgo = len(bp.CgoFiles) > 0
+	bp, err := u.ctxt.ImportDir(dir, 0)
+	if err != nil {
+		return nil, fmt.Errorf("srccheck: importing %q: %w", path, err)
 	}
+	filenames := append(bp.GoFiles, bp.CgoFiles...)
+	// Cgo packages are checked with FakeImportC (C.* selectors resolve to
+	// invalid types) — enough for every package whose exported API is pure
+	// Go, which is all the generator can reach.
+	cgo := len(bp.CgoFiles) > 0
 
 	files, err := u.parseAll(dir, filenames)
 	if err != nil {

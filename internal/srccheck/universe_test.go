@@ -2,9 +2,13 @@ package srccheck
 
 import (
 	"fmt"
+	"go/build"
+	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -157,10 +161,25 @@ func f() error {
 // TestImportCycleDetected: a module-local import cycle is reported as an
 // error (per-chain detection), not a deadlock or a stack overflow.
 func TestImportCycleDetected(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"cyca/a.go": "package cyca\n\nimport \"" + ModulePath + "/cycb\"\n\nvar A = cycb.B\n",
+		"cycb/b.go": "package cycb\n\nimport \"" + ModulePath + "/cyca\"\n\nvar B = cyca.A\n",
+	})
+	u := SharedUniverse(dir)
+	_, err := u.Import(ModulePath + "/cyca")
+	if err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Fatalf("want import-cycle error, got %v", err)
+	}
+}
+
+// writeModule writes files (slash-separated path → content) into a fresh
+// temporary module named ModulePath and returns its root.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
 	dir := t.TempDir()
-	write := func(rel, content string) {
-		t.Helper()
-		p := filepath.Join(dir, rel)
+	files["go.mod"] = "module " + ModulePath + "\n\ngo 1.24\n"
+	for rel, content := range files {
+		p := filepath.Join(dir, filepath.FromSlash(rel))
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -168,13 +187,128 @@ func TestImportCycleDetected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write("go.mod", "module "+ModulePath+"\n\ngo 1.24\n")
-	write("cyca/a.go", "package cyca\n\nimport \""+ModulePath+"/cycb\"\n\nvar A = cycb.B\n")
-	write("cycb/b.go", "package cycb\n\nimport \""+ModulePath+"/cyca\"\n\nvar B = cyca.A\n")
-	u := SharedUniverse(dir)
-	_, err := u.Import(ModulePath + "/cyca")
-	if err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("want import-cycle error, got %v", err)
+	return dir
+}
+
+// TestModuleLocalBuildConstraints: a module-local package is the files
+// go build would compile. A //go:build ignore file and a _windows.go file
+// (on any other GOOS) each redeclare the package's symbol, so
+// type-checking them along with the rest fails.
+func TestModuleLocalBuildConstraints(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"tagged/a.go":         "package tagged\n\nconst Name = \"a\"\n",
+		"tagged/gen.go":       "//go:build ignore\n\npackage tagged\n\nconst Name = \"ignored\"\n",
+		"tagged/a_windows.go": "package tagged\n\nconst Name = \"windows\"\n",
+	})
+	ctxt := build.Default
+	if ctxt.GOOS == "windows" {
+		ctxt.GOOS = "linux"
+	}
+	pkg, err := newUniverse(dir, ctxt).Import(ModulePath + "/tagged")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pkg.Scope().Lookup("Name").(*types.Const).Val().String(); got != `"a"` {
+		t.Errorf("Name = %s, want \"a\"", got)
+	}
+}
+
+// TestResolveMatchesGoBuild: locating a package and scanning its
+// directory once gives the resolution a full go/build import gives from
+// every importing directory. After a gca warm, each (srcDir, path) the
+// universe located names the same canonical path and directory as
+// build.Default.Import(path, srcDir, 0), and the files the universe parsed
+// from that directory are exactly its GoFiles and CgoFiles.
+func TestResolveMatchesGoBuild(t *testing.T) {
+	root, err := ModuleRoot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := newUniverse(root, build.Default)
+	if _, err := u.Import(ModulePath + "/gca"); err != nil {
+		t.Fatal(err)
+	}
+	parsed := map[string][]string{} // directory → parsed file names
+	u.fset.Iterate(func(f *token.File) bool {
+		dir, name := filepath.Split(f.Name())
+		dir = filepath.Clean(dir)
+		parsed[dir] = append(parsed[dir], name)
+		return true
+	})
+	n := 0
+	u.located.Range(func(k, v any) bool {
+		key, loc := k.(locateKey), v.(location)
+		n++
+		want, err := build.Default.Import(key.path, key.srcDir, 0)
+		if err != nil || loc.err != nil {
+			t.Errorf("%s from %s: go/build error %v, universe error %v", key.path, key.srcDir, err, loc.err)
+			return true
+		}
+		if loc.importPath != want.ImportPath || loc.dir != want.Dir {
+			t.Errorf("%s from %s: located (%s, %s), go/build (%s, %s)",
+				key.path, key.srcDir, loc.importPath, loc.dir, want.ImportPath, want.Dir)
+		}
+		got := slices.Sorted(slices.Values(parsed[loc.dir]))
+		files := slices.Sorted(slices.Values(append(want.GoFiles, want.CgoFiles...)))
+		if !slices.Equal(got, files) {
+			t.Errorf("%s: parsed %v, go/build selects %v", want.ImportPath, got, files)
+		}
+		return true
+	})
+	if n < 100 {
+		t.Errorf("only %d resolutions recorded; want the gca closure (>100)", n)
+	}
+}
+
+// TestOneScanPerPackageDir: a warm scans each package directory once,
+// however many packages import it and however many goroutines import
+// concurrently. A go/build scan of a directory opens each of its source
+// files to read the header; locating a package opens none (for a vendored
+// path it only lists the candidate directory), so the number of times a
+// file is opened is the number of times its directory was scanned. Four
+// goroutines warm one unshared universe from gca through a context that
+// counts the opens.
+func TestOneScanPerPackageDir(t *testing.T) {
+	root, err := ModuleRoot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	opened := map[string]int{}
+	ctxt := build.Default
+	ctxt.OpenFile = func(path string) (io.ReadCloser, error) {
+		mu.Lock()
+		opened[path]++
+		mu.Unlock()
+		return os.Open(path)
+	}
+	u := newUniverse(root, ctxt)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := u.Import(ModulePath + "/gca"); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	scans := map[string]int{} // directory → scans, the most any of its files was opened
+	for path, n := range opened {
+		dir := filepath.Dir(path)
+		scans[dir] = max(scans[dir], n)
+	}
+	total := 0
+	for dir, n := range scans {
+		total += n
+		if n > 1 {
+			t.Errorf("%s scanned %d times", dir, n)
+		}
+	}
+	t.Logf("%d go/build scans for %d directories", total, len(scans))
+	if len(scans) < 100 {
+		t.Errorf("only %d directories scanned through the context; want the gca closure (>100)", len(scans))
 	}
 }
 
@@ -218,5 +352,20 @@ func TestVendoredImportResolves(t *testing.T) {
 	}
 	if direct != vendored {
 		t.Error("importing the canonical path gave a different package than crypto/tls imports")
+	}
+}
+
+// BenchmarkUniverseWarm is the cold start of one process: a fresh unshared
+// universe per iteration imports gca and its standard-library closure.
+func BenchmarkUniverseWarm(b *testing.B) {
+	root, err := ModuleRoot("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := newUniverse(root, build.Default).Import(ModulePath + "/gca"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -67,10 +67,16 @@ go test -race -count=1 \
 # Bounded resident heap: every file a generation, a verification, an
 # analysis or a failing template parses leaves the shared token.FileSet
 # again, so a daemon's FileSet stays the size of its type-check universe.
-# Four goroutines churn one FileSet; repeat it under -race.
-echo "==> FileSet returns to baseline (-race, 3 runs)"
+# Four goroutines churn one FileSet; repeat it under -race. The universe
+# scans each package directory once, behind the per-package latch that
+# concurrent prefetch goroutines share: resolution must match go/build's,
+# no directory may be scanned twice, and module-local packages honour
+# build constraints. Same repetitions, same detector.
+echo "==> FileSet returns to baseline + one scan per package dir (-race, 3 runs)"
 go test -race -count=3 -run 'TestFileSetReturnsToBaseline' ./gen
-go test -race -count=3 -run 'TestChecksReleaseFiles' ./internal/srccheck
+go test -race -count=3 \
+    -run 'TestChecksReleaseFiles|TestResolveMatchesGoBuild|TestOneScanPerPackageDir|TestModuleLocalBuildConstraints' \
+    ./internal/srccheck
 
 # The benchmark harness (bench/, a module of its own, so the package run
 # above does not reach it): its own tests, without the 4-workload smoke
