@@ -332,9 +332,10 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 	}
 
 	// Cold-start anatomy. Order matters: the first gen.New in the process
-	// is the one that populates the shared type-check universe (the ~0.5 s
-	// gca import on 2 CPUs), so it must run before anything else touches
-	// gen or service. Subsequent constructions only look the packages up.
+	// is the one that populates the shared type-check universe (the ~0.2 s
+	// gca import on 2 CPUs: gca plus the API of 23 standard-library
+	// packages), so it must run before anything else touches gen or
+	// service. Subsequent constructions only look the packages up.
 	ruleStart := time.Now()
 	firstSet, err := rules.LoadFresh()
 	if err != nil {
@@ -672,7 +673,7 @@ func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool
 	// Cold-start regression gate (scripts/verify.sh runs this via
 	// `-table service -smoke`): if building a second Generator costs 10%
 	// or more of building the first, the shared universe is no longer
-	// being reused and every service worker is back to paying the ~0.5 s
+	// being reused and every service worker is back to paying the ~0.2 s
 	// type-check tax.
 	if gate && subsequentGenMS >= 0.10*firstGenMS {
 		log.Fatalf("cold-start gate: subsequent Generator construction %.2fms >= 10%% of first %.2fms — shared type-check universe is not being reused",

@@ -29,9 +29,11 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -146,31 +148,27 @@ func (c *Checker) importer() types.ImporterFrom {
 	return &chainImporter{u: c.u, srcDir: c.u.root}
 }
 
-// CheckDir parses and type-checks all non-test Go files of the package in
-// dir, returning the files and the shared type info. The files' line
-// tables live in the shared FileSet until the caller passes them to
-// Release; on error CheckDir releases them itself and returns only the
-// error.
+// CheckDir parses and type-checks the Go files go build would compile for
+// the package in dir (see packageFiles), returning the files and the
+// shared type info. The files' line tables live in the shared FileSet
+// until the caller passes them to Release; on error CheckDir releases them
+// itself and returns only the error.
 func (c *Checker) CheckDir(dir string) ([]*ast.File, *types.Package, *types.Info, error) {
-	entries, err := os.ReadDir(dir)
+	names, err := c.packageFiles(dir)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("srccheck: %w", err)
+		return nil, nil, nil, err
+	}
+	if len(names) == 0 {
+		return nil, nil, nil, fmt.Errorf("srccheck: no Go files in %s", dir)
 	}
 	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
+	for _, name := range names {
 		f, err := parser.ParseFile(c.Fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 		files = append(files, f)
 		if err != nil {
 			c.Release(files...)
 			return nil, nil, nil, fmt.Errorf("srccheck: parsing %s: %w", name, err)
 		}
-	}
-	if len(files) == 0 {
-		return nil, nil, nil, fmt.Errorf("srccheck: no Go files in %s", dir)
 	}
 	info := newInfo()
 	pkg, err := c.check(files[0].Name.Name, files, info)
@@ -183,9 +181,10 @@ func (c *Checker) CheckDir(dir string) ([]*ast.File, *types.Package, *types.Info
 
 // CheckPackageWith type-checks the Go package in dir together with one
 // additional in-memory file (filename/src), as if the file had been saved
-// into the directory. Test files are ignored. An empty or non-existent
-// directory degrades to checking the new file alone. Every file it parses
-// is released before it returns.
+// into the directory. The package's files are the ones go build would
+// compile (see packageFiles). An empty or non-existent directory degrades
+// to checking the new file alone. Every file it parses is released before
+// it returns.
 func (c *Checker) CheckPackageWith(dir, filename, src string) error {
 	extra, err := parser.ParseFile(c.Fset, filename, src, parser.SkipObjectResolution)
 	files := []*ast.File{extra}
@@ -193,47 +192,53 @@ func (c *Checker) CheckPackageWith(dir, filename, src string) error {
 	if err != nil {
 		return fmt.Errorf("srccheck: parse %s: %w", filename, err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err == nil {
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(c.Fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-			files = append(files, f)
-			if err != nil {
-				return fmt.Errorf("srccheck: parsing existing %s: %w", name, err)
-			}
-			if f.Name.Name != extra.Name.Name {
-				return fmt.Errorf("srccheck: package mismatch: %s declares %q, new file declares %q", name, f.Name.Name, extra.Name.Name)
-			}
+	names, err := c.packageFiles(dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	for _, name := range names {
+		f, err := parser.ParseFile(c.Fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		files = append(files, f)
+		if err != nil {
+			return fmt.Errorf("srccheck: parsing existing %s: %w", name, err)
+		}
+		if f.Name.Name != extra.Name.Name {
+			return fmt.Errorf("srccheck: package mismatch: %s declares %q, new file declares %q", name, f.Name.Name, extra.Name.Name)
 		}
 	}
 	_, err = c.check(extra.Name.Name, files, nil)
 	return err
 }
 
-// PackageNameOf reports the package name declared by the Go files in dir,
-// or "" when the directory has none.
+// packageFiles lists the files go build would compile for the package in
+// dir: the scan is go/build's, through the universe's context, so
+// //go:build lines and _GOOS/_GOARCH file-name suffixes apply and test
+// files stay out. Unlike the universe's scans it is not memoized, since a
+// user's directory may change between checks. A directory without such
+// files gives none and no error.
+func (c *Checker) packageFiles(dir string) ([]string, error) {
+	if _, err := os.Stat(dir); err != nil {
+		return nil, fmt.Errorf("srccheck: %w", err)
+	}
+	bp, err := c.u.ctxt.ImportDir(dir, 0)
+	if noGo := (*build.NoGoError)(nil); errors.As(err, &noGo) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("srccheck: %w", err)
+	}
+	return append(bp.GoFiles, bp.CgoFiles...), nil
+}
+
+// PackageNameOf reports the package name declared by the Go files go
+// build would compile in dir, or "" when the directory has none or they
+// disagree.
 func PackageNameOf(dir string) string {
-	entries, err := os.ReadDir(dir)
+	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
 		return ""
 	}
-	fset := token.NewFileSet()
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.PackageClauseOnly)
-		if err != nil {
-			continue
-		}
-		return f.Name.Name
-	}
-	return ""
+	return bp.Name
 }
 
 // CheckSource parses and type-checks a single in-memory Go file named

@@ -2,8 +2,10 @@ package srccheck
 
 import (
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -206,4 +208,48 @@ func countFiles(c *Checker) int {
 	n := 0
 	c.Fset.Iterate(func(*token.File) bool { n++; return true })
 	return n
+}
+
+// TestCheckerBuildConstraints: CheckDir, CheckPackageWith and
+// PackageNameOf see the files go build would compile, like the universe
+// does for imported packages. A //go:build ignore generator (package main,
+// sorting first) and a file for another GOOS each redeclare the package's
+// symbol, so checking them along with the rest fails.
+func TestCheckerBuildConstraints(t *testing.T) {
+	c, err := NewChecker("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherOS := "windows"
+	if runtime.GOOS == otherOS {
+		otherOS = "linux"
+	}
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"gen.go":                    "//go:build ignore\n\npackage main\n\nconst Name = \"ignored\"\n",
+		"tagged.go":                 "package tagged\n\nconst Name = \"tagged\"\n",
+		"tagged_" + otherOS + ".go": "package tagged\n\nconst Name = \"" + otherOS + "\"\n",
+		"tagged_test.go":            "package tagged\n\nconst Name = \"test\"\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files, pkg, _, err := c.CheckDir(dir)
+	if err != nil {
+		t.Fatalf("CheckDir: %v", err)
+	}
+	defer c.Release(files...)
+	if len(files) != 1 {
+		t.Errorf("CheckDir checked %d files, want tagged.go alone", len(files))
+	}
+	if got := pkg.Scope().Lookup("Name").(*types.Const).Val().String(); got != `"tagged"` {
+		t.Errorf("Name = %s, want \"tagged\"", got)
+	}
+	if err := c.CheckPackageWith(dir, "b.go", "package tagged\n\nvar B = Name\n"); err != nil {
+		t.Errorf("CheckPackageWith: %v", err)
+	}
+	if got := PackageNameOf(dir); got != "tagged" {
+		t.Errorf("PackageNameOf = %q, want tagged", got)
+	}
 }

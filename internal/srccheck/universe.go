@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,13 +20,15 @@ import (
 // once and shared by every Checker and Importer in the process.
 //
 // Before the universe existed, every Checker owned a private importer and
-// re-type-checked the entire transitive closure of its imports (for the
-// generator: gca and 114 standard-library packages, about 0.5 s on a
-// 2-CPU x86-64 host, BenchmarkUniverseWarm). N daemon workers paid N× that
-// tax; now the first Import builds each package exactly once, concurrent
-// importers of the same path wait on a per-path latch, and importers of
-// different paths build in parallel. go/build scans each package
-// directory once, inside that latch, however many directories import it.
+// re-type-checked the entire transitive closure of its imports. N daemon
+// workers paid N× that tax; now the first Import builds each package
+// exactly once, concurrent importers of the same path wait on a per-path
+// latch, and importers of different paths build in parallel. go/build
+// scans each package directory once, behind a per-directory latch,
+// however many directories import it. Each dependency is built as its
+// importable API only (see build): for the generator that is gca and 23
+// standard-library packages, about 0.15 s on a 2-CPU x86-64 host
+// (BenchmarkUniverseWarm).
 //
 // All packages in a universe share one token.FileSet (FileSet methods are
 // synchronized, so concurrent parses and type-checks are safe) and one
@@ -44,14 +47,15 @@ type Universe struct {
 	sizes types.Sizes
 
 	mu      sync.Mutex
-	entries map[string]*entry // canonical import path → build state
+	entries map[string]*entry   // canonical import path → build state
+	scans   map[string]*dirScan // package directory → go/build scan
 
 	// located caches the first step of resolution per (srcDir, path):
 	// go/build's FindOnly lookup of the package directory and canonical
 	// import path, which stats directories but reads no file. The second
 	// step, the scan that lists the directory and reads every file header,
-	// runs once per package inside its build latch, so errors, io or sync
-	// are scanned once, not once per importing directory.
+	// runs once per directory behind its dirScan latch, so errors, io or
+	// sync are scanned once, not once per importing directory.
 	located sync.Map // locateKey → location
 }
 
@@ -71,6 +75,17 @@ type entry struct {
 	done chan struct{}
 	pkg  *types.Package
 	err  error
+}
+
+// dirScan is the one go/build scan of a package directory: its package
+// name and the files go/build selects. build reads the files; import
+// pruning reads only the name, for imports it may never build.
+type dirScan struct {
+	once  sync.Once
+	name  string
+	files []string // GoFiles, then CgoFiles
+	cgo   bool
+	err   error
 }
 
 var universes sync.Map // module root → *Universe
@@ -96,6 +111,7 @@ func newUniverse(root string, ctxt build.Context) *Universe {
 		ctxt:    &ctxt,
 		sizes:   types.SizesFor(ctxt.Compiler, ctxt.GOARCH),
 		entries: map[string]*entry{},
+		scans:   map[string]*dirScan{},
 	}
 }
 
@@ -142,16 +158,9 @@ func (u *Universe) importFrom(path, srcDir string, stack map[string]bool) (*type
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	canonical, dir := path, ""
-	if moduleLocal(path) {
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, ModulePath), "/")
-		dir = filepath.Join(u.root, filepath.FromSlash(rel))
-	} else {
-		loc := u.locate(path, srcDir)
-		if loc.err != nil {
-			return nil, fmt.Errorf("srccheck: importing %q: %w", path, loc.err)
-		}
-		canonical, dir = loc.importPath, loc.dir
+	canonical, dir, err := u.resolve(path, srcDir)
+	if err != nil {
+		return nil, fmt.Errorf("srccheck: importing %q: %w", path, err)
 	}
 	if stack[canonical] {
 		return nil, fmt.Errorf("srccheck: import cycle through %q", canonical)
@@ -169,6 +178,18 @@ func (u *Universe) importFrom(path, srcDir string, stack map[string]bool) (*type
 		<-e.done
 	}
 	return e.pkg, e.err
+}
+
+// resolve maps an import path, as written in a file of srcDir, to the
+// package's canonical import path and directory. A module-local path maps
+// straight into the module root; any other is located through go/build.
+func (u *Universe) resolve(path, srcDir string) (canonical, dir string, err error) {
+	if moduleLocal(path) {
+		rel := strings.TrimPrefix(strings.TrimPrefix(path, ModulePath), "/")
+		return path, filepath.Join(u.root, filepath.FromSlash(rel)), nil
+	}
+	loc := u.locate(path, srcDir)
+	return loc.importPath, loc.dir, loc.err
 }
 
 // locate finds a non-module package's directory and canonical import path
@@ -191,10 +212,25 @@ func (u *Universe) locate(path, srcDir string) location {
 // build scans, parses and type-checks the package in dir, which path
 // names canonically. The scan is go/build's, for module-local and
 // standard-library packages alike, so both honour build constraints and
-// file-name GOOS/GOARCH suffixes and leave test files out. Signatures
-// only: like the standard source importer, function bodies are ignored —
-// an import needs the exported API, and skipping bodies cuts the cost of
-// the crypto/* closure severalfold.
+// file-name GOOS/GOARCH suffixes and leave test files out.
+//
+// Only what an importer can see is type-checked. Like the standard source
+// importer, function bodies are ignored. Beyond that, a package outside
+// the module keeps only the declarations its exported API reaches
+// (pruneDecls), and every package keeps only the imports its remaining
+// declarations use outside bodies (pruneImports), so a gca warm builds 24
+// of the 115 packages in its import closure. Module-local packages keep every declaration:
+// gen walks gca's whole scope. Three things follow, and are intended:
+//   - types.Package.Imports() lists only the imports a package's API uses;
+//   - a reference to an unexported std name p.x reports "undefined: p.x",
+//     not "name x not exported by package p";
+//   - an import that is broken (it fails to parse or type-check) but used
+//     only in a dependency's function bodies no longer fails the
+//     universe, as type errors inside those bodies never did.
+//
+// The exported API is the one the source importer builds:
+// TestUniverseAPIMatchesSourceImporter compares objects, underlying
+// types, method sets, sizes and comparability package by package.
 func (u *Universe) build(path, dir string, stack map[string]bool) (*types.Package, error) {
 	sub := make(map[string]bool, len(stack)+1)
 	for k := range stack {
@@ -202,33 +238,58 @@ func (u *Universe) build(path, dir string, stack map[string]bool) (*types.Packag
 	}
 	sub[path] = true
 
-	bp, err := u.ctxt.ImportDir(dir, 0)
-	if err != nil {
-		return nil, fmt.Errorf("srccheck: importing %q: %w", path, err)
+	s := u.scan(dir)
+	if s.err != nil {
+		return nil, fmt.Errorf("srccheck: importing %q: %w", path, s.err)
 	}
-	filenames := append(bp.GoFiles, bp.CgoFiles...)
-	// Cgo packages are checked with FakeImportC (C.* selectors resolve to
-	// invalid types) — enough for every package whose exported API is pure
-	// Go, which is all the generator can reach.
-	cgo := len(bp.CgoFiles) > 0
-
-	files, err := u.parseAll(dir, filenames)
+	files, err := u.parseAll(dir, s.files)
 	if err != nil {
 		return nil, err
 	}
+	if !moduleLocal(path) {
+		pruneDecls(files)
+	}
+	u.pruneImports(files, dir)
 	u.prefetch(files, dir, sub)
 
 	conf := types.Config{
 		IgnoreFuncBodies: true,
-		FakeImportC:      cgo,
-		Importer:         &chainImporter{u: u, srcDir: dir, stack: sub},
-		Sizes:            u.sizes,
+		// Cgo packages are checked with FakeImportC (C.* selectors resolve
+		// to invalid types) — enough for every package whose exported API
+		// is pure Go, which is all the generator can reach.
+		FakeImportC: s.cgo,
+		Importer:    &chainImporter{u: u, srcDir: dir, stack: sub},
+		Sizes:       u.sizes,
 	}
 	pkg, err := conf.Check(path, u.fset, files, nil)
 	if err != nil {
 		return nil, fmt.Errorf("srccheck: type-checking %s: %w", path, err)
 	}
 	return pkg, nil
+}
+
+// scan returns go/build's scan of dir, running it on first use. Concurrent
+// callers for one directory wait on its latch, so each directory is
+// scanned once however many packages import it or build from it.
+func (u *Universe) scan(dir string) *dirScan {
+	u.mu.Lock()
+	s, ok := u.scans[dir]
+	if !ok {
+		s = &dirScan{}
+		u.scans[dir] = s
+	}
+	u.mu.Unlock()
+	s.once.Do(func() {
+		bp, err := u.ctxt.ImportDir(dir, 0)
+		if err != nil {
+			s.err = err
+			return
+		}
+		s.name = bp.Name
+		s.files = append(slices.Clip(bp.GoFiles), bp.CgoFiles...)
+		s.cgo = len(bp.CgoFiles) > 0
+	})
+	return s
 }
 
 // parseAll parses the named files of dir concurrently into the shared

@@ -3,11 +3,13 @@ package srccheck
 import (
 	"fmt"
 	"go/build"
+	"go/importer"
 	"go/token"
 	"go/types"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -217,8 +219,9 @@ func TestModuleLocalBuildConstraints(t *testing.T) {
 // directory once gives the resolution a full go/build import gives from
 // every importing directory. After a gca warm, each (srcDir, path) the
 // universe located names the same canonical path and directory as
-// build.Default.Import(path, srcDir, 0), and the files the universe parsed
-// from that directory are exactly its GoFiles and CgoFiles.
+// build.Default.Import(path, srcDir, 0), and for every package the
+// universe built, the files it parsed from that package's directory are
+// exactly its GoFiles and CgoFiles.
 func TestResolveMatchesGoBuild(t *testing.T) {
 	root, err := ModuleRoot("")
 	if err != nil {
@@ -248,16 +251,49 @@ func TestResolveMatchesGoBuild(t *testing.T) {
 			t.Errorf("%s from %s: located (%s, %s), go/build (%s, %s)",
 				key.path, key.srcDir, loc.importPath, loc.dir, want.ImportPath, want.Dir)
 		}
-		got := slices.Sorted(slices.Values(parsed[loc.dir]))
-		files := slices.Sorted(slices.Values(append(want.GoFiles, want.CgoFiles...)))
-		if !slices.Equal(got, files) {
-			t.Errorf("%s: parsed %v, go/build selects %v", want.ImportPath, got, files)
-		}
 		return true
 	})
+	built := builtPaths(u)
+	for _, path := range built {
+		_, dir, err := u.resolve(path, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := build.Default.ImportDir(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := slices.Sorted(slices.Values(parsed[dir]))
+		files := slices.Sorted(slices.Values(append(want.GoFiles, want.CgoFiles...)))
+		if !slices.Equal(got, files) {
+			t.Errorf("%s: parsed %v, go/build selects %v", path, got, files)
+		}
+	}
 	if n < 100 {
 		t.Errorf("only %d resolutions recorded; want the gca closure (>100)", n)
 	}
+	if len(built) < 24 {
+		t.Errorf("only %d packages built; want the gca closure (24)", len(built))
+	}
+}
+
+// builtPaths returns the sorted canonical paths of the packages u has
+// built successfully.
+func builtPaths(u *Universe) []string {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	var paths []string
+	for path, e := range u.entries {
+		select {
+		case <-e.done:
+			if e.pkg != nil {
+				paths = append(paths, path)
+			}
+		default:
+		}
+	}
+	slices.Sort(paths)
+	return paths
 }
 
 // TestOneScanPerPackageDir: a warm scans each package directory once,
@@ -306,16 +342,22 @@ func TestOneScanPerPackageDir(t *testing.T) {
 			t.Errorf("%s scanned %d times", dir, n)
 		}
 	}
+	// Before the universe pruned each dependency to its importable API, a
+	// gca warm scanned 115 directories, one per package it built. Now it
+	// scans 65 on Go 1.24: the 24 packages it builds, plus the directories
+	// of imports whose package name pruning reads and then drops.
 	t.Logf("%d go/build scans for %d directories", total, len(scans))
-	if len(scans) < 100 {
-		t.Errorf("only %d directories scanned through the context; want the gca closure (>100)", len(scans))
+	if len(scans) < 65 {
+		t.Errorf("only %d directories scanned through the context; want the gca closure (65)", len(scans))
 	}
 }
 
-// TestVendoredImportResolves: a GOROOT package that imports a vendored
-// path resolves it through the go/build cache to its canonical
-// "vendor/..." import path, and every Checker of the root gets the same
-// *types.Package for it and for the importer.
+// TestVendoredImportResolves: a vendored path imported from a GOROOT
+// package's directory resolves through go/build's vendor search to its
+// canonical "vendor/..." import path, and every Checker and Importer of
+// the root gets the same *types.Package for it and for the importer.
+// crypto/tls's API no longer uses cryptobyte, so tls.Imports() does not
+// list it; the import is made from crypto/tls's directory instead.
 func TestVendoredImportResolves(t *testing.T) {
 	c1, err := NewChecker("")
 	if err != nil {
@@ -337,14 +379,20 @@ func TestVendoredImportResolves(t *testing.T) {
 		t.Error("two Checkers got different crypto/tls packages")
 	}
 	const canonical = "vendor/golang.org/x/crypto/cryptobyte"
-	var vendored *types.Package
-	for _, imp := range tls1.Imports() {
-		if strings.HasSuffix(imp.Path(), "golang.org/x/crypto/cryptobyte") {
-			vendored = imp
-		}
+	tls, err := build.Default.Import("crypto/tls", "", build.FindOnly)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if vendored == nil || vendored.Path() != canonical {
-		t.Fatalf("crypto/tls imports %v, want %s", vendored, canonical)
+	root, err := ModuleRoot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vendored, err := NewImporter(root).ImportFrom("golang.org/x/crypto/cryptobyte", tls.Dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vendored.Path() != canonical {
+		t.Fatalf("cryptobyte from crypto/tls resolves to %s, want %s", vendored.Path(), canonical)
 	}
 	direct, err := c2.ImportPackage(canonical)
 	if err != nil {
@@ -352,6 +400,184 @@ func TestVendoredImportResolves(t *testing.T) {
 	}
 	if direct != vendored {
 		t.Error("importing the canonical path gave a different package than crypto/tls imports")
+	}
+}
+
+// TestUniverseClosure pins the packages a gca warm builds: gca and the
+// standard-library packages its exported API reaches through the exported
+// API of each dependency. Without pruning to the importable API, the same
+// warm built 115 packages (752 files), reflect, unicode, os and time among
+// them. The set is the Go 1.24 standard library's; other releases get
+// only the bound.
+func TestUniverseClosure(t *testing.T) {
+	root, err := ModuleRoot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := newUniverse(root, build.Default)
+	if _, err := u.Import(ModulePath + "/gca"); err != nil {
+		t.Fatal(err)
+	}
+	got := builtPaths(u)
+	want := []string{
+		ModulePath + "/gca",
+		"crypto",
+		"crypto/cipher",
+		"crypto/ecdh",
+		"crypto/ecdsa",
+		"crypto/elliptic",
+		"crypto/internal/boring",
+		"crypto/internal/fips140",
+		"crypto/internal/fips140/bigmod",
+		"crypto/internal/fips140/ecdh",
+		"crypto/internal/fips140/nistec",
+		"crypto/internal/fips140/nistec/fiat",
+		"crypto/internal/fips140/rsa",
+		"crypto/rsa",
+		"errors",
+		"fmt",
+		"hash",
+		"internal/sync",
+		"io",
+		"math",
+		"math/big",
+		"math/rand",
+		"sync",
+		"sync/atomic",
+	}
+	if !strings.HasPrefix(runtime.Version(), "go1.24") {
+		if len(got) > 2*len(want) {
+			t.Errorf("a gca warm built %d packages, want about %d: %q", len(got), len(want), got)
+		}
+		return
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("a gca warm built %d packages %q\nwant %d: %q", len(got), got, len(want), want)
+	}
+}
+
+// TestUniverseAPIMatchesSourceImporter: the universe builds each
+// dependency as its importable API only, and that API is the one the
+// standard source importer, the reference implementation, builds from
+// the whole package. An unshared universe is warmed from gca and six
+// large standard-library roots; for every non-module package it built,
+// each exported object must print the same (constants: the same value),
+// and each exported named type must have the same underlying type and
+// the same method sets for T and *T, unexported methods included. A
+// non-generic, non-interface type must also have the same size and
+// comparability.
+func TestUniverseAPIMatchesSourceImporter(t *testing.T) {
+	root, err := ModuleRoot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := newUniverse(root, build.Default)
+	roots := []string{ModulePath + "/gca", "fmt", "os", "net/http", "crypto/tls", "crypto/x509", "encoding/json"}
+	for _, p := range roots {
+		if _, err := u.Import(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom)
+	compared := 0
+	for _, path := range builtPaths(u) {
+		if moduleLocal(path) {
+			continue
+		}
+		got, err := u.Import(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.ImportFrom(path, root, 0)
+		if err != nil {
+			t.Fatalf("source importer: %v", err)
+		}
+		compared++
+		gs, ws := got.Scope(), want.Scope()
+		for _, name := range ws.Names() {
+			if !token.IsExported(name) {
+				continue
+			}
+			wo, g := ws.Lookup(name), gs.Lookup(name)
+			if g == nil {
+				t.Errorf("%s.%s: missing", path, name)
+				continue
+			}
+			if gs, ws := types.ObjectString(g, nil), types.ObjectString(wo, nil); gs != ws {
+				t.Errorf("%s.%s: object %s, source importer %s", path, name, gs, ws)
+			}
+			if wc, ok := wo.(*types.Const); ok {
+				if gv, wv := g.(*types.Const).Val().ExactString(), wc.Val().ExactString(); gv != wv {
+					t.Errorf("%s.%s: value %s, source importer %s", path, name, gv, wv)
+				}
+			}
+			if _, ok := wo.(*types.TypeName); ok {
+				compareType(t, path+"."+name, u.sizes, g.Type(), wo.Type())
+			}
+		}
+		for _, name := range gs.Names() {
+			if token.IsExported(name) && ws.Lookup(name) == nil {
+				t.Errorf("%s.%s: not in the source importer's package", path, name)
+			}
+		}
+	}
+	t.Logf("compared %d packages", compared)
+	if compared < 50 {
+		t.Errorf("compared %d packages; want the closure of %v (>= 50)", compared, roots)
+	}
+}
+
+// compareType compares an exported named type of the universe with the
+// source importer's for TestUniverseAPIMatchesSourceImporter.
+func compareType(t *testing.T, name string, sizes types.Sizes, got, want types.Type) {
+	t.Helper()
+	if gs, ws := types.TypeString(got.Underlying(), nil), types.TypeString(want.Underlying(), nil); gs != ws {
+		t.Errorf("%s: underlying %s, source importer %s", name, gs, ws)
+	}
+	for _, ptr := range []bool{false, true} {
+		g, w := got, want
+		if ptr {
+			g, w = types.NewPointer(g), types.NewPointer(w)
+		}
+		if gm, wm := methodSet(g), methodSet(w); !slices.Equal(gm, wm) {
+			t.Errorf("%s: method set of %s\n%q\nsource importer\n%q", name, g, gm, wm)
+		}
+	}
+	if n, ok := types.Unalias(want).(*types.Named); (ok && n.TypeParams().Len() > 0) || types.IsInterface(want) {
+		return
+	}
+	if gs, ws := sizes.Sizeof(got), sizes.Sizeof(want); gs != ws {
+		t.Errorf("%s: size %d, source importer %d", name, gs, ws)
+	}
+	if gc, wc := types.Comparable(got), types.Comparable(want); gc != wc {
+		t.Errorf("%s: comparable %v, source importer %v", name, gc, wc)
+	}
+}
+
+func methodSet(T types.Type) []string {
+	ms := types.NewMethodSet(T)
+	out := make([]string, ms.Len())
+	for i := range out {
+		out[i] = ms.At(i).String()
+	}
+	return out
+}
+
+// TestBrokenImportOnlyInBodies: an import a package uses only inside
+// function bodies is not part of its API, so it is never built, and a
+// package that fails to type-check there no longer fails its importer.
+func TestBrokenImportOnlyInBodies(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"broken/b.go": "package broken\n\nvar X int = \"s\"\n",
+		"user/u.go": "package user\n\nimport \"" + ModulePath + "/broken\"\n\n" +
+			"func F() int { return broken.X }\n",
+	})
+	u := newUniverse(dir, build.Default)
+	if _, err := u.Import(ModulePath + "/user"); err != nil {
+		t.Fatalf("a broken import used only in a function body failed the importer: %v", err)
+	}
+	if _, err := u.Import(ModulePath + "/broken"); err == nil {
+		t.Fatal("the broken package type-checked")
 	}
 }
 

@@ -68,14 +68,18 @@ go test -race -count=1 \
 # analysis or a failing template parses leaves the shared token.FileSet
 # again, so a daemon's FileSet stays the size of its type-check universe.
 # Four goroutines churn one FileSet; repeat it under -race. The universe
-# scans each package directory once, behind the per-package latch that
+# scans each package directory once, behind the per-directory latch that
 # concurrent prefetch goroutines share: resolution must match go/build's,
-# no directory may be scanned twice, and module-local packages honour
-# build constraints. Same repetitions, same detector.
-echo "==> FileSet returns to baseline + one scan per package dir (-race, 3 runs)"
+# no directory may be scanned twice, and module-local packages and a
+# Checker's user directories honour build constraints. Each dependency is
+# pruned to its importable API inside the per-package latch, which the
+# same goroutines share: the pruned API must equal the stdlib source
+# importer's, and a gca warm must build exactly its pinned package set.
+# Same repetitions, same detector.
+echo "==> FileSet returns to baseline + one scan per package dir + API pruning (-race, 3 runs)"
 go test -race -count=3 -run 'TestFileSetReturnsToBaseline' ./gen
 go test -race -count=3 \
-    -run 'TestChecksReleaseFiles|TestResolveMatchesGoBuild|TestOneScanPerPackageDir|TestModuleLocalBuildConstraints' \
+    -run 'TestChecksReleaseFiles|TestResolveMatchesGoBuild|TestOneScanPerPackageDir|TestModuleLocalBuildConstraints|TestUniverseAPIMatchesSourceImporter|TestUniverseClosure|TestCheckerBuildConstraints' \
     ./internal/srccheck
 
 # The benchmark harness (bench/, a module of its own, so the package run
