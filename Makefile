@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test verify bench bench-service serve
+.PHONY: build test verify bench serve
 
 build:
 	$(GO) build ./...
@@ -13,18 +13,13 @@ test:
 # Full gate: build + vet + race-enabled tests (includes the 16-goroutine
 # concurrent-generation contracts in gen and service), the Submit/Close
 # shutdown stress test, the cluster drill table (TestDrills in
-# internal/clustertest) on 1 and 2 CPUs, and a benchtables service smoke run.
+# internal/clustertest) on 1 and 2 CPUs, and the cold-start gate
+# (TestSecondGeneratorReusesUniverse in gen).
 verify:
 	./scripts/verify.sh
 
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x .
-
-# Measure the cryptgend daemon (cold vs warm, throughput, cache hit rate,
-# and the E13/E14 rows of the cluster drill table) and record the numbers
-# in BENCH_service.json.
-bench-service:
-	$(GO) run ./cmd/benchtables -table service -json BENCH_service.json
 
 serve:
 	$(GO) run ./cmd/cryptgend

@@ -17,7 +17,6 @@ package cognicryptgen_test
 // library: milliseconds, as it skips the IDE).
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -29,9 +28,7 @@ import (
 	"cognicryptgen/gen"
 	"cognicryptgen/oldgen"
 	"cognicryptgen/rules"
-	"cognicryptgen/service"
 	"cognicryptgen/templates"
-	"cognicryptgen/wire"
 )
 
 var (
@@ -107,7 +104,7 @@ func BenchmarkGenFresh(b *testing.B) {
 	rs := rules.MustLoad()
 	paths := gen.NewPathCache()
 	plans := gen.NewPlanCache(0)
-	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
+	cases := templates.All()
 	srcs := make([]string, len(cases))
 	for i, uc := range cases {
 		var err error
@@ -283,114 +280,6 @@ func BenchmarkFSM(b *testing.B) {
 			}
 		}
 	})
-}
-
-// allUseCases returns the 11 Table 1 use cases plus the two extensions —
-// the 13 templates cryptgend serves.
-func allUseCases() []templates.UseCase {
-	return append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
-}
-
-// BenchmarkServiceGenerate measures daemon throughput: concurrent clients
-// round-robining over all 13 use cases against one warm service (compiled
-// rule registry shared, plans resident). The op is one /v1/generate
-// equivalent, a plan splice.
-func BenchmarkServiceGenerate(b *testing.B) {
-	srv, err := service.New(service.Config{CacheSize: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	cases := allUseCases()
-	// Warm: one generation per use case makes its plan resident.
-	for _, uc := range cases {
-		if _, err := srv.Generate(context.Background(), wire.GenerateRequest{UseCase: uc.ID}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	var next int64
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := atomic.AddInt64(&next, 1)
-			uc := cases[int(i)%len(cases)]
-			if _, err := srv.Generate(context.Background(), wire.GenerateRequest{UseCase: uc.ID}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkServiceColdVsWarm quantifies what the daemon amortises: Cold is
-// the one-shot CLI cost (compile all 14 rules, build a Generator, generate)
-// per request; Warm is the same request against a long-lived service with
-// the compiled-rule registry and plan cache. The acceptance bar for the
-// service subsystem is Warm ≥ 5× faster than Cold.
-func BenchmarkServiceColdVsWarm(b *testing.B) {
-	uc, _ := templates.ByID(3)
-	src, err := templates.Source(uc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("ColdSingleShot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rs, err := rules.LoadFresh()
-			if err != nil {
-				b.Fatal(err)
-			}
-			g, err := gen.New(rs, "", gen.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := g.GenerateFile(uc.File, src); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("WarmService", func(b *testing.B) {
-		srv, err := service.New(service.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		if _, err := srv.Generate(context.Background(), wire.GenerateRequest{UseCase: uc.ID}); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := srv.Generate(context.Background(), wire.GenerateRequest{UseCase: uc.ID}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkServiceUncached isolates pool + registry overhead with the plan
-// cache defeated (unique template body per iteration): what a stream of
-// never-before-seen templates costs on a warm daemon.
-func BenchmarkServiceUncached(b *testing.B) {
-	srv, err := service.New(service.Config{CacheSize: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	uc, _ := templates.ByID(11)
-	src, err := templates.Source(uc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm the workers' generators.
-	if _, err := srv.Generate(context.Background(), wire.GenerateRequest{Name: "warm.go", Source: src}); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		name := fmt.Sprintf("uniq%d.go", i)
-		body := src + fmt.Sprintf("\n// uncached %d\n", i)
-		if _, err := srv.Generate(context.Background(), wire.GenerateRequest{Name: name, Source: body}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkParseRule measures single-rule front-end throughput.

@@ -5,17 +5,11 @@
 //	benchtables -table 2        Table 2: artefact LOC, old-gen vs GEN
 //	benchtables -table rq1      RQ1: generation + verification + misuse scan
 //	benchtables -table rq5      RQ5: study-task effort proxy
-//	benchtables -table service  cryptgend daemon: cold vs warm, throughput
 //	benchtables -table all      everything
 //
-// With -json FILE, -table service additionally writes the measured
-// daemon numbers (req/s, cache hit rate, cold/warm latency, cold-start
-// rows) to FILE (conventionally BENCH_service.json).
-//
-// With -cpuprofile FILE / -memprofile FILE, pprof profiles of the whole
-// run are written for `go tool pprof` — the workflow that located the
-// cold-path costs (srccheck universe construction, sequential rule
-// compilation) this tool now measures.
+// Serving performance (the cryptgend daemon and its cluster) is measured
+// by the bench/ harness (`bash bench/run.sh`) and the drill table
+// (`go test -run TestDrills ./internal/clustertest`), not here.
 //
 // Runtime and memory come from repeated in-process runs (10 by default,
 // matching the paper's methodology of averaging ten runs); memory is the
@@ -24,63 +18,27 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"runtime"
-	"runtime/pprof"
-	"sync"
 	"time"
 
 	"cognicryptgen/analysis"
 	"cognicryptgen/effort"
 	"cognicryptgen/gen"
-	"cognicryptgen/internal/clustertest"
-	"cognicryptgen/internal/faultinject"
 	"cognicryptgen/rules"
-	"cognicryptgen/service"
 	"cognicryptgen/templates"
-	"cognicryptgen/wire"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchtables: ")
-	table := flag.String("table", "all", "which table to print: 1, 2, rq1, rq5, service, all")
+	table := flag.String("table", "all", "which table to print: 1, 2, rq1, rq5, all")
 	runs := flag.Int("runs", 10, "runs per use case for Table 1 averaging")
-	jsonOut := flag.String("json", "", "write the service benchmark as JSON to this file (e.g. BENCH_service.json)")
-	clients := flag.Int("clients", 2*runtime.NumCPU(), "concurrent clients for the service throughput benchmark")
-	requests := flag.Int("requests", 50, "requests per client for the service throughput benchmark")
-	smoke := flag.Bool("smoke", false, "fast service-table run for CI gating: fewer clients, requests, and repetitions; gates on cold-start regression (-table service only)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile (post-GC) to this file at exit")
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-
-	if *smoke {
-		*clients, *requests = 2, 3
-	}
-	// The cold-start gate only means something when the service table runs
-	// first in a fresh process: in -table all the earlier tables have
-	// already warmed the shared universe, so "first Generator" is no longer
-	// a first.
-	gate := *smoke && *table == "service"
 	switch *table {
 	case "1":
 		table1(*runs)
@@ -90,8 +48,6 @@ func main() {
 		rq1()
 	case "rq5":
 		rq5()
-	case "service":
-		serviceBench(*clients, *requests, *jsonOut, *smoke, gate)
 	case "all":
 		table1(*runs)
 		fmt.Println()
@@ -100,22 +56,8 @@ func main() {
 		rq1()
 		fmt.Println()
 		rq5()
-		fmt.Println()
-		serviceBench(*clients, *requests, *jsonOut, *smoke, gate)
 	default:
 		log.Fatalf("unknown table %q", *table)
-	}
-
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
 	}
 }
 
@@ -250,433 +192,4 @@ func rq5() {
 	fmt.Println("paper (human study, 16 participants — reported, not re-measured):")
 	fmt.Printf("  SUS: GEN %.1f vs old-gen %.1f; NPS: GEN %.1f vs old-gen %.1f\n", p.SUSGen, p.SUSOld, p.NPSGen, p.NPSOld)
 	fmt.Printf("  completion time: encryption task %s; hashing task %s\n", p.EncryptionTaskGenDelta, p.HashingTaskGenDelta)
-}
-
-// serviceBenchResult is the JSON shape written to BENCH_service.json.
-type serviceBenchResult struct {
-	RuleCompileMS         float64 `json:"rule_compile_ms"`
-	FirstGeneratorMS      float64 `json:"first_generator_ms"`
-	SubsequentGeneratorMS float64 `json:"subsequent_generator_ms"`
-	GeneratorReuseSpeedup float64 `json:"generator_reuse_speedup"`
-	ReloadMS              float64 `json:"reload_ms"`
-	ColdSingleShotMS      float64 `json:"cold_single_shot_ms"`
-	WarmCachedMS          float64 `json:"warm_cached_ms"`
-	WarmUncachedMS        float64 `json:"warm_uncached_ms"`
-	Speedup               float64 `json:"cold_vs_warm_speedup"`
-	ThroughputRPS         float64 `json:"throughput_rps"`
-	BatchItemsPerS        float64 `json:"batch_items_per_s"`
-	BatchItems            int     `json:"batch_items"`
-	Coalesced             int64   `json:"coalesced_requests"`
-	CoalesceHits          int64   `json:"coalesce_cache_hits"`
-	CoalesceClients       int     `json:"coalesce_clients"`
-	PanicsRecovered       int64   `json:"panics_recovered"`
-	ShedTotal             int64   `json:"shed_total"`
-	ShedRecoveryMS        float64 `json:"shed_recovery_ms"`
-	CacheHitRate          float64 `json:"cache_hit_rate"`
-	Clients               int     `json:"clients"`
-	Requests              int     `json:"total_requests"`
-	UseCases              int     `json:"use_cases"`
-	Workers               int     `json:"workers"`
-	Fingerprint           string  `json:"ruleset_fingerprint"`
-
-	// Chaos rows (E13, the node-kill row of the clustertest drill table):
-	// one node of three killed and restarted under continuous SDK load.
-	// FailoverP99MS is the latency tail while the node was down;
-	// NodeKillRecoveryMS the time from restart until every survivor
-	// re-admitted it (the drill bounds it at 2x the probe interval).
-	ChaosRequests        int     `json:"chaos_requests"`
-	ChaosProbeIntervalMS float64 `json:"chaos_probe_interval_ms"`
-	SteadyP99MS          float64 `json:"steady_p99_ms"`
-	FailoverP99MS        float64 `json:"failover_p99_ms"`
-	NodeKillRecoveryMS   float64 `json:"node_kill_recovery_ms"`
-	BreakerRejects       int64   `json:"breaker_rejects"`
-	ChaosClientRetries   int64   `json:"chaos_client_retries"`
-
-	// Warm-restart rows (S24/E14, the warm-restart drill): one
-	// snapshot-enabled node of three crashed mid-load (no drain, no
-	// parting snapshot) and restarted. RestoreHitRate is the restored
-	// node's cache hit rate over the first window after its boot warm
-	// (the drill requires >= 0.5); the drill bounds WarmRestartMS by a
-	// multiple of PlainRestartMS so restoring can never dominate boot.
-	PlainRestartMS float64 `json:"plain_restart_ms"`
-	WarmRestartMS  float64 `json:"warm_restart_ms"`
-	RestoreEntries int64   `json:"restore_entries"`
-	RestoreHitRate float64 `json:"restore_hit_rate"`
-
-	// Hedge rows (E14, the hedge drill): one node of three gets
-	// injected client-path latency (slow but healthy); the hedged pass
-	// must beat the unhedged p99 with wins and zero budget exhaustion.
-	UnhedgedP99MS float64 `json:"unhedged_p99_ms"`
-	HedgedP99MS   float64 `json:"hedged_p99_ms"`
-	HedgeWinRate  float64 `json:"hedge_win_rate"`
-}
-
-// serviceBench measures the cryptgend daemon (S19/E9): the process
-// cold-start anatomy (rule compilation, first vs subsequent Generator
-// construction over the shared srccheck universe, registry reload), cold
-// one-shot generation vs the warm service (compiled-rule registry +
-// plan cache), sustained throughput with concurrent clients
-// round-robining over all 13 embedded use cases, batch-endpoint
-// throughput, singleflight coalescing, and the cluster drill table
-// (E13/E14). smoke trims every repetition
-// count for CI gating; gate additionally fails the run if subsequent
-// Generator construction costs >= 10% of the first — i.e. if the shared
-// type-check universe ever stops being reused.
-func serviceBench(clients, perClient int, jsonPath string, smoke bool, gate bool) {
-	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
-	uc := cases[2] // PBE on byte-arrays, the paper's running example
-
-	coldRuns, warmRuns, uncachedRuns, batchRounds, subsequentRuns, reloadRuns := 3, 200, 10, 20, 10, 5
-	if smoke {
-		coldRuns, warmRuns, uncachedRuns, batchRounds, subsequentRuns, reloadRuns = 1, 20, 2, 2, 3, 1
-	}
-
-	// Cold-start anatomy. Order matters: the first gen.New in the process
-	// is the one that populates the shared type-check universe (the ~0.2 s
-	// gca import on 2 CPUs: gca plus the API of 23 standard-library
-	// packages), so it must run before anything else touches gen or
-	// service. Subsequent constructions only look the packages up.
-	ruleStart := time.Now()
-	firstSet, err := rules.LoadFresh()
-	if err != nil {
-		log.Fatal(err)
-	}
-	ruleCompileMS := float64(time.Since(ruleStart)) / float64(time.Millisecond)
-
-	firstStart := time.Now()
-	if _, err := gen.New(firstSet, "", gen.Options{}); err != nil {
-		log.Fatal(err)
-	}
-	firstGenMS := float64(time.Since(firstStart)) / float64(time.Millisecond)
-
-	subsequentStart := time.Now()
-	for i := 0; i < subsequentRuns; i++ {
-		if _, err := gen.New(firstSet, "", gen.Options{}); err != nil {
-			log.Fatal(err)
-		}
-	}
-	subsequentGenMS := float64(time.Since(subsequentStart)) / float64(time.Millisecond) / float64(subsequentRuns)
-
-	// Cold: what every cmd/cryptgen invocation pays — compile all 14
-	// rules, build a Generator, generate. With the shared universe the
-	// type-check packages are already in place after the first
-	// construction above, so this is the steady-state in-process cost;
-	// the true once-per-process tax is the first_generator row.
-	src, err := templates.Source(uc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	coldStart := time.Now()
-	for i := 0; i < coldRuns; i++ {
-		rs, err := rules.LoadFresh()
-		if err != nil {
-			log.Fatal(err)
-		}
-		g, err := gen.New(rs, "", gen.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := g.GenerateFile(uc.File, src); err != nil {
-			log.Fatal(err)
-		}
-	}
-	coldMS := float64(time.Since(coldStart)) / float64(time.Millisecond) / float64(coldRuns)
-
-	workers := runtime.NumCPU()
-	srv, err := service.New(service.Config{Workers: workers, CacheSize: 64})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer srv.Close()
-	ctx := context.Background()
-
-	// Warm the registry, worker generators, and plan cache.
-	for _, c := range cases {
-		if _, err := srv.Generate(ctx, wire.GenerateRequest{UseCase: c.ID}); err != nil {
-			log.Fatalf("use case %d: %v", c.ID, err)
-		}
-	}
-
-	// Warm cached latency: repeated identical request.
-	warmStart := time.Now()
-	for i := 0; i < warmRuns; i++ {
-		if _, err := srv.Generate(ctx, wire.GenerateRequest{UseCase: uc.ID}); err != nil {
-			log.Fatal(err)
-		}
-	}
-	warmMS := float64(time.Since(warmStart)) / float64(time.Millisecond) / float64(warmRuns)
-
-	// Warm uncached latency, full pipeline: unique template *bodies* miss
-	// the plan cache, so every request pays the full parse → resolve →
-	// emit → print pipeline over the warm registry and path cache. (Unique
-	// names alone do not measure this: one body under many names is
-	// exactly what a plan serves by byte splicing.)
-	uncachedStart := time.Now()
-	for i := 0; i < uncachedRuns; i++ {
-		req := wire.GenerateRequest{
-			Name:   fmt.Sprintf("uniq%d.go", i),
-			Source: src + fmt.Sprintf("\n// uncached %d\n", i),
-		}
-		if _, err := srv.Generate(ctx, req); err != nil {
-			log.Fatal(err)
-		}
-	}
-	uncachedMS := float64(time.Since(uncachedStart)) / float64(time.Millisecond) / float64(uncachedRuns)
-
-	// Throughput: clients × perClient requests over all 13 use cases.
-	var wg sync.WaitGroup
-	thrStart := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				id := cases[(c+i)%len(cases)].ID
-				if _, err := srv.Generate(ctx, wire.GenerateRequest{UseCase: id}); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	thrSecs := time.Since(thrStart).Seconds()
-	total := clients * perClient
-	rps := float64(total) / thrSecs
-
-	// Batch endpoint: whole-catalogue batches (all 13 use cases per
-	// request), measuring fan-out overhead per item on a warm cache.
-	var batchItems int
-	batchStart := time.Now()
-	for i := 0; i < batchRounds; i++ {
-		var breq wire.BatchRequest
-		for _, c := range cases {
-			breq.Requests = append(breq.Requests, wire.GenerateRequest{UseCase: c.ID})
-		}
-		bresp, err := srv.GenerateBatch(ctx, breq)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if bresp.Failed > 0 {
-			log.Fatalf("batch round %d: %d items failed", i, bresp.Failed)
-		}
-		batchItems += len(bresp.Results)
-	}
-	batchItemsPerS := float64(batchItems) / time.Since(batchStart).Seconds()
-
-	// Reload latency: recompile every rule (parallel LoadFS) and re-warm
-	// the path cache (concurrent per-rule enumeration), then swap.
-	reloadStart := time.Now()
-	for i := 0; i < reloadRuns; i++ {
-		if _, err := srv.Registry().Reload(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	reloadMS := float64(time.Since(reloadStart)) / float64(time.Millisecond) / float64(reloadRuns)
-
-	// Coalescing: concurrent identical cache misses collapse into one
-	// generation through the singleflight layer. Left ungated, this stage
-	// used to report coalesced=0 on fast machines: the shared universe makes
-	// a generation take low milliseconds, so on a single core the leader
-	// often finished before any follower was even scheduled and the
-	// followers all landed as plain cache hits — the stage never measured
-	// the thing it existed for. A one-shot injected latency at the worker
-	// exec point now holds the leader's flight open long enough for every
-	// follower to arrive and park on it; followers bump the coalesced
-	// counter before waiting, so the split below is deterministic enough to
-	// assert on.
-	cosrv, err := service.New(service.Config{Workers: workers, CacheSize: 64})
-	if err != nil {
-		log.Fatal(err)
-	}
-	const coalesceClients = 8
-	coStart := make(chan struct{})
-	var coWG sync.WaitGroup
-	for i := 0; i < coalesceClients; i++ {
-		coWG.Add(1)
-		go func() {
-			defer coWG.Done()
-			<-coStart
-			// A body no plan was ever compiled for: the leader must take
-			// the worker path (where the latency fault is armed) rather
-			// than serve an inline byte splice, or no follower coalesces.
-			req := wire.GenerateRequest{Name: "coalesce_bench.go", Source: src + "\n// coalesce stage\n"}
-			if _, err := cosrv.Generate(ctx, req); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
-	faultinject.Arm(faultinject.PointWorkerExec, faultinject.Fault{Mode: faultinject.ModeLatency, Latency: 250 * time.Millisecond, Times: 1})
-	close(coStart)
-	coWG.Wait()
-	faultinject.Reset()
-	com := cosrv.MetricsSnapshot()
-	coalesced := com.Coalesced
-	coHits := com.CacheHits
-	if coalesced == 0 {
-		log.Fatal("coalescing stage: no follower joined the gated flight")
-	}
-	if absorbed := coalesced + coHits; absorbed != coalesceClients-1 {
-		log.Fatalf("coalescing stage: %d followers absorbed (coalesced %d + hits %d), want %d", absorbed, coalesced, coHits, coalesceClients-1)
-	}
-	cosrv.Close()
-
-	// Resilience rows: a dedicated tiny server (1 worker, 1-deep queue,
-	// 1 waiter) takes an injected worker panic — the request fails, the
-	// very next one succeeds — then a latency storm that trips admission
-	// control. Shed recovery is the latency of the first successful
-	// generation after the fault clears: the price of coming back, not of
-	// staying up.
-	resrv, err := service.New(service.Config{Workers: 1, QueueSize: 1, MaxWaiters: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Every resilience request carries a unique body: the faults under
-	// test live on the worker path, and a body matching a resident plan
-	// would be byte-spliced inline without ever reaching the pool.
-	resSrc := func(tag string) string { return src + "\n// resilience: " + tag + "\n" }
-	if _, err := resrv.Generate(ctx, wire.GenerateRequest{Name: "res_warm.go", Source: resSrc("warm")}); err != nil {
-		log.Fatal(err)
-	}
-	faultinject.Arm(faultinject.PointWorkerExec, faultinject.Fault{Mode: faultinject.ModePanic, Times: 1})
-	if _, err := resrv.Generate(ctx, wire.GenerateRequest{Name: "res_panic.go", Source: resSrc("panic")}); err == nil {
-		log.Fatal("injected worker panic did not fail its request")
-	}
-	if _, err := resrv.Generate(ctx, wire.GenerateRequest{Name: "res_after_panic.go", Source: resSrc("after_panic")}); err != nil {
-		log.Fatalf("generation after recovered worker panic: %v", err)
-	}
-	faultinject.Arm(faultinject.PointWorkerExec, faultinject.Fault{Mode: faultinject.ModeLatency, Latency: 100 * time.Millisecond})
-	var shedWG sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		shedWG.Add(1)
-		go func(i int) {
-			defer shedWG.Done()
-			// Shed requests fail with 429-mapped errors by design.
-			_, _ = resrv.Generate(ctx, wire.GenerateRequest{Name: fmt.Sprintf("res_storm%d.go", i), Source: resSrc(fmt.Sprintf("storm%d", i))})
-		}(i)
-	}
-	shedWG.Wait()
-	faultinject.Reset()
-	recoverStart := time.Now()
-	if _, err := resrv.Generate(ctx, wire.GenerateRequest{Name: "res_recover.go", Source: resSrc("recover")}); err != nil {
-		log.Fatalf("generation after shedding storm: %v", err)
-	}
-	shedRecoveryMS := float64(time.Since(recoverStart)) / float64(time.Millisecond)
-	rem := resrv.MetricsSnapshot()
-	panicsRecovered := rem.PanicsRecovered
-	shedTotal := rem.ShedTotal
-	resrv.Close()
-
-	// Drill stages (E13/E14): every row of the clustertest drill table,
-	// the same rows TestDrills runs. Run enforces each row's assertions
-	// (zero lost requests, byte identity, convergence, and the row's own
-	// bounds), so a drill that fails them fails the benchmark too.
-	var kill, warm, hedge clustertest.Report
-	var killProbeMS float64
-	for _, d := range clustertest.Drills {
-		r, err := clustertest.Run(ctx, d)
-		if err != nil {
-			log.Fatalf("%v\nreport: %+v", err, r)
-		}
-		switch d.Name {
-		case "node-kill":
-			kill, killProbeMS = r, float64(d.Server.PeerProbeInterval)/float64(time.Millisecond)
-		case "warm-restart":
-			warm = r
-		case "hedge":
-			hedge = r
-		}
-	}
-	hedgeWinRate := 0.0
-	if hedge.HedgedTotal > 0 {
-		hedgeWinRate = float64(hedge.HedgeWins) / float64(hedge.HedgedTotal)
-	}
-
-	m := srv.MetricsSnapshot()
-	hitRate := m.CacheHitRate
-	res := serviceBenchResult{
-		RuleCompileMS:         ruleCompileMS,
-		FirstGeneratorMS:      firstGenMS,
-		SubsequentGeneratorMS: subsequentGenMS,
-		GeneratorReuseSpeedup: firstGenMS / subsequentGenMS,
-		ReloadMS:              reloadMS,
-		ColdSingleShotMS:      coldMS,
-		WarmCachedMS:          warmMS,
-		WarmUncachedMS:        uncachedMS,
-		Speedup:               coldMS / warmMS,
-		ThroughputRPS:         rps,
-		BatchItemsPerS:        batchItemsPerS,
-		BatchItems:            batchItems,
-		Coalesced:             coalesced,
-		CoalesceHits:          coHits,
-		CoalesceClients:       coalesceClients,
-		PanicsRecovered:       panicsRecovered,
-		ShedTotal:             shedTotal,
-		ShedRecoveryMS:        shedRecoveryMS,
-		CacheHitRate:          hitRate,
-		Clients:               clients,
-		Requests:              total,
-		UseCases:              len(cases),
-		Workers:               workers,
-		Fingerprint:           srv.Registry().Snapshot().Fingerprint,
-		ChaosRequests:         kill.Requests,
-		ChaosProbeIntervalMS:  killProbeMS,
-		SteadyP99MS:           kill.SteadyP99MS,
-		FailoverP99MS:         kill.FailoverP99MS,
-		NodeKillRecoveryMS:    kill.RecoveryMS,
-		BreakerRejects:        kill.BreakerRejects,
-		ChaosClientRetries:    kill.ClientRetries,
-		PlainRestartMS:        warm.PlainRestartMS,
-		WarmRestartMS:         warm.WarmRestartMS,
-		RestoreEntries:        warm.RestoreEntries,
-		RestoreHitRate:        warm.RestoreHitRate,
-		UnhedgedP99MS:         hedge.UnhedgedP99MS,
-		HedgedP99MS:           hedge.HedgedP99MS,
-		HedgeWinRate:          hedgeWinRate,
-	}
-
-	fmt.Println("Service (cryptgend daemon): cold one-shot vs warm long-lived process")
-	fmt.Printf("  rule compilation (all 14 rules, parallel):   %10.2f ms\n", res.RuleCompileMS)
-	fmt.Printf("  first Generator (builds shared universe):    %10.2f ms\n", res.FirstGeneratorMS)
-	fmt.Printf("  subsequent Generator (universe reuse):       %10.4f ms  (%.0fx faster)\n",
-		res.SubsequentGeneratorMS, res.GeneratorReuseSpeedup)
-	fmt.Printf("  registry reload (recompile + path warm):     %10.2f ms\n", res.ReloadMS)
-	fmt.Printf("  cold single-shot (rules+generator+generate): %10.2f ms\n", res.ColdSingleShotMS)
-	fmt.Printf("  warm, plan splice:                           %10.4f ms  (%.0fx speedup)\n", res.WarmCachedMS, res.Speedup)
-	fmt.Printf("  warm, cache miss (full pipeline):            %10.2f ms\n", res.WarmUncachedMS)
-	fmt.Printf("  throughput: %d clients x %d reqs over %d use cases: %.0f req/s (cache hit rate %.1f%%)\n",
-		clients, perClient, len(cases), res.ThroughputRPS, 100*res.CacheHitRate)
-	fmt.Printf("  batch: %d rounds x %d use cases per request: %.0f items/s\n",
-		batchRounds, len(cases), res.BatchItemsPerS)
-	fmt.Printf("  coalescing: %d concurrent identical misses -> 1 generation (%d coalesced + %d cache hits)\n",
-		coalesceClients, res.Coalesced, res.CoalesceHits)
-	fmt.Printf("  resilience: %d worker panics recovered, %d requests shed, %.2f ms to first success after storm\n",
-		res.PanicsRecovered, res.ShedTotal, res.ShedRecoveryMS)
-	fmt.Printf("  drills: %d rows of the cluster drill table passed\n", len(clustertest.Drills))
-	fmt.Printf("  chaos (kill 1 of 3 under load, probe %.0fms): %d reqs 0 lost; p99 steady %.2fms -> failover %.2fms; recovery %.1fms; %d retries, %d breaker rejects\n",
-		res.ChaosProbeIntervalMS, res.ChaosRequests, res.SteadyP99MS, res.FailoverP99MS,
-		res.NodeKillRecoveryMS, res.ChaosClientRetries, res.BreakerRejects)
-	fmt.Printf("  warm restart (crash 1 of 3, snapshot restore): %.1fms vs plain %.1fms; %d entries restored, first-window hit rate %.2f; corrupt snapshot -> clean cold start\n",
-		res.WarmRestartMS, res.PlainRestartMS, res.RestoreEntries, res.RestoreHitRate)
-	fmt.Printf("  hedging (300ms slow node): p99 unhedged %.2fms -> hedged %.2fms, win rate %.2f\n",
-		res.UnhedgedP99MS, res.HedgedP99MS, res.HedgeWinRate)
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  wrote %s\n", jsonPath)
-	}
-
-	// Cold-start regression gate (scripts/verify.sh runs this via
-	// `-table service -smoke`): if building a second Generator costs 10%
-	// or more of building the first, the shared universe is no longer
-	// being reused and every service worker is back to paying the ~0.2 s
-	// type-check tax.
-	if gate && subsequentGenMS >= 0.10*firstGenMS {
-		log.Fatalf("cold-start gate: subsequent Generator construction %.2fms >= 10%% of first %.2fms — shared type-check universe is not being reused",
-			subsequentGenMS, firstGenMS)
-	}
 }

@@ -1,6 +1,6 @@
 // Command cryptgen runs the CogniCryptGEN code generator:
 //
-//	cryptgen -usecase 3                    generate a Table 1 use case to stdout
+//	cryptgen -usecase 3                    generate a built-in use case to stdout
 //	cryptgen -template my_template.go      generate from a custom template
 //	cryptgen -usecase 3 -o out.go          write the output to a file
 //	cryptgen -usecase 3 -into ./pkg        generate into an existing package
@@ -25,7 +25,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cryptgen: ")
-	useCase := flag.Int("usecase", 0, "built-in use case number (1-11, see -list)")
+	useCase := flag.Int("usecase", 0, "built-in use case number (1-13, see -list)")
 	templatePath := flag.String("template", "", "path to a custom template file")
 	out := flag.String("o", "", "output file (default stdout)")
 	into := flag.String("into", "", "generate into an existing Go package directory")
@@ -36,7 +36,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, uc := range templates.UseCases {
+		for _, uc := range templates.All() {
 			fmt.Printf("%2d  %-30s %s\n", uc.ID, uc.Name, uc.File)
 		}
 		return

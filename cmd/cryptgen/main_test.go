@@ -23,8 +23,15 @@ func TestList(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	if !strings.Contains(out, "PBE on Files") || !strings.Contains(out, "Hashing of Strings") {
-		t.Errorf("list incomplete:\n%s", out)
+	// The list is the served catalogue: Table 1's eleven use cases and
+	// the two extensions, one row each.
+	if rows := strings.Split(strings.TrimSpace(out), "\n"); len(rows) != 13 {
+		t.Errorf("list has %d rows, want 13:\n%s", len(rows), out)
+	}
+	for _, want := range []string{"PBE on Files", "Hashing of Strings", "Message Authentication (HMAC)", "Password-Sealed Key Storage"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("list misses %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ func TestConcurrentGeneration(t *testing.T) {
 	rs := rules.MustLoad()
 	cache := NewPathCache()
 
-	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
+	cases := templates.All()
 	srcs := make(map[string]string, len(cases))
 	for _, uc := range cases {
 		src, err := templates.Source(uc)

@@ -23,7 +23,7 @@ import (
 // seed corpus is all 13 embedded production templates plus degenerate
 // shapes.
 func FuzzParseTemplate(f *testing.F) {
-	for _, uc := range append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...) {
+	for _, uc := range templates.All() {
 		src, err := templates.Source(uc)
 		if err != nil {
 			f.Fatal(err)
@@ -65,7 +65,7 @@ func FuzzParseTemplate(f *testing.F) {
 // generator scans, plus Unicode and invalid-UTF-8 boundaries: RE2's \b is
 // ASCII-only, so "éa" after a space is not a word match.
 func FuzzWordMatches(f *testing.F) {
-	for _, uc := range append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...) {
+	for _, uc := range templates.All() {
 		src, err := templates.Source(uc)
 		if err != nil {
 			f.Fatal(err)

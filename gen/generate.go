@@ -106,11 +106,13 @@ type Generator struct {
 // type-checked against it.
 //
 // The first Generator in a process pays the one-time cost of source-
-// importing the crypto façade's transitive closure (~1 s, fanned across
-// CPUs); the type-checked packages land in srccheck's process-wide shared
+// importing the crypto façade and the API of its standard-library imports
+// (~0.14 s on a 2-CPU Xeon, go1.24: BenchmarkUniverseWarm in
+// internal/srccheck, and the first New that TestSecondGeneratorReusesUniverse
+// logs); the type-checked packages land in srccheck's process-wide shared
 // universe, so every subsequent New over the same module constructs in
-// microseconds. Daemon workers and repeated single-shot constructions
-// share that warm-up instead of each paying it.
+// well under a millisecond. Daemon workers and repeated single-shot
+// constructions share that warm-up instead of each paying it.
 func New(ruleSet *crysl.RuleSet, dir string, opts Options) (*Generator, error) {
 	checker, err := srccheck.NewChecker(dir)
 	if err != nil {

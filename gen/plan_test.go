@@ -13,7 +13,7 @@ import (
 
 func allUseCases(t *testing.T) []templates.UseCase {
 	t.Helper()
-	return append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
+	return templates.All()
 }
 
 // TestPlanByteIdentity is the tentpole's golden gate: for every embedded

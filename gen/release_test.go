@@ -20,7 +20,7 @@ import (
 func TestFileSetReturnsToBaseline(t *testing.T) {
 	rs := rules.MustLoad()
 	paths := NewPathCache()
-	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
+	cases := templates.All()
 	srcs := make([]string, len(cases))
 	outs := make([]string, len(cases))
 

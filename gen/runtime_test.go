@@ -48,7 +48,7 @@ replace cognicryptgen => %s
 	if err := os.MkdirAll(pkgDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	all := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
+	all := templates.All()
 	for _, uc := range all {
 		src, err := templates.Source(uc)
 		if err != nil {

@@ -1,9 +1,8 @@
 // Package clustertest boots N in-process cryptgend nodes wired as a
 // cluster: real service.Server instances behind real HTTP listeners on
 // loopback, each configured with the others as peers. The drill table
-// (drill.go), run by TestDrills and by cmd/benchtables -table service,
-// drives every cluster through this package, so "a cluster" means the same
-// thing in both.
+// (drill.go), run by TestDrills, drives every cluster through this
+// package, so "a cluster" means the same thing in every row.
 //
 // The only trick is ordering: every node must know all URLs before any
 // node is constructed (Config.Peers is static), but ports are only known

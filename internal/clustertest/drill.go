@@ -141,9 +141,8 @@ var failover = client.Config{
 	ProbeInterval:      -1,
 }
 
-// Drills is the cluster drill table. TestDrills runs every row, and
-// cmd/benchtables -table service reports its E13/E14 rows from the same
-// runs.
+// Drills is the cluster drill table. TestDrills runs every row; with -v
+// it logs each row's Report, the source of the E13/E14 numbers.
 var Drills = []Drill{
 	{
 		Name:   "smoke",
@@ -245,7 +244,7 @@ var shared = []Check{
 // catalogue is the 13 embedded templates, verified.
 func catalogue() []wire.GenerateRequest {
 	var work []wire.GenerateRequest
-	for _, uc := range append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...) {
+	for _, uc := range templates.All() {
 		work = append(work, wire.GenerateRequest{UseCase: uc.ID, Verify: true})
 	}
 	return work

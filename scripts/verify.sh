@@ -88,34 +88,16 @@ go test -race -count=3 \
 echo "==> bench harness tests (-short)"
 (cd bench && GOFLAGS=-buildvcs=false GOPROXY=off go test -short ./...)
 
-# Cluster drill table (internal/clustertest/drill.go), one row per drill,
-# on both 1 and 2 CPUs under -race:
-#   smoke         3 nodes answer all 13 templates byte-identically to a
-#                 standalone node, routed and round-robin; forwards > 0,
-#                 no fallbacks, one pipeline run per body
-#   node-kill     kill 1 of 3 under load and restart it: retries spent,
-#                 re-admission within 2x the probe interval
-#   partition     refused peer channel: fallback or rejection, breaker
-#                 opens, peer re-admitted after healing
-#   slow-peer     300ms peer channel through 3 full probe rounds per
-#                 node: nobody ejected
-#   warm-restart  crash + snapshot restore: entries restored, first-window
-#                 hit rate >= 0.5, warm restart <= 5x max(plain, 100ms);
-#                 corrupt snapshot -> clean cold start
-#   hedge         300ms slow node: hedge wins, no budget exhaustion,
-#                 hedged p99 < unhedged p99
-# Every row also requires zero lost requests, byte-identical output,
-# health and breaker convergence, and goroutines back to baseline.
+# Cluster drill table: every row (smoke, node-kill, partition, slow-peer,
+# warm-restart, hedge) with the bounds its Checks enforce, as listed in
+# internal/clustertest/drill.go; on both 1 and 2 CPUs under -race.
 echo "==> cluster drills (TestDrills, -race, 1 and 2 CPUs)"
 go test -race -cpu 1,2 -count=1 -run TestDrills ./internal/clustertest
 
-# Smoke the daemon benchmark end to end (batch + coalescing tables and the
-# drill rows included) without the full measurement repetitions. This
-# doubles as the cold-start regression gate: benchtables exits non-zero if
-# subsequent Generator construction costs >= 10% of the first (the shared
-# type-check universe stopped being reused), and if any drill row fails
-# its assertions.
-echo "==> benchtables service smoke (incl. cold-start gate)"
-go run ./cmd/benchtables -table service -smoke
+# Cold-start gate: a second gen.New must cost under 10% of the process's
+# first and share its type-check universe (FileSet and gca package). The
+# test re-executes its binary so the first New really is the first.
+echo "==> cold-start gate (-race, 3 runs)"
+go test -race -count=3 -run TestSecondGeneratorReusesUniverse ./gen
 
 echo "==> verify OK"

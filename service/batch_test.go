@@ -20,7 +20,7 @@ import (
 // /v1/generate of the same request.
 func TestBatchMatchesSequential(t *testing.T) {
 	_, ts := sharedService(t)
-	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
+	cases := templates.All()
 
 	want := make([]string, len(cases))
 	var breq wire.BatchRequest

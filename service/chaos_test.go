@@ -102,7 +102,7 @@ func TestChaosReloadFailureKeepsLastGood(t *testing.T) {
 	srv, ts := chaosServer(t, Config{Workers: 2, CacheSize: 4})
 	waitWarm(t, srv) // so the final readyz check sees "ok", not "restoring"
 
-	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
+	cases := templates.All()
 	want := make(map[int]string, len(cases))
 	for _, uc := range cases {
 		src, err := templates.Source(uc)

@@ -78,7 +78,7 @@ func TestClusterSharedCacheByteIdentical(t *testing.T) {
 
 	srvs, tss, _ := startCluster(t, 3)
 	ctx := context.Background()
-	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
+	cases := templates.All()
 	sendAll := func(req wire.GenerateRequest, what string) {
 		t.Helper()
 		want, err := standalone.Generate(ctx, req)
@@ -194,7 +194,7 @@ func TestClusterHopGuard(t *testing.T) {
 	// hop header already set: node 0 must generate locally, not re-forward.
 	fp := srvs[0].Registry().Snapshot().Fingerprint
 	var req wire.GenerateRequest
-	for _, uc := range append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...) {
+	for _, uc := range templates.All() {
 		r := wire.GenerateRequest{Name: uc.File, Source: unseenBody(t, uc.ID, "hop guard")}
 		if srvs[0].cluster.ownerPeer(wire.RouteKey(fp, r)) != "" {
 			req = r
@@ -250,7 +250,7 @@ func TestClusterPeerDownFallback(t *testing.T) {
 
 	ctx := context.Background()
 	snap := srvs[0].Registry().Snapshot()
-	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
+	cases := templates.All()
 	// Peer-owned bodies by construction: vary each template's trailing
 	// comment until the dead peer owns the body's key. The bodies are unseen
 	// (a warmed plan would splice locally before any forward), and there is

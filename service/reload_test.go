@@ -35,7 +35,7 @@ func TestReloadUnderLoad(t *testing.T) {
 	defer srv.Close()
 	ctx := context.Background()
 
-	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
+	cases := templates.All()
 	want := make(map[int]string, len(cases))
 	for _, uc := range cases {
 		resp, err := srv.Generate(ctx, wire.GenerateRequest{UseCase: uc.ID})

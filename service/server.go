@@ -384,7 +384,7 @@ func (s *Server) warm(snap *Snapshot, extra []persist.Entry) {
 		return
 	}
 	var tuples []persist.Entry
-	for _, uc := range append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...) {
+	for _, uc := range templates.All() {
 		src, _ := templates.Source(uc) // embedded: a missing one fails its warm below
 		tuples = append(tuples, persist.Entry{Name: uc.File, Source: src})
 	}
@@ -426,7 +426,7 @@ func (s *Server) RulesInfo() wire.RulesResponse {
 // TemplatesInfo lists the embedded use-case templates (GET /v1/templates).
 func (s *Server) TemplatesInfo() wire.TemplatesResponse {
 	var out wire.TemplatesResponse
-	for _, uc := range append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...) {
+	for _, uc := range templates.All() {
 		out.Templates = append(out.Templates, wire.TemplateInfo{ID: uc.ID, Name: uc.Name, File: uc.File, Sources: uc.Sources})
 	}
 	return out

@@ -113,7 +113,7 @@ func TestGenerateAllUseCasesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, uc := range append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...) {
+	for _, uc := range templates.All() {
 		src, err := templates.Source(uc)
 		if err != nil {
 			t.Fatal(err)
@@ -300,7 +300,7 @@ func TestPoolDrain(t *testing.T) {
 // counterpart of gen's TestConcurrentGeneration, run under -race in CI.
 func TestConcurrentGenerateRequests(t *testing.T) {
 	_, ts := sharedService(t)
-	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
+	cases := templates.All()
 	const clients = 16
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)

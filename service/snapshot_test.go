@@ -22,11 +22,6 @@ import (
 	"cognicryptgen/wire"
 )
 
-// allUseCases is every embedded template (base use cases + extensions).
-func allUseCases() []templates.UseCase {
-	return append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
-}
-
 // TestSnapshotWarmRestart is the durability round-trip: a server generates
 // all embedded templates with verification (tuples its boot warm does not
 // cover), closes gracefully (writing its final snapshot), and a second
@@ -40,7 +35,7 @@ func TestSnapshotWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, uc := range allUseCases() {
+	for _, uc := range templates.All() {
 		if _, err := a.Generate(ctx, wire.GenerateRequest{UseCase: uc.ID, Verify: true}); err != nil {
 			t.Fatalf("use case %d: %v", uc.ID, err)
 		}
@@ -56,8 +51,8 @@ func TestSnapshotWarmRestart(t *testing.T) {
 	}
 	defer b.Close()
 	m := b.MetricsSnapshot()
-	if m.RestoreEntries < int64(len(allUseCases())) {
-		t.Fatalf("restored %d entries, want >= %d", m.RestoreEntries, len(allUseCases()))
+	if m.RestoreEntries < int64(len(templates.All())) {
+		t.Fatalf("restored %d entries, want >= %d", m.RestoreEntries, len(templates.All()))
 	}
 	waitWarm(t, b)
 	if ms := b.MetricsSnapshot().RestoreMS; ms <= 0 {
@@ -68,7 +63,7 @@ func TestSnapshotWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, uc := range allUseCases() {
+	for _, uc := range templates.All() {
 		src, err := templates.Source(uc)
 		if err != nil {
 			t.Fatal(err)
@@ -88,8 +83,8 @@ func TestSnapshotWarmRestart(t *testing.T) {
 			t.Errorf("use case %d (%s): restored output differs from standalone generation", uc.ID, uc.File)
 		}
 	}
-	if hits := b.MetricsSnapshot().CacheHits; hits < int64(len(allUseCases())) {
-		t.Errorf("restored node recorded %d cache hits, want >= %d", hits, len(allUseCases()))
+	if hits := b.MetricsSnapshot().CacheHits; hits < int64(len(templates.All())) {
+		t.Errorf("restored node recorded %d cache hits, want >= %d", hits, len(templates.All()))
 	}
 }
 
@@ -286,8 +281,8 @@ func TestReadyzRestoring(t *testing.T) {
 	if got := srv.ReadyInfo().Status; got != wire.ReadyOK {
 		t.Fatalf("ReadyInfo status %q after the boot warm, want %q", got, wire.ReadyOK)
 	}
-	if n := srv.MetricsSnapshot().PlanEntries; n < len(allUseCases()) {
-		t.Errorf("boot warm left %d plans, want the %d embedded templates'", n, len(allUseCases()))
+	if n := srv.MetricsSnapshot().PlanEntries; n < len(templates.All()) {
+		t.Errorf("boot warm left %d plans, want the %d embedded templates'", n, len(templates.All()))
 	}
 }
 

@@ -19,7 +19,7 @@ var templateFS embed.FS
 
 // UseCase identifies one of the paper's Table 1 use cases.
 type UseCase struct {
-	// ID is the row number in Table 1 (1-11).
+	// ID is the row number in Table 1 (1-11); extensions continue at 12.
 	ID int
 	// Name is the Table 1 use-case name.
 	Name string
@@ -49,6 +49,12 @@ var UseCases = []UseCase{
 var Extensions = []UseCase{
 	{12, "Message Authentication (HMAC)", "mac.go", []string{"§7 extension"}},
 	{13, "Password-Sealed Key Storage", "keystore.go", []string{"§7 extension"}},
+}
+
+// All returns the served catalogue: UseCases followed by Extensions, in a
+// fresh slice the caller may modify.
+func All() []UseCase {
+	return append(append(make([]UseCase, 0, len(UseCases)+len(Extensions)), UseCases...), Extensions...)
 }
 
 // ByID returns the use case with the given Table 1 row number, searching

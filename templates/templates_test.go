@@ -84,7 +84,7 @@ func f() {
 func TestTemplatesAreCompact(t *testing.T) {
 	// The Table 2 claim rests on templates staying small: every template
 	// must be well under 100 glue lines.
-	for _, uc := range append(append([]UseCase(nil), UseCases...), Extensions...) {
+	for _, uc := range All() {
 		src, err := Source(uc)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package wire defines the cryptgend cluster's wire contract: the JSON
 // request, response, and error shapes spoken by the daemon (service), the
-// Go SDK (client), and the tools (cmd/cryptgend, cmd/benchtables, and the
+// Go SDK (client), and the tools (cmd/cryptgend, the bench/ harness, and the
 // cluster drill table in internal/clustertest), plus the routing key and
 // rendezvous hash that daemon and client share so both sides agree on
 // which node owns a request.
