@@ -721,12 +721,40 @@ func orderString(rule *crysl.Rule) string {
 	return rule.AST.Order.String()
 }
 
-// nextEventHint names a method that would make progress from the current
-// state.
+// nextEventHint names the first event on a shortest path from the current
+// state to an accepting one, breaking ties by the rule's EVENTS declaration
+// order, so the same source always yields the same finding text.
 func nextEventHint(t *trackedObject) string {
-	for label := range t.rule.DFA.Trans[t.state] {
-		if ev, ok := t.rule.Event(label); ok {
-			return ev.Method
+	dfa := t.rule.DFA
+	// dist[s] is the length of the shortest path from s to acceptance
+	// (-1 = none); the automata are a handful of states, so relax to a
+	// fixpoint.
+	dist := make([]int, dfa.NumStates)
+	for s := range dist {
+		dist[s] = -1
+		if dfa.Accepting[s] {
+			dist[s] = 0
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for s, trans := range dfa.Trans {
+			for _, next := range trans {
+				if d := dist[next]; d >= 0 && (dist[s] < 0 || d+1 < dist[s]) {
+					dist[s], changed = d+1, true
+				}
+			}
+		}
+	}
+	if dist[t.state] <= 0 {
+		return "?"
+	}
+	for _, decl := range t.rule.AST.Events {
+		if decl.IsAggregate() {
+			continue
+		}
+		if next, ok := dfa.Trans[t.state][decl.Label]; ok && dist[next] == dist[t.state]-1 {
+			return decl.Pattern.Method
 		}
 	}
 	return "?"

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -31,8 +32,7 @@ func analyze(t *testing.T, src string) *Report {
 	return rep
 }
 
-func TestCipherMissingDoFinalIsIncomplete(t *testing.T) {
-	rep := analyze(t, `package main
+const cipherMissingDoFinal = `package main
 
 import "cognicryptgen/gca"
 
@@ -43,9 +43,35 @@ func incomplete(key *gca.SecretKey) error {
 	}
 	return c.Init(gca.EncryptMode, key)
 }
-`)
+`
+
+func TestCipherMissingDoFinalIsIncomplete(t *testing.T) {
+	rep := analyze(t, cipherMissingDoFinal)
 	if kinds(rep)[IncompleteOperationError] == 0 {
 		t.Errorf("Init without DoFinal must be incomplete: %v", rep.Findings)
+	}
+}
+
+// TestIncompleteHintDeterministic: the "missing e.g." hint names the first
+// event of a shortest completion, ties broken by EVENTS order. After Init,
+// DoFinal, Wrap and Unwrap each complete gca.Cipher in one step, and
+// DoFinal is declared first.
+func TestIncompleteHintDeterministic(t *testing.T) {
+	msgs := map[string]bool{}
+	for i := 0; i < 50; i++ {
+		for _, f := range analyze(t, cipherMissingDoFinal).Findings {
+			if f.Kind == IncompleteOperationError {
+				msgs[f.Message] = true
+			}
+		}
+	}
+	if len(msgs) != 1 {
+		t.Fatalf("50 analyses gave %d distinct incomplete-operation messages: %v", len(msgs), msgs)
+	}
+	for m := range msgs {
+		if !strings.Contains(m, "missing e.g. DoFinal)") {
+			t.Errorf("hint does not name DoFinal: %q", m)
+		}
 	}
 }
 

@@ -157,21 +157,23 @@ func BenchmarkRuleSetLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation regenerates all use cases with individual generator
-// features disabled (experiment E7). Configurations that break a use case
+// BenchmarkAblation regenerates all 13 templates, verified, with individual
+// generator features disabled (experiment E7), and runs the misuse analyzer
+// over every output that verifies. Configurations that break a template
 // count failures via the failures/op metric instead of aborting, because
-// "how much the heuristic matters" is exactly what the ablation measures.
+// "how much the heuristic matters" is exactly what the ablation measures;
+// findings/op counts the misuses in the outputs that did compile.
 func BenchmarkAblation(b *testing.B) {
-	benchSetup(b)
+	_, an := benchSetup(b)
 	rs := rules.MustLoad()
 	configs := []struct {
 		name string
 		opts gen.Options
 	}{
-		{"Full", gen.Options{}},
-		{"NoLinkPreference", gen.Options{NoLinkPreference: true}},
-		{"NoDerivation", gen.Options{NoDerivation: true}},
-		{"NoBindingFilter", gen.Options{NoBindingFilter: true}},
+		{"Full", gen.Options{Verify: true}},
+		{"NoLinkPreference", gen.Options{Verify: true, NoLinkPreference: true}},
+		{"NoDerivation", gen.Options{Verify: true, NoDerivation: true}},
+		{"NoBindingFilter", gen.Options{Verify: true, NoBindingFilter: true}},
 	}
 	for _, cfg := range configs {
 		g, err := gen.New(rs, "", cfg.opts)
@@ -179,10 +181,9 @@ func BenchmarkAblation(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(cfg.name, func(b *testing.B) {
-			failures := 0
-			pushups := 0
+			failures, findings, pushups := 0, 0, 0
 			for i := 0; i < b.N; i++ {
-				for _, uc := range templates.UseCases {
+				for _, uc := range templates.All() {
 					src, err := templates.Source(uc)
 					if err != nil {
 						b.Fatal(err)
@@ -193,9 +194,15 @@ func BenchmarkAblation(b *testing.B) {
 						continue
 					}
 					pushups += len(res.Report.PushedUp)
+					rep, err := an.AnalyzeSource(uc.File, res.Output)
+					if err != nil {
+						b.Fatal(err)
+					}
+					findings += len(rep.Findings)
 				}
 			}
 			b.ReportMetric(float64(failures)/float64(b.N), "failures/op")
+			b.ReportMetric(float64(findings)/float64(b.N), "findings/op")
 			b.ReportMetric(float64(pushups)/float64(b.N), "pushups/op")
 		})
 	}

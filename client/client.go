@@ -98,18 +98,6 @@ type Config struct {
 	// RetryBudgetRatio is the per-success refill (0 = 0.2: at steady
 	// state retries add at most ~20% load on top of successes).
 	RetryBudgetRatio float64
-	// Hedge enables opt-in hedged generate requests: when the primary
-	// owner has not answered within the hedge delay, ONE hedge fires at
-	// the next-ranked admitted node and the first success wins (the loser
-	// is cancelled). Every hedge withdraws a retry-budget token first, so
-	// hedging cannot amplify an overloaded cluster — with the budget empty
-	// the client simply waits for the primary like an unhedged one.
-	Hedge bool
-	// HedgeDelay is how long the primary may stay silent before the hedge
-	// fires (0 = derived from the client's own observed p99 attempt
-	// latency; hedging then stays off until enough samples accumulate, so
-	// a fresh client never hedges on a guess).
-	HedgeDelay time.Duration
 }
 
 // Client is a cryptgend cluster client. Safe for concurrent use; create
@@ -126,16 +114,6 @@ type Client struct {
 	budget *breaker.Budget
 	// retries counts retry attempts actually sent.
 	retries atomic.Int64
-	// hedgedTotal / hedgeWins count hedges fired and hedges that answered
-	// before their primary (Config.Hedge).
-	hedgedTotal atomic.Int64
-	hedgeWins   atomic.Int64
-	// latMu guards the successful-attempt latency ring feeding the
-	// p99-derived hedge delay.
-	latMu   sync.Mutex
-	lats    []time.Duration
-	latNext int
-	latFull bool
 
 	// fingerprint is the last rule-set fingerprint observed (responses,
 	// readyz probes). Routing keys include it so client and daemons agree
@@ -241,8 +219,6 @@ func (c *Client) Stats() wire.ClientStats {
 		s.RetryBudgetExhausted = c.budget.Exhausted()
 		s.RetryBudgetTokens = c.budget.Tokens()
 	}
-	s.HedgedTotal = c.hedgedTotal.Load()
-	s.HedgeWins = c.hedgeWins.Load()
 	return s
 }
 
@@ -474,7 +450,6 @@ func (c *Client) doRetry(ctx context.Context, nodes []string, path string, in, o
 		}
 		node := c.pickNode(nodes, &idx)
 		br := c.brs[node]
-		attemptStart := time.Now()
 		wireErr, retryAfter, err := c.post(ctx, node, path, body, out)
 		switch {
 		case err != nil:
@@ -489,7 +464,6 @@ func (c *Client) doRetry(ctx context.Context, nodes []string, path string, in, o
 			if c.budget != nil {
 				c.budget.Deposit()
 			}
-			c.observeLatency(time.Since(attemptStart))
 			return nil
 		case wireErr.Status == http.StatusTooManyRequests:
 			// Shedding proves the node alive — close its breaker (a half-open
@@ -517,22 +491,10 @@ func (c *Client) doRetry(ctx context.Context, nodes []string, path string, in, o
 }
 
 // Generate runs one generation on the node owning the request's cache key
-// (with rank-order failover), retrying per the Config policy. With hedging
-// enabled (Config.Hedge), a silent primary past the hedge delay races one
-// budget-gated hedge at the next-ranked node first; any outcome the race
-// cannot settle definitively falls back to the ordinary retry path.
+// (with rank-order failover), retrying per the Config policy.
 func (c *Client) Generate(ctx context.Context, req wire.GenerateRequest) (wire.GenerateResponse, error) {
-	nodes := c.routeNodes(req)
-	if c.cfg.Hedge && len(nodes) > 1 {
-		if resp, done, err := c.generateHedged(ctx, nodes, req); done {
-			if err != nil {
-				return wire.GenerateResponse{}, err
-			}
-			return resp, nil
-		}
-	}
 	var resp wire.GenerateResponse
-	if err := c.doRetry(ctx, nodes, "/v1/generate", req, &resp); err != nil {
+	if err := c.doRetry(ctx, c.routeNodes(req), "/v1/generate", req, &resp); err != nil {
 		return wire.GenerateResponse{}, err
 	}
 	c.noteFingerprint(resp.Fingerprint)

@@ -74,7 +74,6 @@ type Options struct {
 	NoLinkPreference bool // ignore predicate links when ranking paths
 	NoDerivation     bool // disable constraint-derived values (cascade step c)
 	NoBindingFilter  bool // do not require paths to cover template bindings
-	NFASimulation    bool // (analysis-side knob; kept here for symmetry)
 }
 
 // Generator turns code templates into secure implementations.

@@ -2,7 +2,6 @@ package gen
 
 import (
 	"errors"
-	"fmt"
 	"go/token"
 	"strings"
 	"time"
@@ -144,27 +143,34 @@ func planExecutable(name, pkg string) bool {
 }
 
 // planKey identifies one compiled plan: the template source hash, the
-// rule-set fingerprint, and the canonicalized generation options.
+// rule-set fingerprint, and the generation options that change its bytes.
 type planKey struct {
 	src   [32]byte
 	rules string
-	opts  string
+	opts  planOpts
 }
 
-func newPlanKey(rulesFP, src string, opts Options) planKey {
-	return planKey{src: srchash.Sum(src), rules: rulesFP, opts: optionsFingerprint(opts)}
+// planOpts are the Options fields that change the generated bytes for a
+// fixed (template, rule set), with MaxPaths at its effective value. Name
+// and PackageName are deliberately absent: both are plan splice points,
+// which is precisely why a stream of distinct-name requests over one
+// template body collapses onto a single plan.
+type planOpts struct {
+	verify                                          bool
+	maxPaths                                        int
+	noLinkPreference, noDerivation, noBindingFilter bool
 }
 
-// optionsFingerprint canonicalizes the Options fields that change the
-// generated bytes for a fixed (template, rule set). Name and PackageName
-// are deliberately excluded: both are plan splice points, which is
-// precisely why a stream of distinct-name requests over one template body
-// collapses onto a single plan.
-func optionsFingerprint(o Options) string {
+func newPlanKey(rulesFP, src string, o Options) planKey {
 	mp := o.MaxPaths
 	if mp == 0 {
 		mp = DefaultMaxPaths
 	}
-	return fmt.Sprintf("v%t|mp%d|nl%t|nd%t|nb%t|nfa%t",
-		o.Verify, mp, o.NoLinkPreference, o.NoDerivation, o.NoBindingFilter, o.NFASimulation)
+	return planKey{src: srchash.Sum(src), rules: rulesFP, opts: planOpts{
+		verify:           o.Verify,
+		maxPaths:         mp,
+		noLinkPreference: o.NoLinkPreference,
+		noDerivation:     o.NoDerivation,
+		noBindingFilter:  o.NoBindingFilter,
+	}}
 }

@@ -43,10 +43,6 @@ const (
 	// drain, no parting snapshot), restarts it warm, then crashes it again
 	// with its snapshot corrupted.
 	CrashRestore
-	// SlowClient arms Inject on the client channel to the victim and runs
-	// Load requests unhedged, then hedged. The peer channel stays fast, so
-	// a hedge's forward reaches the owner's warm plan.
-	SlowClient
 )
 
 // Drill is one row of the cluster drill table.
@@ -56,14 +52,12 @@ type Drill struct {
 	// Server is every node's configuration. Start sets Self and Peers; a
 	// drill that snapshots gets a fresh SnapshotDir.
 	Server service.Config
-	// Client is the SDK configuration; Run fills in Nodes. Priming, load
-	// and convergence run with Hedge off, so no hedge fires early.
+	// Client is the SDK configuration; Run fills in Nodes.
 	Client client.Config
 	// Work is the working set. Its first key picks the victim, so the
 	// victim always owns traffic.
 	Work []wire.GenerateRequest
-	// Load is the request count of each load phase (KillRestart) or pass
-	// (SlowClient).
+	// Load is the request count of each load phase (KillRestart).
 	Load   int
 	Fault  Fault
 	Inject faultinject.Fault
@@ -101,7 +95,7 @@ type Report struct {
 	RecoveryMS                 float64
 	// BreakerRejects sums server-side breaker rejections (KillRestart,
 	// Partition); ClientRetries and RetryBudgetExhausted are the drill
-	// client's retry spend (KillRestart, SlowClient).
+	// client's retry spend (KillRestart).
 	BreakerRejects                      int64
 	ClientRetries, RetryBudgetExhausted int64
 
@@ -120,10 +114,6 @@ type Report struct {
 	SnapshotBytes, RestoreEntries int64
 	RestoreHitRate                float64
 	CorruptColdStart              bool
-
-	// SlowClient.
-	UnhedgedP99MS, HedgedP99MS float64
-	HedgedTotal, HedgeWins     int64
 }
 
 // killProbe is the node-kill drill's peer probe interval, which also
@@ -212,22 +202,6 @@ var Drills = []Drill{
 				return r.WarmRestartMS <= 5*max(r.PlainRestartMS, 100)
 			}},
 			{"corrupt snapshot cold-starts cleanly", func(r Report) bool { return r.CorruptColdStart }},
-		},
-	},
-	{
-		Name:   "hedge",
-		Nodes:  3,
-		Server: service.Config{Workers: 2, CacheSize: 64},
-		Client: client.Config{MaxRetries: 4, Hedge: true, HedgeDelay: 25 * time.Millisecond, RetryBudget: 120, ProbeInterval: -1},
-		Work:   bodies("hedge", 12),
-		Load:   120,
-		Fault:  SlowClient,
-		// Slow but healthy: breakers and probes never see it.
-		Inject: faultinject.Fault{Mode: faultinject.ModeLatency, Latency: 300 * time.Millisecond},
-		Checks: []Check{
-			{"hedges won", func(r Report) bool { return r.HedgeWins > 0 }},
-			{"retry budget never exhausted", func(r Report) bool { return r.RetryBudgetExhausted == 0 }},
-			{"hedged p99 < unhedged p99", func(r Report) bool { return r.HedgedP99MS < r.UnhedgedP99MS }},
 		},
 	},
 }
@@ -352,7 +326,7 @@ func (x *drillRun) run() error {
 	}
 	defer cl.Close()
 	x.cl = cl
-	if x.sdk, err = x.client(false); err != nil {
+	if x.sdk, err = x.client(); err != nil {
 		return err
 	}
 	defer x.sdk.Close()
@@ -383,8 +357,6 @@ func (x *drillRun) run() error {
 		err = x.slowPeers()
 	case CrashRestore:
 		err = x.crashRestore()
-	case SlowClient:
-		err = x.slowClient()
 	default:
 		err = fmt.Errorf("unknown fault plan %d", x.d.Fault)
 	}
@@ -397,12 +369,10 @@ func (x *drillRun) run() error {
 	return nil
 }
 
-// client builds an SDK over the cluster from the drill's configuration,
-// hedging only when asked.
-func (x *drillRun) client(hedge bool) (*client.Client, error) {
+// client builds an SDK over the cluster from the drill's configuration.
+func (x *drillRun) client() (*client.Client, error) {
 	cfg := x.d.Client
 	cfg.Nodes = x.cl.URLs()
-	cfg.Hedge = hedge && cfg.Hedge
 	return client.New(cfg)
 }
 
@@ -445,7 +415,7 @@ func (x *drillRun) call(c *client.Client, k int) (time.Duration, error) {
 // client (closed breakers) when c is nil.
 func (x *drillRun) walk(c *client.Client) error {
 	if c == nil {
-		fresh, err := x.client(false)
+		fresh, err := x.client()
 		if err != nil {
 			return err
 		}
@@ -728,39 +698,6 @@ func (x *drillRun) crashRestore() error {
 		return fmt.Errorf("after corrupt restart: %w", err)
 	}
 	x.r.CorruptColdStart = restored == 0
-	return nil
-}
-
-func (x *drillRun) slowClient() error {
-	faultinject.Arm(faultinject.PointClientTransport+"@"+host(x.r.Victim), x.d.Inject)
-	pass := func(c *client.Client) (float64, error) {
-		// An unmeasured first request teaches a fresh client the rule-set
-		// fingerprint, so the measured ones route to their true owners.
-		if _, err := x.call(c, 0); err != nil {
-			return 0, err
-		}
-		var lats []time.Duration
-		for i := 0; i < x.d.Load; i++ {
-			if d, err := x.call(c, i%len(x.d.Work)); err == nil {
-				lats = append(lats, d)
-			}
-		}
-		return p99MS(lats), nil
-	}
-	var err error
-	if x.r.UnhedgedP99MS, err = pass(x.sdk); err != nil {
-		return err
-	}
-	hedged, err := x.client(true)
-	if err != nil {
-		return err
-	}
-	defer hedged.Close()
-	if x.r.HedgedP99MS, err = pass(hedged); err != nil {
-		return err
-	}
-	st := hedged.Stats()
-	x.r.HedgedTotal, x.r.HedgeWins, x.r.RetryBudgetExhausted = st.HedgedTotal, st.HedgeWins, st.RetryBudgetExhausted
 	return nil
 }
 

@@ -89,7 +89,7 @@ echo "==> bench harness tests (-short)"
 (cd bench && GOFLAGS=-buildvcs=false GOPROXY=off go test -short ./...)
 
 # Cluster drill table: every row (smoke, node-kill, partition, slow-peer,
-# warm-restart, hedge) with the bounds its Checks enforce, as listed in
+# warm-restart) with the bounds its Checks enforce, as listed in
 # internal/clustertest/drill.go; on both 1 and 2 CPUs under -race.
 echo "==> cluster drills (TestDrills, -race, 1 and 2 CPUs)"
 go test -race -cpu 1,2 -count=1 -run TestDrills ./internal/clustertest

@@ -119,10 +119,4 @@ type ClientStats struct {
 	RetryBudgetTokens float64 `json:"retry_budget_tokens"`
 	// BreakerStates maps each configured node to its breaker state.
 	BreakerStates map[string]string `json:"breaker_states,omitempty"`
-	// HedgedTotal counts hedge requests actually fired (opt-in hedging:
-	// the primary owner was slower than the hedge delay and the retry
-	// budget granted a token).
-	HedgedTotal int64 `json:"hedged_total"`
-	// HedgeWins counts hedged requests where the hedge answered first.
-	HedgeWins int64 `json:"hedge_wins"`
 }
