@@ -558,11 +558,11 @@ func (c *Client) GenerateBatch(ctx context.Context, req wire.BatchRequest) (wire
 				for _, i := range chunk {
 					sub.Requests = append(sub.Requests, req.Requests[i])
 				}
-				// Failover order: the owner first, then the remaining
-				// members (rendezvous rank of the first item's key keeps
-				// the order deterministic across clients).
+				// Failover order: the owner first, then the rendezvous
+				// rank of the first item's key, so a dead owner's
+				// sub-batch lands on the runner-up Generate would pick.
 				order := []string{node}
-				for _, m := range members {
+				for _, m := range wire.RendezvousRank(wire.RouteKey(fp, sub.Requests[0]), members) {
 					if m != node {
 						order = append(order, m)
 					}

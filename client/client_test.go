@@ -420,6 +420,57 @@ func TestBatchSplitsAcrossNodes(t *testing.T) {
 	}
 }
 
+// TestBatchFailoverFollowsRank: when a sub-batch's owner refuses it, the
+// sub-batch fails over to the runner-up of the first item's rendezvous
+// rank — the node Generate would fail over to for the same key — not to
+// the next node in configuration order.
+func TestBatchFailoverFollowsRank(t *testing.T) {
+	nodes := make(map[string]*fakeNode, 4)
+	var urls []string
+	for i := 0; i < 4; i++ {
+		n := newFakeNode(t)
+		nodes[n.ts.URL] = n
+		urls = append(urls, n.ts.URL)
+	}
+	// A body whose runner-up is not the first non-owner in configuration
+	// order, so rank order and configuration order disagree.
+	var req wire.GenerateRequest
+	var rank []string
+	for i := 0; req.Source == ""; i++ {
+		r := wire.GenerateRequest{Name: reqName(i), Source: reqSource(i)}
+		rank = wire.RendezvousRank(wire.RouteKey("", r), urls)
+		for _, u := range urls {
+			if u != rank[0] {
+				if u != rank[1] {
+					req = r
+				}
+				break
+			}
+		}
+	}
+	nodes[rank[0]].batchScript = func(w http.ResponseWriter, n int, req wire.BatchRequest) bool {
+		writeEnvelope(w, wire.NewError(http.StatusServiceUnavailable, "draining"))
+		return true
+	}
+	c := mustClient(t, Config{Nodes: urls, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
+	resp, err := c.GenerateBatch(context.Background(), wire.BatchRequest{Requests: []wire.GenerateRequest{req}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Succeeded != 1 {
+		t.Fatalf("succeeded = %d, want 1: %+v", resp.Succeeded, resp.Results)
+	}
+	if got, want := resp.Results[0].Response.Output, "out:"+rank[1]; got != want {
+		t.Errorf("sub-batch failed over to %q, want the rank runner-up %q", got, want)
+	}
+	owner := nodes[rank[0]]
+	owner.mu.Lock()
+	defer owner.mu.Unlock()
+	if len(owner.batches) != 1 {
+		t.Errorf("owner saw %d sub-batches, want the first attempt", len(owner.batches))
+	}
+}
+
 // TestProbeEjectsAndReadmits: the background prober ejects a node whose
 // /readyz turns 503 and re-admits it when it recovers.
 func TestProbeEjectsAndReadmits(t *testing.T) {

@@ -93,7 +93,7 @@ func main() {
 	dir := flag.String("dir", "", "module directory (default: working directory)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful shutdown deadline")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/ (opt-in: profiles reveal source being generated)")
-	maxWaiters := flag.Int("max-waiters", 0, "submissions allowed to block behind a full queue before shedding 429s (0 = 2x queue, negative = unbounded)")
+	maxWaiters := flag.Int("max-waiters", 0, "submissions allowed to block behind a full queue before shedding 429s (0 = 2x queue; negative is rejected)")
 	maxBody := flag.Int64("max-body", 0, "request-body byte cap on POST endpoints, 413 beyond it (0 = 4 MiB)")
 	rulesDir := flag.String("rules", "", "serve GoCrySL rules from this directory instead of the embedded set; /v1/reload recompiles from it")
 	faults := flag.String("faults", "", `arm chaos fault points, e.g. "worker-exec=panic:1,reload-swap=error" (also via CRYPTGEND_FAULTS)`)

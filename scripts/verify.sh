@@ -1,13 +1,22 @@
 #!/bin/sh
 # verify.sh — the repo's one-command verification gate:
-#   build everything, vet everything, run all tests under the race
-#   detector (the gen/service concurrency contracts are race tests).
+#   check formatting, build everything, vet everything, run all tests
+#   under the race detector (the gen/service concurrency contracts are
+#   race tests).
 #
 # Usage: ./scripts/verify.sh [extra go-test args]
 # Run from anywhere; it cds to the module root.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "==> go build ./..."
 go build ./...
@@ -34,9 +43,12 @@ go test -race -run 'TestChaos|TestBodyCap|TestCompactFraming' -count=1 ./service
 
 # Peer-down fallback builds its peer-owned bodies by construction; it once
 # failed ~1 run in 60 when too few embedded templates hashed to the dead
-# peer. Twenty repetitions pin the fix.
-echo "==> peer-down fallback (-race, 20 runs)"
-go test -race -count=20 -run TestClusterPeerDownFallback ./service
+# peer. Twenty repetitions pin the fix. The forwarded-cancellation test
+# rides along: a forward carries no deadline of its own, so the owner must
+# skip a queued job once the forwarder's context ends and its connection
+# closes.
+echo "==> peer-down fallback + forwarded cancellation (-race, 20 runs)"
+go test -race -count=20 -run 'TestClusterPeerDownFallback|TestClusterForwardCancelSkipsQueuedJob' ./service
 
 # Timed fuzz smoke: 10s of exploration per parser entry point, and for
 # the generator's word scanner against the regexps it replaces, on top of

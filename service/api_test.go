@@ -366,7 +366,7 @@ func TestCompactFraming(t *testing.T) {
 // metric, say) is answered with the 500 envelope, never a 200 carrying a
 // truncated or empty body.
 func TestUnencodableResponseIs500(t *testing.T) {
-	tr := newTransport(nil, nil, transportOptions{})
+	tr := newTransport(&Server{metrics: newMetrics()})
 	rec := httptest.NewRecorder()
 	tr.writeJSON(rec, http.StatusOK, math.NaN())
 	if rec.Code != http.StatusInternalServerError {

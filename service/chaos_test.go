@@ -261,6 +261,20 @@ func TestChaosLatencyShedding(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNegativeMaxWaiters: admission control has no unbounded
+// mode, so a negative waiter bound is a configuration error rather than a
+// silent fallback to the default.
+func TestNewRejectsNegativeMaxWaiters(t *testing.T) {
+	s, err := New(Config{Workers: 1, MaxWaiters: -1})
+	if err == nil {
+		s.Close()
+		t.Fatal("New accepted MaxWaiters -1")
+	}
+	if !strings.Contains(err.Error(), "MaxWaiters") {
+		t.Errorf("error %q does not name MaxWaiters", err)
+	}
+}
+
 // TestBodyCap413: oversized request bodies are rejected with 413 before
 // any decoding or pool work happens, on every POST endpoint that reads a
 // body.

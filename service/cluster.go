@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -315,14 +314,6 @@ func (s *Server) forward(ctx context.Context, peer, name, src string, req wire.G
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	hreq.Header.Set(wire.HeaderForwarded, s.cluster.self)
-	// Tell the owner how much deadline budget this request has left, so its
-	// admission control can 429 work it cannot finish in time (we fall back
-	// to local generation on that 429 below) instead of timing out late.
-	if dl, ok := ctx.Deadline(); ok {
-		if ms := time.Until(dl).Milliseconds(); ms > 0 {
-			hreq.Header.Set(wire.HeaderDeadlineMS, strconv.FormatInt(ms, 10))
-		}
-	}
 	hresp, derr := s.cluster.httpc.Do(hreq)
 	if derr != nil {
 		s.cluster.markForward(peer, derr)

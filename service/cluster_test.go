@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -365,5 +366,103 @@ func TestClusterProbeEjectsAndReadmits(t *testing.T) {
 	waitFor(true, "re-admitted after recovery")
 	if st := c.peerStatuses()[peer.URL]; !st.Healthy || st.Failures != 0 {
 		t.Errorf("re-admitted peer status = %+v, want healthy with cleared failures", st)
+	}
+}
+
+// TestClusterForwardCancelSkipsQueuedJob pins the cancellation path that
+// forwarded work relies on instead of a deadline budget of its own: the
+// owner's only worker is busy, so a forwarded request waits in its queue;
+// when the forwarder's context ends, its http.Transport closes the
+// connection, the owner's request context is cancelled, and the worker
+// skips the queued job once freed instead of compiling a plan nobody will
+// read. Nothing leaks on either node.
+//
+// The owner notices the closed connection asynchronously, so the worker
+// is released only once the owner's handler has answered the cancelled
+// request (its timeouts counter moves).
+func TestClusterForwardCancelSkipsQueuedJob(t *testing.T) {
+	owner, err := New(Config{Workers: 1, CacheSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownerTS := httptest.NewServer(owner.Handler())
+	t.Cleanup(func() { ownerTS.Close(); owner.Close() })
+	// A long probe interval keeps the prober's connections out of the
+	// goroutine count; only the forward touches the owner.
+	fwd, err := New(Config{Workers: 1, CacheSize: 64, Self: "http://forwarder.test", Peers: []string{ownerTS.URL}, PeerProbeInterval: 10 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fwd.Close)
+	waitWarm(t, owner)
+	waitWarm(t, fwd)
+
+	fp := fwd.Registry().Snapshot().Fingerprint
+	var req wire.GenerateRequest
+	for i := 0; req.Source == ""; i++ {
+		if i == 1000 {
+			t.Fatal("no body of 1000 hashes to the owner — rendezvous distribution is broken")
+		}
+		uc := templates.All()[i%len(templates.All())]
+		r := wire.GenerateRequest{Name: uc.File, Source: unseenBody(t, uc.ID, fmt.Sprintf("forward cancel %d", i))}
+		if fwd.cluster.ownerPeer(wire.RouteKey(fp, r)) == ownerTS.URL {
+			req = r
+		}
+	}
+	baseline := runtime.NumGoroutine()
+	before := owner.MetricsSnapshot()
+
+	// Hold the owner's only worker.
+	started, release, held := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		_, err := owner.pool.Submit(context.Background(), func(context.Context, *Worker) (any, error) {
+			close(started)
+			<-release
+			return nil, nil
+		})
+		held <- err
+	}()
+	<-started
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := fwd.Generate(ctx, req); err == nil {
+		t.Fatal("forwarded request succeeded while the owner's only worker was held")
+	}
+	if n := fwd.MetricsSnapshot().ForwardedTotal; n != 1 {
+		t.Fatalf("forwarder made %d forwards, want 1", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for owner.MetricsSnapshot().Timeouts == before.Timeouts {
+		if time.Now().After(deadline) {
+			t.Fatal("the owner never saw the forwarded request cancelled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if d := owner.pool.QueueDepth(); d != 1 {
+		t.Fatalf("owner queue depth %d, want the forwarded job queued behind the held worker", d)
+	}
+
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	// One worker takes jobs in order, so once this one has run the
+	// forwarded job ahead of it has been skipped or run.
+	if _, err := owner.pool.Submit(context.Background(), func(context.Context, *Worker) (any, error) { return nil, nil }); err != nil {
+		t.Fatal(err)
+	}
+	after := owner.MetricsSnapshot()
+	if after.PlanMisses != before.PlanMisses || after.PlanEntries != before.PlanEntries {
+		t.Errorf("owner ran the pipeline for a cancelled forward: plan_misses %d -> %d, plan_entries %d -> %d",
+			before.PlanMisses, after.PlanMisses, before.PlanEntries, after.PlanEntries)
+	}
+
+	deadline = time.Now().Add(5 * time.Second)
+	for g := runtime.NumGoroutine(); g > baseline; g = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d now vs %d before the forward", g, baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

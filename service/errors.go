@@ -6,12 +6,10 @@ import (
 )
 
 // ErrOverloaded is returned by Pool.Submit when admission control rejects
-// a job instead of queueing it: the queue is saturated and either the
-// bounded wait queue is full or the request's deadline is closer than the
-// observed p99 service time, so queueing would only burn a worker on work
-// whose client has given up. The API maps it to 429 with a Retry-After
-// hint; it is deliberately distinct from ErrClosed (503), which means the
-// daemon is going away rather than momentarily busy.
+// a job instead of queueing it: the queue is saturated and MaxWaiters
+// submissions are already blocked behind it. The API maps it to 429 with a
+// Retry-After hint; it is deliberately distinct from ErrClosed (503), which
+// means the daemon is going away rather than momentarily busy.
 var ErrOverloaded = errors.New("service: overloaded")
 
 // InternalError reports a panic recovered inside the daemon — in a pool

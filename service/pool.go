@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cognicryptgen/analysis"
 	"cognicryptgen/gen"
@@ -17,15 +15,6 @@ import (
 
 // ErrClosed is returned by Submit after the pool began shutting down.
 var ErrClosed = errors.New("service: pool is shut down")
-
-// serviceTimeWindow bounds the sliding window of per-job execution times
-// the deadline-aware admission check estimates its p99 from.
-const serviceTimeWindow = 256
-
-// minShedSamples is the number of observed service times required before
-// the deadline-aware admission check activates. A cold pool has no basis
-// for predicting service time, so it queues rather than sheds.
-const minShedSamples = 16
 
 // task is one unit of work executed on a pool worker. ctx is the
 // submitting request's context — tasks are expected to propagate it into
@@ -52,11 +41,8 @@ type PoolConfig struct {
 	Workers int
 	// QueueSize bounds pending jobs (0 = 4×Workers).
 	QueueSize int
-	// MaxWaiters bounds submissions allowed to block behind a full queue.
-	// 0 selects the default (2×QueueSize); a negative value disables
-	// admission control entirely — every submission blocks until queue
-	// space frees or its context expires, the pre-shedding behaviour that
-	// NewPool preserves.
+	// MaxWaiters bounds submissions allowed to block behind a full queue
+	// (0 = 2×QueueSize; New rejects a negative bound).
 	MaxWaiters int
 	// OnPanic, when non-nil, observes every panic recovered on a worker.
 	OnPanic func(op string, v any, stack []byte)
@@ -76,7 +62,7 @@ type PoolConfig struct {
 // machinery under it) is recovered on the worker, converted into a typed
 // *InternalError for the one request that hit it, and the worker resets
 // its cached Generator/Analyzer and keeps serving. Submission is guarded
-// by admission control when MaxWaiters >= 0 (see Submit).
+// by admission control (see Submit).
 type Pool struct {
 	registry   *Registry
 	dir        string
@@ -98,29 +84,10 @@ type Pool struct {
 	// strand a deadline-less caller forever.
 	sendMu sync.RWMutex
 	closed bool
-
-	// Sliding window of per-job execution times feeding the deadline-aware
-	// admission check.
-	stMu     sync.Mutex
-	svcTimes []time.Duration
-	stNext   int
-	stFilled bool
 }
 
-// NewPool starts workers goroutines consuming from a queue of queueSize
-// pending jobs, with admission control disabled (unbounded waiters): the
-// legacy constructor for embedders that want pure blocking backpressure.
-// dir locates the module for template type-checking ("" = working
-// directory).
-func NewPool(registry *Registry, dir string, workers, queueSize int) *Pool {
-	return NewPoolConfig(registry, dir, PoolConfig{
-		Workers:    workers,
-		QueueSize:  queueSize,
-		MaxWaiters: -1,
-	})
-}
-
-// NewPoolConfig starts a pool under cfg.
+// NewPoolConfig starts a pool under cfg. dir locates the module for
+// template type-checking ("" = working directory).
 func NewPoolConfig(registry *Registry, dir string, cfg PoolConfig) *Pool {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
@@ -140,7 +107,6 @@ func NewPoolConfig(registry *Registry, dir string, cfg PoolConfig) *Pool {
 		onPanic:    cfg.OnPanic,
 		onShed:     cfg.OnShed,
 		onAdmit:    cfg.OnAdmit,
-		svcTimes:   make([]time.Duration, serviceTimeWindow),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		p.wg.Add(1)
@@ -157,52 +123,16 @@ func (p *Pool) QueueDepth() int { return len(p.jobs) }
 // full queue.
 func (p *Pool) Waiters() int { return int(p.waiters.Load()) }
 
-// observeServiceTime records one job's execution time into the sliding
-// window.
-func (p *Pool) observeServiceTime(d time.Duration) {
-	p.stMu.Lock()
-	p.svcTimes[p.stNext] = d
-	p.stNext++
-	if p.stNext == len(p.svcTimes) {
-		p.stNext = 0
-		p.stFilled = true
-	}
-	p.stMu.Unlock()
-}
-
-// p99ServiceTime estimates the p99 per-job execution time from the sliding
-// window (nearest-rank). ok is false until minShedSamples jobs have run.
-func (p *Pool) p99ServiceTime() (d time.Duration, ok bool) {
-	p.stMu.Lock()
-	n := p.stNext
-	if p.stFilled {
-		n = len(p.svcTimes)
-	}
-	window := append([]time.Duration(nil), p.svcTimes[:n]...)
-	p.stMu.Unlock()
-	if len(window) < minShedSamples {
-		return 0, false
-	}
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	i := (99*len(window) + 99) / 100 // ceil(0.99*n)
-	if i > len(window) {
-		i = len(window)
-	}
-	return window[i-1], true
-}
-
 // Submit enqueues fn and waits for its result. It fails with ctx.Err()
 // when the context expires while the job is queued (the job is then
 // skipped by the worker, not run) and with ErrClosed once the pool is
 // shutting down.
 //
-// With admission control enabled (MaxWaiters >= 0), a submission that
-// finds the queue full is rejected with ErrOverloaded instead of blocking
-// when (a) the request's deadline is closer than the observed p99 service
-// time — the job would almost surely expire in the queue, wasting the slot
-// — or (b) MaxWaiters submissions are already blocked. Shedding at the
-// door keeps queue wait bounded and the daemon responsive under overload
-// rather than letting latency grow without limit.
+// Admission control: a submission that finds the queue full blocks behind
+// it unless MaxWaiters submissions are already blocked, in which case it
+// is rejected with ErrOverloaded. Shedding at the door bounds the
+// goroutines parked on a saturated pool and keeps the daemon responsive
+// under overload rather than letting latency grow without limit.
 func (p *Pool) Submit(ctx context.Context, fn task) (any, error) {
 	j := &job{ctx: ctx, fn: fn, done: make(chan jobResult, 1)}
 	if err := p.enqueue(ctx, j); err != nil {
@@ -235,25 +165,14 @@ func (p *Pool) enqueue(ctx context.Context, j *job) error {
 		return nil
 	default: // queue saturated
 	}
-	if p.maxWaiters >= 0 {
-		if dl, ok := ctx.Deadline(); ok {
-			if p99, have := p.p99ServiceTime(); have && time.Until(dl) < p99 {
-				if p.onShed != nil {
-					p.onShed()
-				}
-				return fmt.Errorf("service: queue full and deadline %v away is under the observed p99 service time %v: %w",
-					time.Until(dl).Round(time.Millisecond), p99.Round(time.Millisecond), ErrOverloaded)
-			}
+	if p.waiters.Add(1) > int64(p.maxWaiters) {
+		p.waiters.Add(-1)
+		if p.onShed != nil {
+			p.onShed()
 		}
-		if p.waiters.Add(1) > int64(p.maxWaiters) {
-			p.waiters.Add(-1)
-			if p.onShed != nil {
-				p.onShed()
-			}
-			return fmt.Errorf("service: %d submissions already waiting behind a full queue: %w", p.maxWaiters, ErrOverloaded)
-		}
-		defer p.waiters.Add(-1)
+		return fmt.Errorf("service: %d submissions already waiting behind a full queue: %w", p.maxWaiters, ErrOverloaded)
 	}
+	defer p.waiters.Add(-1)
 	select {
 	case p.jobs <- j:
 		if p.onAdmit != nil {
@@ -330,9 +249,7 @@ func (w *Worker) run(j *job) {
 		j.done <- jobResult{err: err}
 		return
 	}
-	start := time.Now()
 	v, err := w.exec(j)
-	w.pool.observeServiceTime(time.Since(start))
 	j.done <- jobResult{v: v, err: err}
 }
 

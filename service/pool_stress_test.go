@@ -25,7 +25,9 @@ func TestPoolSubmitCloseStress(t *testing.T) {
 		perSubmitter = 25
 	)
 	for round := 0; round < rounds; round++ {
-		pool := NewPool(reg, "", 2, 4)
+		// MaxWaiters covers every submitter, so admission control
+		// cannot shed and each outcome is a completion or ErrClosed.
+		pool := NewPoolConfig(reg, "", PoolConfig{Workers: 2, QueueSize: 4, MaxWaiters: submitters})
 		var completed, rejected atomic.Int64
 		start := make(chan struct{})
 		var wg sync.WaitGroup

@@ -39,7 +39,8 @@ type Config struct {
 	// Workers is the worker-pool size (0 = runtime.NumCPU).
 	Workers int
 	// QueueSize bounds pending jobs (0 = 4×Workers). When the queue is
-	// full, submissions wait until space frees or their context expires.
+	// full, up to MaxWaiters submissions wait until space frees or their
+	// context expires; the rest are shed.
 	QueueSize int
 	// RequestTimeout caps per-request processing time (0 = 30s). Requests
 	// that expire while queued are answered 503 without running.
@@ -48,8 +49,8 @@ type Config struct {
 	// cache (0 = gen.DefaultMaxPlans, 256 plans).
 	CacheSize int
 	// MaxWaiters bounds submissions allowed to wait behind a full worker
-	// queue before admission control sheds with 429 (0 = 2×QueueSize,
-	// negative = unbounded waiting, disabling load shedding).
+	// queue before admission control sheds with 429 (0 = 2×QueueSize;
+	// negative is an error).
 	MaxWaiters int
 	// MaxBodyBytes caps request bodies on the POST endpoints; oversized
 	// requests get 413 (0 = DefaultMaxBodyBytes).
@@ -96,9 +97,8 @@ type Config struct {
 
 // Server is the generation daemon: registry + plan cache + worker pool
 // behind an HTTP JSON API. Create with New, expose via Handler, stop with
-// Close. Server implements the API interface; the HTTP glue lives in the
-// transport (transport.go), which serves both the public listener and the
-// cluster's peer-forwarding channel.
+// Close. The HTTP glue lives in the transport (transport.go), which serves
+// both the public listener and the cluster's peer-forwarding channel.
 type Server struct {
 	cfg       Config
 	registry  *Registry
@@ -134,8 +134,6 @@ type Server struct {
 	jitterRand *rand.Rand
 }
 
-var _ API = (*Server)(nil)
-
 // New compiles the rule set, warms the path cache, and starts the worker
 // pool. The shared type-check universe (the crypto façade's transitive
 // closure, the expensive half of a worker's first Generator) begins
@@ -143,6 +141,9 @@ var _ API = (*Server)(nil)
 // arrives its worker either finds the universe built or joins the
 // in-flight warm-up instead of starting its own.
 func New(cfg Config) (*Server, error) {
+	if cfg.MaxWaiters < 0 {
+		return nil, fmt.Errorf("service: MaxWaiters %d is negative; 0 selects the default bound", cfg.MaxWaiters)
+	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.NumCPU()
 	}
@@ -196,13 +197,7 @@ func New(cfg Config) (*Server, error) {
 		},
 		OnAdmit: func() { s.shedStreak.Store(0) },
 	})
-	s.transport = newTransport(s, s.metrics, transportOptions{
-		maxBodyBytes:      cfg.MaxBodyBytes,
-		requestTimeout:    cfg.RequestTimeout,
-		retryAfterSeconds: s.retryAfterSeconds,
-		failStatus:        s.failStatus,
-		onPanic:           s.recordPanic,
-	})
+	s.transport = newTransport(s)
 	if len(cfg.Peers) > 0 {
 		s.cluster = newCluster(cfg.Self, cfg.Peers, cfg.PeerProbeInterval, cfg.PeerFailureThreshold)
 	}
@@ -263,8 +258,8 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 // Handler returns the daemon's HTTP handler (the transport over this
-// Server's API, with per-request panic guard and the wire.Error envelope
-// on every failure).
+// Server, with per-request panic guard and the wire.Error envelope on
+// every failure).
 func (s *Server) Handler() http.Handler {
 	return s.transport.handler()
 }
@@ -682,9 +677,6 @@ func (s *Server) attempt(ctx context.Context, key, name, src string, req wire.Ge
 			}
 		}
 	}
-	if err := s.deadlineShed(ctx); err != nil {
-		return wire.GenerateResponse{}, err
-	}
 	// cache_misses counts local pipeline runs: a forwarded request is the
 	// owner's miss (or hit), not this node's, so the cluster-wide sum of
 	// cache_misses equals the number of pipeline runs actually made.
@@ -713,30 +705,4 @@ func (s *Server) attempt(ctx context.Context, key, name, src string, req wire.Ge
 		return wire.GenerateResponse{}, err
 	}
 	return v.(wire.GenerateResponse), nil
-}
-
-// deadlineShed is deadline-budget admission for forwarded work: the
-// forwarder told us (X-Cryptgend-Deadline-Ms → this context's deadline) how
-// much budget remains, and observed p99 service time says a full pipeline
-// run will not fit — shed 429 now so the forwarder's fallback generates
-// locally instead of both nodes burning a doomed request. Splices never
-// reach it: a resident plan splices in microseconds and fits any budget a
-// request could still be alive under. So the shed sits after forwarding,
-// before pool submission, which is why it cannot reuse the pool's own
-// saturation-gated check.
-func (s *Server) deadlineShed(ctx context.Context) error {
-	if !isPeerHop(ctx) {
-		return nil
-	}
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return nil
-	}
-	p99, have := s.pool.p99ServiceTime()
-	if !have || time.Until(dl) >= p99 {
-		return nil
-	}
-	s.metrics.shed.Add(1)
-	return fmt.Errorf("service: forwarded budget %v is under the observed p99 service time %v: %w",
-		time.Until(dl).Round(time.Millisecond), p99.Round(time.Millisecond), ErrOverloaded)
 }

@@ -264,7 +264,8 @@ func TestPoolDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(reg, "", 2, 8)
+	// MaxWaiters covers every submitter, so admission control cannot shed.
+	pool := NewPoolConfig(reg, "", PoolConfig{Workers: 2, QueueSize: 8, MaxWaiters: 8})
 	var ran int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup

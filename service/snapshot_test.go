@@ -337,43 +337,3 @@ func TestSnapshotParentFormatRestores(t *testing.T) {
 		t.Error("output spliced from the restored plan differs from the pipeline")
 	}
 }
-
-// TestForwardedDeadlineShed is the deadline-budget regression test: a
-// peer-forwarded request arriving with less remaining budget than the
-// observed p99 service time is shed 429-style (ErrOverloaded) instead of
-// admitted to burn a doomed generation — while a direct (non-forwarded)
-// request with the same tiny deadline is still admitted.
-func TestForwardedDeadlineShed(t *testing.T) {
-	s, err := New(Config{Workers: 1, CacheSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	// Teach admission a p99 far above the forwarded budget below.
-	for i := 0; i < minShedSamples; i++ {
-		s.pool.observeServiceTime(10 * time.Second)
-	}
-
-	// An unseen body, so no resident plan splices it ahead of the
-	// admission check.
-	req := wire.GenerateRequest{Name: "shed.go", Source: "package shed\n\nfunc noop() {}\n"}
-
-	fwdCtx, cancel := context.WithTimeout(withPeerHop(context.Background()), 200*time.Millisecond)
-	defer cancel()
-	_, err = s.Generate(fwdCtx, req)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("forwarded request under p99 budget: got %v, want ErrOverloaded", err)
-	}
-	shedBefore := s.MetricsSnapshot().ShedTotal
-	if shedBefore < 1 {
-		t.Fatalf("shed_total = %d after a deadline shed", shedBefore)
-	}
-
-	// The same budget on a direct request is NOT shed: only forwarded work
-	// carries a peer's declared budget, so only it gets budget admission.
-	directCtx, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel2()
-	if _, err := s.Generate(directCtx, wire.GenerateRequest{UseCase: 11}); err != nil {
-		t.Fatalf("direct request wrongly shed: %v", err)
-	}
-}

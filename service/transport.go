@@ -14,79 +14,20 @@ import (
 	"cognicryptgen/wire"
 )
 
-// API is the wire surface of one cryptgend node: everything the HTTP
-// transport can serve, expressed in the shared wire types. Server
-// implements it; the transport below turns any implementation into an
-// http.Handler. The public listener and the cluster's peer-forwarding
-// channel are deliberately the same handler set over this one interface —
-// a peer-forwarded request is an ordinary POST /v1/generate carrying the
-// wire.HeaderForwarded hop guard, not a second protocol.
-type API interface {
-	// Generate runs one generation (cache → singleflight → pool, with
-	// peer forwarding when clustered).
-	Generate(ctx context.Context, req wire.GenerateRequest) (wire.GenerateResponse, error)
-	// GenerateBatch fans a batch across the worker pool with per-item
-	// partial success.
-	GenerateBatch(ctx context.Context, req wire.BatchRequest) (wire.BatchResponse, error)
-	// AnalyzeJSON runs the misuse analyzer over one source file.
-	AnalyzeJSON(ctx context.Context, req wire.AnalyzeRequest) (wire.AnalyzeResponse, error)
-	// ReloadRules recompiles and transactionally swaps the rule set.
-	ReloadRules() (wire.ReloadResponse, error)
-	// RulesInfo lists the compiled rules.
-	RulesInfo() wire.RulesResponse
-	// TemplatesInfo lists the embedded use-case templates.
-	TemplatesInfo() wire.TemplatesResponse
-	// HealthInfo reports liveness.
-	HealthInfo() wire.HealthResponse
-	// ReadyInfo reports readiness (ok | degraded | draining).
-	ReadyInfo() wire.ReadyResponse
-	// MetricsSnapshot reports the node's counters.
-	MetricsSnapshot() wire.Metrics
-}
-
-// transportOptions tunes the HTTP glue around an API.
-type transportOptions struct {
-	// maxBodyBytes caps request bodies on the POST endpoints (413 beyond).
-	maxBodyBytes int64
-	// requestTimeout caps per-request processing time.
-	requestTimeout time.Duration
-	// retryAfterSeconds supplies the Retry-After hint written on 429s.
-	retryAfterSeconds func() int
-	// failStatus maps a backend error to an HTTP status.
-	failStatus func(error) int
-	// onPanic observes panics recovered at the handler boundary.
-	onPanic func(op string, v any, stack []byte)
-}
-
-// transport is the HTTP glue extracted from the old per-Server handlers:
-// method checks, body decoding under the size cap, the wire.Error envelope
-// on every non-2xx response, per-route counters, and the peer-forwarding
-// hop guard. It holds only an API and the shared metrics, so the same
-// handler set serves any backend.
+// transport is the HTTP glue around one Server: method checks, body
+// decoding under the size cap, the wire.Error envelope on every non-2xx
+// response, per-route counters, and the peer-forwarding hop guard. The
+// public listener and the cluster's peer-forwarding channel are
+// deliberately the same handler set — a peer-forwarded request is an
+// ordinary POST /v1/generate carrying the wire.HeaderForwarded hop guard,
+// not a second protocol.
 type transport struct {
-	api API
-	m   *metrics
-	opt transportOptions
+	srv *Server
 	mux *http.ServeMux
 }
 
-func newTransport(api API, m *metrics, opt transportOptions) *transport {
-	if m == nil {
-		m = newMetrics()
-	}
-	if opt.maxBodyBytes <= 0 {
-		opt.maxBodyBytes = DefaultMaxBodyBytes
-	}
-	if opt.requestTimeout <= 0 {
-		opt.requestTimeout = 30 * time.Second
-	}
-	if opt.retryAfterSeconds == nil {
-		opt.retryAfterSeconds = func() int { return 1 }
-	}
-	if opt.failStatus == nil {
-		opt.failStatus = func(error) int { return http.StatusBadRequest }
-	}
-	t := &transport{api: api, m: m, opt: opt, mux: http.NewServeMux()}
+func newTransport(srv *Server) *transport {
+	t := &transport{srv: srv, mux: http.NewServeMux()}
 	t.mux.HandleFunc("/v1/generate", t.handleGenerate)
 	t.mux.HandleFunc("/v1/generate/batch", t.handleGenerateBatch)
 	t.mux.HandleFunc("/v1/analyze", t.handleAnalyze)
@@ -106,12 +47,10 @@ func newTransport(api API, m *metrics, opt transportOptions) *transport {
 // the stack reported once per site.
 func (t *transport) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t.m.requests.Add(1)
+		t.srv.metrics.requests.Add(1)
 		defer func() {
 			if rec := recover(); rec != nil {
-				if t.opt.onPanic != nil {
-					t.opt.onPanic("http "+r.URL.Path, rec, debug.Stack())
-				}
+				t.srv.recordPanic("http "+r.URL.Path, rec, debug.Stack())
 				// If the handler already wrote headers this is a no-op body
 				// append; the client sees a truncated response either way.
 				t.writeError(w, http.StatusInternalServerError, "internal error")
@@ -139,27 +78,18 @@ func isPeerHop(ctx context.Context) bool {
 	return v
 }
 
-// requestCtx derives a handler's working context: the transport timeout,
-// plus the hop-guard mark when the request arrived on the peer channel. A
-// forwarded deadline budget (wire.HeaderDeadlineMS) can only tighten the
-// configured timeout, never extend it — the forwarder's remaining budget
-// becomes this request's deadline, so downstream admission (the pool's
-// deadline-vs-p99 shed and Server.deadlineShed for forwarded work) reasons
-// about the budget the caller actually has.
+// requestCtx derives a handler's working context: the configured request
+// timeout, plus the hop-guard mark when the request arrived on the peer
+// channel. Forwarded work needs no deadline of its own: when the
+// forwarder's context ends, its http.Transport closes the connection, which
+// cancels r.Context() here, and a job still queued for a worker is then
+// skipped rather than run.
 func (t *transport) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	ctx := r.Context()
 	if r.Header.Get(wire.HeaderForwarded) != "" {
 		ctx = withPeerHop(ctx)
 	}
-	timeout := t.opt.requestTimeout
-	if v := r.Header.Get(wire.HeaderDeadlineMS); v != "" {
-		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
-			if d := time.Duration(ms) * time.Millisecond; d < timeout {
-				timeout = d
-			}
-		}
-	}
-	return context.WithTimeout(ctx, timeout)
+	return context.WithTimeout(ctx, t.srv.cfg.RequestTimeout)
 }
 
 // maxPooledBody bounds the encode buffers kept for reuse: a buffer grown
@@ -188,7 +118,7 @@ func (t *transport) writeJSON(w http.ResponseWriter, status int, v any) {
 		return
 	}
 	if status >= 400 {
-		t.m.errors.Add(1)
+		t.srv.metrics.errors.Add(1)
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
@@ -203,7 +133,7 @@ func (t *transport) writeJSON(w http.ResponseWriter, status int, v any) {
 func (t *transport) writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	e := wire.NewError(status, format, args...)
 	if status == http.StatusTooManyRequests {
-		secs := t.opt.retryAfterSeconds()
+		secs := t.srv.retryAfterSeconds()
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		e.RetryAfterMS = int64(secs) * 1000
 	}
@@ -222,14 +152,14 @@ func (t *transport) writeAPIError(w http.ResponseWriter, err error, format strin
 		t.writeJSON(w, we.Status, we)
 		return
 	}
-	t.writeError(w, t.opt.failStatus(err), format+": %v", append(args, err)...)
+	t.writeError(w, t.srv.failStatus(err), format+": %v", append(args, err)...)
 }
 
 // decodeBody decodes a JSON request body under the configured size cap,
 // answering 413 (oversized) or 400 (malformed) itself. ok is false when a
 // response has already been written.
 func (t *transport) decodeBody(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, t.opt.maxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, t.srv.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -262,17 +192,17 @@ func (t *transport) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if !t.requirePost(w, r) {
 		return
 	}
-	t.m.generates.Add(1)
+	t.srv.metrics.generates.Add(1)
 	var req wire.GenerateRequest
 	if !t.decodeBody(w, r, &req) {
 		return
 	}
 	start := time.Now()
-	defer func() { t.m.observe(time.Since(start)) }()
+	defer func() { t.srv.metrics.observe(time.Since(start)) }()
 
 	ctx, cancel := t.requestCtx(r)
 	defer cancel()
-	resp, err := t.api.Generate(ctx, req)
+	resp, err := t.srv.Generate(ctx, req)
 	if err != nil {
 		t.writeAPIError(w, err, "generate")
 		return
@@ -285,17 +215,17 @@ func (t *transport) handleGenerateBatch(w http.ResponseWriter, r *http.Request) 
 	if !t.requirePost(w, r) {
 		return
 	}
-	t.m.batches.Add(1)
+	t.srv.metrics.batches.Add(1)
 	var req wire.BatchRequest
 	if !t.decodeBody(w, r, &req) {
 		return
 	}
 	start := time.Now()
-	defer func() { t.m.observe(time.Since(start)) }()
+	defer func() { t.srv.metrics.observe(time.Since(start)) }()
 
 	ctx, cancel := t.requestCtx(r)
 	defer cancel()
-	resp, err := t.api.GenerateBatch(ctx, req)
+	resp, err := t.srv.GenerateBatch(ctx, req)
 	if err != nil {
 		t.writeError(w, http.StatusBadRequest, "generate batch: %v", err)
 		return
@@ -308,17 +238,17 @@ func (t *transport) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !t.requirePost(w, r) {
 		return
 	}
-	t.m.analyzes.Add(1)
+	t.srv.metrics.analyzes.Add(1)
 	var req wire.AnalyzeRequest
 	if !t.decodeBody(w, r, &req) {
 		return
 	}
 	start := time.Now()
-	defer func() { t.m.observe(time.Since(start)) }()
+	defer func() { t.srv.metrics.observe(time.Since(start)) }()
 
 	ctx, cancel := t.requestCtx(r)
 	defer cancel()
-	resp, err := t.api.AnalyzeJSON(ctx, req)
+	resp, err := t.srv.AnalyzeJSON(ctx, req)
 	if err != nil {
 		t.writeAPIError(w, err, "analyze %s", req.Name)
 		return
@@ -333,8 +263,8 @@ func (t *transport) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	// The reload body is ignored today, but cap it anyway so a confused
 	// client streaming a rule archive here cannot balloon memory.
-	r.Body = http.MaxBytesReader(w, r.Body, t.opt.maxBodyBytes)
-	resp, err := t.api.ReloadRules()
+	r.Body = http.MaxBytesReader(w, r.Body, t.srv.cfg.MaxBodyBytes)
+	resp, err := t.srv.ReloadRules()
 	if err != nil {
 		t.writeError(w, http.StatusInternalServerError, "reload: %v", err)
 		return
@@ -346,22 +276,22 @@ func (t *transport) handleRules(w http.ResponseWriter, r *http.Request) {
 	if !t.requireGet(w, r) {
 		return
 	}
-	t.writeJSON(w, http.StatusOK, t.api.RulesInfo())
+	t.writeJSON(w, http.StatusOK, t.srv.RulesInfo())
 }
 
 func (t *transport) handleTemplates(w http.ResponseWriter, r *http.Request) {
 	if !t.requireGet(w, r) {
 		return
 	}
-	t.writeJSON(w, http.StatusOK, t.api.TemplatesInfo())
+	t.writeJSON(w, http.StatusOK, t.srv.TemplatesInfo())
 }
 
 func (t *transport) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	t.writeJSON(w, http.StatusOK, t.api.HealthInfo())
+	t.writeJSON(w, http.StatusOK, t.srv.HealthInfo())
 }
 
 func (t *transport) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	ready := t.api.ReadyInfo()
+	ready := t.srv.ReadyInfo()
 	status := http.StatusOK
 	if ready.Status == wire.ReadyDraining {
 		status = http.StatusServiceUnavailable
@@ -370,5 +300,5 @@ func (t *transport) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (t *transport) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	t.writeJSON(w, http.StatusOK, t.api.MetricsSnapshot())
+	t.writeJSON(w, http.StatusOK, t.srv.MetricsSnapshot())
 }

@@ -19,14 +19,6 @@ package wire
 // disagreeing member list can bounce a request at most once.
 const HeaderForwarded = "X-Cryptgend-Forwarded"
 
-// Deadline-budget header. A forwarding daemon sets this to the remaining
-// milliseconds of its request deadline, so the owner knows how much budget
-// the work actually has: the owner clamps its own request timeout to the
-// forwarded budget and sheds (429) work its observed p99 service time says
-// it cannot finish in that budget — the forwarder's existing 429 handling
-// falls back to generating locally instead of burning a doomed hop.
-const HeaderDeadlineMS = "X-Cryptgend-Deadline-Ms"
-
 // GenerateRequest is the body of POST /v1/generate. Exactly one of Source
 // or UseCase selects the template.
 type GenerateRequest struct {
