@@ -607,51 +607,3 @@ func (c *Client) GenerateBatch(ctx context.Context, req wire.BatchRequest) (wire
 	out.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return out, nil
 }
-
-// Metrics fetches one node's /metrics snapshot.
-func (c *Client) Metrics(ctx context.Context, node string) (wire.Metrics, error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, node+"/metrics", nil)
-	if err != nil {
-		return wire.Metrics{}, err
-	}
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return wire.Metrics{}, err
-	}
-	defer resp.Body.Close()
-	data, err := wire.ReadBody(resp, maxRespBytes)
-	if err != nil {
-		return wire.Metrics{}, err
-	}
-	var m wire.Metrics
-	if err := json.Unmarshal(data, &m); err != nil {
-		return wire.Metrics{}, err
-	}
-	return m, nil
-}
-
-// ReloadAll POSTs /v1/reload to every configured node (healthy or not:
-// reloading a draining node is harmless, and an ejected-but-alive node
-// must not be left serving stale rules), returning per-node outcomes keyed
-// by URL.
-func (c *Client) ReloadAll(ctx context.Context) (map[string]wire.ReloadResponse, map[string]error) {
-	oks := make(map[string]wire.ReloadResponse, len(c.nodes))
-	errs := make(map[string]error)
-	for _, n := range c.nodes {
-		var resp wire.ReloadResponse
-		body, _ := json.Marshal(struct{}{})
-		wireErr, _, err := c.post(ctx, n, "/v1/reload", body, &resp)
-		switch {
-		case err != nil:
-			errs[n] = err
-		case wireErr != nil:
-			errs[n] = wireErr
-		default:
-			oks[n] = resp
-			c.noteFingerprint(resp.Fingerprint)
-		}
-	}
-	return oks, errs
-}

@@ -86,7 +86,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cryptgend: ")
 	addr := flag.String("addr", ":8572", "listen address")
-	workers := flag.Int("workers", runtime.NumCPU(), "worker pool size")
+	workers := flag.Int("workers", runtime.NumCPU(), "worker pool size (0 = one per CPU; negative is rejected)")
 	queue := flag.Int("queue", 0, "pending-job queue size (0 = 4x workers)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	cacheSize := flag.Int("cache", 256, "compiled-plan cache entries, the only generation cache")
@@ -94,7 +94,7 @@ func main() {
 	drain := flag.Duration("drain", 15*time.Second, "graceful shutdown deadline")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/ (opt-in: profiles reveal source being generated)")
 	maxWaiters := flag.Int("max-waiters", 0, "submissions allowed to block behind a full queue before shedding 429s (0 = 2x queue; negative is rejected)")
-	maxBody := flag.Int64("max-body", 0, "request-body byte cap on POST endpoints, 413 beyond it (0 = 4 MiB)")
+	maxBody := flag.Int64("max-body", 0, "request-body byte cap on POST endpoints, 413 beyond it (0 = 4 MiB; negative is rejected)")
 	rulesDir := flag.String("rules", "", "serve GoCrySL rules from this directory instead of the embedded set; /v1/reload recompiles from it")
 	faults := flag.String("faults", "", `arm chaos fault points, e.g. "worker-exec=panic:1,reload-swap=error" (also via CRYPTGEND_FAULTS)`)
 	self := flag.String("self", "", `this node's base URL as peers address it, e.g. "http://10.0.0.1:8572" (cluster mode; required with -peers)`)

@@ -1,8 +1,6 @@
 package fsm
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"sort"
@@ -26,13 +24,4 @@ func (d *DFA) WriteCanonical(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// Fingerprint returns a hex SHA-256 digest of the canonical rendering.
-// Because Determinize and Minimize are deterministic, compiling the same
-// ORDER expression always yields the same fingerprint.
-func (d *DFA) Fingerprint() string {
-	h := sha256.New()
-	d.WriteCanonical(h)
-	return hex.EncodeToString(h.Sum(nil))
 }

@@ -104,14 +104,8 @@ func TestPathCacheMatchesDirectEnumeration(t *testing.T) {
 			t.Fatalf("%s: second lookup changed the enumeration", r.SpecType())
 		}
 	}
-	// Entries are keyed by DFA fingerprint, so rules with structurally
-	// identical ORDER automata share one entry.
-	distinct := map[string]bool{}
-	for _, r := range rs.Rules() {
-		distinct[r.DFA.Fingerprint()] = true
-	}
-	if cache.Len() != len(distinct) {
-		t.Fatalf("cache has %d entries, want one per distinct automaton (%d of %d rules)",
-			cache.Len(), len(distinct), rs.Len())
+	// Entries are keyed by rule pointer: one per rule.
+	if cache.Len() != rs.Len() {
+		t.Fatalf("cache has %d entries, want one per rule (%d)", cache.Len(), rs.Len())
 	}
 }

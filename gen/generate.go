@@ -30,6 +30,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"cognicryptgen/crysl"
@@ -41,8 +42,8 @@ import (
 
 // DefaultMaxPaths is the per-rule bound on accepting-path enumeration
 // applied when Options.MaxPaths is zero. Long-lived processes that warm a
-// shared PathCache (the service registry) must use the same bound, or the
-// warmed entries are never hit by default-option Generators.
+// PathCache (the service registry) must use the same bound, or the warmed
+// entries are never hit by default-option Generators.
 const DefaultMaxPaths = 512
 
 // Options configures a Generator.
@@ -56,17 +57,17 @@ type Options struct {
 	MaxPaths int
 	// Paths, when non-nil, memoizes per-rule accepting-path enumeration.
 	// A single PathCache may be shared by many Generators over the same
-	// immutable rule set (see NewPathCache); the service registry does
-	// exactly that so paths are enumerated once per process, not once per
-	// generation.
+	// immutable rule set (see NewPathCache); the service registry builds
+	// one per loaded rule set, so paths are enumerated once per rule set,
+	// not once per generation.
 	Paths *PathCache
 	// Plans, when non-nil, memoizes whole generations as compiled Plans
 	// (see PlanCache): the first generation of a (template source, rule
 	// set, options) tuple runs the full pipeline and compiles a byte
 	// skeleton; every later one — regardless of template name or package
 	// override, which are splice points — executes in a handful of byte
-	// copies. Like Paths, one PlanCache is meant to be shared by many
-	// Generators; it is internally synchronized.
+	// copies. One PlanCache is meant to be shared by many Generators, and
+	// across rule sets; it is internally synchronized.
 	Plans *PlanCache
 
 	// Ablation switches (all default off = full algorithm). They exist for
@@ -95,6 +96,9 @@ type Generator struct {
 	checker *srccheck.Checker
 	api     *apiModel
 	opts    Options
+	// rulesFP is rules.Fingerprint(), hashed on first use and shared with
+	// every WithOptions derivative: the rule-set half of the plan key.
+	rulesFP func() string
 
 	// curPool is the object pool of the chain currently being generated.
 	curPool []*genObject
@@ -129,6 +133,7 @@ func New(ruleSet *crysl.RuleSet, dir string, opts Options) (*Generator, error) {
 		checker: checker,
 		api:     buildAPIModel(gcaPkg),
 		opts:    opts,
+		rulesFP: sync.OnceValue(ruleSet.Fingerprint),
 	}, nil
 }
 
@@ -152,6 +157,7 @@ func (g *Generator) WithOptions(opts Options) *Generator {
 		checker: g.checker,
 		api:     g.api,
 		opts:    opts,
+		rulesFP: g.rulesFP,
 	}
 }
 
@@ -235,7 +241,7 @@ func (g *Generator) GenerateFileCtx(ctx context.Context, name, src string) (res 
 	var key planKey
 	var rulesFP string
 	if plannable {
-		rulesFP = g.opts.Plans.FingerprintFor(g.rules)
+		rulesFP = g.rulesFP()
 		key = newPlanKey(rulesFP, src, g.opts)
 		if p, ok := g.opts.Plans.lookup(key); ok {
 			return p.Execute(name, g.opts.PackageName), nil

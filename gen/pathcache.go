@@ -17,49 +17,36 @@ import (
 // read-only (the generator itself never mutates them — it copies before
 // filtering and sorting candidates).
 //
+// A PathCache belongs to one compiled rule set and is freed with it: the
+// service registry builds a fresh cache for every rule set it loads, so an
+// entry never outlives the rule it was enumerated from.
+//
 // The zero value is not usable; call NewPathCache.
 type PathCache struct {
-	mu  sync.RWMutex
-	m   map[pathKey][][]string
-	fps map[*crysl.Rule]string // memoized DFA fingerprints (rules are immutable)
+	mu sync.RWMutex
+	m  map[pathKey][][]string
 }
 
-// pathKey identifies one memoized enumeration. Entries are keyed by the
-// rule's DFA fingerprint, not its SPEC name: two same-named rules whose
-// ORDER automata differ (edited rule sources across /v1/reload snapshots,
-// rule variants in tests) must never share paths — a spec-name key would
-// silently serve one variant's accepting paths for the other.
+// pathKey identifies one memoized enumeration. Entries are keyed by rule
+// pointer, not SPEC name: two same-named rules whose ORDER automata differ
+// (rule variants in tests, edited sources compiled side by side) must never
+// share paths — a spec-name key would silently serve one variant's
+// accepting paths for the other.
 type pathKey struct {
-	dfa      string
+	rule     *crysl.Rule
 	maxPaths int
 }
 
 // NewPathCache returns an empty, concurrency-safe path cache.
 func NewPathCache() *PathCache {
-	return &PathCache{m: map[pathKey][][]string{}, fps: map[*crysl.Rule]string{}}
-}
-
-// fingerprint returns rule.DFA.Fingerprint(), memoized per rule pointer so
-// the canonical DFA rendering is hashed once, not once per lookup.
-func (c *PathCache) fingerprint(rule *crysl.Rule) string {
-	c.mu.RLock()
-	fp, ok := c.fps[rule]
-	c.mu.RUnlock()
-	if ok {
-		return fp
-	}
-	fp = rule.DFA.Fingerprint()
-	c.mu.Lock()
-	c.fps[rule] = fp
-	c.mu.Unlock()
-	return fp
+	return &PathCache{m: map[pathKey][][]string{}}
 }
 
 // Paths returns the accepting paths of the rule's DFA under the maxPaths
 // bound, computing and memoizing them on first use. Callers must not
 // modify the returned slices.
 func (c *PathCache) Paths(rule *crysl.Rule, maxPaths int) [][]string {
-	key := pathKey{c.fingerprint(rule), maxPaths}
+	key := pathKey{rule, maxPaths}
 	c.mu.RLock()
 	paths, ok := c.m[key]
 	c.mu.RUnlock()
@@ -73,44 +60,6 @@ func (c *PathCache) Paths(rule *crysl.Rule, maxPaths int) [][]string {
 	c.m[key] = paths
 	c.mu.Unlock()
 	return paths
-}
-
-// Retain drops every memoized enumeration that does not belong to a rule
-// of one of the given rule sets, and every DFA-fingerprint memo for rule
-// pointers outside them. Fingerprint keying already keeps a shared cache
-// correct across rule-set reloads — stale entries simply stop matching —
-// but it never frees them; a registry that reloads repeatedly calls
-// Retain with the current (and any mid-build) rule sets after each swap
-// so the cache stays bounded by the live sets. Returns the number of
-// path enumerations dropped.
-func (c *PathCache) Retain(sets ...*crysl.RuleSet) int {
-	keepFP := map[string]bool{}
-	keepRule := map[*crysl.Rule]bool{}
-	for _, set := range sets {
-		if set == nil {
-			continue
-		}
-		for _, rule := range set.Rules() {
-			// c.fingerprint memoizes; compute before taking the write lock.
-			keepFP[c.fingerprint(rule)] = true
-			keepRule[rule] = true
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := 0
-	for key := range c.m {
-		if !keepFP[key.dfa] {
-			delete(c.m, key)
-			dropped++
-		}
-	}
-	for rule := range c.fps {
-		if !keepRule[rule] && !keepFP[c.fps[rule]] {
-			delete(c.fps, rule)
-		}
-	}
-	return dropped
 }
 
 // Len returns the number of memoized (rule, bound) entries.

@@ -46,7 +46,7 @@ type Plan struct {
 	// template name and duration; the shared slices are read-only.
 	report *Report
 	// rulesFP identifies the rule-set the plan was compiled against;
-	// PlanCache.Retain evicts by it when rule sets are unloaded.
+	// PlanCache.Retain evicts by it when rule sets are reloaded.
 	rulesFP string
 	// seed is the request tuple the plan was compiled from (PlanCache.Seeds).
 	seed PlanSeed

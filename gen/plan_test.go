@@ -312,59 +312,6 @@ func TestPlanCacheLRUAndRetain(t *testing.T) {
 	}
 }
 
-// TestPathCacheRetain: entries of rule sets that are no longer loaded are
-// dropped; entries of the kept sets survive, including their memoized
-// fingerprints.
-func TestPathCacheRetain(t *testing.T) {
-	live := rules.MustLoad()
-	// Two Update events give the variant a DFA distinct from every loaded
-	// rule (the path cache is keyed by DFA fingerprint, so an identical
-	// automaton would collide with the real MessageDigest entry).
-	variant, err := crysl.ParseRule("variant.crysl", `SPEC gca.MessageDigest
-OBJECTS
-    string hashAlg;
-    []byte input;
-    []byte digest;
-EVENTS
-    c1: NewMessageDigest(_);
-    u1: Update(input);
-    u2: Update(input);
-    d1: digest := Digest();
-ORDER
-    c1, u1, u2, d1
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale := crysl.NewRuleSet()
-	if err := stale.Add(variant); err != nil {
-		t.Fatal(err)
-	}
-
-	c := NewPathCache()
-	for _, r := range live.Rules() {
-		c.Paths(r, DefaultMaxPaths)
-	}
-	// Distinct loaded rules may share a DFA, so measure relative to the
-	// live-only footprint rather than asserting an absolute count.
-	liveOnly := c.Len()
-	c.Paths(variant, DefaultMaxPaths)
-	if c.Len() != liveOnly+1 {
-		t.Fatalf("Len = %d after warming the variant, want %d", c.Len(), liveOnly+1)
-	}
-	if dropped := c.Retain(live); dropped != 1 {
-		t.Errorf("Retain dropped %d enumerations, want 1 (the stale variant)", dropped)
-	}
-	if c.Len() != liveOnly {
-		t.Errorf("Len after Retain = %d, want %d", c.Len(), liveOnly)
-	}
-	// Keeping both sets drops nothing.
-	c.Paths(variant, DefaultMaxPaths)
-	if dropped := c.Retain(live, stale); dropped != 0 {
-		t.Errorf("Retain with all sets kept dropped %d", dropped)
-	}
-}
-
 // TestPushedParamOnRepeatedEventDeduped is the regression test for the
 // duplicate-placeholder bug: a parameter that occurs on several events of
 // the selected path (here Update twice) was pushed up once per event, so

@@ -14,16 +14,17 @@ import (
 const DefaultMaxPlans = 256
 
 // PlanCache memoizes compiled Plans across Generators, keyed by (template
-// source hash, rule-set fingerprint, options fingerprint). Like PathCache
-// it is internally synchronized and intended to be shared: the service
-// registry keeps one per process so that a template body is compiled to a
-// plan once and then served by byte splicing from every worker.
+// source hash, rule-set fingerprint, options fingerprint). It is internally
+// synchronized and intended to be shared: the service registry keeps one
+// per process so that a template body is compiled to a plan once and then
+// served by byte splicing from every worker, and so that a reload of
+// unchanged rules (same fingerprint) keeps every plan.
 //
 // Capacity is a plain LRU bound. Fingerprint keying makes invalidation
 // automatic — a reloaded rule set simply stops matching the old entries —
 // but entries for unloaded fingerprints do not expire on their own; the
-// registry calls Retain after each reload to drop them (see the
-// reload/eviction contract in DESIGN.md).
+// registry calls Retain with the live fingerprint after each reload to
+// drop them. The cache holds fingerprints only, never a rule set.
 type PlanCache struct {
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -33,10 +34,6 @@ type PlanCache struct {
 	ll    *list.List // front = most recently used
 	index map[planKey]*list.Element
 	bytes int64
-	// setFPs memoizes crysl.RuleSet.Fingerprint (a SHA-256 over every
-	// rule) per rule-set pointer, so the plan fast path does not rehash
-	// the rule set on every request.
-	setFPs map[*crysl.RuleSet]string
 }
 
 type planEntry struct {
@@ -51,26 +48,16 @@ func NewPlanCache(max int) *PlanCache {
 		max = DefaultMaxPlans
 	}
 	return &PlanCache{
-		max:    max,
-		ll:     list.New(),
-		index:  make(map[planKey]*list.Element),
-		setFPs: make(map[*crysl.RuleSet]string),
+		max:   max,
+		ll:    list.New(),
+		index: make(map[planKey]*list.Element),
 	}
 }
 
-// FingerprintFor returns set.Fingerprint(), memoized per rule-set pointer.
+// FingerprintFor returns set.Fingerprint(), the rule-set half of the plan
+// key that Execute takes.
 func (c *PlanCache) FingerprintFor(set *crysl.RuleSet) string {
-	c.mu.Lock()
-	fp, ok := c.setFPs[set]
-	c.mu.Unlock()
-	if ok {
-		return fp
-	}
-	fp = set.Fingerprint() // outside the lock: hashes every rule
-	c.mu.Lock()
-	c.setFPs[set] = fp
-	c.mu.Unlock()
-	return fp
+	return set.Fingerprint()
 }
 
 // Execute serves one request straight from the cache: on a plan hit it
@@ -144,11 +131,10 @@ func (c *PlanCache) removeLocked(el *list.Element) {
 	c.bytes -= e.plan.size()
 }
 
-// Retain drops every plan whose rule-set fingerprint is not in keep, and
-// every memoized rule-set fingerprint that no longer resolves to a kept
-// fingerprint. The registry calls this after each reload with the current
-// and mid-build fingerprints, bounding the cache across reload storms.
-// It returns the number of plans dropped.
+// Retain drops every plan whose rule-set fingerprint is not in keep. The
+// registry calls this after each successful reload with the live
+// fingerprint, bounding the cache across reload storms. It returns the
+// number of plans dropped.
 func (c *PlanCache) Retain(keep map[string]bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -160,11 +146,6 @@ func (c *PlanCache) Retain(keep map[string]bool) int {
 			dropped++
 		}
 		el = next
-	}
-	for set, fp := range c.setFPs {
-		if !keep[fp] {
-			delete(c.setFPs, set)
-		}
 	}
 	return dropped
 }

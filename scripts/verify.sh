@@ -68,13 +68,16 @@ go test -race -count=1 ./wire ./client
 # output byte-identical to the legacy pipeline for all 13 templates — on
 # compile, on replay, under renamed requests and package overrides — and
 # stay correct when one plan cache is shared across goroutines. The
-# reload-storm regression (bounded shared caches across 50 reloads with
-# per-reload fingerprints) rides in the same pass.
+# reload-storm regressions ride in the same pass: a plan cache bounded to
+# the live fingerprint and per-snapshot path caches across 50 reloads with
+# per-reload fingerprints, and superseded rule sets released across
+# reloads of unchanged sources.
 echo "==> plan byte-identity + reload-storm regression (-race)"
 go test -race -count=1 \
     -run 'TestPlanByteIdentity|TestPlanPackageOverrideIdentity|TestPlanFallbacks|TestPlanConcurrentExecution' ./gen
 go test -race -count=1 \
     -run 'TestReloadStormKeepsCachesBounded|TestConcurrentReloadAndGenerate' ./service
+go test -race -count=3 -run 'TestReloadReleasesSupersededRuleSet' ./service
 
 # Bounded resident heap: every file a generation, a verification, an
 # analysis or a failing template parses leaves the shared token.FileSet

@@ -261,17 +261,29 @@ func TestChaosLatencyShedding(t *testing.T) {
 	}
 }
 
-// TestNewRejectsNegativeMaxWaiters: admission control has no unbounded
-// mode, so a negative waiter bound is a configuration error rather than a
-// silent fallback to the default.
+// TestNewRejectsNegativeMaxWaiters: a negative size or bound is a
+// configuration error rather than a silently broken daemon. Admission
+// control has no unbounded waiter mode; a negative body cap would answer
+// every POST with 413; a negative worker count would run one worker while
+// /healthz reported the negative figure.
 func TestNewRejectsNegativeMaxWaiters(t *testing.T) {
-	s, err := New(Config{Workers: 1, MaxWaiters: -1})
-	if err == nil {
-		s.Close()
-		t.Fatal("New accepted MaxWaiters -1")
-	}
-	if !strings.Contains(err.Error(), "MaxWaiters") {
-		t.Errorf("error %q does not name MaxWaiters", err)
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"MaxWaiters", Config{Workers: 1, MaxWaiters: -1}},
+		{"MaxBodyBytes", Config{Workers: 1, MaxBodyBytes: -1}},
+		{"Workers", Config{Workers: -3}},
+	} {
+		s, err := New(tc.cfg)
+		if err == nil {
+			s.Close()
+			t.Errorf("New accepted a negative %s", tc.field)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("error %q does not name %s", err, tc.field)
+		}
 	}
 }
 

@@ -9,13 +9,15 @@
 // exactly once. The package is built from four pieces:
 //
 //   - Registry (registry.go): parses and compiles the embedded rule set
-//     once at startup, fingerprints it (crysl.RuleSet.Fingerprint), warms a
-//     shared gen.PathCache with every rule's accepting-path enumeration,
-//     and swaps in a freshly compiled set atomically on Reload.
+//     once at startup, fingerprints it (crysl.RuleSet.Fingerprint), warms
+//     a gen.PathCache of its own with every rule's accepting-path
+//     enumeration, and on Reload swaps in a freshly compiled and warmed set
+//     atomically. Each Snapshot owns its path cache, so a superseded rule
+//     set is freed with it; only the plan cache outlives a snapshot.
 //
 //   - Pool (pool.go): a bounded worker pool. Each worker owns its own
 //     gen.Generator and analysis.Analyzer (a Generator is not safe for
-//     concurrent use) while all workers share the registry's immutable
+//     concurrent use) while all workers share the snapshot's immutable
 //     rule set and path cache. Jobs carry a context that is propagated
 //     into the generation pipeline (gen.GenerateFileCtx), so work that is
 //     cancelled while queued is skipped and work cancelled mid-flight

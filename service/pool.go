@@ -298,7 +298,7 @@ func (w *Worker) refresh() error {
 func (w *Worker) Snapshot() *Snapshot { return w.snap }
 
 // Generator returns a Generator over the worker's snapshot running under
-// opts (the shared path and plan caches are always wired in). The
+// opts (the snapshot's path and plan caches are always wired in). The
 // returned Generator is valid for the duration of the current task only.
 func (w *Worker) Generator(opts gen.Options) *gen.Generator {
 	opts.Paths = w.snap.Paths

@@ -14,7 +14,9 @@ import (
 
 // Snapshot is one immutable compiled-rule-set generation. All requests
 // running against the same Snapshot share its rule set and path cache;
-// Reload produces a new Snapshot without disturbing in-flight requests.
+// Reload produces a new Snapshot without disturbing in-flight requests,
+// and a superseded Snapshot — path cache included — is freed once the
+// last request holding it finishes.
 type Snapshot struct {
 	// Rules is the compiled rule set. Immutable; safe for any number of
 	// concurrent readers.
@@ -22,14 +24,14 @@ type Snapshot struct {
 	// Fingerprint is Rules.Fingerprint(), computed once at load.
 	Fingerprint string
 	// Paths memoizes per-rule accepting-path enumeration, shared by every
-	// Generator built over this snapshot. The registry keeps ONE cache
-	// across reloads (DFA-fingerprint keying keeps it correct — see the
-	// eviction contract on Registry), so unchanged rules keep their warmed
-	// paths across /v1/reload.
+	// Generator built over this snapshot. Reload warms a fresh cache for
+	// each rule set it loads, so the cache lives exactly as long as the
+	// rules it was enumerated from.
 	Paths *gen.PathCache
-	// Plans memoizes whole generations as compiled byte-splice plans,
-	// likewise one registry-owned cache shared across reloads and keyed by
-	// rule-set fingerprint.
+	// Plans memoizes whole generations as compiled byte-splice plans. It
+	// is one registry-owned cache shared across reloads and keyed by
+	// rule-set fingerprint, so a reload of unchanged rules keeps every
+	// plan.
 	Plans *gen.PlanCache
 	// Version increments on every (re)load, letting workers detect that
 	// their cached Generator was built over a stale snapshot.
@@ -57,29 +59,20 @@ type RegistryHealth struct {
 // all fourteen rules) is paid once per process instead of once per
 // request, and again only on explicit Reload.
 //
-// Eviction contract: the path and plan caches are registry-owned and
-// shared across every snapshot the registry ever produces. Fingerprint
-// keying makes stale entries harmless (a reloaded rule simply stops
-// matching them) but not free — without eviction a reload storm grows
-// both caches without bound. After every Reload (successful or not) the
-// registry drops each entry whose fingerprint belongs to neither the
-// current snapshot nor a candidate that is still mid-build, so the
-// resident set is always bounded by the live rule sets.
+// Cache ownership: each Snapshot owns its path cache, so superseded rule
+// sets and their paths are freed with the snapshot. The plan cache is
+// registry-owned and shared across snapshots; fingerprint keying makes
+// stale plans harmless (a reloaded rule set simply stops matching them)
+// but not free, so after every successful Reload the registry drops each
+// plan whose fingerprint is not the live snapshot's.
 type Registry struct {
 	loader func() (*crysl.RuleSet, error)
 
-	paths *gen.PathCache
 	plans *gen.PlanCache
 
 	mu       sync.RWMutex
 	snap     *Snapshot
 	degraded RegistryHealth
-
-	// buildMu guards building: candidate rule sets that are compiled but
-	// not yet swapped in (or abandoned). Their cache entries must survive
-	// a concurrent reload's eviction pass.
-	buildMu  sync.Mutex
-	building map[*crysl.RuleSet]bool
 }
 
 // NewRegistry compiles the initial snapshot using loader (nil = the
@@ -103,10 +96,8 @@ func NewRegistryWithFallback(loader, fallback func() (*crysl.RuleSet, error), ma
 		loader = rules.LoadFresh
 	}
 	r := &Registry{
-		loader:   loader,
-		paths:    gen.NewPathCache(),
-		plans:    gen.NewPlanCache(maxPlans),
-		building: map[*crysl.RuleSet]bool{},
+		loader: loader,
+		plans:  gen.NewPlanCache(maxPlans),
 	}
 	if _, err := r.Reload(); err != nil {
 		if fallback == nil {
@@ -142,9 +133,6 @@ func (r *Registry) Snapshot() *Snapshot {
 // Plans returns the registry-owned plan cache (for metrics and warming).
 func (r *Registry) Plans() *gen.PlanCache { return r.plans }
 
-// Paths returns the registry-owned path cache.
-func (r *Registry) Paths() *gen.PathCache { return r.paths }
-
 // Health reports the registry's degradation state.
 func (r *Registry) Health() RegistryHealth {
 	r.mu.RLock()
@@ -169,11 +157,11 @@ func (r *Registry) Health() RegistryHealth {
 // accepting paths concurrently (PathCache is concurrency-safe), so
 // /v1/reload latency tracks the slowest single rule rather than the sum.
 //
-// Reload ends with the generation-scoped eviction pass described on
-// Registry, so rule sets that are no longer loaded stop occupying the
-// shared path and plan caches.
+// A successful Reload ends by dropping the plans of every rule set other
+// than the live one (see Registry). A failed Reload has nothing shared to
+// evict: its candidate's path cache is simply garbage.
 func (r *Registry) Reload() (*Snapshot, error) {
-	set, fp, err := r.buildCandidate()
+	set, paths, fp, err := r.buildCandidate()
 	if err != nil {
 		r.mu.Lock()
 		r.degraded = RegistryHealth{
@@ -183,8 +171,6 @@ func (r *Registry) Reload() (*Snapshot, error) {
 			FailedAt:          time.Now(),
 		}
 		r.mu.Unlock()
-		// Drop whatever the failed candidate warmed into the shared caches.
-		r.evictStale()
 		return nil, err
 	}
 	r.mu.Lock()
@@ -195,44 +181,36 @@ func (r *Registry) Reload() (*Snapshot, error) {
 	r.snap = &Snapshot{
 		Rules:       set,
 		Fingerprint: fp,
-		Paths:       r.paths,
+		Paths:       paths,
 		Plans:       r.plans,
 		Version:     version,
 	}
 	r.degraded = RegistryHealth{}
 	snap := r.snap
 	r.mu.Unlock()
-	r.finishBuild(set)
-	r.evictStale()
+	// Keep the live fingerprint, read now rather than taken from this
+	// candidate: concurrent reloads can swap out of order.
+	r.plans.Retain(map[string]bool{r.Snapshot().Fingerprint: true})
 	return snap, nil
 }
 
-// buildCandidate compiles and fully warms a candidate rule set against the
-// shared caches without touching the registry's snapshot. fp is returned
+// buildCandidate compiles a candidate rule set and fully warms a fresh path
+// cache for it without touching the registry's snapshot. fp is returned
 // even on failure when the candidate got far enough to have one, so the
-// degraded state can name the rule set that failed. On success the set is
-// left registered as mid-build; the caller must finishBuild it after the
-// swap (or after abandoning it).
-func (r *Registry) buildCandidate() (set *crysl.RuleSet, fp string, err error) {
+// degraded state can name the rule set that failed.
+func (r *Registry) buildCandidate() (set *crysl.RuleSet, paths *gen.PathCache, fp string, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			if set != nil {
-				r.finishBuild(set)
-			}
-			set = nil
+			set, paths = nil, nil
 			err = fmt.Errorf("service: panic rebuilding rule set: %v", rec)
 		}
 	}()
 	set, err = r.loader()
 	if err != nil {
-		return nil, "", fmt.Errorf("service: compiling rule set: %w", err)
+		return nil, nil, "", fmt.Errorf("service: compiling rule set: %w", err)
 	}
-	// Register before warming: a concurrent reload's eviction pass must
-	// not drop this candidate's freshly warmed entries.
-	r.buildMu.Lock()
-	r.building[set] = true
-	r.buildMu.Unlock()
-	fp = r.plans.FingerprintFor(set)
+	fp = set.Fingerprint()
+	paths = gen.NewPathCache()
 	// Warm with gen's own default bound: a generator running with default
 	// options looks paths up under exactly this key, so the warmed entries
 	// cannot silently stop matching if the default ever changes.
@@ -253,47 +231,15 @@ func (r *Registry) buildCandidate() (set *crysl.RuleSet, fp string, err error) {
 				warmErrs[i] = fmt.Errorf("warming %s: %w", rule.SpecType(), ferr)
 				return
 			}
-			r.paths.Paths(rule, gen.DefaultMaxPaths)
+			paths.Paths(rule, gen.DefaultMaxPaths)
 		}(i, rule)
 	}
 	wg.Wait()
 	if werr := errors.Join(warmErrs...); werr != nil {
-		r.finishBuild(set)
-		return nil, fp, fmt.Errorf("service: warming candidate rule set %s: %w", fp, werr)
+		return nil, nil, fp, fmt.Errorf("service: warming candidate rule set %s: %w", fp, werr)
 	}
 	if ferr := faultinject.Fire(faultinject.PointReloadSwap); ferr != nil {
-		r.finishBuild(set)
-		return nil, fp, fmt.Errorf("service: swapping in rule set %s: %w", fp, ferr)
+		return nil, nil, fp, fmt.Errorf("service: swapping in rule set %s: %w", fp, ferr)
 	}
-	return set, fp, nil
-}
-
-// finishBuild deregisters a candidate once it has been swapped in or
-// abandoned.
-func (r *Registry) finishBuild(set *crysl.RuleSet) {
-	r.buildMu.Lock()
-	delete(r.building, set)
-	r.buildMu.Unlock()
-}
-
-// evictStale drops shared-cache entries whose fingerprint is neither the
-// current snapshot's nor a mid-build candidate's.
-func (r *Registry) evictStale() {
-	r.buildMu.Lock()
-	sets := make([]*crysl.RuleSet, 0, len(r.building)+1)
-	for s := range r.building {
-		sets = append(sets, s)
-	}
-	r.buildMu.Unlock()
-	r.mu.RLock()
-	if r.snap != nil {
-		sets = append(sets, r.snap.Rules)
-	}
-	r.mu.RUnlock()
-	keepFP := make(map[string]bool, len(sets))
-	for _, s := range sets {
-		keepFP[r.plans.FingerprintFor(s)] = true
-	}
-	r.paths.Retain(sets...)
-	r.plans.Retain(keepFP)
+	return set, paths, fp, nil
 }

@@ -3,13 +3,16 @@ package service
 import (
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"weak"
 
 	"cognicryptgen/crysl"
 	"cognicryptgen/gen"
+	"cognicryptgen/rules"
 	"cognicryptgen/templates"
 	"cognicryptgen/wire"
 )
@@ -40,9 +43,9 @@ func (h *Hasher) Hash(data []byte) ([]byte, error) {
 `
 
 // stormRuleSet builds generation n of a one-rule set whose ORDER grows an
-// Update event per generation, so every reload changes BOTH the rule-set
-// fingerprint (plan-cache key) and the rule's DFA fingerprint (path-cache
-// key) — the worst case for the shared caches.
+// Update event per generation, so every reload changes the rule-set
+// fingerprint (the plan-cache key) — the worst case for the shared plan
+// cache.
 func stormRuleSet(n int) (*crysl.RuleSet, error) {
 	var b strings.Builder
 	b.WriteString("SPEC gca.MessageDigest\nOBJECTS\n    string hashAlg;\n    []byte input;\n    []byte digest;\nEVENTS\n    c1: NewMessageDigest(_);\n")
@@ -65,11 +68,12 @@ func stormRuleSet(n int) (*crysl.RuleSet, error) {
 }
 
 // TestReloadStormKeepsCachesBounded is the regression test for unbounded
-// shared-cache growth across reload storms: 50 reloads, each producing a
+// cache growth across reload storms: 50 reloads, each producing a
 // fingerprint never seen before and each followed by a generation that
-// compiles a plan. Without the registry's generation-scoped eviction the
-// path and plan caches would end holding ~51 entries each; with it they
-// hold exactly the live generation's.
+// compiles a plan. Without the registry's eviction of non-live plans the
+// plan cache would end holding ~51 entries; with it, it holds exactly the
+// live generation's, and the live snapshot's own path cache holds its one
+// rule.
 func TestReloadStormKeepsCachesBounded(t *testing.T) {
 	var genNo atomic.Int64
 	reg, err := NewRegistry(func() (*crysl.RuleSet, error) {
@@ -93,7 +97,7 @@ func TestReloadStormKeepsCachesBounded(t *testing.T) {
 			t.Fatalf("reload %d: generating against the new snapshot: %v", i, err)
 		}
 	}
-	if n := reg.Paths().Len(); n != 1 {
+	if n := reg.Snapshot().Paths.Len(); n != 1 {
 		t.Errorf("path cache holds %d enumerations after %d reloads, want 1 (the live rule's); unbounded growth regression", n, storms)
 	}
 	if n := reg.Plans().Len(); n != 1 {
@@ -102,6 +106,37 @@ func TestReloadStormKeepsCachesBounded(t *testing.T) {
 	if b := reg.Plans().Bytes(); b <= 0 {
 		t.Errorf("plan cache bytes = %d after eviction, want > 0 for the resident plan", b)
 	}
+}
+
+// TestReloadReleasesSupersededRuleSet is the regression test for rule sets
+// leaking across reloads of unchanged sources: every reload compiles a new
+// rule set with the live fingerprint, and nothing the registry keeps —
+// the plan cache, the live snapshot, its path cache — may hold on to a
+// superseded one.
+func TestReloadReleasesSupersededRuleSet(t *testing.T) {
+	var first weak.Pointer[crysl.RuleSet]
+	var loads atomic.Int64
+	reg, err := NewRegistry(func() (*crysl.RuleSet, error) {
+		set, err := rules.LoadFresh()
+		if err == nil && loads.Add(1) == 1 {
+			first = weak.Make(set)
+		}
+		return set, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if _, err := reg.Reload(); err != nil {
+			t.Fatalf("reload %d: %v", i, err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	if first.Value() != nil {
+		t.Error("the first rule set is still reachable after 3 reloads of unchanged sources")
+	}
+	runtime.KeepAlive(reg)
 }
 
 // TestPlanMetricsReported: /metrics' plan counters move when the plan
@@ -192,7 +227,7 @@ func TestConcurrentReloadAndGenerate(t *testing.T) {
 	if n := reg.Plans().Len(); n > 4 {
 		t.Errorf("plan cache holds %d plans after concurrent reloads, want a small bounded set", n)
 	}
-	if n := reg.Paths().Len(); n > 4 {
+	if n := reg.Snapshot().Paths.Len(); n > 4 {
 		t.Errorf("path cache holds %d enumerations after concurrent reloads, want a small bounded set", n)
 	}
 }

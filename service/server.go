@@ -36,7 +36,8 @@ type Config struct {
 	// Dir locates the module for template type-checking ("" = working
 	// directory; the daemon must run inside the cognicryptgen module).
 	Dir string
-	// Workers is the worker-pool size (0 = runtime.NumCPU).
+	// Workers is the worker-pool size (0 = runtime.NumCPU; negative is an
+	// error).
 	Workers int
 	// QueueSize bounds pending jobs (0 = 4×Workers). When the queue is
 	// full, up to MaxWaiters submissions wait until space frees or their
@@ -53,7 +54,7 @@ type Config struct {
 	// negative is an error).
 	MaxWaiters int
 	// MaxBodyBytes caps request bodies on the POST endpoints; oversized
-	// requests get 413 (0 = DefaultMaxBodyBytes).
+	// requests get 413 (0 = DefaultMaxBodyBytes; negative is an error).
 	MaxBodyBytes int64
 	// Loader compiles the rule set at startup and on /v1/reload (nil =
 	// the embedded gca rules).
@@ -134,7 +135,7 @@ type Server struct {
 	jitterRand *rand.Rand
 }
 
-// New compiles the rule set, warms the path cache, and starts the worker
+// New compiles the rule set, warms its path cache, and starts the worker
 // pool. The shared type-check universe (the crypto façade's transitive
 // closure, the expensive half of a worker's first Generator) begins
 // warming in the background immediately, so by the time the first request
@@ -143,6 +144,12 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxWaiters < 0 {
 		return nil, fmt.Errorf("service: MaxWaiters %d is negative; 0 selects the default bound", cfg.MaxWaiters)
+	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("service: Workers %d is negative; 0 selects one per CPU", cfg.Workers)
+	}
+	if cfg.MaxBodyBytes < 0 {
+		return nil, fmt.Errorf("service: MaxBodyBytes %d is negative; 0 selects the default cap", cfg.MaxBodyBytes)
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.NumCPU()
