@@ -300,9 +300,12 @@ func (c *Client) probe(node string, timeout time.Duration) {
 		return
 	}
 	defer resp.Body.Close()
-	var ready wire.ReadyResponse
-	if data, err := wire.ReadBody(resp, maxRespBytes); err == nil && json.Unmarshal(data, &ready) == nil {
-		c.noteFingerprint(ready.Fingerprint)
+	if data, release, err := wire.ReadBody(resp.Body, resp.ContentLength, maxRespBytes); err == nil {
+		var ready wire.ReadyResponse
+		if wire.Unmarshal(data, &ready) == nil {
+			c.noteFingerprint(ready.Fingerprint)
+		}
+		release()
 	}
 	if resp.StatusCode == http.StatusOK {
 		br.Success()
@@ -343,15 +346,18 @@ func (c *Client) post(ctx context.Context, node, path string, body []byte, out a
 	// A body that is oversized or ends short of its Content-Length is a
 	// transport failure: it is not trustworthy, and the node (or whatever
 	// is in front of it) is misbehaving.
-	data, err := wire.ReadBody(resp, maxRespBytes)
+	data, release, err := wire.ReadBody(resp.Body, resp.ContentLength, maxRespBytes)
 	if err != nil {
 		return nil, 0, err
 	}
+	// Unmarshal copies every value out, so the buffer goes back to the
+	// pool once decoding is done.
+	defer release()
 	if resp.StatusCode < 300 {
-		return nil, 0, json.Unmarshal(data, out)
+		return nil, 0, wire.Unmarshal(data, out)
 	}
 	var e wire.Error
-	if json.Unmarshal(data, &e) != nil || e.Status == 0 {
+	if wire.Unmarshal(data, &e) != nil || e.Status == 0 {
 		e = *wire.NewError(resp.StatusCode, "%s%s: status %d", node, path, resp.StatusCode)
 	}
 	// Prefer the envelope's millisecond hint (it mirrors the header but

@@ -793,3 +793,62 @@ func TestClientTransportFault5xx(t *testing.T) {
 		t.Errorf("node saw %d requests, want 0 (the 5xx was synthesized at the transport)", got)
 	}
 }
+
+// TestDecodedOutputsOutliveBuffers: every response body is read into a
+// pooled buffer that is reused as soon as the call has decoded it, so no
+// decoded string may alias that buffer. Eight goroutines call through one
+// client while the node encodes into the same pool; once every buffer has
+// been reused many times over, each kept Output must still equal the
+// output its request was answered with. Run under -race.
+func TestDecodedOutputsOutliveBuffers(t *testing.T) {
+	// Outputs with and without escapes: a decoder shortcut for either kind
+	// must copy too.
+	output := func(name string) string {
+		if len(name)%2 == 0 {
+			return strings.Repeat("plain "+name+" ", 40)
+		}
+		return strings.Repeat("func "+name+"() {\n\treturn \"é\"\n}\n", 40)
+	}
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req wire.GenerateRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Error(err)
+		}
+		body, release, err := wire.Encode(wire.GenerateResponse{Name: req.Name, Output: output(req.Name)})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer release()
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
+	}))
+	defer node.Close()
+	c := mustClient(t, Config{Nodes: []string{node.URL}})
+
+	const workers, calls = 8, 50
+	kept := make([][]wire.GenerateResponse, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				resp, err := c.Generate(context.Background(), wire.GenerateRequest{Name: fmt.Sprintf("w%d_%d", g, i), Source: "package p"})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				kept[g] = append(kept[g], resp)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, resps := range kept {
+		for _, resp := range resps {
+			if want := output(resp.Name); resp.Output != want {
+				t.Fatalf("%s: kept output changed after its buffer was reused:\n got %q\nwant %q", resp.Name, resp.Output, want)
+			}
+		}
+	}
+}

@@ -50,19 +50,24 @@ go test -race -run 'TestChaos|TestBodyCap|TestCompactFraming' -count=1 ./service
 echo "==> peer-down fallback + forwarded cancellation (-race, 20 runs)"
 go test -race -count=20 -run 'TestClusterPeerDownFallback|TestClusterForwardCancelSkipsQueuedJob' ./service
 
-# Timed fuzz smoke: 10s of exploration per parser entry point, and for
-# the generator's word scanner against the regexps it replaces, on top of
+# Timed fuzz smoke: 10s of exploration per parser entry point, for the
+# generator's word scanner against the regexps it replaces, and for the
+# wire's one-copy string decoder against encoding/json, on top of
 # the seed-corpus replay in the normal test run. Any crasher or mismatch
 # fails the gate and lands in testdata/fuzz/ for triage.
 echo "==> fuzz smoke (10s per target)"
 go test -run NONE -fuzz 'FuzzParseRule' -fuzztime 10s ./crysl
 go test -run NONE -fuzz 'FuzzParseTemplate' -fuzztime 10s ./gen
 go test -run NONE -fuzz 'FuzzWordMatches' -fuzztime 10s ./gen
+go test -run NONE -fuzz 'FuzzUnquote' -fuzztime 10s ./wire
 
 # The wire contract and the SDK's retry/routing state get an extra
-# explicit pass under -race on top of the package run above.
+# explicit pass under -race on top of the package run above. Decoded
+# outputs must never alias a pooled body buffer: the aliasing test runs
+# three more times while eight goroutines churn the pool.
 echo "==> wire/client race pass"
 go test -race -count=1 ./wire ./client
+go test -race -count=3 -run 'TestDecodedOutputsOutliveBuffers' ./client
 
 # Plan fast-path identity: the precompiled-plan byte splicer must emit
 # output byte-identical to the legacy pipeline for all 13 templates — on

@@ -263,7 +263,8 @@ func decodeEnvelope(t *testing.T, body []byte, wantStatus int) wire.Error {
 
 // TestErrorEnvelopeUnified: every non-2xx response — across generate,
 // batch, analyze, reload, and the method checks — is one wire.Error shape,
-// not per-handler ad-hoc JSON.
+// not per-handler ad-hoc JSON. A body is one JSON value: trailing data
+// after it is a 400, not ignored.
 func TestErrorEnvelopeUnified(t *testing.T) {
 	_, ts := sharedService(t)
 
@@ -277,10 +278,14 @@ func TestErrorEnvelopeUnified(t *testing.T) {
 		{"generate malformed json", http.MethodPost, "/v1/generate", "{not json", http.StatusBadRequest},
 		{"generate empty", http.MethodPost, "/v1/generate", "{}", http.StatusBadRequest},
 		{"generate source+usecase", http.MethodPost, "/v1/generate", `{"usecase": 1, "source": "package p"}`, http.StatusBadRequest},
+		{"generate trailing data", http.MethodPost, "/v1/generate", `{"usecase": 1} junk`, http.StatusBadRequest},
+		{"generate second value", http.MethodPost, "/v1/generate", `{"usecase": 1}{"usecase": 2}`, http.StatusBadRequest},
 		{"generate wrong method", http.MethodGet, "/v1/generate", "", http.StatusMethodNotAllowed},
 		{"batch empty", http.MethodPost, "/v1/generate/batch", `{"requests": []}`, http.StatusBadRequest},
+		{"batch trailing data", http.MethodPost, "/v1/generate/batch", `{"requests": [{"usecase": 1}]} junk`, http.StatusBadRequest},
 		{"batch wrong method", http.MethodGet, "/v1/generate/batch", "", http.StatusMethodNotAllowed},
 		{"analyze missing source", http.MethodPost, "/v1/analyze", "{}", http.StatusBadRequest},
+		{"analyze trailing data", http.MethodPost, "/v1/analyze", `{"source": "package p"}{"source": "package q"}`, http.StatusBadRequest},
 		{"analyze wrong method", http.MethodGet, "/v1/analyze", "", http.StatusMethodNotAllowed},
 		{"reload wrong method", http.MethodGet, "/v1/reload", "", http.StatusMethodNotAllowed},
 		{"rules wrong method", http.MethodPost, "/v1/rules", "", http.StatusMethodNotAllowed},

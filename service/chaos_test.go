@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -287,6 +289,76 @@ func TestNewRejectsNegativeMaxWaiters(t *testing.T) {
 	}
 }
 
+// unreadBody is a request body that fails the test if anything reads it.
+type unreadBody struct{ t *testing.T }
+
+func (u unreadBody) Read([]byte) (int, error) {
+	u.t.Error("request body read although its Content-Length is over the cap")
+	return 0, io.EOF
+}
+
+func (unreadBody) Close() error { return nil }
+
+// TestBodyCapRefusesBeforeReading: a request whose advertised
+// Content-Length exceeds the cap is answered 413 before a byte of its body
+// is read, on every POST endpoint that decodes a body.
+func TestBodyCapRefusesBeforeReading(t *testing.T) {
+	srv, _ := chaosServer(t, Config{Workers: 1, MaxBodyBytes: 2048})
+	for _, path := range []string{"/v1/generate", "/v1/analyze", "/v1/generate/batch"} {
+		req := httptest.NewRequest(http.MethodPost, path, nil)
+		req.Body, req.ContentLength = unreadBody{t}, 8<<20
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413: %s", path, rec.Code, rec.Body)
+		}
+	}
+}
+
+// stallBody is a request body whose first read reports itself on reading
+// and then blocks until release is closed, as a client that advertises a
+// length and then sends nothing.
+type stallBody struct{ reading, release chan struct{} }
+
+func (b stallBody) Read([]byte) (int, error) {
+	close(b.reading)
+	<-b.release
+	return 0, io.EOF
+}
+
+func (stallBody) Close() error { return nil }
+
+// TestBodyCapStalledBodyHoldsLittle: a request that advertises a body at
+// the cap and then stalls holds memory for the bytes that arrived, not for
+// its advertised length, so idle connections cannot each pin the cap.
+func TestBodyCapStalledBodyHoldsLittle(t *testing.T) {
+	const limit = 64 << 20
+	srv, _ := chaosServer(t, Config{Workers: 1, MaxBodyBytes: limit})
+	waitWarm(t, srv) // so the background warm-up allocates nothing meanwhile
+	body := stallBody{make(chan struct{}), make(chan struct{})}
+	req := httptest.NewRequest(http.MethodPost, "/v1/generate", nil)
+	req.Body, req.ContentLength = body, limit
+	rec := httptest.NewRecorder()
+
+	var before, during runtime.MemStats
+	runtime.ReadMemStats(&before)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Handler().ServeHTTP(rec, req)
+	}()
+	<-body.reading
+	runtime.ReadMemStats(&during)
+	close(body.release)
+	<-done
+	if grown := during.TotalAlloc - before.TotalAlloc; grown > limit/16 {
+		t.Errorf("allocated %d bytes while the %d-byte body stalled; want well under the advertised length", grown, limit)
+	}
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("short body: status %d, want 400: %s", rec.Code, rec.Body)
+	}
+}
+
 // TestBodyCap413: oversized request bodies are rejected with 413 before
 // any decoding or pool work happens, on every POST endpoint that reads a
 // body.
@@ -302,6 +374,26 @@ func TestBodyCap413(t *testing.T) {
 	resp, body := postJSON(t, ts.URL+"/v1/generate/batch", wire.BatchRequest{Requests: []wire.GenerateRequest{big}})
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("batch: status %d, want 413: %s", resp.StatusCode, body)
+	}
+
+	// A chunked body (length unknown, -1) is refused once it passes the cap.
+	// The MultiReader hides the body's length from NewRequest.
+	data, err := json.Marshal(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/generate", io.MultiReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = -1
+	chunked, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked.Body.Close()
+	if chunked.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("chunked: status %d, want 413", chunked.StatusCode)
 	}
 
 	// Well under the cap still works end to end (the cap must not count

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -247,6 +246,10 @@ func (c *cluster) probeLoop() {
 	}
 }
 
+// maxProbeBody caps the /readyz body a probe drains: a readiness answer is
+// a few hundred bytes.
+const maxProbeBody = 64 << 10
+
 func (c *cluster) probe(peer string) (healthy bool, errMsg string) {
 	// The probe interval paces how often peers are asked, not how long a
 	// peer may take to answer — a sub-second interval (tests run at 50ms)
@@ -269,7 +272,11 @@ func (c *cluster) probe(peer string) (healthy bool, errMsg string) {
 		return false, err.Error()
 	}
 	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
+	// Drain the body, capped, so the connection is reused; the verdict is
+	// the status alone.
+	if _, release, err := wire.ReadBody(resp.Body, resp.ContentLength, maxProbeBody); err == nil {
+		release()
+	}
 	if resp.StatusCode != http.StatusOK {
 		return false, fmt.Sprintf("readyz status %d", resp.StatusCode)
 	}
@@ -321,15 +328,16 @@ func (s *Server) forward(ctx context.Context, peer, name, src string, req wire.G
 		return wire.GenerateResponse{}, nil, false
 	}
 	defer hresp.Body.Close()
-	data, rerr := wire.ReadBody(hresp, s.cfg.MaxBodyBytes+DefaultMaxBodyBytes)
+	data, release, rerr := wire.ReadBody(hresp.Body, hresp.ContentLength, s.cfg.MaxBodyBytes+DefaultMaxBodyBytes)
 	if rerr != nil {
 		s.cluster.markForward(peer, rerr)
 		s.metrics.forwardFallbacks.Add(1)
 		return wire.GenerateResponse{}, nil, false
 	}
+	defer release()
 	if hresp.StatusCode == http.StatusOK {
 		var out wire.GenerateResponse
-		if uerr := json.Unmarshal(data, &out); uerr != nil {
+		if uerr := wire.Unmarshal(data, &out); uerr != nil {
 			s.cluster.markForward(peer, fmt.Errorf("decoding forwarded response: %w", uerr))
 			s.metrics.forwardFallbacks.Add(1)
 			return wire.GenerateResponse{}, nil, false
@@ -345,7 +353,7 @@ func (s *Server) forward(ctx context.Context, peer, name, src string, req wire.G
 		return out, nil, true
 	}
 	var we wire.Error
-	if uerr := json.Unmarshal(data, &we); uerr != nil || we.Status == 0 {
+	if uerr := wire.Unmarshal(data, &we); uerr != nil || we.Status == 0 {
 		we = *wire.NewError(hresp.StatusCode, "peer %s: status %d", peer, hresp.StatusCode)
 	}
 	if we.Retryable {

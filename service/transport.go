@@ -1,14 +1,11 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"runtime/debug"
 	"strconv"
-	"sync"
 	"time"
 
 	"cognicryptgen/wire"
@@ -92,39 +89,28 @@ func (t *transport) requestCtx(r *http.Request) (context.Context, context.Cancel
 	return context.WithTimeout(ctx, t.srv.cfg.RequestTimeout)
 }
 
-// maxPooledBody bounds the encode buffers kept for reuse: a buffer grown
-// past it (a full batch response) goes back to the GC, not the pool.
-const maxPooledBody = 64 << 10
-
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // writeJSON answers with v as compact, single-line JSON framed by an
 // explicit Content-Length: the body is encoded into a pooled buffer first
-// and written in one Write, so the SDK and the peer forwarder
-// (wire.ReadBody) read it into exactly one allocation of its length. A
+// (wire.Encode) and written in one Write, so the SDK and the peer forwarder
+// (wire.ReadBody) read it into a pooled buffer of exactly its length. A
 // value that fails to encode becomes a 500 envelope rather than a
 // truncated 2xx.
 func (t *transport) writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := bodyPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			bodyPool.Put(buf)
-		}
-	}()
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	body, release, err := wire.Encode(v)
+	if err != nil {
 		// The envelope itself always encodes, so this recursion ends.
 		t.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
 		return
 	}
+	defer release()
 	if status >= 400 {
 		t.srv.metrics.errors.Add(1)
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 // writeError answers with the wire.Error envelope — the one error shape
@@ -155,17 +141,32 @@ func (t *transport) writeAPIError(w http.ResponseWriter, err error, format strin
 	t.writeError(w, t.srv.failStatus(err), format+": %v", append(args, err)...)
 }
 
-// decodeBody decodes a JSON request body under the configured size cap,
-// answering 413 (oversized) or 400 (malformed) itself. ok is false when a
-// response has already been written.
+// decodeBody reads a JSON request body whole under the configured size cap
+// (wire.ReadBody) and decodes it (wire.Unmarshal), answering 413
+// (oversized) or 400 (short, malformed, or followed by trailing data)
+// itself. An advertised Content-Length over the cap is refused before any
+// byte of the body is read. ok is false when a response has already been
+// written.
 func (t *transport) decodeBody(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, t.srv.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	limit := t.srv.cfg.MaxBodyBytes
+	if r.ContentLength < 0 {
+		// A body of unknown length (chunked) is read until it passes the
+		// cap; MaxBytesReader then has the server close the connection
+		// rather than drain the rest of an oversized stream.
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
+	}
+	data, release, err := wire.ReadBody(r.Body, r.ContentLength, limit)
+	if err != nil {
 		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			t.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
+		if errors.Is(err, wire.ErrBodyTooLarge) || errors.As(err, &mbe) {
+			t.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", limit)
 			return false
 		}
+		t.writeError(w, http.StatusBadRequest, "reading request: %v", err)
+		return false
+	}
+	defer release()
+	if err := wire.Unmarshal(data, v); err != nil {
 		t.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return false
 	}

@@ -3,7 +3,6 @@ package wire
 import (
 	"errors"
 	"io"
-	"net/http"
 	"runtime"
 	"strings"
 	"testing"
@@ -19,10 +18,12 @@ func (u untouchable) Read([]byte) (int, error) {
 
 // TestReadBody covers the reader's four framings: an exact Content-Length,
 // a body ending short of its length, an advertised length over the limit,
-// and an unknown length.
+// and an unknown length. The limit lies past the pooled size, so an exact
+// length there is read in two parts, its tail grown as it arrives.
 func TestReadBody(t *testing.T) {
-	const limit = 64
+	const limit = 3*maxPooledBody + 5
 	body := `{"output":"package p"}`
+	long := strings.Repeat("x", limit)
 	for _, tc := range []struct {
 		name    string
 		body    io.Reader
@@ -33,26 +34,28 @@ func TestReadBody(t *testing.T) {
 		{"exact length", strings.NewReader(body), int64(len(body)), body, nil},
 		{"empty", strings.NewReader(""), 0, "", nil},
 		{"short of its length", strings.NewReader(body[:10]), int64(len(body)), "", io.ErrUnexpectedEOF},
+		{"exact length past the pooled size", strings.NewReader(long), limit, long, nil},
+		{"short past the pooled size", strings.NewReader(long[:limit-1]), limit, "", io.ErrUnexpectedEOF},
 		{"advertised over the limit", untouchable{t}, limit + 1, "", ErrBodyTooLarge},
 		{"unknown length", strings.NewReader(body), -1, body, nil},
-		{"unknown length over the limit", strings.NewReader(strings.Repeat("x", limit+1)), -1, "", ErrBodyTooLarge},
-		{"unknown length at the limit", strings.NewReader(strings.Repeat("x", limit)), -1, strings.Repeat("x", limit), nil},
+		{"unknown length over the limit", strings.NewReader(long + "x"), -1, "", ErrBodyTooLarge},
+		{"unknown length at the limit", strings.NewReader(long), -1, long, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			resp := &http.Response{Body: io.NopCloser(tc.body), ContentLength: tc.length}
-			data, err := ReadBody(resp, limit)
+			data, release, err := ReadBody(tc.body, tc.length, limit)
 			if tc.wantErr != nil {
 				if !errors.Is(err, tc.wantErr) {
 					t.Fatalf("err = %v, want %v", err, tc.wantErr)
 				}
-				if data != nil {
-					t.Fatalf("returned %q with the error; a failed read must yield no bytes", data)
+				if data != nil || release != nil {
+					t.Fatalf("returned %q with the error; a failed read must yield no bytes and hold no buffer", data)
 				}
 				return
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer release()
 			if string(data) != tc.want {
 				t.Fatalf("read %q, want %q", data, tc.want)
 			}
@@ -67,10 +70,9 @@ func TestReadBody(t *testing.T) {
 // up front, not after allocating a buffer for it.
 func TestReadBodyRefusesBeforeAllocating(t *testing.T) {
 	const limit = 8 << 20
-	resp := &http.Response{Body: io.NopCloser(untouchable{t}), ContentLength: limit + 1}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadBody(resp, limit)
+	_, _, err := ReadBody(untouchable{t}, limit+1, limit)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrBodyTooLarge) {
 		t.Fatalf("err = %v, want ErrBodyTooLarge", err)

@@ -5,6 +5,11 @@
 // rendezvous hash that daemon and client share so both sides agree on
 // which node owns a request.
 //
+// It also owns the framing every hop shares, in both directions: one body
+// reader (ReadBody) and one encoder (Encode) over one pool of body
+// buffers, and one decoder (Unmarshal) that copies each large text field —
+// template source, generated output — out of the body exactly once.
+//
 // The types here used to live inline in the service package; they were
 // extracted so that a client does not import the whole generation pipeline
 // to talk to a daemon, and so the daemon, the SDK, and the drills cannot
