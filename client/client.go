@@ -7,12 +7,13 @@
 //     wire.RendezvousRank the daemons use for peer forwarding), so a
 //     routed client hits every node's cache and singleflight directly and
 //     the daemons almost never need their one forwarding hop;
-//   - per-node circuit breakers: a node fails out of routing only after a
-//     failure streak (one blip is not evidence), stops receiving attempts
-//     while its breaker is open, and is re-admitted by a half-open trial
-//     or by the background /readyz probe seeing it recover — with
-//     requests failing over along the rendezvous rank so a dead owner's
-//     keys land on the same runner-up from every client;
+//   - per-node circuit breakers fed by request outcomes alone (the client
+//     runs no background prober): a node fails out of routing only after
+//     a streak of three failed attempts (one blip is not evidence), stops
+//     receiving attempts while its breaker is open, and is re-admitted
+//     when the one half-open trial let through after BreakerOpenTimeout
+//     succeeds — with requests failing over along the rendezvous rank so
+//     a dead owner's keys land on the same runner-up from every client;
 //   - retries under a global retry budget: 429s are retried on the same
 //     node after honoring the server's jittered Retry-After hint (the
 //     envelope's retry_after_ms, falling back to the header); transient
@@ -79,29 +80,22 @@ type Config struct {
 	// own peer forwarding — useful to exercise that path, or behind an
 	// external load balancer that already picked the node.
 	DisableRouting bool
-	// ProbeInterval paces the background /readyz health probe (0 = 2s,
-	// negative = no background probing; health then tracks only request
-	// outcomes).
-	ProbeInterval time.Duration
-	// BreakerThreshold is the consecutive-failure streak that opens a
-	// node's circuit breaker, taking it out of routing (0 = 3).
-	BreakerThreshold int
 	// BreakerOpenTimeout is the cooling-off period before an open node
-	// admits a half-open trial attempt (0 = 2s). The background probe
-	// re-admits a recovered node independently of this.
+	// admits its one half-open trial attempt (0 = 2s). A node's breaker
+	// opens after three consecutive failed attempts; the trial's outcome
+	// is the only way back into routing.
 	BreakerOpenTimeout time.Duration
 	// RetryBudget is the client-wide retry token bucket's capacity (0 =
 	// 10, negative = unlimited retries). Every retry withdraws one token;
-	// every success deposits RetryBudgetRatio. When the bucket is empty a
-	// would-be retry fails fast with the last error instead.
+	// every success deposits 0.2, so at steady state retries add at most
+	// ~20% load on top of successes. When the bucket is empty a would-be
+	// retry fails fast with the last error instead.
 	RetryBudget float64
-	// RetryBudgetRatio is the per-success refill (0 = 0.2: at steady
-	// state retries add at most ~20% load on top of successes).
-	RetryBudgetRatio float64
 }
 
 // Client is a cryptgend cluster client. Safe for concurrent use; create
-// with New and release its probe goroutine with Close.
+// with New. It starts no goroutine of its own; Close releases its idle
+// connections.
 type Client struct {
 	cfg   Config
 	httpc *http.Client
@@ -115,21 +109,18 @@ type Client struct {
 	// retries counts retry attempts actually sent.
 	retries atomic.Int64
 
-	// fingerprint is the last rule-set fingerprint observed (responses,
-	// readyz probes). Routing keys include it so client and daemons agree
-	// on shard layout; until first observed (""), routing is still
-	// deterministic and the daemons' one-hop forward corrects the rest.
+	// fingerprint is the last rule-set fingerprint observed in a response
+	// (every response carries it). Routing keys include it so client and
+	// daemons agree on shard layout; until first observed (""), routing is
+	// still deterministic and the daemons' one-hop forward corrects the
+	// rest.
 	fingerprint atomic.Value // string
 
 	// rr distributes DisableRouting requests round-robin.
 	rr atomic.Uint64
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
 }
 
-// New validates cfg and starts the health prober.
+// New validates cfg and applies its defaults.
 func New(cfg Config) (*Client, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("client: need at least one node URL")
@@ -157,8 +148,6 @@ func New(cfg Config) (*Client, error) {
 		httpc: cfg.HTTPClient,
 		nodes: append([]string(nil), cfg.Nodes...),
 		brs:   make(map[string]*breaker.Breaker, len(cfg.Nodes)),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
 	}
 	if c.httpc == nil {
 		c.httpc = &http.Client{
@@ -167,41 +156,19 @@ func New(cfg Config) (*Client, error) {
 	}
 	c.fingerprint.Store("")
 	for _, n := range c.nodes {
-		c.brs[n] = breaker.New(breaker.Config{
-			FailureThreshold: cfg.BreakerThreshold,
-			OpenTimeout:      cfg.BreakerOpenTimeout,
-		})
+		c.brs[n] = breaker.New(breaker.Config{OpenTimeout: cfg.BreakerOpenTimeout})
 	}
 	if cfg.RetryBudget >= 0 {
-		c.budget = breaker.NewBudget(cfg.RetryBudget, cfg.RetryBudgetRatio)
-	}
-	if cfg.ProbeInterval >= 0 {
-		interval := cfg.ProbeInterval
-		if interval == 0 {
-			interval = 2 * time.Second
-		}
-		go c.probeLoop(interval)
-	} else {
-		close(c.done)
+		c.budget = breaker.NewBudget(cfg.RetryBudget)
 	}
 	return c, nil
 }
 
-// Close stops the background health prober. In-flight calls finish.
-func (c *Client) Close() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	<-c.done
-}
-
-// Healthy reports the current member-list health by node URL (healthy =
-// breaker closed; half-open and open nodes report false).
-func (c *Client) Healthy() map[string]bool {
-	out := make(map[string]bool, len(c.brs))
-	for n, br := range c.brs {
-		out[n] = br.State() == breaker.Closed
-	}
-	return out
-}
+// Close asks the client's transport to release its idle connections
+// (http.Client.CloseIdleConnections); a Client starts no goroutine, so
+// there is nothing else to stop. In-flight calls finish, and the client
+// stays usable.
+func (c *Client) Close() { c.httpc.CloseIdleConnections() }
 
 // Stats returns the client's own resilience counters: retries sent,
 // breaker rejections, retry-budget refusals, and per-node breaker states.
@@ -223,7 +190,7 @@ func (c *Client) Stats() wire.ClientStats {
 }
 
 // Fingerprint returns the last rule-set fingerprint the client observed
-// ("" before the first response or probe).
+// in a response ("" before the first one).
 func (c *Client) Fingerprint() string { return c.fingerprint.Load().(string) }
 
 func (c *Client) noteFingerprint(fp string) {
@@ -246,72 +213,6 @@ func (c *Client) members() []string {
 		return append([]string(nil), c.nodes...)
 	}
 	return out
-}
-
-// probeLoop polls every node's /readyz, all nodes concurrently — one hung
-// node must not delay the others' health verdicts by its full timeout.
-// 200 (ok or degraded) feeds the node's breaker a success (re-admitting
-// it), 503 (draining) or an unreachable listener a failure. The probe
-// also piggybacks the cluster's rule-set fingerprint for the routing key.
-func (c *Client) probeLoop(interval time.Duration) {
-	defer close(c.done)
-	// The interval paces how often nodes are asked, not how long a node
-	// may take to answer: a sub-second interval must not turn scheduler
-	// jitter on a loaded node into a failed probe (the same floor the
-	// daemon's peer prober applies).
-	timeout := interval
-	if timeout < time.Second {
-		timeout = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-		}
-		var wg sync.WaitGroup
-		for _, n := range c.nodes {
-			wg.Add(1)
-			go func(n string) {
-				defer wg.Done()
-				c.probe(n, timeout)
-			}(n)
-		}
-		// Finish the round before the next tick (and before exiting), so
-		// probe goroutines never pile up behind a slow node.
-		wg.Wait()
-	}
-}
-
-func (c *Client) probe(node string, timeout time.Duration) {
-	br := c.brs[node]
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/readyz", nil)
-	if err != nil {
-		br.Failure()
-		return
-	}
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		br.Failure()
-		return
-	}
-	defer resp.Body.Close()
-	if data, release, err := wire.ReadBody(resp.Body, resp.ContentLength, maxRespBytes); err == nil {
-		var ready wire.ReadyResponse
-		if wire.Unmarshal(data, &ready) == nil {
-			c.noteFingerprint(ready.Fingerprint)
-		}
-		release()
-	}
-	if resp.StatusCode == http.StatusOK {
-		br.Success()
-	} else {
-		br.Failure()
-	}
 }
 
 // routeNodes returns the failover-ordered node list for one generate

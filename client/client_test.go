@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,9 +43,6 @@ func newFakeNode(t *testing.T) *fakeNode {
 	t.Helper()
 	f := &fakeNode{}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(wire.ReadyResponse{Status: wire.ReadyOK})
-	})
 	mux.HandleFunc("/v1/generate", func(w http.ResponseWriter, r *http.Request) {
 		var req wire.GenerateRequest
 		json.NewDecoder(r.Body).Decode(&req)
@@ -102,15 +100,25 @@ func writeEnvelope(w http.ResponseWriter, e *wire.Error) {
 
 func mustClient(t *testing.T, cfg Config) *Client {
 	t.Helper()
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = -1 // deterministic health in tests unless probing is the subject
-	}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
 	return c
+}
+
+// TestNewStartsNoGoroutine: node health comes from request outcomes alone,
+// so a client owns no background goroutine — building sixteen of them
+// leaves the process's goroutine count where it was.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 16; i++ {
+		mustClient(t, Config{Nodes: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}})
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d -> %d across 16 New calls, want no growth", before, after)
+	}
 }
 
 // TestRetry429HonorsRetryAfter: a 429 whose envelope carries
@@ -199,16 +207,13 @@ func TestTransientFailover(t *testing.T) {
 	if resp.Output != "out:"+live.ts.URL {
 		t.Errorf("served by %q, want the live node", resp.Output)
 	}
-	if h := c.Healthy(); !h[deadURL] {
-		t.Error("one refused connection opened the breaker; a single blip must not eject")
+	if st := c.Stats(); st.BreakerStates[deadURL] != "closed" {
+		t.Errorf("dead node breaker state = %q after one refused connection, want closed: a single blip must not eject", st.BreakerStates[deadURL])
 	}
 	for i := 0; i < 7; i++ {
 		if _, err := c.Generate(context.Background(), wire.GenerateRequest{Name: "a.go", Source: "package p"}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if h := c.Healthy(); h[deadURL] {
-		t.Error("dead node still admitted after a full failure streak")
 	}
 	if st := c.Stats(); st.BreakerStates[deadURL] != "open" {
 		t.Errorf("dead node breaker state = %q, want open", st.BreakerStates[deadURL])
@@ -471,38 +476,107 @@ func TestBatchFailoverFollowsRank(t *testing.T) {
 	}
 }
 
-// TestProbeEjectsAndReadmits: the background prober ejects a node whose
-// /readyz turns 503 and re-admits it when it recovers.
-func TestProbeEjectsAndReadmits(t *testing.T) {
-	var draining sync.Map
-	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if _, bad := draining.Load("x"); bad {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
+// TestOpenNodeReadmittedByTrial: with no prober, a node's way back into
+// routing is the half-open trial. Three failed attempts open the owner's
+// breaker, after which its key is served by the runner-up without touching
+// it. Once BreakerOpenTimeout has passed, exactly one trial reaches the
+// node — calls made while the trial is in flight go to the runner-up — and
+// the trial's success closes the breaker and teaches the client the
+// fingerprint its response carries.
+func TestOpenNodeReadmittedByTrial(t *testing.T) {
+	a, b := newFakeNode(t), newFakeNode(t)
+	byURL := map[string]*fakeNode{a.ts.URL: a, b.ts.URL: b}
+	req := wire.GenerateRequest{Name: "a.go", Source: "package p"}
+	// No response carries a fingerprint before the trial's, so the client
+	// ranks by "" until then.
+	rank := wire.RendezvousRank(wire.RouteKey("", req), []string{a.ts.URL, b.ts.URL})
+	owner, runnerUp := byURL[rank[0]], byURL[rank[1]]
+	trialArrived, release := make(chan struct{}), make(chan struct{})
+	// A failed assertion must not leave the trial's handler blocked, or the
+	// node's Close would wait on it forever.
+	releaseTrial := sync.OnceFunc(func() { close(release) })
+	defer releaseTrial()
+	owner.script = func(w http.ResponseWriter, n int, req wire.GenerateRequest) bool {
+		switch {
+		case n <= 3:
+			writeEnvelope(w, wire.NewError(http.StatusServiceUnavailable, "draining"))
+		case n == 4:
+			close(trialArrived)
+			<-release
+			json.NewEncoder(w).Encode(wire.GenerateResponse{Name: req.Name, Output: "out:" + owner.ts.URL, Fingerprint: "fp-trial"})
+		default:
+			return false
 		}
-		json.NewEncoder(w).Encode(wire.ReadyResponse{Status: wire.ReadyOK, Fingerprint: "fp-probe"})
-	}))
-	defer node.Close()
-	c := mustClient(t, Config{Nodes: []string{node.URL}, ProbeInterval: 15 * time.Millisecond})
-
-	waitHealth := func(want bool, what string) {
-		t.Helper()
-		deadline := time.Now().Add(3 * time.Second)
-		for time.Now().Before(deadline) {
-			if c.Healthy()[node.URL] == want {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("node never became %s", what)
+		return true
 	}
-	waitHealth(true, "healthy")
-	draining.Store("x", true)
-	waitHealth(false, "ejected while draining")
-	draining.Delete("x")
-	waitHealth(true, "re-admitted after recovery")
-	if c.Fingerprint() != "fp-probe" {
-		t.Errorf("fingerprint = %q, want the probe to have learned %q", c.Fingerprint(), "fp-probe")
+	const openTimeout = 100 * time.Millisecond
+	c := mustClient(t, Config{
+		Nodes:              []string{a.ts.URL, b.ts.URL},
+		BackoffBase:        time.Millisecond,
+		BackoffMax:         2 * time.Millisecond,
+		BreakerOpenTimeout: openTimeout,
+	})
+	generate := func() string {
+		t.Helper()
+		resp, err := c.Generate(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Output
+	}
+	state := func() string { return c.Stats().BreakerStates[owner.ts.URL] }
+
+	for i := 0; i < 3; i++ {
+		if got := generate(); got != "out:"+runnerUp.ts.URL {
+			t.Fatalf("call %d served by %q, want the runner-up after the owner's 503", i, got)
+		}
+	}
+	if got := state(); got != "open" {
+		t.Fatalf("owner breaker = %q after 3 failed attempts, want open", got)
+	}
+	retries := c.Stats().Retries
+	generate()
+	if got := owner.generateCount(); got != 3 {
+		t.Errorf("owner saw %d requests while open, want 3: an open node is not routed", got)
+	}
+	if got := c.Stats().Retries; got != retries {
+		t.Errorf("retries %d -> %d while the owner was open, want none", retries, got)
+	}
+
+	time.Sleep(openTimeout)
+	if got := state(); got != "half-open" {
+		t.Fatalf("owner breaker = %q after BreakerOpenTimeout, want half-open", got)
+	}
+	trial := make(chan string, 1)
+	go func() {
+		resp, err := c.Generate(context.Background(), req)
+		if err != nil {
+			t.Error(err)
+		}
+		trial <- resp.Output
+	}()
+	select {
+	case <-trialArrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no trial reached the half-open owner")
+	}
+	for i := 0; i < 3; i++ {
+		if got := generate(); got != "out:"+runnerUp.ts.URL {
+			t.Errorf("call during the trial served by %q, want the runner-up", got)
+		}
+	}
+	if got := owner.generateCount(); got != 4 {
+		t.Errorf("owner saw %d requests, want 4: exactly one trial while half-open", got)
+	}
+	releaseTrial()
+	if got := <-trial; got != "out:"+owner.ts.URL {
+		t.Errorf("trial served by %q, want the owner", got)
+	}
+	if got := state(); got != "closed" {
+		t.Errorf("owner breaker = %q after a successful trial, want closed", got)
+	}
+	if got := c.Fingerprint(); got != "fp-trial" {
+		t.Errorf("fingerprint = %q, want the trial response's %q", got, "fp-trial")
 	}
 }
 
@@ -571,33 +645,6 @@ func TestBatchRetryReassembly(t *testing.T) {
 	}
 }
 
-// TestProbeTimeoutFloor: the probe interval paces how often nodes are
-// asked, not how long they may take to answer — a 30ms interval against a
-// node whose /readyz takes 300ms must not eject it (the probe timeout has
-// a 1s floor, mirroring the daemon's peer prober). With the interval used
-// as the timeout, every probe would fail and a streak would open the
-// breaker within a few rounds.
-func TestProbeTimeoutFloor(t *testing.T) {
-	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(300 * time.Millisecond)
-		json.NewEncoder(w).Encode(wire.ReadyResponse{Status: wire.ReadyOK, Fingerprint: "fp-slow"})
-	}))
-	defer node.Close()
-	c := mustClient(t, Config{Nodes: []string{node.URL}, ProbeInterval: 30 * time.Millisecond})
-
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if !c.Healthy()[node.URL] {
-			t.Fatal("slow-but-alive node ejected: the probe timeout tracked the sub-second interval")
-		}
-		if c.Fingerprint() == "fp-slow" {
-			return // a probe completed despite taking 10x the interval
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("no probe ever completed against the slow node")
-}
-
 // TestResponseBodyCapped: a 200 whose body exceeds the client's read cap
 // is treated as a transport failure instead of being buffered whole — a
 // misbehaving proxy must not balloon client memory.
@@ -622,7 +669,7 @@ func TestTruncatedBodyFailsOver(t *testing.T) {
 	a, b := newFakeNode(t), newFakeNode(t)
 	byURL := map[string]*fakeNode{a.ts.URL: a, b.ts.URL: b}
 	req := wire.GenerateRequest{Name: "a.go", Source: "package p"}
-	// No probe has reported a fingerprint, so the client ranks by "".
+	// No response has carried a fingerprint yet, so the client ranks by "".
 	rank := wire.RendezvousRank(wire.RouteKey("", req), []string{a.ts.URL, b.ts.URL})
 	owner, runnerUp := byURL[rank[0]], byURL[rank[1]]
 	owner.script = func(w http.ResponseWriter, n int, req wire.GenerateRequest) bool {

@@ -32,7 +32,8 @@
 // The daemon is crash-proof and overload-safe by default: panics anywhere
 // in the request path are recovered into per-request 500s
 // (panics_recovered in /metrics), request bodies are capped (-max-body),
-// and when the worker queue saturates past -max-waiters blocked
+// a client that stalls mid-request is cut off by the listener's read
+// deadlines, and when the worker queue saturates past -max-waiters blocked
 // submissions, excess requests are shed with 429 + Retry-After instead of
 // queueing without bound (shed_total in /metrics). A failed /v1/reload
 // keeps serving the last good rule set and reports degraded on /readyz.
@@ -182,7 +183,7 @@ func main() {
 		handler = mux
 		log.Printf("pprof enabled under /debug/pprof/")
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := newHTTPServer(*addr, handler)
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 
@@ -225,6 +226,29 @@ func main() {
 		log.Printf("drain did not finish within %s: forcing exit", *drain+5*time.Second)
 		finalSnapshot(srv)
 		os.Exit(1)
+	}
+}
+
+// The listener's read deadlines. A client that stalls mid-header or
+// mid-body would otherwise hold its connection, goroutine and body buffer
+// until it gives up. readTimeout bounds reading one whole request, header
+// and body; it is no shorter than -timeout's 30s default, so a slow upload
+// of a body near -max-body is not cut short. Handlers are not bounded
+// here: -timeout does that.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's listener with its read deadlines.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

@@ -136,3 +136,24 @@ func TestAwaitDrainTimeoutForcesExit(t *testing.T) {
 		t.Fatalf("timeout arm took %v", time.Since(start))
 	}
 }
+
+// TestHTTPServerReadDeadlines: the listener bounds how long a client may
+// take to send its header and its whole request, and how long an idle
+// keep-alive connection is kept, so a stalled client cannot pin a
+// connection indefinitely. Reading a request may take at least the 30s
+// default request timeout.
+func TestHTTPServerReadDeadlines(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want set", srv.ReadHeaderTimeout)
+	}
+	if srv.ReadTimeout < 30*time.Second {
+		t.Errorf("ReadTimeout = %v, want at least the 30s default request timeout", srv.ReadTimeout)
+	}
+	if srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want set", srv.IdleTimeout)
+	}
+	if srv.ReadHeaderTimeout > srv.ReadTimeout {
+		t.Errorf("ReadHeaderTimeout %v exceeds ReadTimeout %v", srv.ReadHeaderTimeout, srv.ReadTimeout)
+	}
+}

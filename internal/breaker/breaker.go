@@ -6,7 +6,7 @@
 //
 // Both exist for the same reason, seen from opposite sides. The breaker
 // protects the *caller* from a dead or flapping peer: after
-// FailureThreshold consecutive failures it opens, rejecting attempts
+// failureThreshold consecutive failures it opens, rejecting attempts
 // outright (no connect timeout paid, no worker burned) until OpenTimeout
 // elapses, at which point exactly one trial request is let through
 // (half-open); its outcome decides between re-admission and another
@@ -17,9 +17,9 @@
 // success rate, so retries can never become the majority of offered load.
 //
 // Neither primitive decides what a "failure" is — callers feed outcomes
-// in via Success and Failure (a failed forward, a refused connection, a
-// failed /readyz probe) and consult Allow / Withdraw before spending
-// work.
+// in via Success and Failure (a failed forward or request, a refused
+// connection, a failed /readyz probe) and consult Allow / Withdraw before
+// spending work.
 package breaker
 
 import (
@@ -55,12 +55,13 @@ func (s State) String() string {
 	return "unknown"
 }
 
+// failureThreshold is the consecutive-failure streak that opens a
+// breaker. A single blip — one lost packet, one scheduler stall — must not
+// eject a peer; a streak is evidence.
+const failureThreshold = 3
+
 // Config tunes a Breaker. The zero value is usable.
 type Config struct {
-	// FailureThreshold is the consecutive-failure streak that opens the
-	// breaker (0 = 3). A single blip — one lost packet, one scheduler
-	// stall — must not eject a peer; a streak is evidence.
-	FailureThreshold int
 	// OpenTimeout is how long the breaker stays open before allowing the
 	// half-open trial (0 = 1s).
 	OpenTimeout time.Duration
@@ -82,9 +83,6 @@ type Breaker struct {
 
 // New builds a Breaker, applying Config defaults. It starts Closed.
 func New(cfg Config) *Breaker {
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = 3
-	}
 	if cfg.OpenTimeout <= 0 {
 		cfg.OpenTimeout = time.Second
 	}
@@ -138,7 +136,7 @@ func (b *Breaker) Success() {
 }
 
 // Failure records a failed attempt. Closed: the streak grows, opening the
-// breaker at FailureThreshold. HalfOpen: the trial failed; back to Open
+// breaker at failureThreshold. HalfOpen: the trial failed; back to Open
 // with a fresh timeout. Open: recorded in the streak but the open window
 // is NOT extended — stragglers from attempts admitted before the breaker
 // opened must not be able to push recovery out indefinitely.
@@ -147,7 +145,7 @@ func (b *Breaker) Failure() {
 	b.failures++
 	switch b.state {
 	case Closed:
-		if b.failures >= b.cfg.FailureThreshold {
+		if b.failures >= failureThreshold {
 			b.state = Open
 			b.openedAt = b.cfg.Clock()
 		}
@@ -186,23 +184,21 @@ type Budget struct {
 	mu        sync.Mutex
 	tokens    float64
 	capacity  float64
-	ratio     float64
 	exhausted atomic.Int64
 }
 
+// budgetRefill is the tokens one recorded success deposits: at steady
+// state retries may add at most ~20% on top of successful traffic.
+const budgetRefill = 0.2
+
 // NewBudget builds a Budget holding capacity tokens (it starts full, so
-// cold-start retries work), refilled by ratio tokens per recorded
-// success. capacity <= 0 defaults to 10, ratio <= 0 to 0.2 — i.e. at
-// steady state retries may add at most ~20% on top of successful
-// traffic, with a burst allowance of 10.
-func NewBudget(capacity, ratio float64) *Budget {
+// cold-start retries work), refilled by budgetRefill tokens per recorded
+// success. capacity <= 0 defaults to 10, a burst allowance of 10 retries.
+func NewBudget(capacity float64) *Budget {
 	if capacity <= 0 {
 		capacity = 10
 	}
-	if ratio <= 0 {
-		ratio = 0.2
-	}
-	return &Budget{tokens: capacity, capacity: capacity, ratio: ratio}
+	return &Budget{tokens: capacity, capacity: capacity}
 }
 
 // Withdraw takes one token for a retry, reporting whether one was
@@ -220,10 +216,10 @@ func (b *Budget) Withdraw() bool {
 	return true
 }
 
-// Deposit records a success, refilling ratio tokens up to capacity.
+// Deposit records a success, refilling budgetRefill tokens up to capacity.
 func (b *Budget) Deposit() {
 	b.mu.Lock()
-	if b.tokens += b.ratio; b.tokens > b.capacity {
+	if b.tokens += budgetRefill; b.tokens > b.capacity {
 		b.tokens = b.capacity
 	}
 	b.mu.Unlock()

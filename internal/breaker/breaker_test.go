@@ -24,15 +24,22 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func newTestBreaker(threshold int, timeout time.Duration) (*Breaker, *fakeClock) {
+func newTestBreaker(timeout time.Duration) (*Breaker, *fakeClock) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	return New(Config{FailureThreshold: threshold, OpenTimeout: timeout, Clock: clk.Now}), clk
+	return New(Config{OpenTimeout: timeout, Clock: clk.Now}), clk
+}
+
+// openBreaker records a full failure streak.
+func openBreaker(b *Breaker) {
+	for i := 0; i < failureThreshold; i++ {
+		b.Failure()
+	}
 }
 
 // TestBreakerCycle drives the whole closed → open → half-open → closed
 // cycle, including the half-open trial failing once before recovery.
 func TestBreakerCycle(t *testing.T) {
-	b, clk := newTestBreaker(3, time.Second)
+	b, clk := newTestBreaker(time.Second)
 
 	// Closed: admits, and a streak below threshold stays closed.
 	for i := 0; i < 2; i++ {
@@ -99,7 +106,7 @@ func TestBreakerCycle(t *testing.T) {
 // TestBreakerSuccessResetsStreak: interleaved successes keep a flapping-
 // but-mostly-alive peer admitted — only a *consecutive* streak opens.
 func TestBreakerSuccessResetsStreak(t *testing.T) {
-	b, _ := newTestBreaker(3, time.Second)
+	b, _ := newTestBreaker(time.Second)
 	for i := 0; i < 10; i++ {
 		b.Failure()
 		b.Failure()
@@ -114,8 +121,8 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 // already open (in-flight attempts admitted before the streak completed)
 // must not push the half-open trial further out.
 func TestBreakerStragglerFailureDoesNotExtendOpen(t *testing.T) {
-	b, clk := newTestBreaker(1, time.Second)
-	b.Failure() // opens
+	b, clk := newTestBreaker(time.Second)
+	openBreaker(b)
 	clk.Advance(900 * time.Millisecond)
 	b.Failure() // straggler while open
 	clk.Advance(100 * time.Millisecond)
@@ -127,8 +134,8 @@ func TestBreakerStragglerFailureDoesNotExtendOpen(t *testing.T) {
 // TestBreakerConcurrentHalfOpenSingleTrial: under concurrent Allow calls
 // in half-open, exactly one wins the trial slot.
 func TestBreakerConcurrentHalfOpenSingleTrial(t *testing.T) {
-	b, clk := newTestBreaker(1, time.Millisecond)
-	b.Failure()
+	b, clk := newTestBreaker(time.Millisecond)
+	openBreaker(b)
 	clk.Advance(time.Millisecond)
 	const goroutines = 16
 	var admitted int64
@@ -152,9 +159,9 @@ func TestBreakerConcurrentHalfOpenSingleTrial(t *testing.T) {
 }
 
 // TestBudgetWithdrawDeposit: the budget starts full, drains by retries,
-// refuses when empty, and refills at the configured ratio per success.
+// refuses when empty, and refills 0.2 tokens per success.
 func TestBudgetWithdrawDeposit(t *testing.T) {
-	b := NewBudget(2, 0.5)
+	b := NewBudget(2)
 	if !b.Withdraw() || !b.Withdraw() {
 		t.Fatal("fresh budget refused a withdrawal within capacity")
 	}
@@ -164,10 +171,12 @@ func TestBudgetWithdrawDeposit(t *testing.T) {
 	if b.Exhausted() != 1 {
 		t.Fatalf("exhausted = %d, want 1", b.Exhausted())
 	}
-	// Two successes refill one token.
-	b.Deposit()
+	// Five successes refill one token.
+	for i := 0; i < 4; i++ {
+		b.Deposit()
+	}
 	if b.Withdraw() {
-		t.Fatal("half a token granted a retry")
+		t.Fatal("four fifths of a token granted a retry")
 	}
 	b.Deposit()
 	if !b.Withdraw() {

@@ -121,14 +121,13 @@ type Report struct {
 const killProbe = 250 * time.Millisecond
 
 // failover is the client of the drills that take a node down under load:
-// quick retries, and health from request outcomes alone.
+// quick retries and a short breaker open window.
 var failover = client.Config{
 	MaxRetries:         4,
 	BackoffBase:        5 * time.Millisecond,
 	BackoffMax:         50 * time.Millisecond,
 	BreakerOpenTimeout: 250 * time.Millisecond,
 	RetryBudget:        100,
-	ProbeInterval:      -1,
 }
 
 // Drills is the cluster drill table. TestDrills runs every row; with -v
@@ -138,7 +137,6 @@ var Drills = []Drill{
 		Name:   "smoke",
 		Nodes:  3,
 		Server: service.Config{Workers: 2, CacheSize: 64, PeerProbeInterval: 100 * time.Millisecond},
-		Client: client.Config{ProbeInterval: -1},
 		Work:   catalogue(),
 		Fault:  NoFault,
 		Checks: []Check{
@@ -164,7 +162,6 @@ var Drills = []Drill{
 		Name:   "partition",
 		Nodes:  3,
 		Server: service.Config{Workers: 2, CacheSize: 64, PeerProbeInterval: 100 * time.Millisecond},
-		Client: client.Config{ProbeInterval: -1},
 		Work:   bodies("part", 6),
 		Fault:  Partition,
 		Inject: faultinject.Fault{Mode: faultinject.ModeRefuse},
@@ -178,7 +175,6 @@ var Drills = []Drill{
 		Name:   "slow-peer",
 		Nodes:  2,
 		Server: service.Config{Workers: 2, CacheSize: 64, PeerProbeInterval: 50 * time.Millisecond},
-		Client: client.Config{ProbeInterval: -1},
 		Work:   bodies("slow", 4),
 		Fault:  SlowPeers,
 		// The fourth firing per node follows three completed slowed rounds.
@@ -378,7 +374,7 @@ func (x *drillRun) client() (*client.Client, error) {
 
 // prime records every working-set key's first answer from c.
 func (x *drillRun) prime(c *Cluster) error {
-	sdk, err := client.New(client.Config{Nodes: c.URLs(), ProbeInterval: -1})
+	sdk, err := client.New(client.Config{Nodes: c.URLs()})
 	if err != nil {
 		return err
 	}

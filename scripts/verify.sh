@@ -50,6 +50,13 @@ go test -race -run 'TestChaos|TestBodyCap|TestCompactFraming' -count=1 ./service
 echo "==> peer-down fallback + forwarded cancellation (-race, 20 runs)"
 go test -race -count=20 -run 'TestClusterPeerDownFallback|TestClusterForwardCancelSkipsQueuedJob' ./service
 
+# The daemon's peer prober on driven time: the test calls probe rounds
+# itself (three failing rounds open the peer's breaker, one healthy round
+# closes it) under an hour-long ticker, so no sleep decides the verdict.
+# Twenty repetitions on 1 and 2 CPUs hold it deterministic.
+echo "==> peer probe rounds (-race, 1 and 2 CPUs, 20 runs)"
+go test -race -cpu 1,2 -count=20 -run 'TestClusterProbeEjectsAndReadmits' ./service
+
 # Timed fuzz smoke: 10s of exploration per parser entry point, for the
 # generator's word scanner against the regexps it replaces, and for the
 # wire's one-copy string decoder against encoding/json, on top of

@@ -22,11 +22,10 @@ import (
 // configuration (Self + Peers), identical on every node, and rendezvous
 // hashing over it needs no coordination. Health is purely local and
 // breaker-shaped: a peer stays in the forwarding set until a *streak* of
-// failures (PeerFailureThreshold, default 3) opens its breaker — one lost
-// packet is not evidence — after which forwards to it are rejected
-// without being tried (generating locally instead, at the cost of a
-// duplicate cache entry) until the open timeout elapses and a half-open
-// trial (a forward or a probe) succeeds. Two nodes may briefly disagree
+// three failures opens its breaker — one lost packet is not evidence —
+// after which forwards to it are rejected without being tried (generating
+// locally instead, at the cost of a duplicate cache entry) until the open
+// timeout elapses and a half-open trial (a forward or a probe) succeeds. Two nodes may briefly disagree
 // about a third's health; the one-hop guard bounds the damage to a single
 // extra forward.
 type cluster struct {
@@ -49,7 +48,7 @@ type peerState struct {
 	lastErr   string
 }
 
-func newCluster(self string, peers []string, probeEvery time.Duration, failureThreshold int) *cluster {
+func newCluster(self string, peers []string, probeEvery time.Duration) *cluster {
 	if probeEvery <= 0 {
 		probeEvery = 2 * time.Second
 	}
@@ -84,10 +83,7 @@ func newCluster(self string, peers []string, probeEvery time.Duration, failureTh
 		// Peers start closed (healthy): ejection is evidence-driven (a
 		// failure streak), so a cluster booting in any order does not refuse
 		// to forward before the first probe tick.
-		c.state[p] = &peerState{br: breaker.New(breaker.Config{
-			FailureThreshold: failureThreshold,
-			OpenTimeout:      openTimeout,
-		})}
+		c.state[p] = &peerState{br: breaker.New(breaker.Config{OpenTimeout: openTimeout})}
 	}
 	c.peers = make([]string, 0, len(c.state))
 	for p := range c.state {
@@ -102,24 +98,6 @@ func (c *cluster) close() {
 		close(c.stop)
 		<-c.done
 	})
-}
-
-// members returns the forwarding member list as health sees it: self plus
-// every peer whose breaker is not open (half-open peers count — an
-// elapsed cooling-off is ready for a trial). Self is always a member — a
-// node never forwards a key it owns. Note that key *ownership* does not
-// hash over this list; see ownerPeer.
-func (c *cluster) members() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := make([]string, 0, len(c.peers)+1)
-	m = append(m, c.self)
-	for _, p := range c.peers {
-		if c.state[p].br.State() != breaker.Open {
-			m = append(m, p)
-		}
-	}
-	return m
 }
 
 // ownerPeer returns the peer owning key when its breaker admits a forward
@@ -204,11 +182,7 @@ func (c *cluster) peerStatuses() map[string]wire.PeerStatus {
 	return out
 }
 
-// probeLoop polls every peer's /readyz on a timer, all peers concurrently
-// — sequential probing would let one hung peer delay every other peer's
-// health verdict by its full timeout. Ok or degraded (HTTP 200) feeds the
-// breaker a success (closing it, re-admitting the peer); draining (503)
-// or an unreachable listener feeds it a failure.
+// probeLoop runs one probeRound per tick until close.
 func (c *cluster) probeLoop() {
 	defer close(c.done)
 	t := time.NewTicker(c.probeEvery)
@@ -219,31 +193,40 @@ func (c *cluster) probeLoop() {
 			return
 		case <-t.C:
 		}
-		var wg sync.WaitGroup
-		for _, p := range c.peers {
-			wg.Add(1)
-			go func(p string) {
-				defer wg.Done()
-				healthy, errMsg := c.probe(p)
-				c.mu.Lock()
-				st := c.state[p]
-				if healthy {
-					st.lastErr = ""
-				} else {
-					st.lastErr = errMsg
-				}
-				c.mu.Unlock()
-				if healthy {
-					st.br.Success()
-				} else {
-					st.br.Failure()
-				}
-			}(p)
-		}
-		// Wait before the next tick (and before exiting) so probe goroutines
-		// never pile up behind a slow peer or outlive close().
-		wg.Wait()
+		c.probeRound()
 	}
+}
+
+// probeRound polls every peer's /readyz once, all peers concurrently —
+// sequential probing would let one hung peer delay every other peer's
+// health verdict by its full timeout. Ok or degraded (HTTP 200) feeds the
+// breaker a success (closing it, re-admitting the peer); draining (503)
+// or an unreachable listener feeds it a failure. It returns once every
+// probe has, so probe goroutines never pile up behind a slow peer or
+// outlive close().
+func (c *cluster) probeRound() {
+	var wg sync.WaitGroup
+	for _, p := range c.peers {
+		wg.Add(1)
+		go func(p string) {
+			defer wg.Done()
+			healthy, errMsg := c.probe(p)
+			c.mu.Lock()
+			st := c.state[p]
+			if healthy {
+				st.lastErr = ""
+			} else {
+				st.lastErr = errMsg
+			}
+			c.mu.Unlock()
+			if healthy {
+				st.br.Success()
+			} else {
+				st.br.Failure()
+			}
+		}(p)
+	}
+	wg.Wait()
 }
 
 // maxProbeBody caps the /readyz body a probe drains: a readiness answer is

@@ -140,7 +140,7 @@ func TestClusterSharedCacheByteIdentical(t *testing.T) {
 // back, and every output is byte-identical to an uncached gen run.
 func TestClusterOneRunPerBody(t *testing.T) {
 	srvs, _, urls := startCluster(t, 3)
-	sdk, err := client.New(client.Config{Nodes: urls, DisableRouting: true, ProbeInterval: -1})
+	sdk, err := client.New(client.Config{Nodes: urls, DisableRouting: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,9 +315,11 @@ func TestClusterPeerDownFallback(t *testing.T) {
 	}
 }
 
-// TestClusterProbeEjectsAndReadmits drives the health prober directly: a
-// peer answering /readyz 503 (draining) leaves the member list; when it
-// answers 200 again it is re-admitted.
+// TestClusterProbeEjectsAndReadmits drives the health prober round by
+// round: a peer answering /readyz 503 (draining) stays admitted through two
+// failing rounds, three open its breaker, and one healthy round closes it
+// again. The cluster's own ticker is an hour long, so only the rounds this
+// test calls decide the result.
 func TestClusterProbeEjectsAndReadmits(t *testing.T) {
 	var draining atomic.Bool
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -333,39 +335,28 @@ func TestClusterProbeEjectsAndReadmits(t *testing.T) {
 	}))
 	defer peer.Close()
 
-	c := newCluster("http://self", []string{peer.URL}, 20*time.Millisecond, 0)
+	c := newCluster("http://self", []string{peer.URL}, time.Hour)
 	defer c.close()
+	status := func() wire.PeerStatus { return c.peerStatuses()[peer.URL] }
 
-	inMembers := func() bool {
-		for _, m := range c.members() {
-			if m == peer.URL {
-				return true
-			}
-		}
-		return false
+	if st := status(); !st.Healthy || st.BreakerState != "closed" {
+		t.Fatalf("fresh peer status = %+v, want closed before any probe", st)
 	}
-	waitFor := func(want bool, what string) {
-		t.Helper()
-		deadline := time.Now().Add(3 * time.Second)
-		for time.Now().Before(deadline) {
-			if inMembers() == want {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("peer never became %s", what)
-	}
-
-	waitFor(true, "a member while healthy")
 	draining.Store(true)
-	waitFor(false, "ejected while draining")
-	if st := c.peerStatuses()[peer.URL]; st.Healthy || st.LastError == "" {
-		t.Errorf("ejected peer status = %+v, want unhealthy with an error", st)
+	for round := 1; round <= 2; round++ {
+		c.probeRound()
+		if st := status(); !st.Healthy || st.Failures != int64(round) || st.LastError == "" {
+			t.Fatalf("after %d failing rounds status = %+v, want still closed with %d failures and an error", round, st, round)
+		}
+	}
+	c.probeRound()
+	if st := status(); st.Healthy || st.BreakerState != "open" || st.LastError == "" {
+		t.Fatalf("after 3 failing rounds status = %+v, want open with an error", st)
 	}
 	draining.Store(false)
-	waitFor(true, "re-admitted after recovery")
-	if st := c.peerStatuses()[peer.URL]; !st.Healthy || st.Failures != 0 {
-		t.Errorf("re-admitted peer status = %+v, want healthy with cleared failures", st)
+	c.probeRound()
+	if st := status(); !st.Healthy || st.BreakerState != "closed" || st.Failures != 0 || st.LastError != "" {
+		t.Fatalf("after a healthy round status = %+v, want closed with cleared failures and error", st)
 	}
 }
 

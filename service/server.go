@@ -88,12 +88,10 @@ type Config struct {
 	Peers []string
 	// PeerProbeInterval paces the background /readyz probe that ejects
 	// unhealthy peers from the forwarding set and re-admits them on
-	// recovery (0 = 2s).
+	// recovery (0 = 2s). Three consecutive forward/probe failures open a
+	// peer's circuit breaker, removing it from the forwarding set until a
+	// probe or a half-open trial forward succeeds.
 	PeerProbeInterval time.Duration
-	// PeerFailureThreshold is the consecutive forward/probe failure streak
-	// that opens a peer's circuit breaker, removing it from the forwarding
-	// set until a half-open trial succeeds (0 = 3).
-	PeerFailureThreshold int
 }
 
 // Server is the generation daemon: registry + plan cache + worker pool
@@ -206,7 +204,7 @@ func New(cfg Config) (*Server, error) {
 	})
 	s.transport = newTransport(s)
 	if len(cfg.Peers) > 0 {
-		s.cluster = newCluster(cfg.Self, cfg.Peers, cfg.PeerProbeInterval, cfg.PeerFailureThreshold)
+		s.cluster = newCluster(cfg.Self, cfg.Peers, cfg.PeerProbeInterval)
 	}
 	// Every boot warms in the background: the embedded templates, then a
 	// restored snapshot's tuples, each compiled into a plan through the
