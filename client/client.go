@@ -58,9 +58,10 @@ type Config struct {
 	// standalone daemon).
 	Nodes []string
 	// HTTPClient overrides the transport (nil = a dedicated pooled
-	// client carrying the faultinject client-transport point). Its
-	// Timeout is left alone; per-request deadlines come from
-	// RequestTimeout and the caller's context.
+	// client of the Client's own, carrying the faultinject
+	// client-transport point, which Close releases). Its Timeout is left
+	// alone; per-request deadlines come from RequestTimeout and the
+	// caller's context.
 	HTTPClient *http.Client
 	// RequestTimeout caps each attempt (0 = 30s). The caller's context
 	// bounds the whole call including retries and backoff sleeps.
@@ -150,8 +151,14 @@ func New(cfg Config) (*Client, error) {
 		brs:   make(map[string]*breaker.Breaker, len(cfg.Nodes)),
 	}
 	if c.httpc == nil {
+		// A program that replaced http.DefaultTransport with another
+		// RoundTripper keeps its own: the client wraps that one, shared.
+		var base http.RoundTripper
+		if tr, ok := http.DefaultTransport.(*http.Transport); ok {
+			base = tr.Clone()
+		}
 		c.httpc = &http.Client{
-			Transport: faultinject.Transport(faultinject.PointClientTransport, nil),
+			Transport: faultinject.Transport(faultinject.PointClientTransport, base),
 		}
 	}
 	c.fingerprint.Store("")

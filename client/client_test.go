@@ -899,3 +899,98 @@ func TestDecodedOutputsOutliveBuffers(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultTransportClosedByClose: the default transport is the
+// Client's own pool, and Close releases every connection it holds.
+func TestDefaultTransportClosedByClose(t *testing.T) {
+	var (
+		mu             sync.Mutex
+		opened, closed int
+		allClosed      = make(chan struct{}, 1)
+	)
+	node := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req wire.GenerateRequest
+		json.NewDecoder(r.Body).Decode(&req)
+		json.NewEncoder(w).Encode(wire.GenerateResponse{Name: req.Name, Output: "out"})
+	}))
+	node.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch st {
+		case http.StateNew:
+			opened++
+		case http.StateClosed, http.StateHijacked:
+			closed++
+			if closed == opened {
+				select {
+				case allClosed <- struct{}{}:
+				default:
+				}
+			}
+		}
+	}
+	node.Start()
+	defer node.Close()
+	c, err := New(Config{Nodes: []string{node.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const workers, calls = 8, 250
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if _, err := c.Generate(context.Background(), wire.GenerateRequest{Name: fmt.Sprintf("w%d_%d.go", g, i), Source: "package p"}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	c.Close()
+	select {
+	case <-allClosed:
+	case <-time.After(5 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("after Close, %d of %d connections are still open", opened-closed, opened)
+	}
+}
+
+type countingTransport struct {
+	base http.RoundTripper
+	n    atomic.Int64
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return c.base.RoundTrip(r)
+}
+
+// TestReplacedDefaultTransport: a program that swapped http.DefaultTransport
+// for a RoundTripper of its own still gets a working client, which sends
+// through that RoundTripper.
+func TestReplacedDefaultTransport(t *testing.T) {
+	orig := http.DefaultTransport
+	ct := &countingTransport{base: orig}
+	http.DefaultTransport = ct
+	t.Cleanup(func() { http.DefaultTransport = orig })
+
+	f := newFakeNode(t)
+	c, err := New(Config{Nodes: []string{f.ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Generate(context.Background(), wire.GenerateRequest{Name: "a.go", Source: "package p"}); err != nil {
+		t.Fatal(err)
+	}
+	if ct.n.Load() == 0 {
+		t.Fatal("the replaced http.DefaultTransport carried no request")
+	}
+}

@@ -67,7 +67,9 @@ type Options struct {
 	// skeleton; every later one — regardless of template name or package
 	// override, which are splice points — executes in a handful of byte
 	// copies. One PlanCache is meant to be shared by many Generators, and
-	// across rule sets; it is internally synchronized.
+	// across rule sets; it is internally synchronized. A plan keeps no
+	// generation report, so a plan hit's Result has a nil Report; only the
+	// compiling run (and any run without Plans) returns one.
 	Plans *PlanCache
 
 	// Ablation switches (all default off = full algorithm). They exist for
@@ -165,7 +167,8 @@ func (g *Generator) WithOptions(opts Options) *Generator {
 type Result struct {
 	// Output is the complete generated Go source file.
 	Output string
-	// Report records the decisions taken during generation.
+	// Report records the decisions taken during generation. It is nil on
+	// a plan hit (see Options.Plans): the splice takes no decisions.
 	Report *Report
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"go/token"
 	"strings"
-	"time"
 
 	"cognicryptgen/internal/srchash"
 )
@@ -41,10 +40,6 @@ type Plan struct {
 	// defaultPkg is the template's own package name, spliced when the
 	// request does not override the output package.
 	defaultPkg string
-	// report is the canonical generation report of the compiling run.
-	// Execute hands out shallow copies restamped with the request's
-	// template name and duration; the shared slices are read-only.
-	report *Report
 	// rulesFP identifies the rule-set the plan was compiled against;
 	// PlanCache.Retain evicts by it when rule sets are reloaded.
 	rulesFP string
@@ -90,7 +85,6 @@ func compilePlan(res *Result, seed PlanSeed, outPkg, tmplPkg, rulesFP string) (*
 		nameToPkg:  out[nameEnd:pkgStart],
 		afterPkg:   out[pkgStart+len(outPkg):],
 		defaultPkg: tmplPkg,
-		report:     res.Report,
 		rulesFP:    rulesFP,
 		seed:       seed,
 	}, nil
@@ -99,9 +93,9 @@ func compilePlan(res *Result, seed PlanSeed, outPkg, tmplPkg, rulesFP string) (*
 // Execute renders the plan for one request. name and pkg follow
 // GenerateFileCtx semantics: name is the template's diagnostic name and
 // pkg overrides the output package ("" keeps the template's own). The
-// caller must have vetted the pair with planExecutable.
+// caller must have vetted the pair with planExecutable. The Result carries
+// the output alone: a plan keeps no generation report.
 func (p *Plan) Execute(name, pkg string) *Result {
-	start := time.Now()
 	if pkg == "" {
 		pkg = p.defaultPkg
 	}
@@ -112,16 +106,13 @@ func (p *Plan) Execute(name, pkg string) *Result {
 	b.WriteString(p.nameToPkg)
 	b.WriteString(pkg)
 	b.WriteString(p.afterPkg)
-	rep := *p.report
-	rep.Template = name
-	rep.Duration = time.Since(start)
-	return &Result{Output: b.String(), Report: &rep}
+	return &Result{Output: b.String()}
 }
 
 // size approximates the plan's resident bytes for the cache's
 // plan_bytes metric.
 func (p *Plan) size() int64 {
-	const overhead = 256 // struct, report headers, cache bookkeeping
+	const overhead = 256 // struct and cache bookkeeping
 	return int64(len(p.nameToPkg) + len(p.afterPkg) + len(p.defaultPkg) + overhead)
 }
 

@@ -57,8 +57,11 @@ func TestPlanByteIdentity(t *testing.T) {
 		if hit.Output != want.Output {
 			t.Errorf("%s: plan-hit output not byte-identical to legacy", uc.File)
 		}
-		if hit.Report == nil || hit.Report.Template != uc.File {
-			t.Errorf("%s: plan-hit report not restamped: %+v", uc.File, hit.Report)
+		if miss.Report == nil {
+			t.Errorf("%s: plan-compiling run returned no report", uc.File)
+		}
+		if hit.Report != nil {
+			t.Errorf("%s: plan hit returned a report; a plan keeps none: %+v", uc.File, hit.Report)
 		}
 
 		// The name splice point: a different template name over the same
@@ -277,7 +280,7 @@ func TestPlanCacheLRUAndRetain(t *testing.T) {
 	c := NewPlanCache(2)
 	mk := func(fp string, i int) (planKey, *Plan) {
 		return newPlanKey(fp, fmt.Sprintf("src%d", i), Options{}),
-			&Plan{nameToPkg: "x", afterPkg: "y", defaultPkg: "p", report: &Report{}, rulesFP: fp}
+			&Plan{nameToPkg: "x", afterPkg: "y", defaultPkg: "p", rulesFP: fp}
 	}
 	k1, p1 := mk("fpA", 1)
 	k2, p2 := mk("fpA", 2)

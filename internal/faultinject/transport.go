@@ -54,6 +54,14 @@ type faultTransport struct {
 	base  http.RoundTripper
 }
 
+// CloseIdleConnections forwards to base, so http.Client.CloseIdleConnections
+// reaches the pool under the wrapper.
+func (t *faultTransport) CloseIdleConnections() {
+	if c, ok := t.base.(interface{ CloseIdleConnections() }); ok {
+		c.CloseIdleConnections()
+	}
+}
+
 func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	f, ok := FireTransport(t.point, req.URL.Host)
 	if !ok {

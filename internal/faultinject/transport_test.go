@@ -185,3 +185,20 @@ func TestFireDegradesTransportMode(t *testing.T) {
 		t.Fatalf("Fire at transport-mode point = %v, want *Error", err)
 	}
 }
+
+type idleCloser struct {
+	http.RoundTripper
+	closes int
+}
+
+func (c *idleCloser) CloseIdleConnections() { c.closes++ }
+
+// TestTransportForwardsCloseIdleConnections: closing an *http.Client's
+// idle connections reaches the pool under the fault wrapper.
+func TestTransportForwardsCloseIdleConnections(t *testing.T) {
+	base := &idleCloser{RoundTripper: http.DefaultTransport}
+	(&http.Client{Transport: Transport("tp", base)}).CloseIdleConnections()
+	if base.closes != 1 {
+		t.Fatalf("base saw %d CloseIdleConnections calls, want 1", base.closes)
+	}
+}

@@ -76,6 +76,12 @@ echo "==> wire/client race pass"
 go test -race -count=1 ./wire ./client
 go test -race -count=3 -run 'TestDecodedOutputsOutliveBuffers' ./client
 
+# The catalogue-hit layer row (SDK -> httptest daemon -> plan splice):
+# one iteration, so the benchmark keeps compiling and running. Its B/op
+# and allocs/op come from a longer run, e.g. -benchtime 2000x -benchmem.
+echo "==> catalogue-hit benchmark (1 iteration)"
+go test -run '^$' -bench BenchmarkCatalogueHit -benchtime 1x ./service
+
 # Plan fast-path identity: the precompiled-plan byte splicer must emit
 # output byte-identical to the legacy pipeline for all 13 templates — on
 # compile, on replay, under renamed requests and package overrides — and

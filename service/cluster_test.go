@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -455,5 +457,69 @@ func TestClusterForwardCancelSkipsQueuedJob(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d now vs %d before the forward", g, baseline)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestOlderDaemonReportIgnored: a daemon that predates the report-free
+// response still answers with a "report" tree. The SDK and a forwarding
+// node both decode that body to the same response as a current daemon's,
+// and the forwarder relays no report.
+func TestOlderDaemonReportIgnored(t *testing.T) {
+	want := wire.GenerateResponse{
+		Name:        "hashing.go",
+		Output:      "package p\n\nfunc F() string {\n\treturn \"é\\n\"\n}\n",
+		Fingerprint: "fp",
+		Cached:      true,
+		DurationMS:  0.25,
+	}
+	current, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const report = `"report":{"template":"hashing.go","methods":[{"name":"Hash","rules":[{"rule":"gca.MessageDigest","path":["c1","u1","d1"],"resolutions":["alg: derived \"SHA-256\""]}]}],"assumptions":["a"],"pushed_up":["p"]},`
+	older := strings.Replace(string(current), `"ruleset_fingerprint"`, report+`"ruleset_fingerprint"`, 1)
+	if older == string(current) {
+		t.Fatal("test body has no ruleset_fingerprint key to insert the report before")
+	}
+	var answer atomic.Value // string: the body the daemon answers every generate with
+	daemon := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/generate" {
+			json.NewEncoder(w).Encode(wire.ReadyResponse{Status: wire.ReadyOK})
+			return
+		}
+		io.WriteString(w, answer.Load().(string))
+	}))
+	t.Cleanup(daemon.Close)
+	sdk, err := client.New(client.Config{Nodes: []string{daemon.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sdk.Close)
+	fwd, err := New(Config{Workers: 1, CacheSize: 8, Self: "http://forwarder.test", Peers: []string{daemon.URL}, PeerProbeInterval: 10 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fwd.Close)
+
+	// The forwarder relays the answer as its own: marked forwarded, and not
+	// served from its cache or flight.
+	relayed := want
+	relayed.Cached, relayed.Forwarded = false, true
+	for _, body := range []string{string(current), older} {
+		answer.Store(body)
+		got, err := sdk.Generate(context.Background(), wire.GenerateRequest{Name: want.Name, Source: "package p"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("SDK decoded %+v from %s, want %+v", got, body, want)
+		}
+		got, err, handled := fwd.forward(context.Background(), daemon.URL, want.Name, "package p", wire.GenerateRequest{})
+		if err != nil || !handled {
+			t.Fatalf("forward: handled=%t err=%v", handled, err)
+		}
+		if got != relayed {
+			t.Errorf("forwarded %+v from %s, want %+v", got, body, relayed)
+		}
 	}
 }

@@ -306,25 +306,6 @@ func (s *Server) shutdown(finalSnapshot bool) {
 // Registry exposes the server's rule registry (tests, embedding).
 func (s *Server) Registry() *Registry { return s.registry }
 
-func toWireReport(r *gen.Report) *wire.Report {
-	if r == nil {
-		return nil
-	}
-	out := &wire.Report{
-		Template:    r.Template,
-		Assumptions: r.Assumptions,
-		PushedUp:    r.PushedUp,
-	}
-	for _, m := range r.Methods {
-		mj := &wire.MethodReport{Name: m.Name}
-		for _, rr := range m.Rules {
-			mj.Rules = append(mj.Rules, &wire.RuleReport{Rule: rr.Rule, Path: rr.Path, Resolutions: rr.Resolutions})
-		}
-		out.Methods = append(out.Methods, mj)
-	}
-	return out
-}
-
 // failStatus maps a pipeline error to an HTTP status: context expiry and
 // pool shutdown are 503 (retryable), admission-control shedding is 429
 // (retryable after the Retry-After hint), recovered panics are the
@@ -656,7 +637,6 @@ func (s *Server) splice(name, src string, req wire.GenerateRequest) (wire.Genera
 	return wire.GenerateResponse{
 		Name:        name,
 		Output:      res.Output,
-		Report:      toWireReport(res.Report),
 		Fingerprint: snap.Fingerprint,
 	}, true
 }
@@ -695,7 +675,6 @@ func (s *Server) attempt(ctx context.Context, key, name, src string, req wire.Ge
 		return wire.GenerateResponse{
 			Name:        name,
 			Output:      res.Output,
-			Report:      toWireReport(res.Report),
 			Fingerprint: worker.Snapshot().Fingerprint,
 		}, nil
 	})

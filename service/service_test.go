@@ -61,7 +61,7 @@ func unseenBody(t *testing.T, id int, tag string) string {
 
 // waitWarm blocks until srv's boot warm has finished, so a test can tell
 // the plans it compiled from the ones its own requests compile.
-func waitWarm(t *testing.T, srv *Server) {
+func waitWarm(t testing.TB, srv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for srv.restoring.Load() {
@@ -139,8 +139,73 @@ func TestGenerateAllUseCasesByteIdentical(t *testing.T) {
 		if got.Fingerprint == "" {
 			t.Errorf("use case %d: missing rule-set fingerprint", uc.ID)
 		}
-		if got.Report == nil || len(got.Report.Methods) == 0 {
-			t.Errorf("use case %d: missing generation report", uc.ID)
+		if hasReport(t, body) {
+			t.Errorf("use case %d: response carries a report key: %s", uc.ID, body)
+		}
+	}
+}
+
+// hasReport reports whether the JSON object body has a "report" key.
+func hasReport(t *testing.T, body []byte) bool {
+	t.Helper()
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(body, &obj); err != nil {
+		t.Fatalf("response is not a JSON object: %v: %s", err, body)
+	}
+	_, ok := obj["report"]
+	return ok
+}
+
+// TestGenerateBodiesCarryNoReport: a /v1/generate or /v1/generate/batch
+// answer is the output and its metadata, never the generation report, on
+// a pipeline run (miss) as on a plan splice (hit). Decisions are read
+// in process from gen.Report.
+func TestGenerateBodiesCarryNoReport(t *testing.T) {
+	_, ts := sharedService(t)
+	req := wire.GenerateRequest{Name: "noreport.go", Source: unseenBody(t, 3, "TestGenerateBodiesCarryNoReport")}
+	for _, want := range []bool{false, true} { // first a pipeline run, then its plan
+		resp, body := postJSON(t, ts.URL+"/v1/generate", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		if hasReport(t, body) {
+			t.Errorf("cached=%t: /v1/generate response carries a report key", want)
+		}
+		var got wire.GenerateResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Cached != want || got.Output == "" {
+			t.Errorf("cached = %t with %d output bytes, want cached = %t with output", got.Cached, len(got.Output), want)
+		}
+	}
+
+	breq := wire.BatchRequest{Requests: []wire.GenerateRequest{
+		req,
+		{Name: "noreport_batch.go", Source: unseenBody(t, 11, "TestGenerateBodiesCarryNoReport/batch")},
+	}}
+	resp, body := postJSON(t, ts.URL+"/v1/generate/batch", breq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+	}
+	var batch struct {
+		Results []struct {
+			OK       bool            `json:"ok"`
+			Response json.RawMessage `json:"response"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(body, &batch); err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Results) != len(breq.Requests) {
+		t.Fatalf("batch returned %d results, want %d", len(batch.Results), len(breq.Requests))
+	}
+	for i, item := range batch.Results {
+		if !item.OK {
+			t.Fatalf("batch item %d failed: %s", i, body)
+		}
+		if hasReport(t, item.Response) {
+			t.Errorf("batch item %d carries a report key", i)
 		}
 	}
 }

@@ -27,8 +27,8 @@ const HeaderForwarded = "X-Cryptgend-Forwarded"
 // GenerateRequest is the body of POST /v1/generate. Exactly one of Source
 // or UseCase selects the template.
 type GenerateRequest struct {
-	// Name labels the template in diagnostics and reports (default
-	// "template.go", or the use case's file name).
+	// Name labels the template in diagnostics and in the generated file's
+	// header comment (default "template.go", or the use case's file name).
 	Name string `json:"name,omitempty"`
 	// Source is the template source text.
 	Source string `json:"source,omitempty"`
@@ -41,13 +41,16 @@ type GenerateRequest struct {
 	Verify bool `json:"verify,omitempty"`
 }
 
-// GenerateResponse is the body of a successful POST /v1/generate.
+// GenerateResponse is the body of a successful POST /v1/generate. It
+// carries the generated file, not the decisions behind it: the
+// per-method generation report is an in-process gen.Report (cryptgen
+// -report prints it). A body from a daemon that still sends a "report"
+// key decodes the same, since unknown keys are ignored.
 type GenerateResponse struct {
-	Name        string  `json:"name"`
-	Output      string  `json:"output"`
-	Report      *Report `json:"report,omitempty"`
-	Fingerprint string  `json:"ruleset_fingerprint"`
-	Cached      bool    `json:"cached"`
+	Name        string `json:"name"`
+	Output      string `json:"output"`
+	Fingerprint string `json:"ruleset_fingerprint"`
+	Cached      bool   `json:"cached"`
 	// Coalesced marks a response spliced from the plan that another
 	// request's in-flight generation over the same body compiled
 	// (singleflight), rather than a resident plan or a fresh run.
@@ -57,27 +60,6 @@ type GenerateResponse struct {
 	// received the request.
 	Forwarded  bool    `json:"forwarded,omitempty"`
 	DurationMS float64 `json:"duration_ms"`
-}
-
-// Report mirrors gen.Report for the wire.
-type Report struct {
-	Template    string          `json:"template"`
-	Methods     []*MethodReport `json:"methods,omitempty"`
-	Assumptions []string        `json:"assumptions,omitempty"`
-	PushedUp    []string        `json:"pushed_up,omitempty"`
-}
-
-// MethodReport mirrors gen.MethodReport.
-type MethodReport struct {
-	Name  string        `json:"name"`
-	Rules []*RuleReport `json:"rules,omitempty"`
-}
-
-// RuleReport mirrors gen.RuleReport.
-type RuleReport struct {
-	Rule        string   `json:"rule"`
-	Path        []string `json:"path"`
-	Resolutions []string `json:"resolutions,omitempty"`
 }
 
 // AnalyzeRequest is the body of POST /v1/analyze.
