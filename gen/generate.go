@@ -24,11 +24,12 @@
 package gen
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"go/types"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -69,7 +70,9 @@ type Options struct {
 	// copies. One PlanCache is meant to be shared by many Generators, and
 	// across rule sets; it is internally synchronized. A plan keeps no
 	// generation report, so a plan hit's Result has a nil Report; only the
-	// compiling run (and any run without Plans) returns one.
+	// compiling run (and any run without Plans) returns one. A plan keeps
+	// its compile tuple (PlanSeed, the whole template source) only in a
+	// cache built by NewSeedingPlanCache, for a warm-restart snapshot.
 	Plans *PlanCache
 
 	// Ablation switches (all default off = full algorithm). They exist for
@@ -260,7 +263,11 @@ func (g *Generator) GenerateFileCtx(ctx context.Context, name, src string) (res 
 		if outPkg == "" {
 			outPkg = tmplPkg
 		}
-		if p, cerr := compilePlan(res, PlanSeed{Name: name, Source: src, Verify: g.opts.Verify}, outPkg, tmplPkg, rulesFP); cerr == nil {
+		var seed *PlanSeed
+		if g.opts.Plans.seeding {
+			seed = &PlanSeed{Name: name, Source: src, Verify: g.opts.Verify}
+		}
+		if p, cerr := compilePlan(res, name, seed, outPkg, tmplPkg, rulesFP); cerr == nil {
 			g.opts.Plans.put(key, p)
 		}
 	}
@@ -512,55 +519,76 @@ func (g *Generator) crySLTypeCompatible(from, to ast.Type) bool {
 // sortPaths ranks candidate paths: link score descending (paths that
 // consume required predicates and grant predicates later rules rely on,
 // workflow steps ②③), then fewest calls, then fewest parameters, then
-// lexicographic (stability).
+// lexicographic (stability). Each candidate's sort key is computed once,
+// not once per comparison.
 func (g *Generator) sortPaths(rule *crysl.Rule, paths [][]string, wantVars, wantGrants map[string]bool) {
-	score := func(p []string) int {
-		if g.opts.NoLinkPreference {
-			return 0
-		}
-		s := 0
-		seen := map[string]bool{}
+	if len(paths) < 2 {
+		return
+	}
+	type ranked struct {
+		path          []string
+		score, params int
+	}
+	rs := make([]ranked, len(paths))
+	// The variables consumed and predicates granted so far on one path,
+	// each counted once: a handful at most, so slices reused per path.
+	var varBuf, grantBuf [8]string
+	seenVars, seenGrants := varBuf[:0], grantBuf[:0]
+	for i, p := range paths {
+		r := ranked{path: p}
+		seenVars, seenGrants = seenVars[:0], seenGrants[:0]
 		for _, label := range p {
-			if ev, ok := rule.Event(label); ok {
+			ev, ok := rule.Event(label)
+			if ok {
+				r.params += len(ev.Params)
+			}
+			if g.opts.NoLinkPreference {
+				continue
+			}
+			if ok {
 				for _, prm := range ev.Params {
-					if wantVars[prm.Name] && !seen[prm.Name] {
-						seen[prm.Name] = true
-						s++
+					if wantVars[prm.Name] && !slices.Contains(seenVars, prm.Name) {
+						seenVars = append(seenVars, prm.Name)
+						r.score++
 					}
 				}
 			}
 			for _, pd := range rule.EnsuredAfter(label) {
-				if wantGrants[pd.Name] && !seen["grant:"+pd.Name] {
-					seen["grant:"+pd.Name] = true
-					s++
+				if wantGrants[pd.Name] && !slices.Contains(seenGrants, pd.Name) {
+					seenGrants = append(seenGrants, pd.Name)
+					r.score++
 				}
 			}
 		}
-		return s
+		rs[i] = r
 	}
-	params := func(p []string) int {
-		n := 0
-		for _, label := range p {
-			if ev, ok := rule.Event(label); ok {
-				n += len(ev.Params)
-			}
-		}
-		return n
-	}
-	sort.SliceStable(paths, func(i, j int) bool {
-		si, sj := score(paths[i]), score(paths[j])
-		if si != sj {
-			return si > sj
-		}
-		if len(paths[i]) != len(paths[j]) {
-			return len(paths[i]) < len(paths[j])
-		}
-		pi, pj := params(paths[i]), params(paths[j])
-		if pi != pj {
-			return pi < pj
-		}
-		return strings.Join(paths[i], ",") < strings.Join(paths[j], ",")
+	slices.SortStableFunc(rs, func(a, b ranked) int {
+		return cmp.Or(
+			cmp.Compare(b.score, a.score),
+			cmp.Compare(len(a.path), len(b.path)),
+			cmp.Compare(a.params, b.params),
+			compareJoined(a.path, b.path))
 	})
+	for i := range rs {
+		paths[i] = rs[i].path
+	}
+}
+
+// compareJoined compares strings.Join(a, ",") with strings.Join(b, ",")
+// without building either string, except when one differing label is a
+// prefix of the other: then the bytes after it decide, and the joined
+// remainders are compared.
+func compareJoined(a, b []string) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] == b[i] {
+			continue
+		}
+		if n := min(len(a[i]), len(b[i])); a[i][:n] != b[i][:n] {
+			return strings.Compare(a[i][:n], b[i][:n])
+		}
+		return strings.Compare(strings.Join(a[i:], ","), strings.Join(b[i:], ","))
+	}
+	return cmp.Compare(len(a), len(b))
 }
 
 // pathCoversBindings checks that every bound rule variable that occurs in

@@ -437,12 +437,13 @@ ORDER
 	}
 }
 
-// TestPlanSeeds: every plan remembers the tuple it was compiled from, and
-// Seeds lists a rule set's tuples least recently used first — the order a
+// TestPlanSeeds: in a seeding cache (the one a snapshot store is backed
+// by) every plan remembers the tuple it was compiled from, and Seeds
+// lists a rule set's tuples least recently used first — the order a
 // replay must follow to rebuild the cache's recency.
 func TestPlanSeeds(t *testing.T) {
 	rs := rules.MustLoad()
-	plans := NewPlanCache(0)
+	plans := NewSeedingPlanCache(0)
 	g, err := New(rs, "", Options{Plans: plans})
 	if err != nil {
 		t.Fatal(err)
@@ -477,5 +478,71 @@ func TestPlanSeeds(t *testing.T) {
 	}
 	if got := plans.Seeds("another-rule-set"); len(got) != 0 {
 		t.Fatalf("Seeds of an absent rule set = %+v, want none", got)
+	}
+}
+
+// TestPlanCacheKeepsNoSource: a cache built by NewPlanCache, the one
+// without a snapshot store, keeps no compile tuple in any plan, so no
+// plan holds its request's source, and Seeds returns none.
+func TestPlanCacheKeepsNoSource(t *testing.T) {
+	rs := rules.MustLoad()
+	plans := NewPlanCache(0)
+	g, err := New(rs, "", Options{Plans: plans})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{11, 4} {
+		uc, err := templates.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := templates.Source(uc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.GenerateFile(uc.File, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if plans.Len() != 2 {
+		t.Fatalf("Len = %d, want 2 compiled plans", plans.Len())
+	}
+	for el := plans.ll.Front(); el != nil; el = el.Next() {
+		if sd := el.Value.(*planEntry).plan.seed; sd != nil {
+			t.Errorf("plan keeps its compile tuple (%d source bytes) without a snapshot store", len(sd.Source))
+		}
+	}
+	if got := plans.Seeds(plans.FingerprintFor(rs)); len(got) != 0 {
+		t.Errorf("Seeds = %d tuples, want none without a snapshot store", len(got))
+	}
+}
+
+// TestPlanBytesCountSeed: plan_bytes counts what a plan holds. The same
+// compile in a seeding cache reports exactly the kept name and source
+// more than in a cache that keeps no tuple.
+func TestPlanBytesCountSeed(t *testing.T) {
+	rs := rules.MustLoad()
+	uc, err := templates.ByID(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := templates.Source(uc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytesAfterCompile := func(plans *PlanCache) int64 {
+		g, err := New(rs, "", Options{Plans: plans})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.GenerateFile(uc.File, src); err != nil {
+			t.Fatal(err)
+		}
+		return plans.Bytes()
+	}
+	bare := bytesAfterCompile(NewPlanCache(0))
+	seeded := bytesAfterCompile(NewSeedingPlanCache(0))
+	if want := bare + int64(len(uc.File)+len(src)); seeded != want {
+		t.Errorf("seeding cache Bytes = %d, want %d (bare %d + name + %d source bytes)", seeded, want, bare, len(src))
 	}
 }

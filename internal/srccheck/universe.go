@@ -36,7 +36,8 @@ import (
 // break named-type identity, which is why the cache is keyed by module
 // root and shared process-wide rather than per Checker. The FileSet holds
 // two kinds of file. Universe package files stay for the life of the
-// process: the cached packages' positions resolve against them. Files a
+// process: the cached packages' positions resolve against them, so each
+// keeps a line table of exactly its length (parseAll). Files a
 // Checker parses for one call are removed again (Checker.Release), so the
 // FileSet, and with it the resident heap, does not grow with the number of
 // sources checked.
@@ -294,7 +295,9 @@ func (u *Universe) scan(dir string) *dirScan {
 
 // parseAll parses the named files of dir concurrently into the shared
 // FileSet (whose methods are synchronized), returning the first error in
-// filename order for determinism.
+// filename order for determinism. Each parsed file stays in the FileSet
+// for the life of the process, so its line table is trimmed to its
+// length; positions are unchanged.
 func (u *Universe) parseAll(dir string, filenames []string) ([]*ast.File, error) {
 	files := make([]*ast.File, len(filenames))
 	errs := make([]error, len(filenames))
@@ -304,6 +307,9 @@ func (u *Universe) parseAll(dir string, filenames []string) ([]*ast.File, error)
 		go func(i int, path string) {
 			defer wg.Done()
 			files[i], errs[i] = parser.ParseFile(u.fset, path, nil, parser.SkipObjectResolution)
+			if files[i] != nil {
+				trimLines(u.fset.File(files[i].FileStart))
+			}
 		}(i, filepath.Join(dir, name))
 	}
 	wg.Wait()
@@ -313,6 +319,20 @@ func (u *Universe) parseAll(dir string, filenames []string) ([]*ast.File, error)
 		}
 	}
 	return files, nil
+}
+
+// trimLines replaces tf's line table with an exact-size copy, dropping the
+// spare capacity append left behind. It copies into make, not
+// slices.Clone, whose append would report a capacity rounded up to the
+// allocator's size class.
+func trimLines(tf *token.File) {
+	lines := tf.Lines()
+	if len(lines) == cap(lines) {
+		return
+	}
+	exact := make([]int, len(lines))
+	copy(exact, lines)
+	tf.SetLines(exact)
 }
 
 // prefetch fans the package's direct imports out across goroutines before

@@ -456,6 +456,35 @@ func TestUniverseClosure(t *testing.T) {
 	}
 }
 
+// TestUniverseLineTablesExact: universe package files stay in the FileSet
+// for the life of the process, so after a gca warm every one of them
+// holds a line table of exactly its length, with no spare capacity left
+// from the scanner's appends.
+func TestUniverseLineTablesExact(t *testing.T) {
+	root, err := ModuleRoot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := newUniverse(root, build.Default)
+	if _, err := u.Import(ModulePath + "/gca"); err != nil {
+		t.Fatal(err)
+	}
+	files, lines := 0, 0
+	u.fset.Iterate(func(f *token.File) bool {
+		files++
+		l := f.Lines()
+		lines += len(l)
+		if len(l) != cap(l) {
+			t.Errorf("%s: line table len %d, cap %d", f.Name(), len(l), cap(l))
+		}
+		return true
+	})
+	if files == 0 {
+		t.Fatal("a gca warm left no file in the universe's FileSet")
+	}
+	t.Logf("%d universe files, %d line offsets", files, lines)
+}
+
 // TestUniverseAPIMatchesSourceImporter: the universe builds each
 // dependency as its importable API only, and that API is the one the
 // standard source importer, the reference implementation, builds from

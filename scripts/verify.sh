@@ -76,11 +76,14 @@ echo "==> wire/client race pass"
 go test -race -count=1 ./wire ./client
 go test -race -count=3 -run 'TestDecodedOutputsOutliveBuffers' ./client
 
-# The catalogue-hit layer row (SDK -> httptest daemon -> plan splice):
-# one iteration, so the benchmark keeps compiling and running. Its B/op
-# and allocs/op come from a longer run, e.g. -benchtime 2000x -benchmem.
-echo "==> catalogue-hit benchmark (1 iteration)"
+# The catalogue-hit layer row (SDK -> httptest daemon -> plan splice)
+# and the never-seen-body layer row (one Table 1 pipeline run per body):
+# one iteration each, so both benchmarks keep compiling and running.
+# Their B/op and allocs/op come from longer runs, e.g. -benchtime 2000x
+# -benchmem and -benchtime 400x.
+echo "==> catalogue-hit + fresh-body benchmarks (1 iteration)"
 go test -run '^$' -bench BenchmarkCatalogueHit -benchtime 1x ./service
+go test -run '^$' -bench BenchmarkGenFresh -benchtime 1x .
 
 # Plan fast-path identity: the precompiled-plan byte splicer must emit
 # output byte-identical to the legacy pipeline for all 13 templates — on
@@ -107,12 +110,13 @@ go test -race -count=3 -run 'TestReloadReleasesSupersededRuleSet' ./service
 # Checker's user directories honour build constraints. Each dependency is
 # pruned to its importable API inside the per-package latch, which the
 # same goroutines share: the pruned API must equal the stdlib source
-# importer's, and a gca warm must build exactly its pinned package set.
+# importer's, and a gca warm must build exactly its pinned package set,
+# each of its files holding a line table of exactly its length.
 # Same repetitions, same detector.
 echo "==> FileSet returns to baseline + one scan per package dir + API pruning (-race, 3 runs)"
 go test -race -count=3 -run 'TestFileSetReturnsToBaseline' ./gen
 go test -race -count=3 \
-    -run 'TestChecksReleaseFiles|TestResolveMatchesGoBuild|TestOneScanPerPackageDir|TestModuleLocalBuildConstraints|TestUniverseAPIMatchesSourceImporter|TestUniverseClosure|TestCheckerBuildConstraints' \
+    -run 'TestChecksReleaseFiles|TestResolveMatchesGoBuild|TestOneScanPerPackageDir|TestModuleLocalBuildConstraints|TestUniverseAPIMatchesSourceImporter|TestUniverseClosure|TestUniverseLineTablesExact|TestCheckerBuildConstraints' \
     ./internal/srccheck
 
 # The benchmark harness (bench/, a module of its own, so the package run

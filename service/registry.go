@@ -79,7 +79,7 @@ type Registry struct {
 // embedded gca rule set via rules.LoadFresh), with a default-sized plan
 // cache.
 func NewRegistry(loader func() (*crysl.RuleSet, error)) (*Registry, error) {
-	return NewRegistryWithFallback(loader, nil, 0)
+	return NewRegistryWithFallback(loader, nil, nil)
 }
 
 // NewRegistryWithFallback is NewRegistry with a boot-only escape hatch:
@@ -89,15 +89,20 @@ func NewRegistry(loader func() (*crysl.RuleSet, error)) (*Registry, error) {
 // operator's loader stays wired for /v1/reload — a later successful reload
 // swaps the real rules in and clears the degraded state — and the boot
 // failure is recorded as degraded so /readyz tells the operator their
-// configured rules are not the ones serving. maxPlans bounds the plan
-// cache (<= 0 = gen.DefaultMaxPlans).
-func NewRegistryWithFallback(loader, fallback func() (*crysl.RuleSet, error), maxPlans int) (*Registry, error) {
+// configured rules are not the ones serving. plans becomes the
+// registry's plan cache (nil = gen.NewPlanCache(0)); a server with a
+// snapshot store passes a gen.NewSeedingPlanCache so plans keep the
+// tuples its snapshots persist.
+func NewRegistryWithFallback(loader, fallback func() (*crysl.RuleSet, error), plans *gen.PlanCache) (*Registry, error) {
 	if loader == nil {
 		loader = rules.LoadFresh
 	}
+	if plans == nil {
+		plans = gen.NewPlanCache(0)
+	}
 	r := &Registry{
 		loader: loader,
-		plans:  gen.NewPlanCache(maxPlans),
+		plans:  plans,
 	}
 	if _, err := r.Reload(); err != nil {
 		if fallback == nil {

@@ -65,7 +65,9 @@ type Config struct {
 	// compile tuples and rule-set source there, and replays the tuples in
 	// its boot warm, so a restarted node serves warm instead of cold
 	// ("" = snapshots off). Any unusable snapshot degrades to a logged cold
-	// start.
+	// start. With snapshots on, each resident plan also keeps its
+	// request's template source for the next snapshot; with them off,
+	// plans keep no source.
 	SnapshotDir string
 	// SnapshotInterval paces the periodic snapshot writer (0 = 60s).
 	SnapshotInterval time.Duration
@@ -168,9 +170,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Load the warm-restart snapshot BEFORE building the registry: its
 	// captured rule source is the boot fallback when the operator's loader
-	// fails, and its plan tuples join the boot warm below.
+	// fails, and its plan tuples join the boot warm below. Only a snapshot
+	// store reads plans' compile tuples, so only then do plans keep them
+	// (each holds a copy of its request's source).
 	var store *persist.Store
 	var restored *persist.Snapshot
+	plans := gen.NewPlanCache(cfg.CacheSize)
 	if cfg.SnapshotDir != "" {
 		st, err := persist.NewStore(cfg.SnapshotDir)
 		if err != nil {
@@ -178,8 +183,9 @@ func New(cfg Config) (*Server, error) {
 		}
 		store = st
 		restored = loadSnapshot(store)
+		plans = gen.NewSeedingPlanCache(cfg.CacheSize)
 	}
-	registry, err := NewRegistryWithFallback(cfg.Loader, snapshotRuleLoader(restored), cfg.CacheSize)
+	registry, err := NewRegistryWithFallback(cfg.Loader, snapshotRuleLoader(restored), plans)
 	if err != nil {
 		return nil, err
 	}

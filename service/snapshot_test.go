@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -335,5 +337,113 @@ func TestSnapshotParentFormatRestores(t *testing.T) {
 	}
 	if got.Output != want.Output {
 		t.Error("output spliced from the restored plan differs from the pipeline")
+	}
+}
+
+// heapAfterGC is the live heap once two collections have run, the
+// second one emptying the sync.Pool victim caches the first one filled.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestPlansKeepNoSourceWithoutSnapshots: a server without a snapshot
+// directory keeps no request source in its plans. Each of N distinct
+// bodies ends in a large comment that the generated output, and so its
+// plan, keeps too; a plan that also held its request's source would hold
+// the body twice. The heap may grow by less than 1.5x the body size per
+// compiled plan.
+func TestPlansKeepNoSourceWithoutSnapshots(t *testing.T) {
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	waitWarm(t, srv)
+	uc, err := templates.ByID(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := templates.Source(uc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat("x", 256<<10)
+	body := func(i int) string { return fmt.Sprintf("%s\n// body %d %s\n", src, i, pad) }
+	bodySize := len(body(0))
+	const n = 8
+	ctx := context.Background()
+	plansBefore := srv.registry.Plans().Len()
+	before := heapAfterGC()
+	for i := 0; i < n; i++ {
+		resp, err := srv.Generate(ctx, wire.GenerateRequest{Name: fmt.Sprintf("padded_%d.go", i), Source: body(i)})
+		if err != nil {
+			t.Fatalf("body %d: %v", i, err)
+		}
+		if resp.Cached {
+			t.Fatalf("body %d was spliced, want a pipeline run compiling its plan", i)
+		}
+	}
+	grown := int64(heapAfterGC()) - int64(before)
+	if got := srv.registry.Plans().Len() - plansBefore; got != n {
+		t.Fatalf("%d plans compiled, want %d", got, n)
+	}
+	t.Logf("heap grew %d bytes over %d plans of %d-byte bodies", grown, n, bodySize)
+	if limit := int64(n * bodySize * 3 / 2); grown >= limit {
+		t.Errorf("heap grew %d bytes over %d plans of %d-byte bodies, want < %d (1.5x body per plan)", grown, n, bodySize, limit)
+	}
+	runtime.KeepAlive(srv)
+}
+
+// TestSnapshotEntryPerResidentPlan: a server with a snapshot directory
+// keeps every plan's compile tuple, so its snapshot holds one entry per
+// resident plan, source included.
+func TestSnapshotEntryPerResidentPlan(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := New(Config{Workers: 1, SnapshotDir: dir, SnapshotInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	waitWarm(t, srv)
+	ctx := context.Background()
+	for _, id := range []int{1, 4, 11} {
+		// Verify keeps these plans apart from the boot warm's.
+		if _, err := srv.Generate(ctx, wire.GenerateRequest{UseCase: id, Verify: true}); err != nil {
+			t.Fatalf("use case %d: %v", id, err)
+		}
+	}
+	if err := srv.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	store, err := persist.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := srv.registry.Plans().Len()
+	if want := len(templates.All()) + 3; resident != want {
+		t.Fatalf("%d resident plans, want %d", resident, want)
+	}
+	if len(snap.Entries) != resident {
+		t.Errorf("snapshot holds %d entries, want one per resident plan (%d)", len(snap.Entries), resident)
+	}
+	verified := 0
+	for _, e := range snap.Entries {
+		if e.Name == "" || e.Source == "" {
+			t.Errorf("entry %+v lacks its name or source", e.Name)
+		}
+		if e.Verify {
+			verified++
+		}
+	}
+	if verified != 3 {
+		t.Errorf("%d verified entries, want 3", verified)
 	}
 }
