@@ -95,20 +95,39 @@ func BenchmarkGenVerified(b *testing.B) {
 
 // BenchmarkGenFresh measures Table 1 memory the way the daemon pays it: a
 // pipeline run over a never-seen body, on a Generator sharing the
-// process's PathCache and PlanCache (which only insert here), with
+// process's warmed PathCache and a PlanCache (which only inserts here), with
 // verification off and on. Each iteration appends a distinct comment to
 // the next of the 13 templates, so no plan is ever reused; BenchmarkGen
 // has no PathCache and measures enumeration the daemon does not repeat.
 func BenchmarkGenFresh(b *testing.B) {
 	benchSetup(b)
 	rs := rules.MustLoad()
+	// Fill the shared PathCache up front, for every rule at the bound a
+	// default Generator looks paths up under, as the daemon's registry
+	// does before it serves: otherwise the first sub-benchmark times the
+	// one-time enumeration and its B/op depends on run order and -count.
 	paths := gen.NewPathCache()
+	for _, rule := range rs.Rules() {
+		paths.Paths(rule, gen.DefaultMaxPaths)
+	}
 	plans := gen.NewPlanCache(0)
 	cases := templates.All()
 	srcs := make([]string, len(cases))
 	for i, uc := range cases {
 		var err error
 		if srcs[i], err = templates.Source(uc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Then generate each template once, as the daemon's boot warm does:
+	// that builds the type-check packages the templates import, another
+	// one-time cost a served request never pays.
+	warm, err := gen.New(rs, "", gen.Options{Paths: paths, Plans: plans})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, uc := range cases {
+		if _, err := warm.GenerateFile(uc.File, srcs[i]); err != nil {
 			b.Fatal(err)
 		}
 	}

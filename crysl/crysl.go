@@ -43,6 +43,17 @@ type Rule struct {
 	NFA *fsm.NFA
 	// Objects maps object names to their declarations.
 	Objects map[string]*ast.Object
+
+	// ensured lists, for each concrete label an "after" clause names, the
+	// ENSURES predicates it grants, in declaration order (EnsuredAfter).
+	ensured []labelPreds
+}
+
+// labelPreds is one label's ENSURES predicates. A single predicate is a
+// window on AST.Ensures, so it costs no array of its own.
+type labelPreds struct {
+	label string
+	preds []*ast.PredicateDef
 }
 
 // SpecType returns the fully qualified specified type, e.g. "gca.Cipher".
@@ -102,21 +113,15 @@ func (r *Rule) NegatingLabels() map[string]bool {
 // EnsuredAfter returns the predicates guaranteed once the given concrete
 // label has executed. Predicates without an "after" clause are guaranteed
 // after any accepting sequence and are returned for every accepting-path
-// final label by the caller instead.
+// final label by the caller instead. The list is computed once, when the
+// rule is compiled, and shared: callers must not modify it.
 func (r *Rule) EnsuredAfter(label string) []*ast.PredicateDef {
-	var out []*ast.PredicateDef
-	for _, e := range r.AST.Ensures {
-		if e.AfterLabel == "" {
-			continue
-		}
-		for _, l := range r.ExpandLabel(e.AfterLabel) {
-			if l == label {
-				out = append(out, e)
-				break
-			}
+	for _, lp := range r.ensured {
+		if lp.label == label {
+			return lp.preds
 		}
 	}
-	return out
+	return nil
 }
 
 // UnconditionalEnsures returns predicates guaranteed after a complete,
@@ -178,6 +183,13 @@ func Compile(a *ast.Rule) (*Rule, error) {
 			r.Aggregates[e.Label] = expand(e.Label, map[string]bool{})
 		}
 	}
+	for i, e := range a.Ensures {
+		if e.AfterLabel != "" {
+			for _, l := range r.ExpandLabel(e.AfterLabel) {
+				r.addEnsured(l, a.Ensures[i:i+1:i+1])
+			}
+		}
+	}
 	nfa, err := fsm.CompileNFA(a.Order, r.Aggregates)
 	if err != nil {
 		return nil, fmt.Errorf("compiling ORDER automaton for %s: %w", a.SpecType, err)
@@ -185,6 +197,22 @@ func Compile(a *ast.Rule) (*Rule, error) {
 	r.NFA = nfa
 	r.DFA = fsm.Minimize(fsm.Determinize(r.NFA))
 	return r, nil
+}
+
+// addEnsured adds one, a one-predicate window on AST.Ensures, to label's
+// list unless it ends the list already (an aggregate that names the label
+// twice). The window's capacity is its length, so a second predicate is
+// appended to a copy, never into AST.Ensures.
+func (r *Rule) addEnsured(label string, one []*ast.PredicateDef) {
+	for k := range r.ensured {
+		if lp := &r.ensured[k]; lp.label == label {
+			if lp.preds[len(lp.preds)-1] != one[0] {
+				lp.preds = append(lp.preds, one[0])
+			}
+			return
+		}
+	}
+	r.ensured = append(r.ensured, labelPreds{label, one})
 }
 
 // ParseRule parses and compiles a single rule from source text. name is used

@@ -119,6 +119,39 @@ func TestEnsuredAfterAndUnconditional(t *testing.T) {
 	}
 }
 
+// TestEnsuredAfterComputedOnce: a rule's per-label predicate lists are
+// built when it is compiled, so a lookup allocates nothing. A label an
+// aggregate and its own clause both name gets both predicates, in
+// declaration order, and building its list leaves the rule's ENSURES as
+// declared.
+func TestEnsuredAfterComputedOnce(t *testing.T) {
+	r := compileWidget(t)
+	if allocs := testing.AllocsPerRun(100, func() { r.EnsuredAfter("c1") }); allocs != 0 {
+		t.Errorf("EnsuredAfter allocates %v times per call", allocs)
+	}
+	src := strings.Replace(specSrc, "    finished[out] after f1;\n",
+		"    finished[out] after f1;\n    used[this] after use;\n    easy[this] after u1;\n    twice[this] after use;\n", 1)
+	r, err := ParseRule("widget.crysl", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func(preds []*ast.PredicateDef) string {
+		var out []string
+		for _, p := range preds {
+			out = append(out, p.Name)
+		}
+		return strings.Join(out, " ")
+	}
+	for label, want := range map[string]string{"u1": "used easy twice", "u2": "used twice", "c1": "made", "f1": "finished"} {
+		if got := names(r.EnsuredAfter(label)); got != want {
+			t.Errorf("EnsuredAfter(%s) = %q, want %q", label, got, want)
+		}
+	}
+	if got := names(r.AST.Ensures); got != "made finished used easy twice" {
+		t.Errorf("ENSURES became %q", got)
+	}
+}
+
 func TestNegatingLabels(t *testing.T) {
 	r := compileWidget(t)
 	neg := r.NegatingLabels()

@@ -115,7 +115,7 @@ type Generator struct {
 //
 // The first Generator in a process pays the one-time cost of source-
 // importing the crypto façade and the API of its standard-library imports
-// (~0.14 s on a 2-CPU Xeon, go1.24: BenchmarkUniverseWarm in
+// (~0.11 s on a 2-CPU Xeon, go1.24: BenchmarkUniverseWarm in
 // internal/srccheck, and the first New that TestSecondGeneratorReusesUniverse
 // logs); the type-checked packages land in srccheck's process-wide shared
 // universe, so every subsequent New over the same module constructs in

@@ -36,6 +36,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -68,6 +70,27 @@ func ModuleRoot(dir string) (string, error) {
 		}
 		dir = parent
 	}
+}
+
+// ImportPaths returns the sorted, distinct import paths of the Go sources
+// srcs, read from their import clauses alone (parser.ImportsOnly). A
+// source that fails to parse contributes the imports before the error.
+func ImportPaths(srcs ...string) []string {
+	fset := token.NewFileSet()
+	var paths []string
+	for _, src := range srcs {
+		f, _ := parser.ParseFile(fset, "", src, parser.ImportsOnly)
+		if f == nil {
+			continue
+		}
+		for _, spec := range f.Imports {
+			if p, err := strconv.Unquote(spec.Path.Value); err == nil {
+				paths = append(paths, p)
+			}
+		}
+	}
+	slices.Sort(paths)
+	return slices.Compact(paths)
 }
 
 // Importer resolves import paths for go/types against the process-wide

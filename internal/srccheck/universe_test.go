@@ -2,11 +2,14 @@ package srccheck
 
 import (
 	"fmt"
+	"go/ast"
 	"go/build"
 	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,6 +17,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"cognicryptgen/templates"
 )
 
 // TestConcurrentImport is the Importer's concurrency contract: 16
@@ -453,6 +458,203 @@ func TestUniverseClosure(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("a gca warm built %d packages %q\nwant %d: %q", len(got), got, len(want), want)
+	}
+}
+
+// bootWarmPaths mirrors what service.New warms the universe with: gca and
+// every import path of the embedded templates.
+func bootWarmPaths(t testing.TB) []string {
+	t.Helper()
+	srcs, err := templates.Sources()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]string{ModulePath + "/gca"}, ImportPaths(slices.Collect(maps.Values(srcs))...)...)
+}
+
+// TestBootWarmCoversTemplates: once the boot warm (gca and the embedded
+// templates' imports, one Warm call) has finished, type-checking each of
+// the 13 templates builds no further universe package. A generation
+// checks its template and, when verified, an output that imports a subset
+// of the template's imports plus gca, so no generation of a template does
+// either. The warmed set is the Go 1.24 standard library's; other
+// releases get only the covering check.
+func TestBootWarmCoversTemplates(t *testing.T) {
+	root, err := ModuleRoot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := newUniverse(root, build.Default)
+	u.Warm(bootWarmPaths(t)...)
+	warmed := builtPaths(u)
+	c := &Checker{Fset: u.fset, u: u}
+	srcs, err := templates.Sources()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(srcs) != 13 {
+		t.Fatalf("%d embedded templates, want 13", len(srcs))
+	}
+	for name, src := range srcs {
+		f, _, _, err := c.CheckSource(name, src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		c.Release(f)
+	}
+	if got := builtPaths(u); !slices.Equal(got, warmed) {
+		t.Errorf("checking the templates built more than the boot warm:\nafter %q\nwarmed %q", got, warmed)
+	}
+	want := []string{
+		ModulePath + "/gca",
+		ModulePath + "/gen/fluent",
+		"crypto",
+		"crypto/cipher",
+		"crypto/ecdh",
+		"crypto/ecdsa",
+		"crypto/elliptic",
+		"crypto/internal/boring",
+		"crypto/internal/fips140",
+		"crypto/internal/fips140/bigmod",
+		"crypto/internal/fips140/ecdh",
+		"crypto/internal/fips140/nistec",
+		"crypto/internal/fips140/nistec/fiat",
+		"crypto/internal/fips140/rsa",
+		"crypto/rsa",
+		"crypto/subtle",
+		"encoding/hex",
+		"errors",
+		"fmt",
+		"hash",
+		"internal/poll",
+		"internal/sync",
+		"io",
+		"io/fs",
+		"iter",
+		"math",
+		"math/big",
+		"math/rand",
+		"os",
+		"strings",
+		"sync",
+		"sync/atomic",
+		"syscall",
+		"time",
+		"unicode",
+	}
+	if !strings.HasPrefix(runtime.Version(), "go1.24") {
+		return
+	}
+	if !slices.Equal(warmed, want) {
+		t.Errorf("the boot warm built %d packages %q\nwant %d: %q", len(warmed), warmed, len(want), want)
+	}
+}
+
+// TestUniversePositionsMatchUnblanked: the universe parses dependencies
+// with their bodies and literal contents blanked, and no position moves.
+// A universe is built for gca, the templates' imports and the roots of
+// TestUniverseAPIMatchesSourceImporter; for every package-level object,
+// method, field, parameter and result of every package it built, the
+// object's position must name an identifier of the same name in an
+// unblanked go/parser parse of the same file, at an equal token.Position.
+func TestUniversePositionsMatchUnblanked(t *testing.T) {
+	root, err := ModuleRoot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := newUniverse(root, build.Default)
+	u.Warm(append(bootWarmPaths(t), "fmt", "os", "net/http", "crypto/tls", "crypto/x509", "encoding/json")...)
+
+	type refFile struct {
+		fset  *token.FileSet
+		tf    *token.File
+		names map[token.Pos]string // identifier position → name
+	}
+	refs := map[string]*refFile{}
+	ref := func(name string) *refFile {
+		if r, ok := refs[name]; ok {
+			return r
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("unblanked parse: %v", err)
+		}
+		r := &refFile{fset: fset, tf: fset.File(f.FileStart), names: map[token.Pos]string{}}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				r.names[id.Pos()] = id.Name
+			}
+			return true
+		})
+		refs[name] = r
+		return r
+	}
+	compared := 0
+	check := func(obj types.Object) {
+		if !obj.Pos().IsValid() || obj.Name() == "" || obj.Name() == "_" {
+			return
+		}
+		tf := u.fset.File(obj.Pos())
+		r := ref(tf.Name())
+		got := u.fset.Position(obj.Pos())
+		pos := r.tf.Pos(got.Offset)
+		if name, ok := r.names[pos]; !ok || name != obj.Name() {
+			t.Errorf("%s at %s: unblanked parse has %q there", obj, got, name)
+			return
+		}
+		if want := r.fset.Position(pos); got != want {
+			t.Errorf("%s: position %s, unblanked %s", obj, got, want)
+		}
+		compared++
+	}
+	for _, path := range builtPaths(u) {
+		pkg, err := u.Import(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range pkg.Scope().Names() {
+			eachDeclared(pkg.Scope().Lookup(name), check)
+		}
+	}
+	t.Logf("%d objects in %d files at their unblanked positions", compared, len(refs))
+	if compared < 10000 {
+		t.Errorf("compared %d objects; want the closure's (> 10000)", compared)
+	}
+}
+
+// eachDeclared calls f for obj and for the methods, struct fields,
+// interface methods, parameters and results its declaration declares.
+func eachDeclared(obj types.Object, f func(types.Object)) {
+	f(obj)
+	sig := func(s *types.Signature) {
+		for _, tup := range []*types.Tuple{s.Params(), s.Results()} {
+			for v := range tup.Variables() {
+				f(v)
+			}
+		}
+	}
+	switch obj := obj.(type) {
+	case *types.Func:
+		sig(obj.Signature())
+	case *types.TypeName:
+		if n, ok := obj.Type().(*types.Named); ok {
+			for m := range n.Methods() {
+				f(m)
+				sig(m.Signature())
+			}
+		}
+		switch u := obj.Type().Underlying().(type) {
+		case *types.Struct:
+			for v := range u.Fields() {
+				f(v)
+			}
+		case *types.Interface:
+			for m := range u.ExplicitMethods() {
+				f(m)
+				sig(m.Signature())
+			}
+		}
 	}
 }
 

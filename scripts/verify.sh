@@ -58,15 +58,17 @@ echo "==> peer probe rounds (-race, 1 and 2 CPUs, 20 runs)"
 go test -race -cpu 1,2 -count=20 -run 'TestClusterProbeEjectsAndReadmits' ./service
 
 # Timed fuzz smoke: 10s of exploration per parser entry point, for the
-# generator's word scanner against the regexps it replaces, and for the
-# wire's one-copy string decoder against encoding/json, on top of
-# the seed-corpus replay in the normal test run. Any crasher or mismatch
+# generator's word scanner against the regexps it replaces, for the
+# wire's one-copy string decoder against encoding/json, and for the
+# type-check universe's body blanker against go/parser, on top of the
+# seed-corpus replay in the normal test run. Any crasher or mismatch
 # fails the gate and lands in testdata/fuzz/ for triage.
 echo "==> fuzz smoke (10s per target)"
 go test -run NONE -fuzz 'FuzzParseRule' -fuzztime 10s ./crysl
 go test -run NONE -fuzz 'FuzzParseTemplate' -fuzztime 10s ./gen
 go test -run NONE -fuzz 'FuzzWordMatches' -fuzztime 10s ./gen
 go test -run NONE -fuzz 'FuzzUnquote' -fuzztime 10s ./wire
+go test -run NONE -fuzz 'FuzzBlankBodies' -fuzztime 10s ./internal/srccheck
 
 # The wire contract and the SDK's retry/routing state get an extra
 # explicit pass under -race on top of the package run above. Decoded
@@ -76,14 +78,16 @@ echo "==> wire/client race pass"
 go test -race -count=1 ./wire ./client
 go test -race -count=3 -run 'TestDecodedOutputsOutliveBuffers' ./client
 
-# The catalogue-hit layer row (SDK -> httptest daemon -> plan splice)
-# and the never-seen-body layer row (one Table 1 pipeline run per body):
-# one iteration each, so both benchmarks keep compiling and running.
-# Their B/op and allocs/op come from longer runs, e.g. -benchtime 2000x
-# -benchmem and -benchtime 400x.
-echo "==> catalogue-hit + fresh-body benchmarks (1 iteration)"
+# The catalogue-hit layer row (SDK -> httptest daemon -> plan splice),
+# the never-seen-body layer row (one Table 1 pipeline run per body) and
+# a process's cold type-check universe (gca and its closure): one
+# iteration each, so the benchmarks keep compiling and running. Their
+# B/op and allocs/op come from longer runs, e.g. -benchtime 2000x
+# -benchmem, -benchtime 400x and -benchtime 10x.
+echo "==> catalogue-hit + fresh-body + universe-warm benchmarks (1 iteration)"
 go test -run '^$' -bench BenchmarkCatalogueHit -benchtime 1x ./service
 go test -run '^$' -bench BenchmarkGenFresh -benchtime 1x .
+go test -run '^$' -bench BenchmarkUniverseWarm -benchtime 1x ./internal/srccheck
 
 # Plan fast-path identity: the precompiled-plan byte splicer must emit
 # output byte-identical to the legacy pipeline for all 13 templates — on
@@ -111,12 +115,16 @@ go test -race -count=3 -run 'TestReloadReleasesSupersededRuleSet' ./service
 # pruned to its importable API inside the per-package latch, which the
 # same goroutines share: the pruned API must equal the stdlib source
 # importer's, and a gca warm must build exactly its pinned package set,
-# each of its files holding a line table of exactly its length.
+# each of its files holding a line table of exactly its length. Files
+# are parsed with function bodies and literal contents blanked: the
+# blanker's table and unbalanced-input tests run here, every object the
+# universe builds must sit at its unblanked position, and the boot warm
+# must cover every package a template generation builds.
 # Same repetitions, same detector.
-echo "==> FileSet returns to baseline + one scan per package dir + API pruning (-race, 3 runs)"
+echo "==> FileSet returns to baseline + one scan per package dir + API pruning + body blanking (-race, 3 runs)"
 go test -race -count=3 -run 'TestFileSetReturnsToBaseline' ./gen
 go test -race -count=3 \
-    -run 'TestChecksReleaseFiles|TestResolveMatchesGoBuild|TestOneScanPerPackageDir|TestModuleLocalBuildConstraints|TestUniverseAPIMatchesSourceImporter|TestUniverseClosure|TestUniverseLineTablesExact|TestCheckerBuildConstraints' \
+    -run 'TestChecksReleaseFiles|TestResolveMatchesGoBuild|TestOneScanPerPackageDir|TestModuleLocalBuildConstraints|TestUniverseAPIMatchesSourceImporter|TestUniverseClosure|TestUniverseLineTablesExact|TestCheckerBuildConstraints|TestBlankBodies|TestUniversePositionsMatchUnblanked|TestBootWarmCoversTemplates' \
     ./internal/srccheck
 
 # The benchmark harness (bench/, a module of its own, so the package run

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"math/rand"
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -137,10 +139,11 @@ type Server struct {
 
 // New compiles the rule set, warms its path cache, and starts the worker
 // pool. The shared type-check universe (the crypto façade's transitive
-// closure, the expensive half of a worker's first Generator) begins
-// warming in the background immediately, so by the time the first request
-// arrives its worker either finds the universe built or joins the
-// in-flight warm-up instead of starting its own.
+// closure, the expensive half of a worker's first Generator, and every
+// package the embedded templates import) begins warming in the background
+// immediately, all of it at once, so by the time the first request or the
+// template warm below arrives its worker either finds the universe built
+// or joins the in-flight warm-up instead of starting its own.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxWaiters < 0 {
 		return nil, fmt.Errorf("service: MaxWaiters %d is negative; 0 selects the default bound", cfg.MaxWaiters)
@@ -159,7 +162,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	go func() {
 		if root, err := srccheck.ModuleRoot(cfg.Dir); err == nil {
-			srccheck.SharedUniverse(root).Warm(srccheck.ModulePath + "/gca")
+			srccheck.SharedUniverse(root).Warm(bootWarmPaths()...)
 		}
 	}()
 	if cfg.MaxBodyBytes == 0 {
@@ -355,6 +358,18 @@ func (s *Server) ReloadRules() (wire.ReloadResponse, error) {
 		Version:     snap.Version,
 		Rules:       snap.Rules.Len(),
 	}, nil
+}
+
+// bootWarmPaths is what New warms the type-check universe with: the
+// crypto façade every Generator loads and every package the embedded
+// templates import, read from their import clauses. Generating a template
+// type-checks it against those imports, and its output imports a subset
+// of them plus the façade, so once they are built no template generation
+// builds another universe package (TestBootWarmCoversTemplates in
+// internal/srccheck pins the set).
+func bootWarmPaths() []string {
+	srcs, _ := templates.Sources()
+	return append([]string{srccheck.ModulePath + "/gca"}, srccheck.ImportPaths(slices.Collect(maps.Values(srcs))...)...)
 }
 
 // warm runs the embedded use-case templates, then extra (a restored
