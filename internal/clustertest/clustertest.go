@@ -47,8 +47,10 @@ type Cluster struct {
 }
 
 // Start boots n nodes. cfg is the per-node configuration; Self and Peers
-// are overwritten per node. Callers that need fast peer-health reaction
-// (the failover drills) should set a short PeerProbeInterval.
+// are overwritten per node. The node-kill and warm-restart drills set a
+// short PeerProbeInterval so the survivors notice a downed node quickly.
+// The prober's own timing (eject, re-admit, the 1 s probe-timeout floor)
+// and the partition fallback are unit tests in service/cluster_test.go.
 func Start(n int, cfg service.Config) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("clustertest: need at least one node, got %d", n)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -13,8 +12,6 @@ import (
 	"time"
 
 	"cognicryptgen/client"
-	"cognicryptgen/internal/faultinject"
-	"cognicryptgen/internal/persist"
 	"cognicryptgen/service"
 	"cognicryptgen/templates"
 	"cognicryptgen/wire"
@@ -31,17 +28,8 @@ const (
 	// KillRestart kills the victim under client load, waits until every
 	// survivor has noticed, restarts it and times its re-admission.
 	KillRestart
-	// Partition arms Inject on the peer channel to the victim while
-	// another node keeps taking fresh keys: that node must fall back
-	// locally, then reject at the open breaker.
-	Partition
-	// SlowPeers arms Inject on the peer channel to every node. A node's
-	// prober never overlaps its rounds, so once the bounded fault has
-	// disarmed itself, Inject.Times-1 slowed rounds completed everywhere.
-	SlowPeers
 	// CrashRestore crashes the snapshot-enabled victim under load (no
-	// drain, no parting snapshot), restarts it warm, then crashes it again
-	// with its snapshot corrupted.
+	// drain, no parting snapshot) and restarts it warm.
 	CrashRestore
 )
 
@@ -58,9 +46,8 @@ type Drill struct {
 	// victim always owns traffic.
 	Work []wire.GenerateRequest
 	// Load is the request count of each load phase (KillRestart).
-	Load   int
-	Fault  Fault
-	Inject faultinject.Fault
+	Load  int
+	Fault Fault
 	// Checks are the row's own assertions, made after the shared ones.
 	Checks []Check
 }
@@ -90,35 +77,20 @@ type Report struct {
 	Forwarded, Fallbacks, Generations int64
 
 	// KillRestart: the p99 before and during the outage; restart until
-	// every survivor re-admitted the victim.
-	SteadyP99MS, FailoverP99MS float64
-	RecoveryMS                 float64
-	// BreakerRejects sums server-side breaker rejections (KillRestart,
-	// Partition); ClientRetries and RetryBudgetExhausted are the drill
-	// client's retry spend (KillRestart).
+	// every survivor re-admitted the victim; server-side breaker
+	// rejections; the drill client's retry spend.
+	SteadyP99MS, FailoverP99MS          float64
+	RecoveryMS                          float64
 	BreakerRejects                      int64
 	ClientRetries, RetryBudgetExhausted int64
 
-	// Partition: in order, a forward to the partitioned owner fell back
-	// or was rejected, its breaker opened, and rejections were counted.
-	FellBack, BreakerOpened, Rejected bool
-
-	// SlowPeers: peer ejections seen while the slowed rounds ran.
-	Ejections int
-
 	// CrashRestore: restart times without and with a snapshot; the
 	// victim's durable bytes and restored entries; its hit rate over the
-	// first walk after its boot warm; and whether, with its snapshot
-	// corrupted, it restored nothing and still answered every key.
+	// first walk after its boot warm.
 	PlainRestartMS, WarmRestartMS float64
 	SnapshotBytes, RestoreEntries int64
 	RestoreHitRate                float64
-	CorruptColdStart              bool
 }
-
-// killProbe is the node-kill drill's peer probe interval, which also
-// bounds its recovery.
-const killProbe = 250 * time.Millisecond
 
 // failover is the client of the drills that take a node down under load:
 // quick retries and a short breaker open window.
@@ -148,38 +120,12 @@ var Drills = []Drill{
 	{
 		Name:   "node-kill",
 		Nodes:  3,
-		Server: service.Config{Workers: 2, CacheSize: 64, PeerProbeInterval: killProbe},
+		Server: service.Config{Workers: 2, CacheSize: 64, PeerProbeInterval: 250 * time.Millisecond},
 		Client: failover,
 		Work:   bodies("kill", 12),
 		Load:   60,
 		Fault:  KillRestart,
-		Checks: []Check{
-			{"recovery within 2x the probe interval", func(r Report) bool { return r.RecoveryMS <= 2*ms(killProbe) }},
-			{"client spent retries", func(r Report) bool { return r.ClientRetries > 0 }},
-		},
-	},
-	{
-		Name:   "partition",
-		Nodes:  3,
-		Server: service.Config{Workers: 2, CacheSize: 64, PeerProbeInterval: 100 * time.Millisecond},
-		Work:   bodies("part", 6),
-		Fault:  Partition,
-		Inject: faultinject.Fault{Mode: faultinject.ModeRefuse},
-		Checks: []Check{
-			{"forward fell back or was rejected", func(r Report) bool { return r.FellBack }},
-			{"breaker opened", func(r Report) bool { return r.BreakerOpened }},
-			{"open breaker rejected forwards", func(r Report) bool { return r.Rejected }},
-		},
-	},
-	{
-		Name:   "slow-peer",
-		Nodes:  2,
-		Server: service.Config{Workers: 2, CacheSize: 64, PeerProbeInterval: 50 * time.Millisecond},
-		Work:   bodies("slow", 4),
-		Fault:  SlowPeers,
-		// The fourth firing per node follows three completed slowed rounds.
-		Inject: faultinject.Fault{Mode: faultinject.ModeLatency, Latency: 300 * time.Millisecond, Times: 4},
-		Checks: []Check{{"no peer ejected", func(r Report) bool { return r.Ejections == 0 }}},
+		Checks: []Check{{"client spent retries", func(r Report) bool { return r.ClientRetries > 0 }}},
 	},
 	{
 		Name:  "warm-restart",
@@ -191,13 +137,11 @@ var Drills = []Drill{
 		Fault:  CrashRestore,
 		Checks: []Check{
 			{"durable snapshot written", func(r Report) bool { return r.SnapshotBytes > 0 }},
-			{"entries restored", func(r Report) bool { return r.RestoreEntries > 0 }},
 			{"first-window hit rate >= 0.5", func(r Report) bool { return r.RestoreHitRate >= 0.5 }},
 			// Sub-100ms restarts are scheduler noise, hence the floor.
 			{"warm restart <= 5x max(plain restart, 100ms)", func(r Report) bool {
 				return r.WarmRestartMS <= 5*max(r.PlainRestartMS, 100)
 			}},
-			{"corrupt snapshot cold-starts cleanly", func(r Report) bool { return r.CorruptColdStart }},
 		},
 	},
 }
@@ -257,7 +201,6 @@ func victimFor(fingerprint string, work []wire.GenerateRequest, urls []string) (
 // makes the shared assertions and then d.Checks. The error names every
 // failed assertion; the Report is returned either way.
 func Run(ctx context.Context, d Drill) (Report, error) {
-	defer faultinject.Reset()
 	baseline := runtime.NumGoroutine()
 	x := &drillRun{d: d, ctx: ctx}
 	err := x.run()
@@ -338,7 +281,7 @@ func (x *drillRun) run() error {
 	if err := x.prime(ref); err != nil {
 		return err
 	}
-	if x.d.Fault != NoFault && x.d.Fault != SlowPeers {
+	if x.d.Fault != NoFault {
 		x.victim, x.r.VictimKeys = victimFor(x.fp, x.d.Work, cl.URLs())
 		x.r.Victim = cl.Nodes[x.victim].URL
 	}
@@ -347,10 +290,6 @@ func (x *drillRun) run() error {
 		err = x.smoke()
 	case KillRestart:
 		err = x.killRestart()
-	case Partition:
-		err = x.partition()
-	case SlowPeers:
-		err = x.slowPeers()
 	case CrashRestore:
 		err = x.crashRestore()
 	default:
@@ -359,8 +298,6 @@ func (x *drillRun) run() error {
 	if err != nil {
 		return err
 	}
-	// Heal every injected fault, then require the cluster to recover.
-	faultinject.Reset()
 	x.r.Converged = x.converge()
 	return nil
 }
@@ -576,59 +513,6 @@ func (x *drillRun) killRestart() error {
 	return nil
 }
 
-func (x *drillRun) partition() error {
-	faultinject.Arm(faultinject.PointPeerTransport+"@"+host(x.r.Victim), x.d.Inject)
-	entry := x.cl.Nodes[(x.victim+1)%len(x.cl.Nodes)].Srv
-	round := 0
-	sendRound := func() {
-		for i := 0; i < 6; i++ {
-			name := fmt.Sprintf("part-r%d-%02d.go", round, i)
-			req := wire.GenerateRequest{Name: name, Source: x.d.Work[0].Source + "\n// " + name + "\n"}
-			x.requests.Add(1)
-			if _, err := entry.Generate(x.ctx, req); err != nil {
-				x.errors.Add(1)
-			}
-		}
-		round++
-	}
-	// Whether the first forward falls back or meets an already-open
-	// breaker depends on scheduling, so either counts.
-	x.r.FellBack = x.waitFor(10*time.Second, func() bool {
-		sendRound()
-		m := entry.MetricsSnapshot()
-		return m.ForwardFallbacks > 0 || m.BreakerRejects > 0
-	})
-	x.r.BreakerOpened = x.waitFor(5*time.Second, func() bool {
-		return entry.MetricsSnapshot().Peers[x.r.Victim].BreakerState == "open"
-	})
-	x.r.Rejected = x.waitFor(5*time.Second, func() bool {
-		sendRound()
-		return entry.MetricsSnapshot().BreakerRejects > 0
-	})
-	x.r.BreakerRejects = entry.MetricsSnapshot().BreakerRejects
-	return nil
-}
-
-func (x *drillRun) slowPeers() error {
-	for _, n := range x.cl.Nodes {
-		faultinject.Arm(faultinject.PointPeerTransport+"@"+host(n.URL), x.d.Inject)
-	}
-	disarmed := x.waitFor(30*time.Second, func() bool {
-		for _, n := range x.cl.Nodes {
-			for _, ps := range n.Srv.MetricsSnapshot().Peers {
-				if !ps.Healthy {
-					x.r.Ejections++
-				}
-			}
-		}
-		return !faultinject.Enabled() // this drill arms no other point
-	})
-	if !disarmed {
-		return fmt.Errorf("peer probes never completed %d slowed rounds", x.d.Inject.Times-1)
-	}
-	return nil
-}
-
 func (x *drillRun) crashRestore() error {
 	// Baseline: a snapshot-less node's kill-to-serving time.
 	plain, err := Start(1, service.Config{Workers: x.d.Server.Workers, CacheSize: x.d.Server.CacheSize})
@@ -674,26 +558,6 @@ func (x *drillRun) crashRestore() error {
 	if hits, misses := m.CacheHits-before.CacheHits, m.CacheMisses-before.CacheMisses; hits+misses > 0 {
 		x.r.RestoreHitRate = float64(hits) / float64(hits+misses)
 	}
-
-	x.cl.Kill(x.victim)
-	snap := filepath.Join(victim.cfg.SnapshotDir, persist.SnapshotFile)
-	raw, err := os.ReadFile(snap)
-	if err != nil {
-		return fmt.Errorf("reading snapshot to corrupt: %w", err)
-	}
-	raw[len(raw)-1] ^= 0x01
-	if err := os.WriteFile(snap, raw, 0o644); err != nil {
-		return err
-	}
-	if err := x.cl.Restart(x.victim); err != nil {
-		return err
-	}
-	restored := victim.Srv.MetricsSnapshot().RestoreEntries
-	// Byte identity of the walk is a shared assertion.
-	if err := x.walk(nil); err != nil {
-		return fmt.Errorf("after corrupt restart: %w", err)
-	}
-	x.r.CorruptColdStart = restored == 0
 	return nil
 }
 
@@ -724,6 +588,3 @@ func (x *drillRun) smoke() error {
 	}
 	return nil
 }
-
-// host is a node URL's host:port, the suffix of a host-targeted fault point.
-func host(url string) string { return strings.TrimPrefix(url, "http://") }

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// TestDrills runs every row of the drill table. Faults are process-global,
-// so the rows run one at a time and no test in this package may call
-// t.Parallel.
+// TestDrills runs every row of the drill table. Each row compares the
+// process's goroutine count with its own baseline, so the rows run one at
+// a time and no test in this package may call t.Parallel.
 func TestDrills(t *testing.T) {
 	for _, d := range Drills {
 		t.Run(d.Name, func(t *testing.T) {

@@ -93,44 +93,6 @@ func ImportPaths(srcs ...string) []string {
 	return slices.Compact(paths)
 }
 
-// Importer resolves import paths for go/types against the process-wide
-// shared Universe of its module root. It is safe for concurrent use by any
-// number of goroutines: concurrent Import calls for the same path
-// deduplicate onto one build (the rest wait on a per-path latch and
-// receive the same *types.Package), and calls for different paths build in
-// parallel. All Importers of one module root share one cache, so the
-// type-checked packages they return are pointer-identical across
-// Importers; TestConcurrentImport pins both properties under the race
-// detector.
-type Importer struct {
-	u *Universe
-}
-
-// NewImporter returns an importer over the shared universe of the module
-// rooted at root. Positions are recorded in the universe's FileSet (see
-// Fset); packages already built by any other Importer or Checker of the
-// same root are reused, not re-type-checked.
-func NewImporter(root string) *Importer {
-	return &Importer{u: SharedUniverse(root)}
-}
-
-// Fset returns the shared FileSet positions resolve against.
-func (imp *Importer) Fset() *token.FileSet { return imp.u.Fset() }
-
-// Import implements types.Importer.
-func (imp *Importer) Import(path string) (*types.Package, error) {
-	return imp.u.Import(path)
-}
-
-// ImportFrom implements types.ImporterFrom; srcDir anchors vendor-aware
-// resolution of non-module paths.
-func (imp *Importer) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Package, error) {
-	if srcDir == "" {
-		srcDir = imp.u.root
-	}
-	return imp.u.importFrom(path, srcDir, nil)
-}
-
 // Checker type-checks in-memory Go sources against the module.
 //
 // A Checker is safe for concurrent use: its FileSet is the universe's

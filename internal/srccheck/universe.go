@@ -20,7 +20,7 @@ import (
 // Universe is a process-wide, concurrency-safe cache of type-checked
 // packages for one module root: the compiled artefacts of `go/types` are
 // immutable once built, so — like CrySL's compiled rules — they are built
-// once and shared by every Checker and Importer in the process.
+// once and shared by every Checker in the process.
 //
 // Before the universe existed, every Checker owned a private importer and
 // re-type-checked the entire transitive closure of its imports. N daemon
@@ -97,7 +97,7 @@ var universes sync.Map // module root → *Universe
 
 // SharedUniverse returns the process-wide universe for the module rooted
 // at root, creating it on first use. Callers typically go through
-// NewChecker or NewImporter instead.
+// NewChecker instead.
 func SharedUniverse(root string) *Universe {
 	key := filepath.Clean(root)
 	if u, ok := universes.Load(key); ok {

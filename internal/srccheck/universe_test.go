@@ -21,16 +21,16 @@ import (
 	"cognicryptgen/templates"
 )
 
-// TestConcurrentImport is the Importer's concurrency contract: 16
-// goroutines hammering one Importer with overlapping paths must race-free
-// deduplicate onto a single build per path and all receive the same
-// *types.Package. Run under -race (scripts/verify.sh does).
+// TestConcurrentImport is the universe's import concurrency contract:
+// 16 goroutines hammering one shared universe with overlapping paths must
+// race-free deduplicate onto a single build per path and all receive the
+// same *types.Package. Run under -race (scripts/verify.sh does).
 func TestConcurrentImport(t *testing.T) {
 	root, err := ModuleRoot("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp := NewImporter(root)
+	imp := SharedUniverse(root)
 	paths := []string{
 		ModulePath + "/gca",
 		ModulePath + "/crysl/ast",
@@ -82,17 +82,17 @@ func TestConcurrentImport(t *testing.T) {
 	}
 }
 
-// TestSharedUniverseAcrossInstances: separate Importers and Checkers of
-// the same module root share one universe, so the packages they hand out
-// are pointer-identical — the property that makes the N-workers cold path
+// TestSharedUniverseAcrossInstances: separate SharedUniverse lookups and
+// Checkers of the same module root share one universe, so the packages
+// they hand out are pointer-identical — the property that makes the N-workers cold path
 // cost one import, not N.
 func TestSharedUniverseAcrossInstances(t *testing.T) {
 	root, err := ModuleRoot("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewImporter(root)
-	b := NewImporter(root)
+	a := SharedUniverse(root)
+	b := SharedUniverse(root)
 	pa, err := a.Import(ModulePath + "/gca")
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestSharedUniverseAcrossInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pa != pb {
-		t.Error("two Importers of one root returned different gca packages")
+		t.Error("two SharedUniverse lookups of one root returned different gca packages")
 	}
 	c1, err := NewChecker("")
 	if err != nil {
@@ -120,7 +120,7 @@ func TestSharedUniverseAcrossInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pc != pa {
-		t.Error("Checker and Importer returned different gca packages")
+		t.Error("Checker and SharedUniverse returned different gca packages")
 	}
 	_ = c1
 }
@@ -359,8 +359,9 @@ func TestOneScanPerPackageDir(t *testing.T) {
 
 // TestVendoredImportResolves: a vendored path imported from a GOROOT
 // package's directory resolves through go/build's vendor search to its
-// canonical "vendor/..." import path, and every Checker and Importer of
-// the root gets the same *types.Package for it and for the importer.
+// canonical "vendor/..." import path, and every Checker of the root and
+// its shared universe get the same *types.Package for it and for the
+// importer.
 // crypto/tls's API no longer uses cryptobyte, so tls.Imports() does not
 // list it; the import is made from crypto/tls's directory instead.
 func TestVendoredImportResolves(t *testing.T) {
@@ -392,7 +393,7 @@ func TestVendoredImportResolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vendored, err := NewImporter(root).ImportFrom("golang.org/x/crypto/cryptobyte", tls.Dir, 0)
+	vendored, err := SharedUniverse(root).importFrom("golang.org/x/crypto/cryptobyte", tls.Dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,15 +32,6 @@ go test -race "$@" ./...
 echo "==> shutdown stress (Submit vs Close under -race)"
 go test -race -run 'TestPoolSubmitCloseStress' -count=2 ./service
 
-# Chaos suite: injected worker panics, reload failures, and latency storms
-# must leave the daemon serving (500-then-recover, last-good snapshot,
-# 429 + Retry-After shedding), and every response stays compact JSON
-# framed by its Content-Length. Re-run explicitly under -race so a fault
-# or framing regression names itself even when the package run above is
-# filtered.
-echo "==> chaos suite (fault injection + response framing under -race)"
-go test -race -run 'TestChaos|TestBodyCap|TestCompactFraming' -count=1 ./service
-
 # Peer-down fallback builds its peer-owned bodies by construction; it once
 # failed ~1 run in 60 when too few embedded templates hashed to the dead
 # peer. Twenty repetitions pin the fix. The forwarded-cancellation test
@@ -70,12 +61,10 @@ go test -run NONE -fuzz 'FuzzWordMatches' -fuzztime 10s ./gen
 go test -run NONE -fuzz 'FuzzUnquote' -fuzztime 10s ./wire
 go test -run NONE -fuzz 'FuzzBlankBodies' -fuzztime 10s ./internal/srccheck
 
-# The wire contract and the SDK's retry/routing state get an extra
-# explicit pass under -race on top of the package run above. Decoded
-# outputs must never alias a pooled body buffer: the aliasing test runs
-# three more times while eight goroutines churn the pool.
-echo "==> wire/client race pass"
-go test -race -count=1 ./wire ./client
+# Decoded outputs must never alias a pooled body buffer: the aliasing
+# test runs three more times under -race while eight goroutines churn the
+# pool.
+echo "==> decoded outputs outlive pooled buffers (-race, 3 runs)"
 go test -race -count=3 -run 'TestDecodedOutputsOutliveBuffers' ./client
 
 # The catalogue-hit layer row (SDK -> httptest daemon -> plan splice),
@@ -89,19 +78,9 @@ go test -run '^$' -bench BenchmarkCatalogueHit -benchtime 1x ./service
 go test -run '^$' -bench BenchmarkGenFresh -benchtime 1x .
 go test -run '^$' -bench BenchmarkUniverseWarm -benchtime 1x ./internal/srccheck
 
-# Plan fast-path identity: the precompiled-plan byte splicer must emit
-# output byte-identical to the legacy pipeline for all 13 templates — on
-# compile, on replay, under renamed requests and package overrides — and
-# stay correct when one plan cache is shared across goroutines. The
-# reload-storm regressions ride in the same pass: a plan cache bounded to
-# the live fingerprint and per-snapshot path caches across 50 reloads with
-# per-reload fingerprints, and superseded rule sets released across
-# reloads of unchanged sources.
-echo "==> plan byte-identity + reload-storm regression (-race)"
-go test -race -count=1 \
-    -run 'TestPlanByteIdentity|TestPlanPackageOverrideIdentity|TestPlanFallbacks|TestPlanConcurrentExecution' ./gen
-go test -race -count=1 \
-    -run 'TestReloadStormKeepsCachesBounded|TestConcurrentReloadAndGenerate' ./service
+# Superseded rule sets must be released across reloads of unchanged
+# sources; three more runs under -race.
+echo "==> superseded rule sets released on reload (-race, 3 runs)"
 go test -race -count=3 -run 'TestReloadReleasesSupersededRuleSet' ./service
 
 # Bounded resident heap: every file a generation, a verification, an
@@ -133,9 +112,16 @@ go test -race -count=3 \
 echo "==> bench harness tests (-short)"
 (cd bench && GOFLAGS=-buildvcs=false GOPROXY=off go test -short ./...)
 
-# Cluster drill table: every row (smoke, node-kill, partition, slow-peer,
-# warm-restart) with the bounds its Checks enforce, as listed in
-# internal/clustertest/drill.go; on both 1 and 2 CPUs under -race.
+# Cluster drill table: every row (smoke, node-kill, warm-restart) with the
+# bounds its Checks enforce, as listed in internal/clustertest/drill.go;
+# on both 1 and 2 CPUs under -race. The rows keep only multi-node
+# outcomes. Single-node fault behaviour lives in unit tests of the
+# package run above: the partition fallback and open-breaker rejection in
+# TestClusterPeerDownFallback, the slow-peer probe floor in
+# TestClusterProbeSlowPeerStaysAdmitted, eject and re-admission in
+# TestClusterProbeEjectsAndReadmits, and restore and corrupt-snapshot
+# cold starts in TestSnapshotWarmRestart and TestSnapshotCorruptionColdStart
+# (service).
 echo "==> cluster drills (TestDrills, -race, 1 and 2 CPUs)"
 go test -race -cpu 1,2 -count=1 -run TestDrills ./internal/clustertest
 

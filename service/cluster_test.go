@@ -362,6 +362,29 @@ func TestClusterProbeEjectsAndReadmits(t *testing.T) {
 	}
 }
 
+// TestClusterProbeSlowPeerStaysAdmitted: slow is not dead. A peer whose
+// /readyz answers in 150 ms, three times the 50 ms probe interval, passes
+// three probe rounds with no failure, because a probe's timeout has a 1 s
+// floor instead of following the interval. It is kept apart from
+// TestClusterProbeEjectsAndReadmits so that test's repetitions do not pay
+// these sleeps.
+func TestClusterProbeSlowPeerStaysAdmitted(t *testing.T) {
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(150 * time.Millisecond)
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer peer.Close()
+
+	c := newCluster("http://self", []string{peer.URL}, 50*time.Millisecond)
+	defer c.close()
+	for round := 1; round <= 3; round++ {
+		c.probeRound()
+		if st := c.peerStatuses()[peer.URL]; !st.Healthy || st.BreakerState != "closed" || st.Failures != 0 || st.LastError != "" {
+			t.Fatalf("after %d slow rounds status = %+v, want closed with no failure", round, st)
+		}
+	}
+}
+
 // TestClusterForwardCancelSkipsQueuedJob pins the cancellation path that
 // forwarded work relies on instead of a deadline budget of its own: the
 // owner's only worker is busy, so a forwarded request waits in its queue;

@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cognicryptgen/analysis"
 	"cognicryptgen/crysl"
 	"cognicryptgen/gen"
 	"cognicryptgen/internal/persist"
@@ -543,22 +542,6 @@ func (s *Server) AnalyzeJSON(ctx context.Context, req wire.AnalyzeRequest) (wire
 		return wire.AnalyzeResponse{}, err
 	}
 	return v.(wire.AnalyzeResponse), nil
-}
-
-// Analyze runs the analyzer in-process, bypassing HTTP (used by the
-// benchmark harness and embedders).
-func (s *Server) Analyze(ctx context.Context, name, src string) (*analysis.Report, error) {
-	v, err := s.pool.Submit(ctx, func(_ context.Context, worker *Worker) (any, error) {
-		an, err := worker.Analyzer()
-		if err != nil {
-			return nil, err
-		}
-		return an.AnalyzeSource(name, src)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*analysis.Report), nil
 }
 
 // Generate runs one generation in-process, bypassing HTTP but using the
