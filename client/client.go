@@ -5,7 +5,7 @@
 //   - consistent-hash routing: each request is sent to the node that owns
 //     its cache key under rendezvous hashing (the same wire.RouteKey /
 //     wire.RendezvousRank the daemons use for peer forwarding), so a
-//     routed client hits every node's cache and singleflight directly and
+//     routed client hits every node's plan cache directly and
 //     the daemons almost never need their one forwarding hop;
 //   - per-node circuit breakers fed by request outcomes alone (the client
 //     runs no background prober): a node fails out of routing only after

@@ -16,14 +16,13 @@
 //	GET  /v1/templates       embedded use-case templates
 //	GET  /healthz            liveness + rule-set fingerprint
 //	GET  /readyz             readiness: ok | restoring (boot warm) | degraded (last reload failed) | draining
-//	GET  /metrics            request/cache/coalescing/latency/resilience counters
+//	GET  /metrics            request/cache/latency/resilience counters
 //	GET  /debug/pprof/       live profiling endpoints (only with -pprof)
 //
 // The daemon compiles the embedded rule set once at startup and shares the
 // immutable result across all workers. The first generation of a template
 // body compiles a plan; every later request over that body, under any name
-// or package, is served by splicing the plan, and concurrent misses over
-// one body are coalesced into a single pipeline run (singleflight). Cancelled or expired
+// or package, is served by splicing the plan. Cancelled or expired
 // requests stop mid-pipeline at the next workflow-step boundary instead of
 // holding their worker. SIGINT/SIGTERM trigger a graceful drain: the
 // listener stops accepting, in-flight and queued requests finish, then the
@@ -45,7 +44,7 @@
 // -peers URL,URL with -self URL runs the daemon as one node of a cluster:
 // a request no local plan serves and whose body key rendezvous-hashes to a
 // peer is forwarded there (one hop, X-Cryptgend-Forwarded) so the nodes'
-// plans and singleflights shard by body — N nodes act as one large cache
+// plans shard by body — N nodes act as one large cache
 // instead of N copies of the same hot set. Peers are probed via /readyz every
 // -peer-probe; unreachable or draining peers are ejected from the
 // forwarding set (their keys served locally) and re-admitted on recovery.

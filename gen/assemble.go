@@ -164,13 +164,9 @@ func (g *Generator) generateInvocation(tmpl *Template, m *TemplateMethod, inv *I
 
 	var candidates [][]string
 	for _, p := range paths {
-		if !g.opts.NoBindingFilter && !pathCoversBindings(rule, p, inv) {
-			continue
+		if g.candidatePath(tmpl, m, rule, p, inv) {
+			candidates = append(candidates, p)
 		}
-		if !g.pathCoversReturn(tmpl, m, rule, p, inv) {
-			continue
-		}
-		candidates = append(candidates, p)
 	}
 	if len(candidates) == 0 {
 		return fmt.Errorf("no accepting path covers the template bindings %v and return object %q", bindingVars(inv), inv.ReturnObj)

@@ -64,7 +64,7 @@ type Options struct {
 	Paths *PathCache
 	// Plans, when non-nil, memoizes whole generations as compiled Plans
 	// (see PlanCache): the first generation of a (template source, rule
-	// set, options) tuple runs the full pipeline and compiles a byte
+	// set, verify) tuple runs the full pipeline and compiles a byte
 	// skeleton; every later one — regardless of template name or package
 	// override, which are splice points — executes in a handful of byte
 	// copies. One PlanCache is meant to be shared by many Generators, and
@@ -73,6 +73,8 @@ type Options struct {
 	// compiling run (and any run without Plans) returns one. A plan keeps
 	// its compile tuple (PlanSeed, the whole template source) only in a
 	// cache built by NewSeedingPlanCache, for a warm-restart snapshot.
+	// A Generator with any ablation switch set or a MaxPaths other than
+	// DefaultMaxPaths ignores Plans.
 	Plans *PlanCache
 
 	// Ablation switches (all default off = full algorithm). They exist for
@@ -240,15 +242,16 @@ func (g *Generator) GenerateFileCtx(ctx context.Context, name, src string) (res 
 	start := time.Now()
 
 	// Plan fast path: one earlier generation of this (template source,
-	// rule set, options) tuple makes this one a byte splice. Requests the
+	// rule set, verify) tuple makes this one a byte splice. Requests the
 	// splicer cannot serve exactly (see planExecutable) take the legacy
-	// pipeline below, whose result then seeds the cache.
-	plannable := g.opts.Plans != nil && planExecutable(name, g.opts.PackageName)
+	// pipeline below, whose result then seeds the cache; ablation runs
+	// (see planDefault) take it without touching the cache.
+	plannable := g.opts.Plans != nil && planDefault(g.opts) && planExecutable(name, g.opts.PackageName)
 	var key planKey
 	var rulesFP string
 	if plannable {
 		rulesFP = g.rulesFP()
-		key = newPlanKey(rulesFP, src, g.opts)
+		key = newPlanKey(rulesFP, src, g.opts.Verify)
 		if p, ok := g.opts.Plans.lookup(key); ok {
 			return p.Execute(name, g.opts.PackageName), nil
 		}
@@ -412,15 +415,11 @@ func (g *Generator) computeLinks(tmpl *Template, m *TemplateMethod, chain *Chain
 }
 
 // feasibleVars returns the rule variables referenced by at least one
-// accepting path that survives the consumer's binding and return-object
-// filters.
+// accepting path that survives the consumer's candidate filter.
 func (g *Generator) feasibleVars(tmpl *Template, m *TemplateMethod, rule *crysl.Rule, inv *Invocation) map[string]bool {
 	out := map[string]bool{}
 	for _, p := range g.acceptingPaths(rule) {
-		if !g.opts.NoBindingFilter && !pathCoversBindings(rule, p, inv) {
-			continue
-		}
-		if !g.pathCoversReturn(tmpl, m, rule, p, inv) {
+		if !g.candidatePath(tmpl, m, rule, p, inv) {
 			continue
 		}
 		for _, label := range p {
@@ -434,6 +433,16 @@ func (g *Generator) feasibleVars(tmpl *Template, m *TemplateMethod, rule *crysl.
 		}
 	}
 	return out
+}
+
+// candidatePath is the one filter on an invocation's accepting paths: the
+// path must cover the template's bindings (unless NoBindingFilter) and its
+// return object.
+func (g *Generator) candidatePath(tmpl *Template, m *TemplateMethod, rule *crysl.Rule, path []string, inv *Invocation) bool {
+	if !g.opts.NoBindingFilter && !pathCoversBindings(rule, path, inv) {
+		return false
+	}
+	return g.pathCoversReturn(tmpl, m, rule, path, inv)
 }
 
 // pathCoversReturn checks that, when the invocation designates a return

@@ -142,34 +142,26 @@ func planExecutable(name, pkg string) bool {
 }
 
 // planKey identifies one compiled plan: the template source hash, the
-// rule-set fingerprint, and the generation options that change its bytes.
+// rule-set fingerprint and the verify option, the tuple wire.CacheKey
+// hashes. Name and PackageName are deliberately absent: both are plan
+// splice points, which is precisely why a stream of distinct-name requests
+// over one template body collapses onto a single plan. The other options
+// that change the bytes are not in the key because only the default
+// algorithm uses the cache (see planDefault).
 type planKey struct {
-	src   [32]byte
-	rules string
-	opts  planOpts
+	src    [32]byte
+	rules  string
+	verify bool
 }
 
-// planOpts are the Options fields that change the generated bytes for a
-// fixed (template, rule set), with MaxPaths at its effective value. Name
-// and PackageName are deliberately absent: both are plan splice points,
-// which is precisely why a stream of distinct-name requests over one
-// template body collapses onto a single plan.
-type planOpts struct {
-	verify                                          bool
-	maxPaths                                        int
-	noLinkPreference, noDerivation, noBindingFilter bool
+func newPlanKey(rulesFP, src string, verify bool) planKey {
+	return planKey{src: srchash.Sum(src), rules: rulesFP, verify: verify}
 }
 
-func newPlanKey(rulesFP, src string, o Options) planKey {
-	mp := o.MaxPaths
-	if mp == 0 {
-		mp = DefaultMaxPaths
-	}
-	return planKey{src: srchash.Sum(src), rules: rulesFP, opts: planOpts{
-		verify:           o.Verify,
-		maxPaths:         mp,
-		noLinkPreference: o.NoLinkPreference,
-		noDerivation:     o.NoDerivation,
-		noBindingFilter:  o.NoBindingFilter,
-	}}
+// planDefault reports whether o selects the default algorithm: no ablation
+// switch and the default path bound. Only such generations read or write a
+// PlanCache; an ablation run always takes the pipeline.
+func planDefault(o Options) bool {
+	return !o.NoLinkPreference && !o.NoDerivation && !o.NoBindingFilter &&
+		(o.MaxPaths == 0 || o.MaxPaths == DefaultMaxPaths)
 }

@@ -274,12 +274,64 @@ func TestPlanConcurrentExecution(t *testing.T) {
 	}
 }
 
+// TestAblationBypassesPlans: the plan key holds no ablation switch, so a
+// NoDerivation Generator sharing a PlanCache with a warmed plan of the same
+// body must neither splice that plan nor touch the cache: it returns the
+// pipeline's ablation bytes, and the cache's hit and miss counts and its
+// resident plans stay as they were.
+func TestAblationBypassesPlans(t *testing.T) {
+	rs := rules.MustLoad()
+	plans := NewPlanCache(0)
+	warm, err := New(rs, "", Options{Plans: plans})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := warm.GenerateFile("mini.go", miniTemplate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := New(rs, "", Options{NoDerivation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.GenerateFile("mini.go", miniTemplate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Output == full.Output {
+		t.Fatal("NoDerivation output equals the full algorithm's; the test cannot tell a splice from a pipeline run")
+	}
+
+	hits, misses, n := plans.Hits(), plans.Misses(), plans.Len()
+	opts := Options{NoDerivation: true, Plans: plans}
+	ablated, err := New(rs, "", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		got, err := ablated.GenerateFile("mini.go", miniTemplate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Output != want.Output {
+			t.Errorf("run %d: NoDerivation with a shared PlanCache differs from the plan-free ablation", i)
+		}
+	}
+	if _, ok := plans.Execute(rs.Fingerprint(), "mini.go", miniTemplate, opts); ok {
+		t.Error("Execute served a NoDerivation request from the full algorithm's plan")
+	}
+	if plans.Hits() != hits || plans.Misses() != misses || plans.Len() != n {
+		t.Errorf("ablation runs touched the cache: hits %d→%d, misses %d→%d, plans %d→%d",
+			hits, plans.Hits(), misses, plans.Misses(), n, plans.Len())
+	}
+}
+
 // TestPlanCacheLRUAndRetain: the plan cache is bounded (LRU) and Retain
 // implements the registry's generation-scoped eviction.
 func TestPlanCacheLRUAndRetain(t *testing.T) {
 	c := NewPlanCache(2)
 	mk := func(fp string, i int) (planKey, *Plan) {
-		return newPlanKey(fp, fmt.Sprintf("src%d", i), Options{}),
+		return newPlanKey(fp, fmt.Sprintf("src%d", i), false),
 			&Plan{nameToPkg: "x", afterPkg: "y", defaultPkg: "p", rulesFP: fp}
 	}
 	k1, p1 := mk("fpA", 1)

@@ -14,7 +14,9 @@ import (
 const DefaultMaxPlans = 256
 
 // PlanCache memoizes compiled Plans across Generators, keyed by (template
-// source hash, rule-set fingerprint, options fingerprint). It is internally
+// source hash, rule-set fingerprint, verify). Only generations with the
+// default algorithm options use it (no ablation switch, the default path
+// bound); any other Generator neither reads nor fills it. It is internally
 // synchronized and intended to be shared: the service registry keeps one
 // per process so that a template body is compiled to a plan once and then
 // served by byte splicing from every worker, and so that a reload of
@@ -76,16 +78,17 @@ func (c *PlanCache) FingerprintFor(set *crysl.RuleSet) string {
 
 // Execute serves one request straight from the cache: on a plan hit it
 // splices name and opts.PackageName into the resident skeleton and
-// returns the result. ok=false means the request is not plan-executable
-// or no plan is resident; the caller must run the legacy pipeline (whose
-// Generator, when wired with this cache, will count the miss and compile
-// the plan). Only hits are counted here so a miss that falls through to
-// GenerateFileCtx is not counted twice.
+// returns the result. ok=false means the request is not plan-executable,
+// opts is not the default algorithm, or no plan is resident; the caller
+// must run the legacy pipeline (whose Generator, when wired with this
+// cache, will count the miss and compile the plan). Only hits are counted
+// here so a miss that falls through to GenerateFileCtx is not counted
+// twice.
 func (c *PlanCache) Execute(rulesFP, name, src string, opts Options) (*Result, bool) {
-	if c == nil || !planExecutable(name, opts.PackageName) {
+	if c == nil || !planDefault(opts) || !planExecutable(name, opts.PackageName) {
 		return nil, false
 	}
-	p, ok := c.peek(newPlanKey(rulesFP, src, opts))
+	p, ok := c.peek(newPlanKey(rulesFP, src, opts.Verify))
 	if !ok {
 		return nil, false
 	}

@@ -165,8 +165,8 @@ func catalogue() []wire.GenerateRequest {
 }
 
 // bodies is n distinct template bodies over the paper's running example
-// (PBE on byte arrays): the per-key comment makes each its own plan,
-// flight and rendezvous owner, so a miss costs a full pipeline run.
+// (PBE on byte arrays): the per-key comment makes each its own plan and
+// rendezvous owner, so a miss costs a full pipeline run.
 func bodies(tag string, n int) []wire.GenerateRequest {
 	src, err := templates.Source(templates.UseCases[2])
 	if err != nil {

@@ -48,6 +48,14 @@ go test -race -count=20 -run 'TestClusterPeerDownFallback|TestClusterForwardCanc
 echo "==> peer probe rounds (-race, 1 and 2 CPUs, 20 runs)"
 go test -race -cpu 1,2 -count=20 -run 'TestClusterProbeEjectsAndReadmits' ./service
 
+# Concurrent misses over one body each make their own attempt, so several
+# may compile the body's plan at once. Whatever the interleaving, each
+# response keeps its own name and the body ends with one resident plan,
+# counted once in plan_bytes. Twenty repetitions on 1 and 2 CPUs vary the
+# interleaving.
+echo "==> concurrent misses over one body (-race, 1 and 2 CPUs, 20 runs)"
+go test -race -cpu 1,2 -count=20 -run 'TestConcurrentMissesOneBody' ./service
+
 # Timed fuzz smoke: 10s of exploration per parser entry point, for the
 # generator's word scanner against the regexps it replaces, for the
 # wire's one-copy string decoder against encoding/json, and for the
@@ -92,9 +100,12 @@ go test -race -count=3 -run 'TestReloadReleasesSupersededRuleSet' ./service
 # no directory may be scanned twice, and module-local packages and a
 # Checker's user directories honour build constraints. Each dependency is
 # pruned to its importable API inside the per-package latch, which the
-# same goroutines share: the pruned API must equal the stdlib source
-# importer's, and a gca warm must build exactly its pinned package set,
-# each of its files holding a line table of exactly its length. Files
+# same goroutines share: a gca warm must build exactly its pinned package
+# set, each of its files holding a line table of exactly its length.
+# (TestUniverseAPIMatchesSourceImporter compares the pruned API with the
+# stdlib source importer's from one goroutine, ~22 s per run under -race;
+# the package run above runs it once, and repeating it adds no
+# interleavings.) Files
 # are parsed with function bodies and literal contents blanked: the
 # blanker's table and unbalanced-input tests run here, every object the
 # universe builds must sit at its unblanked position, and the boot warm
@@ -103,7 +114,7 @@ go test -race -count=3 -run 'TestReloadReleasesSupersededRuleSet' ./service
 echo "==> FileSet returns to baseline + one scan per package dir + API pruning + body blanking (-race, 3 runs)"
 go test -race -count=3 -run 'TestFileSetReturnsToBaseline' ./gen
 go test -race -count=3 \
-    -run 'TestChecksReleaseFiles|TestResolveMatchesGoBuild|TestOneScanPerPackageDir|TestModuleLocalBuildConstraints|TestUniverseAPIMatchesSourceImporter|TestUniverseClosure|TestUniverseLineTablesExact|TestCheckerBuildConstraints|TestBlankBodies|TestUniversePositionsMatchUnblanked|TestBootWarmCoversTemplates' \
+    -run 'TestChecksReleaseFiles|TestResolveMatchesGoBuild|TestOneScanPerPackageDir|TestModuleLocalBuildConstraints|TestUniverseClosure|TestUniverseLineTablesExact|TestCheckerBuildConstraints|TestBlankBodies|TestUniversePositionsMatchUnblanked|TestBootWarmCoversTemplates' \
     ./internal/srccheck
 
 # The benchmark harness (bench/, a module of its own, so the package run

@@ -19,9 +19,8 @@ const maxBatchItems = wire.MaxBatchItems
 
 // GenerateBatch fans req.Requests out across the worker pool and collects
 // per-item results (used by POST /v1/generate/batch, the benchmark
-// harness, and embedders). Items over one body coalesce through the same
-// plan/singleflight path as single requests, so a batch of N such items
-// costs one pipeline run.
+// harness, and embedders). Each item takes the same path as a single
+// request: a splice from its body's resident plan, else one attempt.
 func (s *Server) GenerateBatch(ctx context.Context, req wire.BatchRequest) (wire.BatchResponse, error) {
 	if len(req.Requests) == 0 {
 		return wire.BatchResponse{}, errors.New("service: batch needs at least one request")

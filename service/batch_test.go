@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"cognicryptgen/gen"
 	"cognicryptgen/internal/faultinject"
+	"cognicryptgen/rules"
 	"cognicryptgen/templates"
 	"cognicryptgen/wire"
 )
@@ -112,110 +114,9 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// TestCoalescingSingleGeneration is the singleflight contract: N
-// concurrent identical misses over an unseen body trigger exactly one
-// pipeline run (cache_misses == 1) and every caller receives
-// byte-identical output. The followers are accounted for as either
-// coalesced (spliced from the leader's plan when its flight ended) or
-// cache hits (arrived after the leader's plan was resident).
-func TestCoalescingSingleGeneration(t *testing.T) {
-	srv, err := New(Config{Workers: 4, CacheSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	req := wire.GenerateRequest{Name: "coalesce_test.go", Source: unseenBody(t, 11, "coalesce identical")}
-
-	const n = 8
-	outputs := make([]string, n)
-	errs := make([]error, n)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			resp, err := srv.Generate(context.Background(), req)
-			outputs[i], errs[i] = resp.Output, err
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if outputs[i] == "" || outputs[i] != outputs[0] {
-			t.Fatalf("caller %d: output differs from caller 0", i)
-		}
-	}
-	m := srv.MetricsSnapshot()
-	misses, hits, coalesced := m.CacheMisses, m.CacheHits, m.Coalesced
-	if misses != 1 {
-		t.Errorf("cache_misses = %d, want exactly 1 generation for %d concurrent identical requests", misses, n)
-	}
-	if hits+coalesced != n-1 {
-		t.Errorf("hits(%d) + coalesced(%d) = %d, want %d followers accounted for", hits, coalesced, hits+coalesced, n-1)
-	}
-}
-
-// TestLeaderSplicesResidentPlan drives Generate's post-join step directly
-// with the body's plan already resident: the state a request is in when it
-// missed the splice just as a flight over its body finished. Winning the
-// join, it must splice that plan rather than run the pipeline again — no
-// cache miss, no pool slot — and leave no flight behind.
-func TestLeaderSplicesResidentPlan(t *testing.T) {
-	srv, err := New(Config{Workers: 1, CacheSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	waitWarm(t, srv) // the boot warm compiles use case 11's plan
-
-	uc, err := templates.ByID(11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := templates.Source(uc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := wire.GenerateRequest{Name: "renamed.go", Source: src, Package: "vault"}
-	resp, err := srv.afterMiss(context.Background(), req.Name, src, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Cached {
-		t.Error("response not marked cached although it was spliced from the resident plan")
-	}
-	want, err := srv.Generate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Output != want.Output {
-		t.Error("post-join splice differs from an ordinary splice of the same request")
-	}
-	m := srv.MetricsSnapshot()
-	if m.CacheMisses != 0 {
-		t.Errorf("cache_misses = %d, want 0: the plan was resident", m.CacheMisses)
-	}
-	if m.CacheHits != 2 {
-		t.Errorf("cache_hits = %d, want 2 (the post-join splice and the ordinary one)", m.CacheHits)
-	}
-	srv.flights.mu.Lock()
-	left := len(srv.flights.m)
-	srv.flights.mu.Unlock()
-	if left != 0 {
-		t.Errorf("%d flights left open after the leader returned", left)
-	}
-}
-
 // TestBatchDuplicatesCoalesce: a batch full of the same request over an
-// unseen body costs one pipeline run thanks to the shared singleflight
-// path.
+// unseen body returns byte-identical output in every item, however its
+// items' attempts interleave.
 func TestBatchDuplicatesCoalesce(t *testing.T) {
 	srv, err := New(Config{Workers: 4, CacheSize: 64})
 	if err != nil {
@@ -245,51 +146,58 @@ func TestBatchDuplicatesCoalesce(t *testing.T) {
 			t.Errorf("item %d output differs within a duplicate batch", i)
 		}
 	}
-	m := srv.MetricsSnapshot()
-	if misses := m.CacheMisses; misses != 1 {
-		t.Errorf("cache_misses = %d, want 1 for a duplicate batch", misses)
-	}
 }
 
-// TestCoalescingDistinctNames: N concurrent requests with distinct names
-// over one unseen body share one flight and one pipeline run. The leader
-// is held in the pipeline by an armed generate latency fault while the
-// followers join; each follower then splices its own response, with its
-// own name, from the plan the leader compiled.
-func TestCoalescingDistinctNames(t *testing.T) {
+// TestConcurrentMissesOneBody: N concurrent requests with distinct names
+// over one unseen body can all miss the splice, and each that does makes
+// its own attempt, so several may compile the body's plan at once.
+// Whatever the interleaving, every response carries its own name in the
+// header and the same bytes as the others beyond that line, and the body
+// ends with exactly one resident plan: each later compile replaces the
+// plan in place, and plan_bytes grows by that one plan's size.
+func TestConcurrentMissesOneBody(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	srv, err := New(Config{Workers: 2})
+	srv, err := New(Config{Workers: 4, CacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	waitWarm(t, srv)
 	before := srv.MetricsSnapshot()
-	src := unseenBody(t, 11, "coalesce distinct names")
+	src := unseenBody(t, 11, "concurrent misses")
 
-	faultinject.Arm(faultinject.PointGenerate, faultinject.Fault{Mode: faultinject.ModeLatency, Latency: 400 * time.Millisecond})
+	// The size one plan of this body adds to an empty cache.
+	one := gen.NewPlanCache(0)
+	g, err := gen.New(rules.MustLoad(), "", gen.Options{Plans: one})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.GenerateFile("size.go", src); err != nil {
+		t.Fatal(err)
+	}
+
+	// A generate latency fault holds each pipeline run before its plan
+	// lookup, so on two or more CPUs the requests that reach a worker
+	// together usually all miss the plan and compile it (on one CPU their
+	// short runs mostly serialize); the checks below hold either way.
+	faultinject.Arm(faultinject.PointGenerate, faultinject.Fault{Mode: faultinject.ModeLatency, Latency: 50 * time.Millisecond})
 	const n = 6
 	names := make([]string, n)
 	resps := make([]wire.GenerateResponse, n)
 	errs := make([]error, n)
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	run := func(i int) {
-		defer wg.Done()
+	for i := 0; i < n; i++ {
 		names[i] = fmt.Sprintf("distinct_%d.go", i)
-		resps[i], errs[i] = srv.Generate(context.Background(), wire.GenerateRequest{Name: names[i], Source: src})
-	}
-	wg.Add(1)
-	go run(0)
-	// The leader counts its pipeline run just before it enters the pool,
-	// after its flight is registered.
-	for srv.MetricsSnapshot().CacheMisses == before.CacheMisses {
-		time.Sleep(time.Millisecond)
-	}
-	for i := 1; i < n; i++ {
 		wg.Add(1)
-		go run(i)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resps[i], errs[i] = srv.Generate(context.Background(), wire.GenerateRequest{Name: names[i], Source: src})
+		}(i)
 	}
+	close(start)
 	wg.Wait()
 	faultinject.Reset()
 
@@ -301,18 +209,15 @@ func TestCoalescingDistinctNames(t *testing.T) {
 			t.Errorf("request %d: response does not carry its own name %q: name %q, header %q", i, names[i], resps[i].Name, firstLine(resps[i].Output))
 		}
 		if stripHeaderLine(resps[i].Output) != stripHeaderLine(resps[0].Output) {
-			t.Errorf("request %d: output differs from the leader's beyond the name", i)
+			t.Errorf("request %d: output differs from request 0's beyond the name", i)
 		}
 	}
 	m := srv.MetricsSnapshot()
-	if runs := m.CacheMisses - before.CacheMisses; runs != 1 {
-		t.Errorf("%d pipeline runs for %d distinct names over one body, want 1", runs, n)
+	if plans := m.PlanEntries - before.PlanEntries; plans != 1 {
+		t.Errorf("%d plans added for one body, want 1", plans)
 	}
-	if planMisses := m.PlanMisses - before.PlanMisses; planMisses != 1 {
-		t.Errorf("%d plan compilations, want 1", planMisses)
-	}
-	if coalesced := m.Coalesced - before.Coalesced; coalesced != n-1 {
-		t.Errorf("coalesced = %d, want all %d followers spliced from the leader's plan", coalesced, n-1)
+	if grew := m.PlanBytes - before.PlanBytes; grew != one.Bytes() {
+		t.Errorf("plan_bytes grew by %d, want %d (one plan of the body)", grew, one.Bytes())
 	}
 }
 

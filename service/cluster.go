@@ -272,8 +272,8 @@ func (c *cluster) probe(peer string) (healthy bool, errMsg string) {
 //
 //   - handled=true, err=nil: the peer answered; resp carries its output
 //     with Forwarded set. Counted as a forward hit when the owner served it
-//     without a fresh pipeline run (a plan splice, direct or coalesced) —
-//     the shared-cache payoff the forward exists for.
+//     from a resident plan without a fresh pipeline run — the shared-cache
+//     payoff the forward exists for.
 //   - handled=true, err=*wire.Error: the peer rejected the request
 //     terminally (e.g. 400 malformed template). The verdict is as valid
 //     here as there; re-running the same template locally would burn a
@@ -326,13 +326,13 @@ func (s *Server) forward(ctx context.Context, peer, name, src string, req wire.G
 			return wire.GenerateResponse{}, nil, false
 		}
 		s.cluster.markForward(peer, nil)
-		if out.Cached || out.Coalesced {
+		if out.Cached {
 			s.metrics.forwardHits.Add(1)
 		}
 		out.Forwarded = true
-		// The owner's serve-path flags are not this node's: the response was
-		// not served from *this* node's cache or flight.
-		out.Cached, out.Coalesced = false, false
+		// The owner's serve-path flag is not this node's: the response was
+		// not served from *this* node's cache.
+		out.Cached = false
 		return out, nil, true
 	}
 	var we wire.Error

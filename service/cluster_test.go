@@ -525,7 +525,7 @@ func TestOlderDaemonReportIgnored(t *testing.T) {
 	t.Cleanup(fwd.Close)
 
 	// The forwarder relays the answer as its own: marked forwarded, and not
-	// served from its cache or flight.
+	// served from its cache.
 	relayed := want
 	relayed.Cached, relayed.Forwarded = false, true
 	for _, body := range []string{string(current), older} {

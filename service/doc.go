@@ -27,24 +27,21 @@
 //     strands a job. Close drains queued jobs before returning (graceful
 //     SIGTERM shutdown).
 //
-//   - The registry's gen.PlanCache + flightGroup (singleflight.go): the
-//     node's only generation cache. Every request is served on one
-//     body-level key, wire.CacheKey over (rule-set fingerprint, template
-//     source, verify); the name and package are the compiled plan's splice
-//     points. Generate first splices from a resident plan; on a miss it
-//     joins the body's singleflight, whose leader forwards to the body's
-//     rendezvous owner (cluster.go) or runs the pipeline on the pool,
-//     compiling the plan. Followers then splice their own response from
-//     that plan — N concurrent misses over one body, under any names, cost
-//     exactly one pipeline run — or, when no plan was left, make their own
-//     attempt.
+//   - The registry's gen.PlanCache: the node's only generation cache.
+//     Every request is served on one body-level key, (rule-set
+//     fingerprint, template source, verify); the name and package are the
+//     compiled plan's splice points. Generate first splices from a resident
+//     plan; on a miss it makes one attempt: a forward to the body's
+//     rendezvous owner (cluster.go, routed by wire.CacheKey over the same
+//     tuple), or a pipeline run on the pool that compiles the plan, after
+//     which every request over the body, under any name, is a splice.
 //
 //   - Server (server.go, batch.go): the HTTP JSON API — POST /v1/generate,
 //     POST /v1/generate/batch (concurrent fan-out with per-item results
 //     and partial success), POST /v1/analyze, POST /v1/reload,
 //     GET /v1/rules, GET /v1/templates, GET /healthz, GET /metrics — with
-//     expvar-typed counters (requests, cache hits/misses, coalesced,
-//     queue depth, nearest-rank p50/p99 latency) behind /metrics.
+//     expvar-typed counters (requests, cache hits/misses, queue depth,
+//     nearest-rank p50/p99 latency) behind /metrics.
 //
 // Generation through the service is byte-identical to cmd/cryptgen: both
 // run the same Generator over the same compiled rules, and a plan splice

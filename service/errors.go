@@ -13,7 +13,7 @@ import (
 var ErrOverloaded = errors.New("service: overloaded")
 
 // InternalError reports a panic recovered inside the daemon — in a pool
-// worker, a batch fan-out goroutine, a singleflight leader, or an HTTP
+// worker, a batch fan-out goroutine, a generation attempt, or an HTTP
 // handler. The request that hit it gets a 500; the worker, the pool, and
 // the process all survive. Op names the recovery site, Value is the
 // recovered panic value, Stack the stack captured where the panic was

@@ -28,13 +28,12 @@ type metrics struct {
 	timeouts    expvar.Int // 503s from context expiry
 	cacheHits   expvar.Int
 	cacheMisses expvar.Int
-	coalesced   expvar.Int // requests served by joining an in-flight generation
 	reloads     expvar.Int
-	panics      expvar.Int // panics recovered (worker, handler, batch, leader)
+	panics      expvar.Int // panics recovered (worker, handler, batch, attempt)
 	shed        expvar.Int // submissions rejected by admission control (429)
 
 	forwarded        expvar.Int // requests forwarded to the peer owning their key
-	forwardHits      expvar.Int // forwards answered from the owner's cache/flight
+	forwardHits      expvar.Int // forwards answered from the owner's cache
 	forwardFallbacks expvar.Int // forwards that failed and ran locally instead
 
 	mu        sync.Mutex
@@ -114,7 +113,6 @@ func (m *metrics) snapshot(queueDepth, queueWaiters, cacheEntries int) wire.Metr
 		CacheMisses:      misses,
 		CacheHitRate:     hitRate,
 		CacheEntries:     cacheEntries,
-		Coalesced:        m.coalesced.Value(),
 		Reloads:          m.reloads.Value(),
 		PanicsRecovered:  m.panics.Value(),
 		ShedTotal:        m.shed.Value(),

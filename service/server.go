@@ -86,8 +86,7 @@ type Config struct {
 	// Peers lists the other cluster nodes' base URLs. Non-empty enables
 	// peer forwarding: a request no local plan serves and whose body key
 	// hashes to a peer is forwarded there (one hop, wire.HeaderForwarded) so
-	// the cluster's plans and singleflights shard by body instead of
-	// duplicating.
+	// the cluster's plans shard by body instead of duplicating.
 	Peers []string
 	// PeerProbeInterval paces the background /readyz probe that ejects
 	// unhealthy peers from the forwarding set and re-admits them on
@@ -105,7 +104,6 @@ type Server struct {
 	cfg       Config
 	registry  *Registry
 	pool      *Pool
-	flights   *flightGroup
 	metrics   *metrics
 	transport *transport
 	cluster   *cluster
@@ -194,7 +192,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		registry:   registry,
-		flights:    newFlightGroup(),
 		metrics:    newMetrics(),
 		started:    time.Now(),
 		jitterRand: rand.New(rand.NewSource(time.Now().UnixNano())),
@@ -545,28 +542,22 @@ func (s *Server) AnalyzeJSON(ctx context.Context, req wire.AnalyzeRequest) (wire
 }
 
 // Generate runs one generation in-process, bypassing HTTP but using the
-// same plans, coalescing and pool as the API (used by the batch endpoint,
-// the benchmark harness, and embedders).
+// same plans and pool as the API (used by the batch endpoint, the
+// benchmark harness, and embedders).
 //
-// Every generation is served on one body-level key, wire.CacheKey over
-// (rule-set fingerprint, source, verify): the request's name and package
-// are the plan's splice points, so they never decide where or whether a
-// request runs. The path is:
+// Every generation is served on one body-level key, (rule-set
+// fingerprint, source, verify): the request's name and package are the
+// plan's splice points, so they never decide where or whether a request
+// runs. The path is:
 //
 //  1. Splice from a resident plan (cache_hits, Cached: true).
-//  2. Otherwise join the body's singleflight.
-//  3. The leader makes the one attempt: a forward to the body's rendezvous
-//     owner when that is a healthy peer and this request has not already
-//     hopped, else a pipeline run on the worker pool (cache_misses), which
+//  2. Otherwise make one attempt: a forward to the body's rendezvous owner
+//     when that is a healthy peer and this request has not already hopped,
+//     else a pipeline run on the worker pool (cache_misses), which
 //     compiles the body's plan.
 //
-// A follower never adopts the leader's bytes, since its name and package
-// may differ: once the flight ends it splices its own response from the
-// plan the leader left behind (coalesced, Coalesced: true). When there is
-// no plan — the leader forwarded, failed or timed out, or planExecutable
-// rejects the request's name or package — the follower makes its own
-// attempt without joining a second flight.
-//
+// Concurrent misses over one body each make their own attempt; the last
+// plan compiled replaces the others, so the body still keeps one plan.
 // Forwarded responses leave no plan on this node: each body's plan lives
 // at its owner, which is what makes N nodes one effective cache instead of
 // N copies of the same hot set.
@@ -597,38 +588,7 @@ func (s *Server) Generate(ctx context.Context, req wire.GenerateRequest) (wire.G
 		resp.Cached = true
 		return resp, nil
 	}
-	return s.afterMiss(ctx, name, src, req)
-}
-
-// afterMiss is Generate past a splice miss: join the body's flight, then
-// splice or attempt. A follower waits for the leader and splices the plan
-// its run left. The leader looks the plan up once more after winning the
-// join, because a flight over the same body may have finished between the
-// miss and the join: its plan is then resident, and attempting anyway
-// would count a spurious cache miss and take a pool slot to recompile it.
-func (s *Server) afterMiss(ctx context.Context, name, src string, req wire.GenerateRequest) (wire.GenerateResponse, error) {
-	key := wire.CacheKey(s.registry.Snapshot().Fingerprint, name, src, req.Package, req.Verify)
-	done, leader := s.flights.join(key)
-	if leader {
-		defer s.flights.finish(key, done)
-		if resp, ok := s.splice(name, src, req); ok {
-			s.metrics.cacheHits.Add(1)
-			resp.Cached = true
-			return resp, nil
-		}
-	} else {
-		select {
-		case <-done:
-		case <-ctx.Done():
-			return wire.GenerateResponse{}, ctx.Err()
-		}
-		if resp, ok := s.splice(name, src, req); ok {
-			s.metrics.coalesced.Add(1)
-			resp.Coalesced = true
-			return resp, nil
-		}
-	}
-	return s.attempt(ctx, key, name, src, req)
+	return s.attempt(ctx, name, src, req)
 }
 
 // splice serves a request from the resident plan for its body, if any.
@@ -649,9 +609,8 @@ func (s *Server) splice(name, src string, req wire.GenerateRequest) (wire.Genera
 // body's owner, or a local pipeline run. A definitive peer answer (success
 // or the peer's own terminal error envelope) is the attempt's result; a
 // transport failure falls back to generating locally. A panic on this path
-// becomes this request's InternalError; Generate's deferred finish still
-// releases the flight's followers.
-func (s *Server) attempt(ctx context.Context, key, name, src string, req wire.GenerateRequest) (resp wire.GenerateResponse, err error) {
+// becomes this request's InternalError.
+func (s *Server) attempt(ctx context.Context, name, src string, req wire.GenerateRequest) (resp wire.GenerateResponse, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			stack := debug.Stack()
@@ -660,6 +619,7 @@ func (s *Server) attempt(ctx context.Context, key, name, src string, req wire.Ge
 		}
 	}()
 	if s.cluster != nil && !isPeerHop(ctx) {
+		key := wire.CacheKey(s.registry.Snapshot().Fingerprint, name, src, req.Package, req.Verify)
 		if owner := s.cluster.ownerPeer(key); owner != "" {
 			if resp, err, handled := s.forward(ctx, owner, name, src, req); handled {
 				return resp, err

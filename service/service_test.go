@@ -449,7 +449,7 @@ func TestNonPlannableRequests(t *testing.T) {
 				t.Errorf("name %q package %q: service error %v, pipeline error %v", tc.name, tc.pkg, errs[i], wantErr)
 			case wantErr == nil && resps[i].Output != want.Output:
 				t.Errorf("name %q package %q: output differs from the pipeline", tc.name, tc.pkg)
-			case resps[i].Cached || resps[i].Coalesced:
+			case resps[i].Cached:
 				t.Errorf("name %q package %q: served from a plan it cannot have", tc.name, tc.pkg)
 			}
 		}

@@ -7,10 +7,14 @@ package wire
 //
 // The cache counters describe the plan cache, the node's only generation
 // cache: CacheHits counts requests spliced from a resident plan on the
-// request path, before any flight, forward or pool work; CacheMisses
+// request path, before any forward or pool work; CacheMisses
 // counts local pipeline runs (a forwarded request is its owner's miss, so
 // the cluster-wide sum is the number of pipeline runs); CacheEntries is
 // the resident compiled-plan count.
+//
+// Coalesced is always 0: the daemon no longer coalesces concurrent misses
+// over one body (each makes its own attempt). The key stays because the
+// bench/ harness still reads it into service.coalesced.
 type Metrics struct {
 	Requests         int64   `json:"requests"`
 	GenerateRequests int64   `json:"generate_requests"`
@@ -34,8 +38,8 @@ type Metrics struct {
 	// Plan-cache counters (see gen.PlanCache).
 
 	// PlanHits counts generations served by splicing a compiled plan: the
-	// request-path splices counted in CacheHits, coalesced followers, and
-	// pipeline submissions that found their plan compiled meanwhile.
+	// request-path splices counted in CacheHits and pipeline submissions
+	// that found their plan compiled meanwhile.
 	PlanHits int64 `json:"plan_hits"`
 	// PlanMisses counts plan-eligible generations that ran the legacy
 	// pipeline (and compiled a plan for next time).
@@ -51,7 +55,7 @@ type Metrics struct {
 	// owning their cache key.
 	ForwardedTotal int64 `json:"forwarded_total"`
 	// ForwardHits counts forwarded requests the owner answered from its
-	// cache or an in-flight generation — the shared-cache payoff.
+	// cache — the shared-cache payoff.
 	ForwardHits int64 `json:"forward_hits"`
 	// ForwardFallbacks counts forwards that failed (peer down, draining,
 	// overloaded) and were generated locally instead.

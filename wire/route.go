@@ -13,14 +13,13 @@ import (
 
 // CacheKey derives the body-level generation key: the rule-set fingerprint
 // (so a reload with different rules invalidates everything), a hash of the
-// template source, and the verify option. It is the daemon's singleflight
-// key and the cluster routing key, so the peer forwarder and the client
-// SDK's rendezvous router send every request over one body to the node
-// holding that body's compiled plan.
+// template source, and the verify option. It is the cluster routing key,
+// so the peer forwarder and the client SDK's rendezvous router send every
+// request over one body to the node holding that body's compiled plan;
+// gen keys that plan on the same tuple.
 //
-// name and pkg are the plan's two splice points and never enter the key,
-// just as gen's plan options fingerprint ignores PackageName: requests that
-// differ only in them share one plan, one owner and one flight. The
+// name and pkg are the plan's two splice points and never enter the key:
+// requests that differ only in them share one plan and one owner. The
 // parameters stay so every caller passes the full request tuple.
 func CacheKey(fingerprint, name, source, pkg string, verify bool) string {
 	src := srchash.Sum(source)

@@ -100,6 +100,7 @@ func TestUnmarshalMatchesEncodingJSON(t *testing.T) {
 		{"analyze request", `{"name":"b.go","source":"package p\n\tx := \"é\""}`, func() any { return &AnalyzeRequest{} }},
 		{"generate response", `{"name":"c.go","output":` + quote(t, out) + `,"ruleset_fingerprint":"f","cached":true,"report":{"template":"t"}}`, func() any { return &GenerateResponse{} }},
 		{"older daemon's report tree", `{"name":"c.go","output":` + quote(t, out) + `,"report":{"template":"t","methods":[{"name":"Hash","rules":[{"rule":"gca.MessageDigest","path":["c1","u1"],"resolutions":["alg: derived \"SHA-256\""]}]}],"assumptions":["a"],"pushed_up":null},"ruleset_fingerprint":"f","cached":true}`, func() any { return &GenerateResponse{} }},
+		{"older peer's coalesced flag", `{"name":"c.go","output":` + quote(t, out) + `,"ruleset_fingerprint":"f","cached":false,"coalesced":true}`, func() any { return &GenerateResponse{} }},
 		{"null output", `{"output":null,"name":"d.go"}`, func() any { return &GenerateResponse{Output: "kept"} }},
 		{"case-insensitive key", `{"OUTPUT":"x\ty"}`, func() any { return &GenerateResponse{} }},
 		{"duplicate key", `{"source":"a","source":"b\n"}`, func() any { return &AnalyzeRequest{} }},

@@ -45,16 +45,12 @@ type GenerateRequest struct {
 // carries the generated file, not the decisions behind it: the
 // per-method generation report is an in-process gen.Report (cryptgen
 // -report prints it). A body from a daemon that still sends a "report"
-// key decodes the same, since unknown keys are ignored.
+// or "coalesced" key decodes the same, since unknown keys are ignored.
 type GenerateResponse struct {
 	Name        string `json:"name"`
 	Output      string `json:"output"`
 	Fingerprint string `json:"ruleset_fingerprint"`
 	Cached      bool   `json:"cached"`
-	// Coalesced marks a response spliced from the plan that another
-	// request's in-flight generation over the same body compiled
-	// (singleflight), rather than a resident plan or a fresh run.
-	Coalesced bool `json:"coalesced,omitempty"`
 	// Forwarded marks a response obtained from the cluster peer owning
 	// this request's cache key rather than produced by the node that
 	// received the request.
