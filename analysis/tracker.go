@@ -38,9 +38,10 @@ type funcAnalysis struct {
 	preds map[types.Object]map[string]bool
 	// lens records known make([]byte, N) lengths per variable.
 	lens map[types.Object]int
-	// freshVars marks variables whose value is a locally created
-	// allocation (make, composite literal) — predicates required on them
-	// are definite findings, not assumptions.
+	// fresh marks variables whose value is a locally created allocation
+	// (make, composite literal) or the zero value of a var declaration
+	// without one — predicates required on them are definite findings, not
+	// assumptions. Assigning a value that is not fresh clears the mark.
 	fresh map[types.Object]bool
 	// summaries holds the predicates other functions in the file set grant
 	// on their results (nil during the summary-computation pass).
@@ -99,6 +100,12 @@ func (fa *funcAnalysis) walkStmt(stmt ast.Stmt) {
 						if i < len(vs.Values) {
 							fa.recordInit(name, vs.Values[i])
 							fa.handleExpr(vs.Values[i])
+						} else if len(vs.Values) == 0 {
+							// A zero value is as local as an allocation: an
+							// all-zero IV, a nil key.
+							if obj := fa.info.Defs[name]; obj != nil {
+								fa.fresh[obj] = true
+							}
 						}
 					}
 				}
@@ -188,20 +195,26 @@ func (fa *funcAnalysis) recordInit(name *ast.Ident, value ast.Expr) {
 }
 
 func (fa *funcAnalysis) handleAssign(s *ast.AssignStmt) {
-	// Record freshness/lengths/aliases first.
-	if len(s.Lhs) == len(s.Rhs) {
-		for i := range s.Lhs {
-			if id, ok := s.Lhs[i].(*ast.Ident); ok && id.Name != "_" {
-				fa.recordInit(id, s.Rhs[i])
-			}
-		}
-	}
 	for _, rhs := range s.Rhs {
 		if call, ok := rhs.(*ast.CallExpr); ok {
 			fa.handleCall(call, s.Lhs)
 			continue
 		}
 		fa.handleExpr(rhs)
+	}
+	// Then record freshness/lengths/aliases: an assigned variable stays
+	// fresh only if recordInit finds its new value fresh.
+	for _, l := range s.Lhs {
+		if obj := fa.varOf(l); obj != nil {
+			delete(fa.fresh, obj)
+		}
+	}
+	if len(s.Lhs) == len(s.Rhs) {
+		for i := range s.Lhs {
+			if id, ok := s.Lhs[i].(*ast.Ident); ok && id.Name != "_" {
+				fa.recordInit(id, s.Rhs[i])
+			}
+		}
 	}
 }
 
@@ -307,9 +320,15 @@ func (fa *funcAnalysis) handleCall(call *ast.CallExpr, lhs []ast.Expr) {
 			}
 		}
 	}
-	// Unknown call: arguments escape.
+	// Unknown call: arguments escape, and a variable whose address it
+	// takes may be overwritten there.
 	for _, arg := range call.Args {
 		fa.markEscape(arg)
+		if u, ok := arg.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			if obj := fa.varOf(u.X); obj != nil {
+				delete(fa.fresh, obj)
+			}
+		}
 	}
 }
 

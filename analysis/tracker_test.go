@@ -238,6 +238,56 @@ func zeroIV(key *gca.SecretKey, data []byte) ([]byte, error) {
 	}
 }
 
+// zeroValueIV passes a var-declared IV to NewIVParameterSpec; assign is
+// spliced in between the declaration and that call.
+func zeroValueIV(assign string) string {
+	return `package main
+
+import "cognicryptgen/gca"
+
+func zeroValueIV(key *gca.SecretKey, param, data []byte) ([]byte, error) {
+	var iv []byte
+	` + assign + `
+	spec, err := gca.NewIVParameterSpec(iv)
+	if err != nil {
+		return nil, err
+	}
+	c, err := gca.NewCipher("AES/GCM/NoPadding")
+	if err != nil {
+		return nil, err
+	}
+	if err := c.InitWithIV(gca.EncryptMode, key, spec); err != nil {
+		return nil, err
+	}
+	return c.DoFinal(data)
+}
+
+func load(dst *[]byte, src []byte) { *dst = src }
+`
+}
+
+// TestZeroValueIVFlagged: a var declared without a value is as local as
+// make's all-zero bytes, so requiring randomized on it is a finding, not an
+// assumption about outside input.
+func TestZeroValueIVFlagged(t *testing.T) {
+	rep := analyze(t, zeroValueIV(""))
+	if k := kinds(rep); k[RequiredPredicateError] != 1 || len(rep.Findings) != 1 {
+		t.Errorf("zero-value IV: want exactly one RequiredPredicateError, got %v", rep.Findings)
+	}
+}
+
+// TestAssignedZeroValueIVClean: assigning a parameter to the declared var,
+// or handing its address to a call that may, clears its zero value; the IV
+// then flows in from outside the function.
+func TestAssignedZeroValueIVClean(t *testing.T) {
+	for _, assign := range []string{"iv = param", "load(&iv, param)"} {
+		rep := analyze(t, zeroValueIV(assign))
+		if len(rep.Findings) != 0 {
+			t.Errorf("%s: IV flagged: %v", assign, rep.Findings)
+		}
+	}
+}
+
 func TestRandomizedIVClean(t *testing.T) {
 	rep := analyze(t, `package main
 

@@ -787,16 +787,17 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 // process-global, so this test must not run in parallel.
 func TestClientTransportFaultRetry(t *testing.T) {
 	for _, tc := range []struct {
-		spec string
+		name string
+		mode faultinject.Mode
 		// reached counts how many requests actually hit the node: refuse
 		// never dials, while cut/corrupt perform the round trip.
 		reached int
 	}{
-		{"client-transport=corrupt:1", 2},
-		{"client-transport=cut:1", 2},
-		{"client-transport=refuse:1", 1},
+		{"client-transport=corrupt:1", faultinject.ModeCorrupt, 2},
+		{"client-transport=cut:1", faultinject.ModeCutBody, 2},
+		{"client-transport=refuse:1", faultinject.ModeRefuse, 1},
 	} {
-		t.Run(tc.spec, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			defer faultinject.Reset()
 			node := newFakeNode(t)
 			c := mustClient(t, Config{
@@ -804,9 +805,7 @@ func TestClientTransportFaultRetry(t *testing.T) {
 				BackoffBase: time.Millisecond,
 				BackoffMax:  2 * time.Millisecond,
 			})
-			if err := faultinject.ArmSpec(tc.spec); err != nil {
-				t.Fatal(err)
-			}
+			faultinject.Arm(faultinject.PointClientTransport, faultinject.Fault{Mode: tc.mode, Times: 1})
 			resp, err := c.Generate(context.Background(), wire.GenerateRequest{Name: "a.go", Source: "package p"})
 			if err != nil {
 				t.Fatalf("request did not survive the injected fault: %v", err)

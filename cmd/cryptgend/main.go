@@ -51,11 +51,6 @@
 // forwarded_total, forward_hit_rate, and per-peer health appear in
 // /metrics.
 //
-// -faults SPEC (or CRYPTGEND_FAULTS) arms the internal/faultinject chaos
-// points — e.g. "worker-exec=panic:1,rule-compile=latency:50ms" — for
-// resilience drills against a live daemon. Disarmed points cost one atomic
-// load; production binaries simply never arm them.
-//
 // cryptgend must run inside the cognicryptgen module (or point -dir at
 // it), because generated code is type-checked against the module's gca
 // package.
@@ -70,14 +65,12 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
 	"time"
 
 	"cognicryptgen/crysl"
-	"cognicryptgen/internal/faultinject"
 	"cognicryptgen/rules"
 	"cognicryptgen/service"
 )
@@ -96,12 +89,9 @@ func main() {
 	maxWaiters := flag.Int("max-waiters", 0, "submissions allowed to block behind a full queue before shedding 429s (0 = 2x queue; negative is rejected)")
 	maxBody := flag.Int64("max-body", 0, "request-body byte cap on POST endpoints, 413 beyond it (0 = 4 MiB; negative is rejected)")
 	rulesDir := flag.String("rules", "", "serve GoCrySL rules from this directory instead of the embedded set; /v1/reload recompiles from it")
-	faults := flag.String("faults", "", `arm chaos fault points, e.g. "worker-exec=panic:1,reload-swap=error" (also via CRYPTGEND_FAULTS)`)
 	self := flag.String("self", "", `this node's base URL as peers address it, e.g. "http://10.0.0.1:8572" (cluster mode; required with -peers)`)
 	peers := flag.String("peers", "", `comma-separated peer base URLs; enables peer forwarding so the cluster's plans shard by template body instead of duplicating`)
 	probe := flag.Duration("peer-probe", 2*time.Second, "peer /readyz probe interval (cluster mode)")
-	snapshotDir := flag.String("snapshot-dir", "", "enable warm-restart durability: periodically write a crash-safe snapshot of the plans' compile tuples and rule source here, and replay it at boot")
-	snapshotEvery := flag.Duration("snapshot-interval", time.Minute, "periodic snapshot cadence (with -snapshot-dir)")
 	flag.Parse()
 
 	var peerList []string
@@ -116,23 +106,10 @@ func main() {
 		}
 	}
 
-	spec := *faults
-	if spec == "" {
-		spec = os.Getenv("CRYPTGEND_FAULTS")
-	}
-	if spec != "" {
-		if err := faultinject.ArmSpec(spec); err != nil {
-			log.Fatalf("-faults: %v", err)
-		}
-		log.Printf("WARNING: fault injection armed (%s) — this daemon will deliberately misbehave", spec)
-	}
-
 	var loader func() (*crysl.RuleSet, error)
-	var ruleSources func() (map[string]string, error)
 	if *rulesDir != "" {
 		d := *rulesDir
 		loader = func() (*crysl.RuleSet, error) { return rules.TryLoad(d) }
-		ruleSources = func() (map[string]string, error) { return dirRuleSources(d) }
 	}
 
 	srv, err := service.New(service.Config{
@@ -144,10 +121,6 @@ func main() {
 		MaxWaiters:     *maxWaiters,
 		MaxBodyBytes:   *maxBody,
 		Loader:         loader,
-		RuleSources:    ruleSources,
-
-		SnapshotDir:      *snapshotDir,
-		SnapshotInterval: *snapshotEvery,
 
 		Self:              strings.TrimRight(*self, "/"),
 		Peers:             peerList,
@@ -186,10 +159,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 
-	if *snapshotDir != "" {
-		log.Printf("warm-restart snapshots in %s every %s", *snapshotDir, *snapshotEvery)
-	}
-
 	// Manual signal channel instead of NotifyContext: the first signal
 	// starts the graceful drain; a second one during the drain must be
 	// observable so the operator can force an exit out of a stuck drain.
@@ -219,11 +188,9 @@ func main() {
 		log.Printf("drained, exiting")
 	case drainSignal:
 		log.Printf("second signal during drain: forcing exit")
-		finalSnapshot(srv)
 		os.Exit(1)
 	case drainTimeout:
 		log.Printf("drain did not finish within %s: forcing exit", *drain+5*time.Second)
-		finalSnapshot(srv)
 		os.Exit(1)
 	}
 }
@@ -274,35 +241,4 @@ func awaitDrain(done <-chan struct{}, sigc <-chan os.Signal, timeout time.Durati
 	case <-t.C:
 		return drainTimeout
 	}
-}
-
-// finalSnapshot writes a best-effort parting snapshot on the forced-exit
-// paths, where the graceful Close (whose own final snapshot never ran or
-// never finished) was abandoned. Errors are logged, not fatal — the
-// process is exiting either way.
-func finalSnapshot(srv *service.Server) {
-	if err := srv.SnapshotNow(); err != nil {
-		log.Printf("final snapshot: %v", err)
-	}
-}
-
-// dirRuleSources reads an external -rules directory's *.crysl files for
-// the warm-restart snapshot's rule-source capture.
-func dirRuleSources(dir string) (map[string]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]string{}
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".crysl") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		out[e.Name()] = string(data)
-	}
-	return out, nil
 }

@@ -2,12 +2,15 @@ package effort
 
 import (
 	"go/format"
+	"maps"
 	"strings"
 	"testing"
 
+	"cognicryptgen/analysis"
 	"cognicryptgen/oldgen"
 	"cognicryptgen/oldgen/clafer"
 	"cognicryptgen/oldgen/xsl"
+	"cognicryptgen/rules"
 )
 
 // runStudyArtefact drives a study XSL+Clafer artefact pair through the
@@ -47,22 +50,43 @@ func configXML(cfg clafer.Config) string {
 	return oldgen.ConfigXML(cfg)
 }
 
+// TestStudyArtefactsExecuteBeforeAndAfter runs each RQ5 study artefact
+// and scans its output with the misuse analyzer, the RQ5 precision pairs:
+// each "before" artefact draws exactly its one misuse (the symmetric one
+// an all-zero IV, the hashing one the algorithm name "SHA256"), and its
+// fixed "after" twin draws none.
 func TestStudyArtefactsExecuteBeforeAndAfter(t *testing.T) {
+	an, err := analysis.New(rules.MustLoad(), "", analysis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name     string
 		cfr, xsl string
 		task     string
 		wantFrag string
+		findings map[analysis.Kind]int
 	}{
-		{"sym before", oldSymCfrBefore, oldSymXSLBefore, "SymmetricEncryption", "NewIVParameterSpec(iv)"},
-		{"sym after", oldSymCfrAfter, oldSymXSLAfter, "SymmetricEncryption", "secureRandom.NextBytes(iv)"},
-		{"hash before", oldHashingCfrBefore, oldHashingXSLBefore, "Hashing", "Hash(s string)"},
-		{"hash after", oldHashingCfrAfter, oldHashingXSLAfter, "Hashing", "HashFile(path string)"},
+		{"sym before", oldSymCfrBefore, oldSymXSLBefore, "SymmetricEncryption", "NewIVParameterSpec(iv)", map[analysis.Kind]int{analysis.RequiredPredicateError: 1}},
+		{"sym after", oldSymCfrAfter, oldSymXSLAfter, "SymmetricEncryption", "secureRandom.NextBytes(iv)", nil},
+		{"hash before", oldHashingCfrBefore, oldHashingXSLBefore, "Hashing", "Hash(s string)", map[analysis.Kind]int{analysis.ConstraintError: 1}},
+		{"hash after", oldHashingCfrAfter, oldHashingXSLAfter, "Hashing", "HashFile(path string)", nil},
 	}
 	for _, c := range cases {
 		out := runStudyArtefact(t, c.cfr, c.xsl, c.task)
 		if !strings.Contains(out, c.wantFrag) {
 			t.Errorf("%s: output missing %q:\n%s", c.name, c.wantFrag, out)
+		}
+		rep, err := an.AnalyzeSource("artefact.go", out)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := map[analysis.Kind]int{}
+		for _, f := range rep.Findings {
+			got[f.Kind]++
+		}
+		if !maps.Equal(got, c.findings) {
+			t.Errorf("%s: findings %v, want %v:\n%s", c.name, got, c.findings, out)
 		}
 	}
 }

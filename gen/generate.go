@@ -71,8 +71,7 @@ type Options struct {
 	// across rule sets; it is internally synchronized. A plan keeps no
 	// generation report, so a plan hit's Result has a nil Report; only the
 	// compiling run (and any run without Plans) returns one. A plan keeps
-	// its compile tuple (PlanSeed, the whole template source) only in a
-	// cache built by NewSeedingPlanCache, for a warm-restart snapshot.
+	// no request source either.
 	// A Generator with any ablation switch set or a MaxPaths other than
 	// DefaultMaxPaths ignores Plans.
 	Plans *PlanCache
@@ -266,11 +265,7 @@ func (g *Generator) GenerateFileCtx(ctx context.Context, name, src string) (res 
 		if outPkg == "" {
 			outPkg = tmplPkg
 		}
-		var seed *PlanSeed
-		if g.opts.Plans.seeding {
-			seed = &PlanSeed{Name: name, Source: src, Verify: g.opts.Verify}
-		}
-		if p, cerr := compilePlan(res, name, seed, outPkg, tmplPkg, rulesFP); cerr == nil {
+		if p, cerr := compilePlan(res, name, outPkg, tmplPkg, rulesFP); cerr == nil {
 			g.opts.Plans.put(key, p)
 		}
 	}

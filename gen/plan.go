@@ -43,22 +43,6 @@ type Plan struct {
 	// rulesFP identifies the rule-set the plan was compiled against;
 	// PlanCache.Retain evicts by it when rule sets are reloaded.
 	rulesFP string
-	// seed is the request tuple the plan was compiled from, kept only in a
-	// cache built by NewSeedingPlanCache (PlanCache.Seeds); nil otherwise,
-	// so a plan does not hold a copy of the request source no one reads.
-	seed *PlanSeed
-}
-
-// PlanSeed is the request tuple a plan was compiled from. Replaying it
-// through a Generator wired to a PlanCache (default options plus Verify)
-// recompiles the same plan, which is how a restarted daemon rebuilds its
-// plans from a snapshot without ever persisting plan bytes. Only plans in
-// a cache built by NewSeedingPlanCache keep their tuple: it holds the
-// whole template source, the one per-plan memory price of snapshots.
-type PlanSeed struct {
-	Name   string
-	Source string
-	Verify bool
 }
 
 // errNotPlannable reports an output whose shape the splicer does not
@@ -70,8 +54,8 @@ var errNotPlannable = errors.New("gen: output shape not plannable")
 // outPkg must be the values the Result was generated under (outPkg is the
 // effective output package: the override if one was set, else the
 // template's own); tmplPkg is the template's own package name, kept as the
-// default splice value. seed is the compile tuple the plan keeps, or nil.
-func compilePlan(res *Result, name string, seed *PlanSeed, outPkg, tmplPkg, rulesFP string) (*Plan, error) {
+// default splice value.
+func compilePlan(res *Result, name, outPkg, tmplPkg, rulesFP string) (*Plan, error) {
 	out := res.Output
 	if !strings.HasPrefix(out, planHeaderPrefix+name+". DO NOT EDIT.") {
 		return nil, errNotPlannable
@@ -90,7 +74,6 @@ func compilePlan(res *Result, name string, seed *PlanSeed, outPkg, tmplPkg, rule
 		afterPkg:   out[pkgStart+len(outPkg):],
 		defaultPkg: tmplPkg,
 		rulesFP:    rulesFP,
-		seed:       seed,
 	}, nil
 }
 
@@ -114,14 +97,10 @@ func (p *Plan) Execute(name, pkg string) *Result {
 }
 
 // size approximates the plan's resident bytes for the cache's
-// plan_bytes metric, the compile tuple included when the plan keeps one.
+// plan_bytes metric.
 func (p *Plan) size() int64 {
 	const overhead = 256 // struct and cache bookkeeping
-	n := len(p.nameToPkg) + len(p.afterPkg) + len(p.defaultPkg) + overhead
-	if p.seed != nil {
-		n += len(p.seed.Name) + len(p.seed.Source)
-	}
-	return int64(n)
+	return int64(len(p.nameToPkg) + len(p.afterPkg) + len(p.defaultPkg) + overhead)
 }
 
 // planExecutable reports whether a request's (name, package override) can

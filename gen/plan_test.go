@@ -488,113 +488,3 @@ ORDER
 		t.Errorf("wildcard diagnostic reported %d times, want once: %v", diag, res.Report.PushedUp)
 	}
 }
-
-// TestPlanSeeds: in a seeding cache (the one a snapshot store is backed
-// by) every plan remembers the tuple it was compiled from, and Seeds
-// lists a rule set's tuples least recently used first — the order a
-// replay must follow to rebuild the cache's recency.
-func TestPlanSeeds(t *testing.T) {
-	rs := rules.MustLoad()
-	plans := NewSeedingPlanCache(0)
-	g, err := New(rs, "", Options{Plans: plans})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := plans.FingerprintFor(rs)
-	var seeds []PlanSeed
-	for i, id := range []int{11, 4} {
-		uc, err := templates.ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := templates.Source(uc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed := PlanSeed{Name: uc.File, Source: src, Verify: i == 1}
-		if _, err := g.WithOptions(Options{Verify: seed.Verify, Plans: plans}).GenerateFile(seed.Name, seed.Source); err != nil {
-			t.Fatal(err)
-		}
-		seeds = append(seeds, seed)
-	}
-	if got := plans.Seeds(fp); len(got) != 2 || got[0] != seeds[0] || got[1] != seeds[1] {
-		t.Fatalf("Seeds = %+v, want the compile tuples LRU first", got)
-	}
-	// Splicing the older plan under another name makes it most recent; the
-	// seed keeps the compiling request's name.
-	if _, ok := plans.Execute(fp, "renamed.go", seeds[0].Source, Options{}); !ok {
-		t.Fatal("no plan for the first seed")
-	}
-	if got := plans.Seeds(fp); len(got) != 2 || got[0] != seeds[1] || got[1] != seeds[0] {
-		t.Fatalf("Seeds after a touch = %+v, want %+v then %+v", got, seeds[1], seeds[0])
-	}
-	if got := plans.Seeds("another-rule-set"); len(got) != 0 {
-		t.Fatalf("Seeds of an absent rule set = %+v, want none", got)
-	}
-}
-
-// TestPlanCacheKeepsNoSource: a cache built by NewPlanCache, the one
-// without a snapshot store, keeps no compile tuple in any plan, so no
-// plan holds its request's source, and Seeds returns none.
-func TestPlanCacheKeepsNoSource(t *testing.T) {
-	rs := rules.MustLoad()
-	plans := NewPlanCache(0)
-	g, err := New(rs, "", Options{Plans: plans})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []int{11, 4} {
-		uc, err := templates.ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := templates.Source(uc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := g.GenerateFile(uc.File, src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if plans.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 compiled plans", plans.Len())
-	}
-	for el := plans.ll.Front(); el != nil; el = el.Next() {
-		if sd := el.Value.(*planEntry).plan.seed; sd != nil {
-			t.Errorf("plan keeps its compile tuple (%d source bytes) without a snapshot store", len(sd.Source))
-		}
-	}
-	if got := plans.Seeds(plans.FingerprintFor(rs)); len(got) != 0 {
-		t.Errorf("Seeds = %d tuples, want none without a snapshot store", len(got))
-	}
-}
-
-// TestPlanBytesCountSeed: plan_bytes counts what a plan holds. The same
-// compile in a seeding cache reports exactly the kept name and source
-// more than in a cache that keeps no tuple.
-func TestPlanBytesCountSeed(t *testing.T) {
-	rs := rules.MustLoad()
-	uc, err := templates.ByID(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := templates.Source(uc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bytesAfterCompile := func(plans *PlanCache) int64 {
-		g, err := New(rs, "", Options{Plans: plans})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := g.GenerateFile(uc.File, src); err != nil {
-			t.Fatal(err)
-		}
-		return plans.Bytes()
-	}
-	bare := bytesAfterCompile(NewPlanCache(0))
-	seeded := bytesAfterCompile(NewSeedingPlanCache(0))
-	if want := bare + int64(len(uc.File)+len(src)); seeded != want {
-		t.Errorf("seeding cache Bytes = %d, want %d (bare %d + name + %d source bytes)", seeded, want, bare, len(src))
-	}
-}

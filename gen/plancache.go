@@ -31,10 +31,6 @@ type PlanCache struct {
 	hits   atomic.Int64
 	misses atomic.Int64
 
-	// seeding makes every plan keep its compile tuple for Seeds
-	// (NewSeedingPlanCache). Immutable after construction.
-	seeding bool
-
 	mu    sync.Mutex
 	max   int
 	ll    *list.List // front = most recently used
@@ -48,7 +44,7 @@ type planEntry struct {
 }
 
 // NewPlanCache creates a cache bounded to max resident plans (<=0 uses
-// DefaultMaxPlans). Its plans keep no compile tuple, so Seeds returns none.
+// DefaultMaxPlans).
 func NewPlanCache(max int) *PlanCache {
 	if max <= 0 {
 		max = DefaultMaxPlans
@@ -58,16 +54,6 @@ func NewPlanCache(max int) *PlanCache {
 		ll:    list.New(),
 		index: make(map[planKey]*list.Element),
 	}
-}
-
-// NewSeedingPlanCache is NewPlanCache for a cache that backs a snapshot
-// store: each plan also keeps the tuple it was compiled from, which Seeds
-// returns. That tuple holds the whole template source, so a seeding cache
-// pays about one source per resident plan more than NewPlanCache's.
-func NewSeedingPlanCache(max int) *PlanCache {
-	c := NewPlanCache(max)
-	c.seeding = true
-	return c
 }
 
 // FingerprintFor returns set.Fingerprint(), the rule-set half of the plan
@@ -165,25 +151,6 @@ func (c *PlanCache) Retain(keep map[string]bool) int {
 		el = next
 	}
 	return dropped
-}
-
-// Seeds returns the compile tuples of the plans resident for rule set
-// rulesFP, least recently used first, so replaying them in order rebuilds
-// the same plans in the same recency order. Only a cache built by
-// NewSeedingPlanCache keeps tuples; any other returns none.
-func (c *PlanCache) Seeds(rulesFP string) []PlanSeed {
-	if !c.seeding {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]PlanSeed, 0, c.ll.Len())
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		if p := el.Value.(*planEntry).plan; p.rulesFP == rulesFP {
-			out = append(out, *p.seed)
-		}
-	}
-	return out
 }
 
 // Len returns the resident plan count.

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"net"
 	"net/http/httptest"
-	"path/filepath"
 	"time"
 
 	"cognicryptgen/service"
@@ -47,8 +46,8 @@ type Cluster struct {
 }
 
 // Start boots n nodes. cfg is the per-node configuration; Self and Peers
-// are overwritten per node. The node-kill and warm-restart drills set a
-// short PeerProbeInterval so the survivors notice a downed node quickly.
+// are overwritten per node. The node-kill drill sets a short
+// PeerProbeInterval so the survivors notice a downed node quickly.
 // The prober's own timing (eject, re-admit, the 1 s probe-timeout floor)
 // and the partition fallback are unit tests in service/cluster_test.go.
 func Start(n int, cfg service.Config) (*Cluster, error) {
@@ -77,12 +76,6 @@ func Start(n int, cfg service.Config) (*Cluster, error) {
 			if j != i {
 				nodeCfg.Peers = append(nodeCfg.Peers, u)
 			}
-		}
-		// A shared SnapshotDir would have the nodes clobber each other's
-		// snapshot file; give each its own subdirectory. The per-node dir
-		// is retained in cfg, so a Restarted node restores its own state.
-		if cfg.SnapshotDir != "" {
-			nodeCfg.SnapshotDir = filepath.Join(cfg.SnapshotDir, fmt.Sprintf("node%d", i))
 		}
 		n := &Node{URL: urls[i], cfg: nodeCfg}
 		if err := n.boot(listeners[i]); err != nil {
@@ -114,12 +107,10 @@ func (n *Node) boot(l net.Listener) error {
 }
 
 // Kill takes node i down hard: in-flight connections are severed, the
-// listener closes (peers and clients see connection refused), and the
-// daemon is aborted crash-shaped — no drain, no parting snapshot, so a
-// snapshot-enabled node restores only what its periodic writer already
-// made durable, exactly like a real crash. The drills' "kubectl delete
-// pod". The node's address stays reserved in every other node's
-// Peers list; Restart brings a fresh daemon back on it.
+// listener closes (peers and clients see connection refused), and then the
+// daemon is closed. The drills' "kubectl delete pod". The node's address
+// stays reserved in every other node's Peers list; Restart brings a fresh
+// daemon back on it.
 func (c *Cluster) Kill(i int) {
 	n := c.Nodes[i]
 	if n.killed {
@@ -128,13 +119,13 @@ func (c *Cluster) Kill(i int) {
 	n.killed = true
 	n.HTTP.CloseClientConnections()
 	n.HTTP.Close()
-	n.Srv.Abort()
+	n.Srv.Close()
 }
 
 // Restart replaces a killed node with a brand-new daemon listening on the
-// same address, as a supervisor would — fresh breakers, and caches that
-// are empty unless the node's SnapshotDir holds a restorable snapshot.
-// The bind can race the dying listener's socket, so it retries briefly.
+// same address, as a supervisor would — fresh breakers and empty caches
+// that its boot warm refills with the embedded templates' plans. The bind
+// can race the dying listener's socket, so it retries briefly.
 func (c *Cluster) Restart(i int) error {
 	n := c.Nodes[i]
 	if !n.killed {

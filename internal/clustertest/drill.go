@@ -3,7 +3,6 @@ package clustertest
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -28,17 +27,13 @@ const (
 	// KillRestart kills the victim under client load, waits until every
 	// survivor has noticed, restarts it and times its re-admission.
 	KillRestart
-	// CrashRestore crashes the snapshot-enabled victim under load (no
-	// drain, no parting snapshot) and restarts it warm.
-	CrashRestore
 )
 
 // Drill is one row of the cluster drill table.
 type Drill struct {
 	Name  string
 	Nodes int
-	// Server is every node's configuration. Start sets Self and Peers; a
-	// drill that snapshots gets a fresh SnapshotDir.
+	// Server is every node's configuration. Start sets Self and Peers.
 	Server service.Config
 	// Client is the SDK configuration; Run fills in Nodes.
 	Client client.Config
@@ -83,13 +78,6 @@ type Report struct {
 	RecoveryMS                          float64
 	BreakerRejects                      int64
 	ClientRetries, RetryBudgetExhausted int64
-
-	// CrashRestore: restart times without and with a snapshot; the
-	// victim's durable bytes and restored entries; its hit rate over the
-	// first walk after its boot warm.
-	PlainRestartMS, WarmRestartMS float64
-	SnapshotBytes, RestoreEntries int64
-	RestoreHitRate                float64
 }
 
 // failover is the client of the drills that take a node down under load:
@@ -103,7 +91,7 @@ var failover = client.Config{
 }
 
 // Drills is the cluster drill table. TestDrills runs every row; with -v
-// it logs each row's Report, the source of the E13/E14 numbers.
+// it logs each row's Report, the source of the E13 numbers.
 var Drills = []Drill{
 	{
 		Name:   "smoke",
@@ -126,23 +114,6 @@ var Drills = []Drill{
 		Load:   60,
 		Fault:  KillRestart,
 		Checks: []Check{{"client spent retries", func(r Report) bool { return r.ClientRetries > 0 }}},
-	},
-	{
-		Name:  "warm-restart",
-		Nodes: 3,
-		Server: service.Config{Workers: 2, CacheSize: 64, PeerProbeInterval: 250 * time.Millisecond,
-			SnapshotInterval: 50 * time.Millisecond},
-		Client: failover,
-		Work:   bodies("warm", 24),
-		Fault:  CrashRestore,
-		Checks: []Check{
-			{"durable snapshot written", func(r Report) bool { return r.SnapshotBytes > 0 }},
-			{"first-window hit rate >= 0.5", func(r Report) bool { return r.RestoreHitRate >= 0.5 }},
-			// Sub-100ms restarts are scheduler noise, hence the floor.
-			{"warm restart <= 5x max(plain restart, 100ms)", func(r Report) bool {
-				return r.WarmRestartMS <= 5*max(r.PlainRestartMS, 100)
-			}},
-		},
 	},
 }
 
@@ -250,16 +221,7 @@ type drillRun struct {
 }
 
 func (x *drillRun) run() error {
-	cfg := x.d.Server
-	if cfg.SnapshotInterval > 0 {
-		dir, err := os.MkdirTemp("", "ccg-drill-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		cfg.SnapshotDir = dir
-	}
-	cl, err := Start(x.d.Nodes, cfg)
+	cl, err := Start(x.d.Nodes, x.d.Server)
 	if err != nil {
 		return err
 	}
@@ -273,7 +235,7 @@ func (x *drillRun) run() error {
 	// warmed; the smoke drill compares the cluster with a standalone node.
 	ref := cl
 	if x.d.Fault == NoFault {
-		if ref, err = Start(1, cfg); err != nil {
+		if ref, err = Start(1, x.d.Server); err != nil {
 			return err
 		}
 		defer ref.Close()
@@ -290,8 +252,6 @@ func (x *drillRun) run() error {
 		err = x.smoke()
 	case KillRestart:
 		err = x.killRestart()
-	case CrashRestore:
-		err = x.crashRestore()
 	default:
 		err = fmt.Errorf("unknown fault plan %d", x.d.Fault)
 	}
@@ -344,17 +304,8 @@ func (x *drillRun) call(c *client.Client, k int) (time.Duration, error) {
 	return d, nil
 }
 
-// walk calls every working-set key once through c, or through a fresh
-// client (closed breakers) when c is nil.
+// walk calls every working-set key once through c.
 func (x *drillRun) walk(c *client.Client) error {
-	if c == nil {
-		fresh, err := x.client()
-		if err != nil {
-			return err
-		}
-		defer fresh.Close()
-		c = fresh
-	}
 	for k := range x.d.Work {
 		if _, err := x.call(c, k); err != nil {
 			return fmt.Errorf("key %d: %w", k, err)
@@ -510,54 +461,6 @@ func (x *drillRun) killRestart() error {
 	st := x.sdk.Stats()
 	x.r.ClientRetries, x.r.RetryBudgetExhausted = st.Retries, st.RetryBudgetExhausted
 	x.r.SteadyP99MS, x.r.FailoverP99MS = p99MS(x.lats[steady]), p99MS(x.lats[outage])
-	return nil
-}
-
-func (x *drillRun) crashRestore() error {
-	// Baseline: a snapshot-less node's kill-to-serving time.
-	plain, err := Start(1, service.Config{Workers: x.d.Server.Workers, CacheSize: x.d.Server.CacheSize})
-	if err != nil {
-		return err
-	}
-	plain.Kill(0)
-	t0 := time.Now()
-	err = plain.Restart(0)
-	x.r.PlainRestartMS = ms(time.Since(t0))
-	plain.Close()
-	if err != nil {
-		return err
-	}
-
-	victim := x.cl.Nodes[x.victim]
-	// Make the primed state durable at a deterministic point, independent
-	// of the periodic writer's timing.
-	if err := victim.Srv.SnapshotNow(); err != nil {
-		return fmt.Errorf("victim snapshot: %w", err)
-	}
-	x.r.SnapshotBytes = victim.Srv.MetricsSnapshot().SnapshotBytes
-	stop := x.background(2)
-	x.cl.Kill(x.victim)
-	t0 = time.Now()
-	err = x.cl.Restart(x.victim)
-	x.r.WarmRestartMS = ms(time.Since(t0))
-	stop()
-	if err != nil {
-		return err
-	}
-	x.r.RestoreEntries = victim.Srv.MetricsSnapshot().RestoreEntries
-	// The first window opens once the boot warm has recompiled the
-	// snapshot's plans, so it measures the restored state, not a race.
-	if !x.waitFor(30*time.Second, func() bool { return victim.Srv.ReadyInfo().Status != wire.ReadyRestoring }) {
-		return fmt.Errorf("restarted victim never finished its boot warm")
-	}
-	before := victim.Srv.MetricsSnapshot()
-	if err := x.walk(nil); err != nil {
-		return fmt.Errorf("after warm restart: %w", err)
-	}
-	m := victim.Srv.MetricsSnapshot()
-	if hits, misses := m.CacheHits-before.CacheHits, m.CacheMisses-before.CacheMisses; hits+misses > 0 {
-		x.r.RestoreHitRate = float64(hits) / float64(hits+misses)
-	}
 	return nil
 }
 

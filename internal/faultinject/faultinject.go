@@ -6,23 +6,19 @@
 // enumeration, worker execution, the reload snapshot swap. When the point
 // is disarmed — the production state — Fire is a single atomic load
 // returning nil, so instrumented hot paths pay no measurable cost. When a
-// point is armed (programmatically by a test, or via the CRYPTGEND_FAULTS
-// environment variable / cryptgend's -faults flag), Fire injects one of
-// three failure modes:
+// test arms a point with Arm, Fire injects one of three failure modes:
 //
 //	error    return a typed *Error that callers propagate like any other
 //	panic    panic with a *Error value, exercising recovery guards
 //	latency  sleep for the configured duration, then return nil
 //
-// A fault may be limited to N firings ("panic:1" fires once, then the
+// A fault may be limited to N firings (Times: 1 fires once, then the
 // point disarms itself), which lets tests assert "one request fails, the
 // next succeeds" without racing the disarm.
 package faultinject
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,14 +50,6 @@ const (
 	// PointClientTransport fires on every request the client SDK's default
 	// HTTP client sends through the fault Transport.
 	PointClientTransport = "client-transport"
-	// PointSnapshotWrite fires at the head of persist.Store.Save, before the
-	// temp file is created, so an injected error or panic models a snapshot
-	// writer dying mid-flight (the previous snapshot must survive intact).
-	PointSnapshotWrite = "snapshot-write"
-	// PointSnapshotLoad fires at the head of persist.Store.Load, so an
-	// injected error or panic models a torn/poisoned snapshot at boot (the
-	// daemon must degrade to a cold start, never crash).
-	PointSnapshotLoad = "snapshot-load"
 )
 
 // Mode selects what an armed fault point does when fired.
@@ -227,69 +215,4 @@ func Reset() {
 		delete(points, p)
 		armed.Add(-1)
 	}
-}
-
-// ArmSpec parses and arms a comma-separated fault specification, the
-// format of cryptgend's -faults flag and the CRYPTGEND_FAULTS variable:
-//
-//	point=mode[:arg][,point=mode[:arg]...]
-//
-// mode is error, panic, latency, or — at transport points — refuse, cut,
-// corrupt, or 5xx. For latency the argument is the sleep duration
-// ("latency:250ms"); for every other mode it is an optional fire count
-// ("panic:1" fires once). A transport point name may carry a host suffix
-// ("peer-transport@10.0.0.2:8572") to fault only requests to that host.
-// Examples:
-//
-//	worker-exec=panic:1
-//	reload-swap=error,rule-compile=latency:50ms
-//	peer-transport=refuse:3,client-transport=corrupt:1
-func ArmSpec(spec string) error {
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		point, rest, ok := strings.Cut(part, "=")
-		if !ok || point == "" {
-			return fmt.Errorf("faultinject: bad fault %q (want point=mode[:arg])", part)
-		}
-		modeStr, arg, hasArg := strings.Cut(rest, ":")
-		var f Fault
-		switch modeStr {
-		case "error":
-			f.Mode = ModeError
-		case "panic":
-			f.Mode = ModePanic
-		case "refuse":
-			f.Mode = ModeRefuse
-		case "cut":
-			f.Mode = ModeCutBody
-		case "corrupt":
-			f.Mode = ModeCorrupt
-		case "5xx":
-			f.Mode = Mode5xx
-		case "latency":
-			f.Mode = ModeLatency
-			if !hasArg {
-				return fmt.Errorf("faultinject: latency fault %q needs a duration (latency:250ms)", part)
-			}
-			d, err := time.ParseDuration(arg)
-			if err != nil {
-				return fmt.Errorf("faultinject: bad latency in %q: %v", part, err)
-			}
-			f.Latency = d
-		default:
-			return fmt.Errorf("faultinject: unknown mode %q in %q (want error, panic, latency, refuse, cut, corrupt, or 5xx)", modeStr, part)
-		}
-		if hasArg && f.Mode != ModeLatency {
-			n, err := strconv.ParseInt(arg, 10, 64)
-			if err != nil || n < 1 {
-				return fmt.Errorf("faultinject: bad fire count in %q", part)
-			}
-			f.Times = n
-		}
-		Arm(point, f)
-	}
-	return nil
 }

@@ -99,29 +99,3 @@ func TestTimesBoundSelfDisarms(t *testing.T) {
 		t.Fatal("exhausted point left the package enabled")
 	}
 }
-
-func TestArmSpec(t *testing.T) {
-	Reset()
-	defer Reset()
-	if err := ArmSpec("a=panic:1, b=error ,c=latency:5ms"); err != nil {
-		t.Fatal(err)
-	}
-	if !Enabled() {
-		t.Fatal("spec armed nothing")
-	}
-	if err := Fire("b"); err == nil {
-		t.Fatal("error point b did not fire")
-	}
-	for _, bad := range []string{
-		"nomode", "=error", "a=explode", "a=latency", "a=latency:xx", "a=panic:0", "a=error:-1",
-	} {
-		Reset()
-		if err := ArmSpec(bad); err == nil {
-			t.Errorf("ArmSpec(%q) accepted", bad)
-		}
-	}
-	Reset()
-	if err := ArmSpec(""); err != nil {
-		t.Errorf("empty spec rejected: %v", err)
-	}
-}

@@ -158,11 +158,13 @@ func TestTransportHostTargeted(t *testing.T) {
 	resp.Body.Close()
 }
 
-func TestArmSpecTransportModes(t *testing.T) {
+// TestFireTransportReturnsArmedFault: FireTransport hands the transport
+// the fault armed at its point, mode and fire count included.
+func TestFireTransportReturnsArmedFault(t *testing.T) {
 	defer Reset()
-	if err := ArmSpec("peer-transport=refuse:3,client-transport=corrupt:1,x=5xx,y=cut"); err != nil {
-		t.Fatalf("ArmSpec rejected transport modes: %v", err)
-	}
+	Arm("peer-transport", Fault{Mode: ModeRefuse, Times: 3})
+	Arm("x", Fault{Mode: Mode5xx})
+	Arm("y", Fault{Mode: ModeCutBody})
 	f, ok := FireTransport("peer-transport", "h:1")
 	if !ok || f.Mode != ModeRefuse || f.Times != 3 {
 		t.Fatalf("peer-transport = %+v fired=%v, want refuse x3", f, ok)

@@ -123,16 +123,14 @@ go test -race -count=3 \
 echo "==> bench harness tests (-short)"
 (cd bench && GOFLAGS=-buildvcs=false GOPROXY=off go test -short ./...)
 
-# Cluster drill table: every row (smoke, node-kill, warm-restart) with the
-# bounds its Checks enforce, as listed in internal/clustertest/drill.go;
-# on both 1 and 2 CPUs under -race. The rows keep only multi-node
-# outcomes. Single-node fault behaviour lives in unit tests of the
-# package run above: the partition fallback and open-breaker rejection in
+# Cluster drill table: every row (smoke, node-kill) with the bounds its
+# Checks enforce, as listed in internal/clustertest/drill.go; on both 1
+# and 2 CPUs under -race. The rows keep only multi-node outcomes.
+# Single-node fault behaviour lives in unit tests of the package run
+# above: the partition fallback and open-breaker rejection in
 # TestClusterPeerDownFallback, the slow-peer probe floor in
-# TestClusterProbeSlowPeerStaysAdmitted, eject and re-admission in
-# TestClusterProbeEjectsAndReadmits, and restore and corrupt-snapshot
-# cold starts in TestSnapshotWarmRestart and TestSnapshotCorruptionColdStart
-# (service).
+# TestClusterProbeSlowPeerStaysAdmitted, and eject and re-admission in
+# TestClusterProbeEjectsAndReadmits (service).
 echo "==> cluster drills (TestDrills, -race, 1 and 2 CPUs)"
 go test -race -cpu 1,2 -count=1 -run TestDrills ./internal/clustertest
 

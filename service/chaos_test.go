@@ -412,3 +412,34 @@ func TestBodyCap413(t *testing.T) {
 		t.Fatalf("under-cap request: status %d: %s", resp.StatusCode, body)
 	}
 }
+
+// TestReadyzRestoring: every boot reports "restoring" until its boot warm
+// finishes — served with HTTP 200 like degraded, because the node answers
+// correctly throughout and must not be ejected by peers or SDK probes —
+// then "ok". An armed generate latency fault holds each of the warm's
+// pipeline runs, so the restoring window is observable.
+func TestReadyzRestoring(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	faultinject.Arm(faultinject.PointGenerate, faultinject.Fault{Mode: faultinject.ModeLatency, Latency: 50 * time.Millisecond})
+	srv, ts := chaosServer(t, Config{Workers: 1})
+
+	var ready wire.ReadyResponse
+	if resp := getJSON(t, ts.URL+"/readyz", &ready); resp.StatusCode != http.StatusOK {
+		t.Fatalf("restoring readyz served %d, want 200", resp.StatusCode)
+	}
+	if ready.Status != wire.ReadyRestoring {
+		t.Fatalf("readyz status %q while the boot warm is held, want %q", ready.Status, wire.ReadyRestoring)
+	}
+	if got := srv.ReadyInfo().Status; got != wire.ReadyRestoring {
+		t.Fatalf("ReadyInfo status %q, want %q", got, wire.ReadyRestoring)
+	}
+	faultinject.Reset()
+	waitWarm(t, srv)
+	if got := srv.ReadyInfo().Status; got != wire.ReadyOK {
+		t.Fatalf("ReadyInfo status %q after the boot warm, want %q", got, wire.ReadyOK)
+	}
+	if n := srv.MetricsSnapshot().PlanEntries; n < len(templates.All()) {
+		t.Errorf("boot warm left %d plans, want the %d embedded templates'", n, len(templates.All()))
+	}
+}

@@ -136,10 +136,10 @@ func TestClusterSharedCacheByteIdentical(t *testing.T) {
 }
 
 // TestClusterOneRunPerBody: with the body-level key, distinct names and
-// package overrides over one body share its owner, its flight and its
-// plan. An unrouted SDK spreads K unseen bodies × 3 names × 2 packages over
-// 3 nodes; the cluster runs the pipeline exactly K times, never falls
-// back, and every output is byte-identical to an uncached gen run.
+// package overrides over one body share its owner and its plan. An
+// unrouted SDK spreads K unseen bodies × 3 names × 2 packages over 3
+// nodes; the cluster runs the pipeline exactly K times, never falls back,
+// and every output is byte-identical to an uncached gen run.
 func TestClusterOneRunPerBody(t *testing.T) {
 	srvs, _, urls := startCluster(t, 3)
 	sdk, err := client.New(client.Config{Nodes: urls, DisableRouting: true})

@@ -15,7 +15,7 @@ import (
 // window) would block its caller forever and trip the watchdog. Run under
 // -race in CI (scripts/verify.sh).
 func TestPoolSubmitCloseStress(t *testing.T) {
-	reg, err := NewRegistry(nil)
+	reg, err := NewRegistry(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

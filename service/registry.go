@@ -76,24 +76,10 @@ type Registry struct {
 }
 
 // NewRegistry compiles the initial snapshot using loader (nil = the
-// embedded gca rule set via rules.LoadFresh), with a default-sized plan
-// cache.
-func NewRegistry(loader func() (*crysl.RuleSet, error)) (*Registry, error) {
-	return NewRegistryWithFallback(loader, nil, nil)
-}
-
-// NewRegistryWithFallback is NewRegistry with a boot-only escape hatch:
-// when the operator's loader fails at startup and fallback is non-nil, the
-// registry boots from the fallback rule set (the last-good rules recovered
-// from a warm-restart snapshot) instead of refusing to start. The
-// operator's loader stays wired for /v1/reload — a later successful reload
-// swaps the real rules in and clears the degraded state — and the boot
-// failure is recorded as degraded so /readyz tells the operator their
-// configured rules are not the ones serving. plans becomes the
-// registry's plan cache (nil = gen.NewPlanCache(0)); a server with a
-// snapshot store passes a gen.NewSeedingPlanCache so plans keep the
-// tuples its snapshots persist.
-func NewRegistryWithFallback(loader, fallback func() (*crysl.RuleSet, error), plans *gen.PlanCache) (*Registry, error) {
+// embedded gca rule set via rules.LoadFresh); plans becomes the registry's
+// plan cache (nil = gen.NewPlanCache(0)). A loader that fails at boot
+// fails NewRegistry: there is no last-good rule set to serve yet.
+func NewRegistry(loader func() (*crysl.RuleSet, error), plans *gen.PlanCache) (*Registry, error) {
 	if loader == nil {
 		loader = rules.LoadFresh
 	}
@@ -105,24 +91,7 @@ func NewRegistryWithFallback(loader, fallback func() (*crysl.RuleSet, error), pl
 		plans:  plans,
 	}
 	if _, err := r.Reload(); err != nil {
-		if fallback == nil {
-			return nil, err
-		}
-		r.loader = fallback
-		_, ferr := r.Reload()
-		r.loader = loader
-		if ferr != nil {
-			// The fallback could not serve either; the original failure is
-			// the actionable one.
-			return nil, err
-		}
-		r.mu.Lock()
-		r.degraded = RegistryHealth{
-			Degraded:  true,
-			LastError: "boot loader failed, serving rule set restored from snapshot: " + err.Error(),
-			FailedAt:  time.Now(),
-		}
-		r.mu.Unlock()
+		return nil, err
 	}
 	return r, nil
 }

@@ -78,7 +78,7 @@ func TestReloadStormKeepsCachesBounded(t *testing.T) {
 	var genNo atomic.Int64
 	reg, err := NewRegistry(func() (*crysl.RuleSet, error) {
 		return stormRuleSet(int(genNo.Load()))
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestReloadReleasesSupersededRuleSet(t *testing.T) {
 			first = weak.Make(set)
 		}
 		return set, err
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,7 @@ import (
 
 	"cognicryptgen/crysl"
 	"cognicryptgen/gen"
-	"cognicryptgen/internal/persist"
 	"cognicryptgen/internal/srccheck"
-	"cognicryptgen/rules"
 	"cognicryptgen/templates"
 	"cognicryptgen/wire"
 )
@@ -61,23 +59,6 @@ type Config struct {
 	// the embedded gca rules).
 	Loader func() (*crysl.RuleSet, error)
 
-	// SnapshotDir enables warm-restart durability: the server periodically
-	// (and on graceful Close) writes a crash-safe snapshot of its plans'
-	// compile tuples and rule-set source there, and replays the tuples in
-	// its boot warm, so a restarted node serves warm instead of cold
-	// ("" = snapshots off). Any unusable snapshot degrades to a logged cold
-	// start. With snapshots on, each resident plan also keeps its
-	// request's template source for the next snapshot; with them off,
-	// plans keep no source.
-	SnapshotDir string
-	// SnapshotInterval paces the periodic snapshot writer (0 = 60s).
-	SnapshotInterval time.Duration
-	// RuleSources supplies the active rule-set source files (name → CrySL
-	// text) for the snapshot, enabling rules-from-snapshot recovery when
-	// the boot loader fails. Nil with a nil Loader defaults to the embedded
-	// rule sources; nil with a custom Loader snapshots no rule files.
-	RuleSources func() (map[string]string, error)
-
 	// Self is this node's advertised base URL (e.g. "http://10.0.0.1:8080")
 	// in cluster mode. Peers use it only for display; forwarding decisions
 	// hash Self against Peers, so it must be the same string the other
@@ -109,17 +90,8 @@ type Server struct {
 	cluster   *cluster
 	started   time.Time
 
-	// Warm-restart snapshot state (nil/zero without Config.SnapshotDir).
-	store          *persist.Store
-	snapStop       chan struct{}
-	snapDone       chan struct{}
-	snapOnce       sync.Once
-	restoring      atomic.Bool // boot warm still running
-	snapshotBytes  atomic.Int64
-	snapshotAt     atomic.Int64 // UnixNano of the last successful write
-	restoreEntries atomic.Int64
-	restoreMS      atomic.Int64
-
+	// restoring is set while the boot warm is still compiling plans.
+	restoring atomic.Bool
 	// draining flips when Close begins; /readyz reports it so load
 	// balancers stop routing before the listener goes away.
 	draining atomic.Bool
@@ -165,27 +137,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes == 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if cfg.RuleSources == nil && cfg.Loader == nil {
-		cfg.RuleSources = rules.Sources
-	}
-	// Load the warm-restart snapshot BEFORE building the registry: its
-	// captured rule source is the boot fallback when the operator's loader
-	// fails, and its plan tuples join the boot warm below. Only a snapshot
-	// store reads plans' compile tuples, so only then do plans keep them
-	// (each holds a copy of its request's source).
-	var store *persist.Store
-	var restored *persist.Snapshot
-	plans := gen.NewPlanCache(cfg.CacheSize)
-	if cfg.SnapshotDir != "" {
-		st, err := persist.NewStore(cfg.SnapshotDir)
-		if err != nil {
-			return nil, err
-		}
-		store = st
-		restored = loadSnapshot(store)
-		plans = gen.NewSeedingPlanCache(cfg.CacheSize)
-	}
-	registry, err := NewRegistryWithFallback(cfg.Loader, snapshotRuleLoader(restored), plans)
+	registry, err := NewRegistry(cfg.Loader, gen.NewPlanCache(cfg.CacheSize))
 	if err != nil {
 		return nil, err
 	}
@@ -211,32 +163,17 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Peers) > 0 {
 		s.cluster = newCluster(cfg.Self, cfg.Peers, cfg.PeerProbeInterval)
 	}
-	// Every boot warms in the background: the embedded templates, then a
-	// restored snapshot's tuples, each compiled into a plan through the
-	// pipeline. The gen.New inside rides the universe warm-up started above
-	// rather than racing the first request for it. /readyz reports
-	// "restoring" from here until the warm finishes; requests are served
-	// correctly throughout, by the pipeline until their plan is resident.
-	s.store = store
-	seeds := s.restorable(restored)
+	// Every boot warms the embedded templates in the background, each
+	// compiled into a plan through the pipeline. The gen.New inside rides
+	// the universe warm-up started above rather than racing the first
+	// request for it. /readyz reports "restoring" from here until the warm
+	// finishes; requests are served correctly throughout, by the pipeline
+	// until their plan is resident.
 	s.restoring.Store(true)
 	go func() {
-		start := time.Now()
-		s.warm(registry.Snapshot(), seeds)
-		if len(seeds) > 0 {
-			s.restoreMS.Store(time.Since(start).Milliseconds())
-		}
+		s.warm(registry.Snapshot())
 		s.restoring.Store(false)
 	}()
-	if store != nil {
-		interval := cfg.SnapshotInterval
-		if interval <= 0 {
-			interval = time.Minute
-		}
-		s.snapStop = make(chan struct{})
-		s.snapDone = make(chan struct{})
-		go s.snapLoop(interval)
-	}
 	return s, nil
 }
 
@@ -276,36 +213,14 @@ func (s *Server) Handler() http.Handler {
 
 // Close drains the worker pool: queued requests finish, new submissions
 // fail with 503. /readyz flips to draining immediately so load balancers
-// stop routing, and the peer prober stops. With snapshots enabled, a final
-// snapshot is written after the pool drains (so it captures every plan
-// the drain compiled). Call after the HTTP listener stopped accepting.
+// stop routing, and the peer prober stops. Call after the HTTP listener
+// stopped accepting.
 func (s *Server) Close() {
-	s.shutdown(true)
-}
-
-// Abort is the crash-shaped shutdown: identical to Close except no final
-// snapshot is written. The cluster kill/restart drill uses it so a restart
-// proves the PERIODIC snapshots are restorable — the guarantee a real
-// crash relies on — rather than a freshly written parting one.
-func (s *Server) Abort() {
-	s.shutdown(false)
-}
-
-func (s *Server) shutdown(finalSnapshot bool) {
 	s.draining.Store(true)
 	if s.cluster != nil {
 		s.cluster.close()
 	}
 	s.pool.Close()
-	if s.store != nil {
-		s.snapOnce.Do(func() {
-			close(s.snapStop)
-		})
-		<-s.snapDone
-		if finalSnapshot {
-			s.writeSnapshot()
-		}
-	}
 }
 
 // Registry exposes the server's rule registry (tests, embedding).
@@ -348,7 +263,7 @@ func (s *Server) ReloadRules() (wire.ReloadResponse, error) {
 		return wire.ReloadResponse{}, err
 	}
 	s.metrics.reloads.Add(1)
-	s.warm(snap, nil)
+	s.warm(snap)
 	return wire.ReloadResponse{
 		Fingerprint: snap.Fingerprint,
 		Version:     snap.Version,
@@ -368,29 +283,26 @@ func bootWarmPaths() []string {
 	return append([]string{srccheck.ModulePath + "/gca"}, srccheck.ImportPaths(slices.Collect(maps.Values(srcs))...)...)
 }
 
-// warm runs the embedded use-case templates, then extra (a restored
-// snapshot's tuples, LRU first, so the restored recency order ends on top),
-// through a plan-wired Generator so their compiled plans are resident
-// before traffic asks for them. A tuple whose plan is already resident is
-// a plan hit. Warm failures are advisory: the daemon still serves (the
-// pipeline remains the transparent fallback), so they are logged — once
-// per pass, not once per tuple — never propagated.
-func (s *Server) warm(snap *Snapshot, extra []persist.Entry) {
+// warm runs the embedded use-case templates through a plan-wired
+// Generator so their compiled plans are resident before traffic asks for
+// them. A template whose plan is already resident is a plan hit. Warm
+// failures are advisory: the daemon still serves (the pipeline remains the
+// transparent fallback), so they are logged — once per pass, not once per
+// template — never propagated.
+func (s *Server) warm(snap *Snapshot) {
 	g, err := gen.New(snap.Rules, s.cfg.Dir, gen.Options{Paths: snap.Paths, Plans: snap.Plans})
 	if err != nil {
 		log.Printf("service: plan warm: %v", err)
 		return
 	}
-	var tuples []persist.Entry
-	for _, uc := range templates.All() {
-		src, _ := templates.Source(uc) // embedded: a missing one fails its warm below
-		tuples = append(tuples, persist.Entry{Name: uc.File, Source: src})
-	}
 	var firstErr error
 	failed := 0
-	for _, t := range append(tuples, extra...) {
-		gw := g.WithOptions(gen.Options{Verify: t.Verify, Paths: snap.Paths, Plans: snap.Plans})
-		if _, err := gw.GenerateFile(t.Name, t.Source); err != nil {
+	for _, uc := range templates.All() {
+		src, err := templates.Source(uc)
+		if err == nil {
+			_, err = g.GenerateFile(uc.File, src)
+		}
+		if err != nil {
 			failed++
 			if firstErr == nil {
 				firstErr = err
@@ -398,7 +310,7 @@ func (s *Server) warm(snap *Snapshot, extra []persist.Entry) {
 		}
 	}
 	if firstErr != nil {
-		log.Printf("service: plan warm: %d tuple(s) failed, first: %v", failed, firstErr)
+		log.Printf("service: plan warm: %d template(s) failed, first: %v", failed, firstErr)
 	}
 }
 
@@ -487,14 +399,6 @@ func (s *Server) MetricsSnapshot() wire.Metrics {
 		m.Self = s.cluster.self
 		m.Peers = s.cluster.peerStatuses()
 		m.BreakerRejects = s.cluster.breakerRejects()
-	}
-	if s.store != nil {
-		m.SnapshotBytes = s.snapshotBytes.Load()
-		if at := s.snapshotAt.Load(); at > 0 {
-			m.SnapshotAgeSeconds = time.Since(time.Unix(0, at)).Seconds()
-		}
-		m.RestoreEntries = s.restoreEntries.Load()
-		m.RestoreMS = float64(s.restoreMS.Load())
 	}
 	return m
 }

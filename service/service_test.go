@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -325,7 +326,7 @@ func TestGenerateTimeout503(t *testing.T) {
 // TestPoolDrain: Close completes queued work and rejects later
 // submissions with ErrClosed (mapped to 503 by the HTTP layer).
 func TestPoolDrain(t *testing.T) {
-	reg, err := NewRegistry(nil)
+	reg, err := NewRegistry(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,4 +459,61 @@ func TestNonPlannableRequests(t *testing.T) {
 	if _, ok := snap.Plans.Execute(snap.Fingerprint, "ok.go", src, gen.Options{}); ok {
 		t.Error("a non-plannable request left a plan behind for its body")
 	}
+}
+
+// heapAfterGC is the live heap once two collections have run, the
+// second one emptying the sync.Pool victim caches the first one filled.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestPlansKeepNoSource: a server keeps no request source in its plans.
+// Each of N distinct bodies ends in a large comment that the generated
+// output, and so its plan, keeps too; a plan that also held its request's
+// source would hold the body twice. The heap may grow by less than 1.5x
+// the body size per compiled plan.
+func TestPlansKeepNoSource(t *testing.T) {
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	waitWarm(t, srv)
+	uc, err := templates.ByID(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := templates.Source(uc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat("x", 256<<10)
+	body := func(i int) string { return fmt.Sprintf("%s\n// body %d %s\n", src, i, pad) }
+	bodySize := len(body(0))
+	const n = 8
+	ctx := context.Background()
+	plansBefore := srv.registry.Plans().Len()
+	before := heapAfterGC()
+	for i := 0; i < n; i++ {
+		resp, err := srv.Generate(ctx, wire.GenerateRequest{Name: fmt.Sprintf("padded_%d.go", i), Source: body(i)})
+		if err != nil {
+			t.Fatalf("body %d: %v", i, err)
+		}
+		if resp.Cached {
+			t.Fatalf("body %d was spliced, want a pipeline run compiling its plan", i)
+		}
+	}
+	grown := int64(heapAfterGC()) - int64(before)
+	if got := srv.registry.Plans().Len() - plansBefore; got != n {
+		t.Fatalf("%d plans compiled, want %d", got, n)
+	}
+	t.Logf("heap grew %d bytes over %d plans of %d-byte bodies", grown, n, bodySize)
+	if limit := int64(n * bodySize * 3 / 2); grown >= limit {
+		t.Errorf("heap grew %d bytes over %d plans of %d-byte bodies, want < %d (1.5x body per plan)", grown, n, bodySize, limit)
+	}
+	runtime.KeepAlive(srv)
 }

@@ -65,21 +65,6 @@ type Metrics struct {
 	// BreakerRejects sums, over all peers, the forward attempts this node's
 	// per-peer circuit breakers rejected without trying (peer open).
 	BreakerRejects int64 `json:"breaker_rejects"`
-
-	// Warm-restart snapshot counters (zero when -snapshot-dir is unset).
-
-	// SnapshotAgeSeconds is the age of the last successful snapshot write
-	// (0 until one completes).
-	SnapshotAgeSeconds float64 `json:"snapshot_age_seconds"`
-	// SnapshotBytes is the last successful snapshot's on-disk size.
-	SnapshotBytes int64 `json:"snapshot_bytes"`
-	// RestoreEntries counts the plan compile tuples (name, source, verify)
-	// a boot took from the snapshot for its warm (0 after a cold start).
-	RestoreEntries int64 `json:"restore_entries"`
-	// RestoreMS is how long the boot warm took to replay the embedded
-	// templates and the snapshot's tuples (0 until it finishes, and after a
-	// cold start).
-	RestoreMS float64 `json:"restore_ms"`
 	// Self is this node's advertised base URL in cluster mode.
 	Self string `json:"self,omitempty"`
 	// Peers maps each peer base URL to its health as seen by this node.

@@ -187,8 +187,8 @@ const (
 	ReadyDegraded = "degraded"
 	ReadyDraining = "draining"
 	// ReadyRestoring reports a node whose boot warm is still running: every
-	// boot replays the embedded templates, plus the tuples of a restored
-	// warm-restart snapshot, through the pipeline to compile their plans.
+	// boot runs the embedded templates through the pipeline to compile
+	// their plans.
 	// Served with HTTP 200 (like degraded): the node answers correctly
 	// throughout — restoring is a warm-up signal, not an exclusion signal,
 	// and a 503 here would make peers and SDK probes eject a node that is
