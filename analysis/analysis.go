@@ -131,9 +131,10 @@ func (a *Analyzer) AnalyzeSource(name, src string) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s does not type-check: %w", name, err)
 	}
-	// Findings hold resolved token.Positions, so the file's line table can
-	// go once the analysis has run.
+	// Findings hold resolved token.Positions and strings, so the file's
+	// line table and the type info can go once the analysis has run.
 	defer a.checker.Release(file)
+	defer a.checker.Recycle(info)
 	return a.analyzeFiles([]*ast.File{file}, info), nil
 }
 
@@ -146,6 +147,7 @@ func (a *Analyzer) AnalyzeDir(dir string) (*Report, error) {
 		return nil, fmt.Errorf("analysis: %s does not type-check: %w", dir, err)
 	}
 	defer a.checker.Release(files...)
+	defer a.checker.Recycle(info)
 	return a.analyzeFiles(files, info), nil
 }
 

@@ -176,8 +176,14 @@ func (fa *funcAnalysis) recordInit(name *ast.Ident, value ast.Expr) {
 			fa.lens[obj] = len(v.Elts)
 		}
 	case *ast.Ident:
+		src := fa.info.Uses[v]
+		if _, ok := src.(*types.Nil); ok {
+			// nil is a zero value, as local as an allocation.
+			fa.fresh[obj] = true
+			break
+		}
 		// Alias: inherit freshness, length, predicates.
-		if src := fa.info.Uses[v]; src != nil {
+		if src != nil {
 			if fa.fresh[src] {
 				fa.fresh[obj] = true
 			}
@@ -195,12 +201,17 @@ func (fa *funcAnalysis) recordInit(name *ast.Ident, value ast.Expr) {
 }
 
 func (fa *funcAnalysis) handleAssign(s *ast.AssignStmt) {
-	for _, rhs := range s.Rhs {
+	for i, rhs := range s.Rhs {
+		lhs := s.Lhs
+		if len(s.Lhs) == len(s.Rhs) {
+			lhs = s.Lhs[i : i+1]
+		}
 		if call, ok := rhs.(*ast.CallExpr); ok {
-			fa.handleCall(call, s.Lhs)
+			fa.handleCall(call, lhs)
 			continue
 		}
 		fa.handleExpr(rhs)
+		fa.forget(lhs)
 	}
 	// Then record freshness/lengths/aliases: an assigned variable stays
 	// fresh only if recordInit finds its new value fresh.
@@ -214,6 +225,17 @@ func (fa *funcAnalysis) handleAssign(s *ast.AssignStmt) {
 			if id, ok := s.Lhs[i].(*ast.Ident); ok && id.Name != "_" {
 				fa.recordInit(id, s.Rhs[i])
 			}
+		}
+	}
+}
+
+// forget drops the predicates of the plain variables that lhs assigns:
+// their old values go, and a reassigned variable carries only what its
+// new value is granted.
+func (fa *funcAnalysis) forget(lhs []ast.Expr) {
+	for _, l := range lhs {
+		if obj := fa.varOf(l); obj != nil {
+			delete(fa.preds, obj)
 		}
 	}
 }
@@ -295,14 +317,29 @@ func (fa *funcAnalysis) handleCall(call *ast.CallExpr, lhs []ast.Expr) {
 		fa.handleExpr(arg)
 	}
 
+	// Each branch checks the call's REQUIRES on its arguments first, then
+	// forgets what the assigned variables carried, then grants the call's
+	// results to them: `iv = f(iv)` checks the old iv and keeps only what
+	// f grants the new one.
 	if name, ok := fa.isGCAFunc(call); ok {
-		fa.handleConstructorCall(call, name, lhs)
+		t := fa.handleConstructorCall(call, name)
+		fa.forget(lhs)
+		if t != nil && len(lhs) > 0 {
+			if obj := fa.varOf(lhs[0]); obj != nil {
+				fa.tracked[obj] = t
+			}
+		}
 		return
 	}
 	if recv, method, ok := fa.isGCAMethod(call); ok {
-		fa.handleMethodCall(call, recv, method, lhs)
+		t, labels := fa.handleMethodCall(call, recv, method)
+		fa.forget(lhs)
+		if t != nil && len(lhs) > 0 {
+			fa.bindResults(t, labels, lhs)
+		}
 		return
 	}
+	fa.forget(lhs)
 	// Same-package call with a summary: its result predicates flow to the
 	// assigned variables.
 	if fa.summaries != nil {
@@ -348,7 +385,9 @@ func (fa *funcAnalysis) summaryFor(call *ast.CallExpr) *funcSummary {
 	return nil
 }
 
-func (fa *funcAnalysis) handleConstructorCall(call *ast.CallExpr, name string, lhs []ast.Expr) {
+// handleConstructorCall checks a call to a gca package function and
+// returns the object it tracks for the call's result, or nil.
+func (fa *funcAnalysis) handleConstructorCall(call *ast.CallExpr, name string) *trackedObject {
 	// FORBIDDEN package functions.
 	for _, rule := range fa.a.rules.Rules() {
 		for _, forb := range rule.AST.Forbidden {
@@ -365,23 +404,23 @@ func (fa *funcAnalysis) handleConstructorCall(call *ast.CallExpr, name string, l
 				}
 			}
 			fa.findingf(ForbiddenMethodError, rule.SpecType(), call.Pos(), "%s", msg)
-			return
+			return nil
 		}
 	}
 
 	// Constructor of a specced type?
 	tv, ok := fa.info.Types[call]
 	if !ok {
-		return
+		return nil
 	}
 	resType := firstValueType(tv.Type)
 	rule, ok := fa.a.ruleForType(resType)
 	if !ok {
-		return
+		return nil
 	}
 	labels := rule.LabelsForMethod(name)
 	if len(labels) == 0 {
-		return
+		return nil
 	}
 	t := &trackedObject{
 		rule:   rule,
@@ -397,15 +436,7 @@ func (fa *funcAnalysis) handleConstructorCall(call *ast.CallExpr, name string, l
 		pos:    fa.a.checker.Fset.Position(call.Pos()),
 	}
 	fa.advance(t, call, name, labels, call.Args)
-	if len(lhs) > 0 {
-		if id, ok := lhs[0].(*ast.Ident); ok && id.Name != "_" {
-			if obj := fa.info.Defs[id]; obj != nil {
-				fa.tracked[obj] = t
-			} else if obj := fa.info.Uses[id]; obj != nil {
-				fa.tracked[obj] = t
-			}
-		}
-	}
+	return t
 }
 
 func firstValueType(t types.Type) types.Type {
@@ -418,31 +449,28 @@ func firstValueType(t types.Type) types.Type {
 	return t
 }
 
-func (fa *funcAnalysis) handleMethodCall(call *ast.CallExpr, recv ast.Expr, method string, lhs []ast.Expr) {
-	obj := fa.varOf(recv)
-	var t *trackedObject
-	if obj != nil {
+// handleMethodCall checks a call to a method on a gca type and returns the
+// receiver's tracked object and the call's labels, whose result bindings
+// grant predicates; t is nil when the receiver is not tracked or the
+// method is not specced.
+func (fa *funcAnalysis) handleMethodCall(call *ast.CallExpr, recv ast.Expr, method string) (t *trackedObject, labels []string) {
+	if obj := fa.varOf(recv); obj != nil {
 		t = fa.tracked[obj]
 	}
 	if t == nil {
 		// Receiver from a parameter or unknown flow: analyse what we can.
 		recvType := fa.info.Types[recv].Type
-		rule, ok := fa.a.ruleForType(recvType)
-		if !ok {
-			return
+		if rule, ok := fa.a.ruleForType(recvType); ok {
+			fa.assumef("%s: receiver of %s.%s comes from outside the function; typestate not checked", fa.fn.Name.Name, rule.Name(), method)
 		}
-		fa.assumef("%s: receiver of %s.%s comes from outside the function; typestate not checked", fa.fn.Name.Name, rule.Name(), method)
-		return
+		return nil, nil
 	}
-	labels := t.rule.LabelsForMethod(method)
+	labels = t.rule.LabelsForMethod(method)
 	if len(labels) == 0 {
-		return // unspecced method
+		return nil, nil // unspecced method
 	}
 	fa.advance(t, call, method, labels, call.Args)
-	// Result bindings grant predicates.
-	if len(lhs) > 0 {
-		fa.bindResults(t, labels, lhs)
-	}
+	return t, labels
 }
 
 // advance steps the automaton, binds arguments, applies predicate effects,

@@ -288,8 +288,10 @@ func TestAssignedZeroValueIVClean(t *testing.T) {
 	}
 }
 
-func TestRandomizedIVClean(t *testing.T) {
-	rep := analyze(t, `package main
+// randomizedIV randomizes an IV with NextBytes and passes it to
+// NewIVParameterSpec; after is spliced in between the two.
+func randomizedIV(after string) string {
+	return `package main
 
 import "cognicryptgen/gca"
 
@@ -302,6 +304,7 @@ func goodIV(key *gca.SecretKey, data []byte) ([]byte, error) {
 	if err := r.NextBytes(iv); err != nil {
 		return nil, err
 	}
+	` + after + `
 	spec, err := gca.NewIVParameterSpec(iv)
 	if err != nil {
 		return nil, err
@@ -315,9 +318,29 @@ func goodIV(key *gca.SecretKey, data []byte) ([]byte, error) {
 	}
 	return c.DoFinal(data)
 }
-`)
-	if rep.HasFindings() {
-		t.Errorf("clean IV flow flagged: %v", rep.Findings)
+`
+}
+
+// TestRandomizedIVClean: a randomized IV carries its predicate to
+// NewIVParameterSpec, also through an alias assigned back to it.
+func TestRandomizedIVClean(t *testing.T) {
+	for _, after := range []string{"", "iv2 := iv\n\tiv = iv2"} {
+		rep := analyze(t, randomizedIV(after))
+		if rep.HasFindings() {
+			t.Errorf("%q: clean IV flow flagged: %v", after, rep.Findings)
+		}
+	}
+}
+
+// TestOverwrittenIVFlagged: overwriting a randomized IV with fresh zero
+// bytes or nil drops its randomized predicate, so the spec that takes it
+// draws exactly one finding.
+func TestOverwrittenIVFlagged(t *testing.T) {
+	for _, after := range []string{"iv = make([]byte, 12)", "iv = nil"} {
+		rep := analyze(t, randomizedIV(after))
+		if k := kinds(rep); k[RequiredPredicateError] != 1 || len(rep.Findings) != 1 {
+			t.Errorf("%q: want exactly one RequiredPredicateError, got %v", after, rep.Findings)
+		}
 	}
 }
 

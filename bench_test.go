@@ -17,6 +17,7 @@ package cognicryptgen_test
 // library: milliseconds, as it skips the IDE).
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -179,8 +180,10 @@ func BenchmarkRuleSetLoad(b *testing.B) {
 // BenchmarkAblation regenerates all 13 templates, verified, with individual
 // generator features disabled (experiment E7), and runs the misuse analyzer
 // over every output that verifies. Configurations that break a template
-// count failures via the failures/op metric instead of aborting, because
-// "how much the heuristic matters" is exactly what the ablation measures;
+// count refusals (a *gen.RefusalError: the generator declined rather than
+// emit code that would not compile) and other failures via the
+// refusals/op and failures/op metrics instead of aborting, because "how
+// much the heuristic matters" is exactly what the ablation measures;
 // findings/op counts the misuses in the outputs that did compile.
 func BenchmarkAblation(b *testing.B) {
 	_, an := benchSetup(b)
@@ -200,7 +203,7 @@ func BenchmarkAblation(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(cfg.name, func(b *testing.B) {
-			failures, findings, pushups := 0, 0, 0
+			refusals, failures, findings, pushups := 0, 0, 0, 0
 			for i := 0; i < b.N; i++ {
 				for _, uc := range templates.All() {
 					src, err := templates.Source(uc)
@@ -208,6 +211,11 @@ func BenchmarkAblation(b *testing.B) {
 						b.Fatal(err)
 					}
 					res, err := g.GenerateFile(uc.File, src)
+					var refusal *gen.RefusalError
+					if errors.As(err, &refusal) {
+						refusals++
+						continue
+					}
 					if err != nil {
 						failures++
 						continue
@@ -220,6 +228,7 @@ func BenchmarkAblation(b *testing.B) {
 					findings += len(rep.Findings)
 				}
 			}
+			b.ReportMetric(float64(refusals)/float64(b.N), "refusals/op")
 			b.ReportMetric(float64(failures)/float64(b.N), "failures/op")
 			b.ReportMetric(float64(findings)/float64(b.N), "findings/op")
 			b.ReportMetric(float64(pushups)/float64(b.N), "pushups/op")

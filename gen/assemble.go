@@ -3,6 +3,8 @@ package gen
 import (
 	"fmt"
 	"go/types"
+	"maps"
+	"slices"
 	"strings"
 
 	"cognicryptgen/crysl"
@@ -169,12 +171,15 @@ func (g *Generator) generateInvocation(tmpl *Template, m *TemplateMethod, inv *I
 		}
 	}
 	if len(candidates) == 0 {
-		return fmt.Errorf("no accepting path covers the template bindings %v and return object %q", bindingVars(inv), inv.ReturnObj)
+		return &RefusalError{Rule: rule.SpecType(), Bindings: bindingVars(inv), ReturnObj: inv.ReturnObj}
 	}
 	g.sortPaths(rule, candidates, wantVars, wantGrants)
 
-	var fallback *resolved
-	var fallbackPath []string
+	// Select the best fully resolved path or, failing one, paper §3.3:
+	// prioritise compilability over completeness — the best partially
+	// resolved path with pushed-up parameters.
+	var selected, fallback *resolved
+	var selectedPath, fallbackPath []string
 	var lastErr error
 	for _, path := range candidates {
 		res, err := g.resolvePath(tmpl, m, inv, idx, rule, path, st)
@@ -189,30 +194,36 @@ func (g *Generator) generateInvocation(tmpl *Template, m *TemplateMethod, inv *I
 			continue
 		}
 		if len(res.pushed) == 0 {
-			return g.emit(tmpl, m, inv, idx, rule, path, res, st, rr, report)
+			selected, selectedPath = res, path
+			break
 		}
 		if fallback == nil {
 			fallback = res
 			fallbackPath = path
 		}
 	}
-	if fallback != nil {
-		// Paper §3.3: prioritise compilability over completeness — emit the
-		// best partially resolved path with pushed-up parameters.
-		return g.emit(tmpl, m, inv, idx, rule, fallbackPath, fallback, st, rr, report)
+	if selected == nil {
+		selected, selectedPath = fallback, fallbackPath
 	}
-	if lastErr != nil {
-		return lastErr
+	if selected == nil {
+		if lastErr != nil {
+			return lastErr
+		}
+		return fmt.Errorf("no usable path")
 	}
-	return fmt.Errorf("no usable path")
+	// Only NoBindingFilter lets a path that leaves a template binding unused
+	// through; emitting it would leave that variable declared and not used.
+	if g.opts.NoBindingFilter {
+		if unused := uncoveredBindings(rule, selectedPath, inv); len(unused) > 0 {
+			return &RefusalError{Rule: rule.SpecType(), Path: selectedPath, Bindings: unused, ReturnObj: inv.ReturnObj}
+		}
+	}
+	return g.emit(tmpl, m, inv, idx, rule, selectedPath, selected, st, rr, report)
 }
 
+// bindingVars returns the invocation's bound rule variables, sorted.
 func bindingVars(inv *Invocation) []string {
-	out := make([]string, 0, len(inv.Bindings))
-	for v := range inv.Bindings {
-		out = append(out, v)
-	}
-	return out
+	return slices.Sorted(maps.Keys(inv.Bindings))
 }
 
 // resolved is the outcome of resolvePath.

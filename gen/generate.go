@@ -215,6 +215,25 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("gen: panic generating %s: %v", e.Template, e.Value)
 }
 
+// RefusalError reports a rule invocation the generator declined rather
+// than emit code that would not compile: no accepting path covers the
+// invocation's template bindings and return object (Path is nil), or,
+// under NoBindingFilter, the selected path leaves template bindings unused
+// (Path is that path).
+type RefusalError struct {
+	Rule      string   // spec type of the invoked rule
+	Path      []string // selected path, nil when no path was selectable
+	Bindings  []string // template bindings left uncovered, sorted
+	ReturnObj string   // the invocation's return object, "" when none
+}
+
+func (e *RefusalError) Error() string {
+	if e.Path == nil {
+		return fmt.Sprintf("no accepting path covers the template bindings %v and return object %q", e.Bindings, e.ReturnObj)
+	}
+	return fmt.Sprintf("selected path %v leaves the template bindings %v unused", e.Path, e.Bindings)
+}
+
 // GenerateFile runs the full pipeline on template source text. name is
 // used for diagnostics only.
 func (g *Generator) GenerateFile(name, src string) (*Result, error) {
@@ -283,7 +302,10 @@ func (g *Generator) generate(ctx context.Context, name, src string, start time.T
 	if err != nil {
 		return nil, "", fmt.Errorf("gen: template %s does not type-check: %w", name, err)
 	}
+	// The Template reads info until generate returns; the Result keeps
+	// only strings, so the Info's maps can go to the next check.
 	defer g.checker.Release(file)
+	defer g.checker.Recycle(info)
 	tmpl, err := scanTemplate(name, src, file, g.checker.Fset, pkg, info)
 	if err != nil {
 		return nil, "", err
@@ -599,45 +621,61 @@ func compareJoined(a, b []string) int {
 // some event pattern is referenced by at least one event on the path.
 func pathCoversBindings(rule *crysl.Rule, path []string, inv *Invocation) bool {
 	for v := range inv.Bindings {
-		if v == "this" {
-			continue
-		}
-		appearsInRule := false
-		for _, ev := range rule.Events {
-			for _, p := range ev.Params {
-				if p.Name == v {
-					appearsInRule = true
-				}
-			}
-			if ev.Result == v {
-				appearsInRule = true
-			}
-		}
-		if !appearsInRule {
-			continue // constraint-only variable; nothing to cover
-		}
-		covered := false
-		for _, label := range path {
-			ev, ok := rule.Event(label)
-			if !ok {
-				continue
-			}
-			if ev.Result == v {
-				covered = true
-				break
-			}
-			for _, p := range ev.Params {
-				if p.Name == v {
-					covered = true
-					break
-				}
-			}
-		}
-		if !covered {
+		if !bindingCovered(rule, path, v) {
 			return false
 		}
 	}
 	return true
+}
+
+// uncoveredBindings returns, sorted, the bound rule variables that path
+// leaves unreferenced (see bindingCovered).
+func uncoveredBindings(rule *crysl.Rule, path []string, inv *Invocation) []string {
+	var out []string
+	for _, v := range bindingVars(inv) {
+		if !bindingCovered(rule, path, v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// bindingCovered reports whether an event on path references the bound
+// rule variable v. "this" and variables that occur in no event pattern
+// (constraint-only ones) need no reference.
+func bindingCovered(rule *crysl.Rule, path []string, v string) bool {
+	if v == "this" {
+		return true
+	}
+	appearsInRule := false
+	for _, ev := range rule.Events {
+		for _, p := range ev.Params {
+			if p.Name == v {
+				appearsInRule = true
+			}
+		}
+		if ev.Result == v {
+			appearsInRule = true
+		}
+	}
+	if !appearsInRule {
+		return true // constraint-only variable; nothing to cover
+	}
+	for _, label := range path {
+		ev, ok := rule.Event(label)
+		if !ok {
+			continue
+		}
+		if ev.Result == v {
+			return true
+		}
+		for _, p := range ev.Params {
+			if p.Name == v {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // evalConstraints evaluates every rule constraint under env (with Called

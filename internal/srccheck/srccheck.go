@@ -39,6 +39,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // ModulePath is this module's path as declared in go.mod.
@@ -97,13 +98,17 @@ func ImportPaths(srcs ...string) []string {
 //
 // A Checker is safe for concurrent use: its FileSet is the universe's
 // shared, internally synchronized FileSet, and imports resolve through the
-// concurrency-safe universe. Each Check call builds its own types.Info;
-// VerifySource builds none.
+// concurrency-safe universe. CheckSource and CheckDir fill a types.Info
+// drawn from a process-wide pool, one Info per call; VerifySource fills
+// none.
 //
 // The files a successful CheckSource or CheckDir returns keep their line
 // tables in that FileSet, where they would stay for the life of the
 // process; the caller passes them to Release once it has resolved their
-// positions. Universe package files are never released.
+// positions. Universe package files are never released. The caller may
+// likewise pass the returned Info to Recycle once nothing reads it, so a
+// later check fills maps that are already grown; an Info never recycled
+// is garbage-collected as usual.
 type Checker struct {
 	Fset *token.FileSet
 	u    *Universe
@@ -155,10 +160,11 @@ func (c *Checker) CheckDir(dir string) ([]*ast.File, *types.Package, *types.Info
 			return nil, nil, nil, fmt.Errorf("srccheck: parsing %s: %w", name, err)
 		}
 	}
-	info := newInfo()
+	info := infoPool.Get().(*types.Info)
 	pkg, err := c.check(files[0].Name.Name, files, info)
 	if err != nil {
 		c.Release(files...)
+		c.Recycle(info)
 		return nil, nil, nil, err
 	}
 	return files, pkg, info, nil
@@ -229,12 +235,14 @@ func PackageNameOf(dir string) string {
 // CheckSource parses and type-checks a single in-memory Go file named
 // filename containing src. It returns the parsed file, its package, and
 // the type info. The file's line table lives in the shared FileSet until
-// the caller passes the file to Release; on error CheckSource releases it
-// itself and returns only the error.
+// the caller passes the file to Release, and the Info is the caller's
+// until it passes it to Recycle; on error CheckSource releases and
+// recycles them itself and returns only the error.
 func (c *Checker) CheckSource(filename, src string) (*ast.File, *types.Package, *types.Info, error) {
-	info := newInfo()
+	info := infoPool.Get().(*types.Info)
 	f, pkg, err := c.checkSource(filename, src, info)
 	if err != nil {
+		c.Recycle(info)
 		return nil, nil, nil, err
 	}
 	return f, pkg, info, nil
@@ -281,6 +289,30 @@ func (c *Checker) Release(files ...*ast.File) {
 			c.Fset.RemoveFile(tf)
 		}
 	}
+}
+
+// infoPool holds emptied types.Info values between checks. clear keeps a
+// map's buckets, so a check that draws a recycled Info records into maps
+// already sized for an earlier file instead of regrowing four maps from
+// empty. A pool rather than an Info per Checker or worker: the garbage
+// collector empties it, so an idle process keeps no Info sized for the
+// largest file it ever checked.
+var infoPool = sync.Pool{New: func() any { return newInfo() }}
+
+// Recycle empties the maps of an Info that CheckSource or CheckDir
+// returned and hands it to a later check. Call it exactly once, after
+// nothing reads the Info any more: a second call would give one Info to
+// two checks. The types objects the Info referred to are not recycled
+// and stay valid. Recycling nil is a no-op.
+func (c *Checker) Recycle(info *types.Info) {
+	if info == nil {
+		return
+	}
+	clear(info.Types)
+	clear(info.Defs)
+	clear(info.Uses)
+	clear(info.Selections)
+	infoPool.Put(info)
 }
 
 // check type-checks files as package name against the universe, joining

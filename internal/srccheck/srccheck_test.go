@@ -1,13 +1,17 @@
 package srccheck
 
 import (
+	"go/ast"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+
+	"cognicryptgen/templates"
 )
 
 func TestModuleRootFromSubdir(t *testing.T) {
@@ -252,4 +256,142 @@ func TestCheckerBuildConstraints(t *testing.T) {
 	if got := PackageNameOf(dir); got != "tagged" {
 		t.Errorf("PackageNameOf = %q, want tagged", got)
 	}
+}
+
+// infoCounts is the number of entries in each map of info, in the order
+// Types, Defs, Uses, Selections.
+func infoCounts(info *types.Info) [4]int {
+	return [4]int{len(info.Types), len(info.Defs), len(info.Uses), len(info.Selections)}
+}
+
+// freshCounts type-checks src into an Info of its own, never pooled, and
+// returns its entry counts.
+func freshCounts(t *testing.T, c *Checker, name, src string) [4]int {
+	t.Helper()
+	info := newInfo()
+	f, _, err := c.checkSource(name, src, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Release(f)
+	return infoCounts(info)
+}
+
+// TestRecycledInfoIsCleared: Recycle empties every map of the Info it
+// takes back, and a check that follows records exactly what a check into
+// a new Info records, with no key left from the recycled file.
+func TestRecycledInfoIsCleared(t *testing.T) {
+	c, err := NewChecker("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const srcA = `package a
+
+import "cognicryptgen/gca"
+
+func f() ([]byte, error) {
+	r, err := gca.NewSecureRandom()
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, 16)
+	return b, r.NextBytes(b)
+}
+`
+	const srcB = "package b\n\nimport \"strings\"\n\nvar s = strings.ToUpper(\"x\")\n"
+	want := freshCounts(t, c, "b.go", srcB)
+
+	fileA, _, infoA, err := c.CheckSource("a.go", srcA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodesA := map[ast.Node]bool{}
+	ast.Inspect(fileA, func(n ast.Node) bool {
+		if n != nil {
+			nodesA[n] = true
+		}
+		return true
+	})
+	c.Release(fileA)
+	if got := infoCounts(infoA); got[0] == 0 || got[1] == 0 || got[2] == 0 || got[3] == 0 {
+		t.Fatalf("file A recorded %v entries, want some in every map", got)
+	}
+	c.Recycle(infoA)
+	if got := infoCounts(infoA); got != [4]int{} {
+		t.Fatalf("recycled Info holds %v entries, want none", got)
+	}
+
+	fileB, _, infoB, err := c.CheckSource("b.go", srcB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Release(fileB)
+	defer c.Recycle(infoB)
+	if infoB == infoA {
+		t.Log("file B's check drew file A's recycled Info")
+	}
+	if got := infoCounts(infoB); got != want {
+		t.Errorf("file B recorded %v entries (Types, Defs, Uses, Selections), a new Info records %v", got, want)
+	}
+	for k := range infoB.Types {
+		if nodesA[k] {
+			t.Errorf("Types keeps %T of file A", k)
+		}
+	}
+	for k := range infoB.Defs {
+		if nodesA[k] {
+			t.Errorf("Defs keeps %s of file A", k.Name)
+		}
+	}
+	for k := range infoB.Uses {
+		if nodesA[k] {
+			t.Errorf("Uses keeps %s of file A", k.Name)
+		}
+	}
+	for k := range infoB.Selections {
+		if nodesA[k] {
+			t.Errorf("Selections keeps %s of file A", k.Sel.Name)
+		}
+	}
+}
+
+// TestRecycleConcurrent: eight goroutines check and recycle the 13
+// templates at once, so pooled Infos pass between goroutines; each check
+// records exactly what a check into a new Info records. Run under -race
+// (scripts/verify.sh does).
+func TestRecycleConcurrent(t *testing.T) {
+	c, err := NewChecker("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs, err := templates.Sources()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][4]int{}
+	for name, src := range srcs {
+		want[name] = freshCounts(t, c, name, src)
+	}
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				for name, src := range srcs {
+					f, _, info, err := c.CheckSource(name, src)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got := infoCounts(info); got != want[name] {
+						t.Errorf("%s: recorded %v entries, a new Info records %v", name, got, want[name])
+					}
+					c.Release(f)
+					c.Recycle(info)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

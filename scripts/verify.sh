@@ -76,14 +76,16 @@ echo "==> decoded outputs outlive pooled buffers (-race, 3 runs)"
 go test -race -count=3 -run 'TestDecodedOutputsOutliveBuffers' ./client
 
 # The catalogue-hit layer row (SDK -> httptest daemon -> plan splice),
-# the never-seen-body layer row (one Table 1 pipeline run per body) and
-# a process's cold type-check universe (gca and its closure): one
+# the never-seen-body layer row (one Table 1 pipeline run per body), the
+# misuse analyzer on the Figure 1 program and a generated use case, and a
+# process's cold type-check universe (gca and its closure): one
 # iteration each, so the benchmarks keep compiling and running. Their
 # B/op and allocs/op come from longer runs, e.g. -benchtime 2000x
-# -benchmem, -benchtime 400x and -benchtime 10x.
-echo "==> catalogue-hit + fresh-body + universe-warm benchmarks (1 iteration)"
+# -benchmem, -benchtime 400x, -benchtime 200x and -benchtime 10x.
+echo "==> catalogue-hit + fresh-body + analysis + universe-warm benchmarks (1 iteration)"
 go test -run '^$' -bench BenchmarkCatalogueHit -benchtime 1x ./service
 go test -run '^$' -bench BenchmarkGenFresh -benchtime 1x .
+go test -run '^$' -bench BenchmarkAnalysis -benchtime 1x .
 go test -run '^$' -bench BenchmarkUniverseWarm -benchtime 1x ./internal/srccheck
 
 # Superseded rule sets must be released across reloads of unchanged
@@ -109,12 +111,15 @@ go test -race -count=3 -run 'TestReloadReleasesSupersededRuleSet' ./service
 # are parsed with function bodies and literal contents blanked: the
 # blanker's table and unbalanced-input tests run here, every object the
 # universe builds must sit at its unblanked position, and the boot warm
-# must cover every package a template generation builds.
+# must cover every package a template generation builds. Checks draw
+# their types.Info from a pool that Recycle refills: a recycled Info must
+# come back empty, and eight goroutines passing pooled Infos between them
+# must each record exactly what a new Info records.
 # Same repetitions, same detector.
-echo "==> FileSet returns to baseline + one scan per package dir + API pruning + body blanking (-race, 3 runs)"
+echo "==> FileSet returns to baseline + one scan per package dir + API pruning + body blanking + recycled type info (-race, 3 runs)"
 go test -race -count=3 -run 'TestFileSetReturnsToBaseline' ./gen
 go test -race -count=3 \
-    -run 'TestChecksReleaseFiles|TestResolveMatchesGoBuild|TestOneScanPerPackageDir|TestModuleLocalBuildConstraints|TestUniverseClosure|TestUniverseLineTablesExact|TestCheckerBuildConstraints|TestBlankBodies|TestUniversePositionsMatchUnblanked|TestBootWarmCoversTemplates' \
+    -run 'TestChecksReleaseFiles|TestResolveMatchesGoBuild|TestOneScanPerPackageDir|TestModuleLocalBuildConstraints|TestUniverseClosure|TestUniverseLineTablesExact|TestCheckerBuildConstraints|TestBlankBodies|TestUniversePositionsMatchUnblanked|TestBootWarmCoversTemplates|TestRecycledInfoIsCleared|TestRecycleConcurrent' \
     ./internal/srccheck
 
 # The benchmark harness (bench/, a module of its own, so the package run
