@@ -340,6 +340,13 @@ func (fa *funcAnalysis) handleCall(call *ast.CallExpr, lhs []ast.Expr) {
 		return
 	}
 	fa.forget(lhs)
+	// clear(x) and copy(x, src) write through x in place: whatever x's
+	// old contents were granted is gone, though x itself is not assigned.
+	// copy's source is only read and keeps its predicates.
+	if b := fa.builtinName(call); (b == "clear" || b == "copy") && len(call.Args) > 0 {
+		fa.forget([]ast.Expr{unslice(call.Args[0])})
+		return
+	}
 	// Same-package call with a summary: its result predicates flow to the
 	// assigned variables.
 	if fa.summaries != nil {
@@ -366,6 +373,27 @@ func (fa *funcAnalysis) handleCall(call *ast.CallExpr, lhs []ast.Expr) {
 				delete(fa.fresh, obj)
 			}
 		}
+	}
+}
+
+// builtinName returns the name of the builtin that call calls, or "".
+func (fa *funcAnalysis) builtinName(call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, ok := fa.info.Uses[id].(*types.Builtin); ok {
+			return b.Name()
+		}
+	}
+	return ""
+}
+
+// unslice strips slice expressions: x[i:j] writes into x's elements.
+func unslice(e ast.Expr) ast.Expr {
+	for {
+		s, ok := ast.Unparen(e).(*ast.SliceExpr)
+		if !ok {
+			return e
+		}
+		e = s.X
 	}
 }
 

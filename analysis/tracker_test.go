@@ -322,9 +322,10 @@ func goodIV(key *gca.SecretKey, data []byte) ([]byte, error) {
 }
 
 // TestRandomizedIVClean: a randomized IV carries its predicate to
-// NewIVParameterSpec, also through an alias assigned back to it.
+// NewIVParameterSpec, also through an alias assigned back to it, and
+// copying out of it leaves it randomized.
 func TestRandomizedIVClean(t *testing.T) {
-	for _, after := range []string{"", "iv2 := iv\n\tiv = iv2"} {
+	for _, after := range []string{"", "iv2 := iv\n\tiv = iv2", "dst := make([]byte, 12)\n\tcopy(dst, iv)"} {
 		rep := analyze(t, randomizedIV(after))
 		if rep.HasFindings() {
 			t.Errorf("%q: clean IV flow flagged: %v", after, rep.Findings)
@@ -333,10 +334,16 @@ func TestRandomizedIVClean(t *testing.T) {
 }
 
 // TestOverwrittenIVFlagged: overwriting a randomized IV with fresh zero
-// bytes or nil drops its randomized predicate, so the spec that takes it
-// draws exactly one finding.
+// bytes or nil, or in place with clear or copy, drops its randomized
+// predicate, so the spec that takes it draws exactly one finding.
 func TestOverwrittenIVFlagged(t *testing.T) {
-	for _, after := range []string{"iv = make([]byte, 12)", "iv = nil"} {
+	for _, after := range []string{
+		"iv = make([]byte, 12)",
+		"iv = nil",
+		"clear(iv)",
+		"copy(iv, make([]byte, 12))",
+		"copy(iv[4:], make([]byte, 8))",
+	} {
 		rep := analyze(t, randomizedIV(after))
 		if k := kinds(rep); k[RequiredPredicateError] != 1 || len(rep.Findings) != 1 {
 			t.Errorf("%q: want exactly one RequiredPredicateError, got %v", after, rep.Findings)

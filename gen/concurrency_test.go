@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -13,14 +14,17 @@ import (
 // safe for any number of concurrent readers, provided each goroutine owns
 // its Generator. It fans 16 goroutines over all 13 templates (the 11 Table
 // 1 use cases plus the two §7 extensions), every goroutine generating from
-// the same shared *crysl.RuleSet and shared *PathCache, and checks that
-// every goroutine produces byte-identical output per template.
+// the same shared *crysl.RuleSet and shared *PathCache with verification
+// off and on, while the pooled splice and print buffers and type infos
+// pass between them. Every output must hash to the bytes
+// TestPipelineGolden pins for its template and verify setting.
 func TestConcurrentGeneration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrent full-corpus generation is expensive; skipped in -short")
 	}
 	rs := rules.MustLoad()
 	cache := NewPathCache()
+	golden := pipelineGolden(t)
 
 	cases := templates.All()
 	srcs := make(map[string]string, len(cases))
@@ -33,30 +37,44 @@ func TestConcurrentGeneration(t *testing.T) {
 	}
 
 	const goroutines = 16
-	outputs := make([]map[string]string, goroutines)
 	errs := make([]error, goroutines)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// One Generator per goroutine (the documented contract);
-			// rule set and path cache are shared across all of them.
-			g, err := New(rs, "", Options{Paths: cache})
+			// One Generator per goroutine (the documented contract),
+			// and its verifying derivative; rule set and path cache are
+			// shared across all of them.
+			plain, err := New(rs, "", Options{Paths: cache})
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			out := make(map[string]string, len(cases))
-			for _, uc := range cases {
-				res, err := g.GenerateFile(uc.File, srcs[uc.File])
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				out[uc.File] = res.Output
+			verified := plain.WithOptions(Options{Verify: true, Paths: cache})
+			// Half the goroutines generate each template verified first.
+			order := []bool{false, true}
+			if i%2 == 1 {
+				order = []bool{true, false}
 			}
-			outputs[i] = out
+			for _, uc := range cases {
+				for _, verify := range order {
+					g := plain
+					if verify {
+						g = verified
+					}
+					res, err := g.GenerateFile(uc.File, srcs[uc.File])
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					key := fmt.Sprintf("%s|pkg=|verify=%t|as-is", uc.File, verify)
+					if outputHash(res.Output) != golden[key] {
+						errs[i] = fmt.Errorf("%s: output differs from the golden hash", key)
+						return
+					}
+				}
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -64,13 +82,6 @@ func TestConcurrentGeneration(t *testing.T) {
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("goroutine %d: %v", i, err)
-		}
-	}
-	for i := 1; i < goroutines; i++ {
-		for _, uc := range cases {
-			if outputs[i][uc.File] != outputs[0][uc.File] {
-				t.Errorf("goroutine %d produced different output for %s", i, uc.File)
-			}
 		}
 	}
 	if cache.Len() == 0 {

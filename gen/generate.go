@@ -18,9 +18,10 @@
 //     chain, appends calls that would NEGATE predicates to the end of the
 //     block, and synthesizes a TemplateUsage function (step ⑤).
 //
-// The output is gofmt-formatted and, when Options.Verify is set,
-// type-checked against the module with go/types, realising the paper's
-// guarantee that generated code is syntactically valid and type-correct.
+// The output is parsed once and printed as gofmt would and, when
+// Options.Verify is set, that same parsed file is type-checked against the
+// module with go/types, realising the paper's guarantee that generated code
+// is syntactically valid and type-correct.
 package gen
 
 import (
@@ -241,10 +242,11 @@ func (g *Generator) GenerateFile(name, src string) (*Result, error) {
 }
 
 // GenerateFileCtx is GenerateFile with cooperative cancellation: ctx is
-// checked between workflow steps (after template type-checking, before each
-// chain, before usage synthesis, and before output verification), so a
-// request cancelled or expired mid-flight stops consuming its worker at the
-// next step boundary instead of running the pipeline to completion. The
+// checked between workflow steps (before template type-checking, before
+// each chain, before usage synthesis, and, once the output is printed,
+// before output verification type-checks the tree it was printed from), so
+// a request cancelled or expired mid-flight stops consuming its worker at
+// the next step boundary instead of running the pipeline to completion. The
 // returned error wraps ctx.Err() and satisfies errors.Is against
 // context.Canceled / context.DeadlineExceeded.
 func (g *Generator) GenerateFileCtx(ctx context.Context, name, src string) (res *Result, err error) {
@@ -340,16 +342,17 @@ func (g *Generator) generate(ctx context.Context, name, src string, start time.T
 	if err != nil {
 		return nil, "", err
 	}
-	out, err := g.spliceOutput(tmpl, replacements, texts, usage)
+	out, outFile, err := g.spliceOutput(tmpl, replacements, texts, usage)
 	if err != nil {
 		return nil, "", err
 	}
+	defer g.checker.Release(outFile)
 	if g.opts.Verify {
 		if err := cancelled(ctx, name, "output verification"); err != nil {
 			return nil, "", err
 		}
-		if err := g.checker.VerifySource("generated_"+name, out); err != nil {
-			return nil, "", fmt.Errorf("gen: generated code failed verification (this is a generator bug): %w", err)
+		if err := g.verifyOutput(name, out, outFile); err != nil {
+			return nil, "", err
 		}
 	}
 	report.Duration = time.Since(start)

@@ -59,8 +59,7 @@ func TestPipelineGolden(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", key, err)
 					}
-					sum := sha256.Sum256([]byte(res.Output))
-					got[key] = hex.EncodeToString(sum[:])
+					got[key] = outputHash(res.Output)
 				}
 			}
 		}
@@ -80,14 +79,7 @@ func TestPipelineGolden(t *testing.T) {
 		}
 		return
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := pipelineGolden(t)
 	if len(want) != len(got) {
 		t.Errorf("golden file holds %d hashes, the pipeline produced %d", len(want), len(got))
 	}
@@ -96,4 +88,25 @@ func TestPipelineGolden(t *testing.T) {
 			t.Errorf("%s: output hash %s, golden %s", key, sum, want[key])
 		}
 	}
+}
+
+// pipelineGolden reads the hashes TestPipelineGolden pins, keyed
+// "<template>|pkg=<override>|verify=<bool>|<body variant>".
+func pipelineGolden(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", pipelineGoldenFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// outputHash is the hex SHA-256 the golden file holds for an output.
+func outputHash(out string) string {
+	sum := sha256.Sum256([]byte(out))
+	return hex.EncodeToString(sum[:])
 }

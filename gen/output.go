@@ -3,10 +3,11 @@ package gen
 import (
 	"bytes"
 	"fmt"
-	"go/format"
+	"go/ast"
 	"regexp"
 	"sort"
 	"strconv"
+	"sync"
 )
 
 var buildTagRE = regexp.MustCompile(`(?m)^//go:build cryptgen_template\r?\n(\r?\n)?`)
@@ -26,9 +27,12 @@ func generatedUsesGCA(texts []string, pkgName string) bool {
 // generated statements via byte-offset splicing (so glue code, comments and
 // formatting of the template survive verbatim), the fluent import and the
 // template build tag are removed, the package may be renamed, and the
-// synthesized TemplateUsage function is appended. The result is
-// gofmt-formatted.
-func (g *Generator) spliceOutput(tmpl *Template, repl map[int][2]int, texts []string, usage string) (string, error) {
+// synthesized TemplateUsage function is appended. The spliced text is
+// parsed once, into the checker's FileSet, and printed as gofmt would
+// (srccheck's FormatFile). spliceOutput returns the printed text and the
+// parsed file it was printed from, which verification type-checks instead
+// of parsing the text again; the caller releases the file.
+func (g *Generator) spliceOutput(tmpl *Template, repl map[int][2]int, texts []string, usage string) (string, *ast.File, error) {
 	type edit struct {
 		start, end int
 		text       string
@@ -87,7 +91,12 @@ func (g *Generator) spliceOutput(tmpl *Template, repl map[int][2]int, texts []st
 	for _, e := range edits {
 		size += len(e.text)
 	}
-	buf := make([]byte, 0, size)
+	bp := spliceBufs.Get().(*[]byte)
+	defer putSpliceBuf(bp)
+	if cap(*bp) < size {
+		*bp = make([]byte, 0, size)
+	}
+	buf := (*bp)[:0]
 	buf = append(buf, planHeaderPrefix...)
 	buf = append(buf, tmpl.Name...)
 	buf = append(buf, headerRest...)
@@ -95,7 +104,7 @@ func (g *Generator) spliceOutput(tmpl *Template, repl map[int][2]int, texts []st
 	prev := 0
 	for _, e := range edits {
 		if e.start < prev || e.end > len(tmpl.Src) || e.start > e.end {
-			return "", fmt.Errorf("gen: splice out of range [%d,%d)", e.start, e.end)
+			return "", nil, fmt.Errorf("gen: splice out of range [%d,%d)", e.start, e.end)
 		}
 		buf = append(buf, tmpl.Src[prev:e.start]...)
 		buf = append(buf, e.text...)
@@ -109,11 +118,41 @@ func (g *Generator) spliceOutput(tmpl *Template, repl map[int][2]int, texts []st
 		buf = append(buf, usage...)
 	}
 
-	formatted, err := format.Source(buf)
+	f, out, err := g.checker.FormatFile("generated_"+tmpl.Name, buf)
 	if err != nil {
-		return string(buf), fmt.Errorf("gen: generated file does not parse (generator bug): %w\n--- output ---\n%s", err, buf)
+		return "", nil, fmt.Errorf("gen: generated file does not parse (generator bug): %w\n--- output ---\n%s", err, buf)
 	}
-	return string(formatted), nil
+	return out, f, nil
+}
+
+// verifyOutput type-checks the file spliceOutput parsed, whose printed
+// text is out. The file's positions are those of the spliced text, so a
+// failure is checked again on out, and the error names its line in the
+// text that would have been served. Should out check clean where the file
+// did not, the file's error stands: no unverified byte is served.
+func (g *Generator) verifyOutput(name, out string, f *ast.File) error {
+	err := g.checker.VerifyFile(f)
+	if err == nil {
+		return nil
+	}
+	if verr := g.checker.VerifySource("generated_"+name, out); verr != nil {
+		err = verr
+	}
+	return fmt.Errorf("gen: generated code failed verification (this is a generator bug): %w", err)
+}
+
+// spliceBufs holds splice buffers between generations. The parser keeps
+// no reference to the text it parses, so a buffer goes back as soon as
+// FormatFile has printed its file. A buffer grown past 64 KiB is left to
+// the garbage collector, so a rare large template does not keep its buffer
+// pooled.
+var spliceBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func putSpliceBuf(bp *[]byte) {
+	if cap(*bp) > 64<<10 {
+		return
+	}
+	spliceBufs.Put(bp)
 }
 
 // removeBuildTags deletes every match of buildTagRE from b in place and

@@ -26,11 +26,13 @@
 package srccheck
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
 	"go/parser"
+	"go/printer"
 	"go/token"
 	"go/types"
 	"io/fs"
@@ -99,15 +101,15 @@ func ImportPaths(srcs ...string) []string {
 // A Checker is safe for concurrent use: its FileSet is the universe's
 // shared, internally synchronized FileSet, and imports resolve through the
 // concurrency-safe universe. CheckSource and CheckDir fill a types.Info
-// drawn from a process-wide pool, one Info per call; VerifySource fills
-// none.
+// drawn from a process-wide pool, one Info per call; VerifySource and
+// VerifyFile fill none.
 //
-// The files a successful CheckSource or CheckDir returns keep their line
-// tables in that FileSet, where they would stay for the life of the
-// process; the caller passes them to Release once it has resolved their
-// positions. Universe package files are never released. The caller may
-// likewise pass the returned Info to Recycle once nothing reads it, so a
-// later check fills maps that are already grown; an Info never recycled
+// The files a successful CheckSource, CheckDir or FormatFile returns keep
+// their line tables in that FileSet, where they would stay for the life of
+// the process; the caller passes them to Release once it has resolved
+// their positions. Universe package files are never released. The caller
+// may likewise pass the returned Info to Recycle once nothing reads it, so
+// a later check fills maps that are already grown; an Info never recycled
 // is garbage-collected as usual.
 type Checker struct {
 	Fset *token.FileSet
@@ -256,6 +258,66 @@ func (c *Checker) CheckSource(filename, src string) (*ast.File, *types.Package, 
 func (c *Checker) VerifySource(filename, src string) error {
 	f, _, err := c.checkSource(filename, src, nil)
 	c.Release(f)
+	return err
+}
+
+// FormatFile parses src, a complete Go file named filename, into the
+// shared FileSet, sorts its imports and prints it as go/format's Source
+// would, byte for byte: same parser mode, same ast.SortImports, same
+// printer configuration. It returns the parsed file, whose import specs
+// SortImports has reordered and deduplicated in place, and the printed
+// text, sized exactly to its length. Passing the file to VerifyFile
+// type-checks that text without parsing it again. The file's line table
+// lives in the shared FileSet until the caller passes it to Release; on
+// error FormatFile releases it itself and returns only the error.
+//
+// format.Node over the parsed file would print the same bytes, but it
+// takes every grouped import block for unsorted and so prints and parses
+// the file a second time before it sorts a copy. This file is the
+// caller's, so it is sorted in place.
+func (c *Checker) FormatFile(filename string, src []byte) (*ast.File, string, error) {
+	f, err := parser.ParseFile(c.Fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		c.Release(f)
+		return nil, "", fmt.Errorf("srccheck: parse: %w", err)
+	}
+	ast.SortImports(c.Fset, f)
+	buf := printBufs.Get().(*bytes.Buffer)
+	defer putPrintBuf(buf)
+	if err := gofmtConfig.Fprint(buf, c.Fset, f); err != nil {
+		c.Release(f)
+		return nil, "", fmt.Errorf("srccheck: print: %w", err)
+	}
+	return f, buf.String(), nil
+}
+
+// gofmtConfig is go/format's printer configuration, which gofmt shares:
+// tabs for indentation, spaces for alignment, tab width 8, and go/printer's
+// normalizeNumbers mode bit (1<<30), which go/printer reserves for
+// go/format and gofmt and which canonicalizes number literal prefixes and
+// exponents.
+var gofmtConfig = printer.Config{Mode: printer.UseSpaces | printer.TabIndent | 1<<30, Tabwidth: 8}
+
+// printBufs holds FormatFile's output buffers between calls; the text
+// leaves in a string of its own, so a buffer returns as soon as FormatFile
+// does. A buffer grown past 64 KiB is left to the garbage collector, so a
+// rare large file does not keep its buffer pooled.
+var printBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putPrintBuf(buf *bytes.Buffer) {
+	if buf.Cap() > 64<<10 {
+		return
+	}
+	buf.Reset()
+	printBufs.Put(buf)
+}
+
+// VerifyFile is VerifySource for a file already parsed into the shared
+// FileSet, such as one FormatFile returned: it type-checks f as a package
+// of its own without recording type info. The file stays the caller's to
+// Release. Error positions are those of the text f was parsed from.
+func (c *Checker) VerifyFile(f *ast.File) error {
+	_, err := c.check(f.Name.Name, []*ast.File{f}, nil)
 	return err
 }
 

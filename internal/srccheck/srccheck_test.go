@@ -121,11 +121,11 @@ func TestImportUnknownModulePackage(t *testing.T) {
 	}
 }
 
-// TestChecksReleaseFiles: each Check method leaves nothing in the shared
-// FileSet when it fails, CheckPackageWith and VerifySource release every
-// file they parsed even when they succeed, and Release drops what
-// CheckSource and CheckDir return. A released file's error message still
-// names its line.
+// TestChecksReleaseFiles: each Check method and FormatFile leave nothing
+// in the shared FileSet when they fail, CheckPackageWith and VerifySource
+// release every file they parsed even when they succeed, and Release drops
+// what CheckSource, CheckDir and FormatFile return, whether VerifyFile then
+// passes it or not. A released file's error message still names its line.
 func TestChecksReleaseFiles(t *testing.T) {
 	c, err := NewChecker("")
 	if err != nil {
@@ -196,6 +196,33 @@ func TestChecksReleaseFiles(t *testing.T) {
 			files, _, _, err := c.CheckDir(good)
 			c.Release(files...)
 			return err
+		}},
+		{"format syntax error", true, func() error {
+			_, _, err := c.FormatFile("generated_s.go", []byte("package p\nfunc {"))
+			if err != nil && !strings.Contains(err.Error(), "parse") {
+				t.Errorf("syntax error %q is not reported as a parse error", err)
+			}
+			return err
+		}},
+		{"format ok, type error, released", true, func() error {
+			f, _, err := c.FormatFile("generated_t.go", []byte("package p\n\nvar x int = \"s\"\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Release(f)
+			err = c.VerifyFile(f)
+			if err != nil && !strings.Contains(err.Error(), "generated_t.go:3:13") {
+				t.Errorf("type error %q does not name generated_t.go:3:13", err)
+			}
+			return err
+		}},
+		{"format ok, verified, released", false, func() error {
+			f, _, err := c.FormatFile("generated_o.go", []byte(ok))
+			if err != nil {
+				return err
+			}
+			defer c.Release(f)
+			return c.VerifyFile(f)
 		}},
 	} {
 		if err := tc.check(); (err != nil) != tc.wantErr {

@@ -58,8 +58,9 @@ go test -race -cpu 1,2 -count=20 -run 'TestConcurrentMissesOneBody' ./service
 
 # Timed fuzz smoke: 10s of exploration per parser entry point, for the
 # generator's word scanner against the regexps it replaces, for the
-# wire's one-copy string decoder against encoding/json, and for the
-# type-check universe's body blanker against go/parser, on top of the
+# wire's one-copy string decoder against encoding/json, for the
+# type-check universe's body blanker against go/parser, and for the
+# generator's one-parse printer against go/format, on top of the
 # seed-corpus replay in the normal test run. Any crasher or mismatch
 # fails the gate and lands in testdata/fuzz/ for triage.
 echo "==> fuzz smoke (10s per target)"
@@ -68,6 +69,7 @@ go test -run NONE -fuzz 'FuzzParseTemplate' -fuzztime 10s ./gen
 go test -run NONE -fuzz 'FuzzWordMatches' -fuzztime 10s ./gen
 go test -run NONE -fuzz 'FuzzUnquote' -fuzztime 10s ./wire
 go test -run NONE -fuzz 'FuzzBlankBodies' -fuzztime 10s ./internal/srccheck
+go test -run NONE -fuzz 'FuzzFormatFile' -fuzztime 10s ./internal/srccheck
 
 # Decoded outputs must never alias a pooled body buffer: the aliasing
 # test runs three more times under -race while eight goroutines churn the
@@ -114,10 +116,13 @@ go test -race -count=3 -run 'TestReloadReleasesSupersededRuleSet' ./service
 # must cover every package a template generation builds. Checks draw
 # their types.Info from a pool that Recycle refills: a recycled Info must
 # come back empty, and eight goroutines passing pooled Infos between them
-# must each record exactly what a new Info records.
+# must each record exactly what a new Info records. Generation draws its
+# splice and print buffers from pools too: 16 goroutines generating the
+# 13 templates with verify off and on must each produce the bytes
+# TestPipelineGolden pins.
 # Same repetitions, same detector.
-echo "==> FileSet returns to baseline + one scan per package dir + API pruning + body blanking + recycled type info (-race, 3 runs)"
-go test -race -count=3 -run 'TestFileSetReturnsToBaseline' ./gen
+echo "==> FileSet returns to baseline + one scan per package dir + API pruning + body blanking + recycled type info + pooled generation buffers (-race, 3 runs)"
+go test -race -count=3 -run 'TestFileSetReturnsToBaseline|TestConcurrentGeneration' ./gen
 go test -race -count=3 \
     -run 'TestChecksReleaseFiles|TestResolveMatchesGoBuild|TestOneScanPerPackageDir|TestModuleLocalBuildConstraints|TestUniverseClosure|TestUniverseLineTablesExact|TestCheckerBuildConstraints|TestBlankBodies|TestUniversePositionsMatchUnblanked|TestBootWarmCoversTemplates|TestRecycledInfoIsCleared|TestRecycleConcurrent' \
     ./internal/srccheck
