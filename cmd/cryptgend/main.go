@@ -32,8 +32,8 @@
 // in the request path are recovered into per-request 500s
 // (panics_recovered in /metrics), request bodies are capped (-max-body),
 // a client that stalls mid-request is cut off by the listener's read
-// deadlines, and when the worker queue saturates past -max-waiters blocked
-// submissions, excess requests are shed with 429 + Retry-After instead of
+// deadlines, and once -workers pipeline runs are busy and -queue more are
+// waiting, excess requests are shed with 429 + Retry-After instead of
 // queueing without bound (shed_total in /metrics). A failed /v1/reload
 // keeps serving the last good rule set and reports degraded on /readyz.
 //
@@ -79,14 +79,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cryptgend: ")
 	addr := flag.String("addr", ":8572", "listen address")
-	workers := flag.Int("workers", runtime.NumCPU(), "worker pool size (0 = one per CPU; negative is rejected)")
-	queue := flag.Int("queue", 0, "pending-job queue size (0 = 4x workers)")
+	workers := flag.Int("workers", runtime.NumCPU(), "pipeline and analysis runs at once (0 = one per CPU; negative is rejected)")
+	queue := flag.Int("queue", 0, "runs allowed to wait for a worker before shedding 429s (0 = 12x workers; negative is rejected)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	cacheSize := flag.Int("cache", 256, "compiled-plan cache entries, the only generation cache")
 	dir := flag.String("dir", "", "module directory (default: working directory)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful shutdown deadline")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/ (opt-in: profiles reveal source being generated)")
-	maxWaiters := flag.Int("max-waiters", 0, "submissions allowed to block behind a full queue before shedding 429s (0 = 2x queue; negative is rejected)")
 	maxBody := flag.Int64("max-body", 0, "request-body byte cap on POST endpoints, 413 beyond it (0 = 4 MiB; negative is rejected)")
 	rulesDir := flag.String("rules", "", "serve GoCrySL rules from this directory instead of the embedded set; /v1/reload recompiles from it")
 	self := flag.String("self", "", `this node's base URL as peers address it, e.g. "http://10.0.0.1:8572" (cluster mode; required with -peers)`)
@@ -118,7 +117,6 @@ func main() {
 		QueueSize:      *queue,
 		RequestTimeout: *timeout,
 		CacheSize:      *cacheSize,
-		MaxWaiters:     *maxWaiters,
 		MaxBodyBytes:   *maxBody,
 		Loader:         loader,
 

@@ -85,7 +85,7 @@ type plannedEvent struct {
 
 // chainState threads mutable generation state through one fluent chain.
 type chainState struct {
-	pool     []*genObject
+	pool     []*genObject // objects the chain produced or bound, oldest first
 	names    *names
 	lines    []string
 	deferred []string
@@ -105,7 +105,6 @@ func (g *Generator) generateChain(tmpl *Template, m *TemplateMethod, chain *Chai
 		errRet = "return " + strings.Join(ri.zeros, ", ") + ", err"
 	}
 	st := &chainState{names: methodNames, errRet: errRet}
-	g.curPool = nil
 	links := g.computeLinks(tmpl, m, chain)
 
 	for idx, inv := range chain.Invocations {
@@ -264,7 +263,7 @@ func (g *Generator) resolvePath(tmpl *Template, m *TemplateMethod, inv *Invocati
 			res.receiver = ident
 			res.assumptions = append(res.assumptions,
 				fmt.Sprintf("%s: receiver %q supplied by template; its REQUIRES are assumed satisfied", rule.SpecType(), ident))
-		} else if obj := g.findThisObject(rule, idx); obj != nil {
+		} else if obj := g.findThisObject(st, rule); obj != nil {
 			res.receiver = obj.expr
 			res.objects["this"] = obj
 		} else {
@@ -283,7 +282,7 @@ func (g *Generator) resolvePath(tmpl *Template, m *TemplateMethod, inv *Invocati
 			if _, done := res.objects[prm.Name]; done {
 				continue
 			}
-			if obj, assumption := g.resolvePhaseA(tmpl, m, inv, rule, prm.Name, env); obj != nil {
+			if obj, assumption := g.resolvePhaseA(m, inv, rule, prm.Name, env, st); obj != nil {
 				res.objects[prm.Name] = obj
 				if assumption != "" {
 					res.assumptions = append(res.assumptions, assumption)
@@ -344,7 +343,7 @@ func (g *Generator) resolvePath(tmpl *Template, m *TemplateMethod, inv *Invocati
 
 // resolvePhaseA implements cascade steps (a) template binding and (b)
 // predicate-carrying generated object.
-func (g *Generator) resolvePhaseA(tmpl *Template, m *TemplateMethod, inv *Invocation, rule *crysl.Rule, varName string, env *constraint.Env) (*genObject, string) {
+func (g *Generator) resolvePhaseA(m *TemplateMethod, inv *Invocation, rule *crysl.Rule, varName string, env *constraint.Env, st *chainState) (*genObject, string) {
 	decl := rule.Objects[varName]
 	if ident, ok := inv.Bindings[varName]; ok {
 		obj := &genObject{expr: ident, fromTemplate: true, producedBy: -1}
@@ -365,7 +364,7 @@ func (g *Generator) resolvePhaseA(tmpl *Template, m *TemplateMethod, inv *Invoca
 		if len(req.Params) == 0 || req.Params[0].Name != varName {
 			continue
 		}
-		for _, pool := range g.poolFor(varName) {
+		for _, pool := range st.poolFor() {
 			if pool.preds[req.Name] && (pool.goType == nil || decl == nil || g.api.matchesCrySLType(pool.goType, decl.Type)) {
 				if decl != nil && pool.goType != nil {
 					if name := typeNameOf(pool.goType); name != "" {
@@ -379,25 +378,25 @@ func (g *Generator) resolvePhaseA(tmpl *Template, m *TemplateMethod, inv *Invoca
 	return nil, ""
 }
 
-// poolFor returns the current pool most-recent-first, giving later
+// poolFor returns the chain pool most-recent-first, giving later
 // productions priority — a freshly derived key outranks an older one.
-func (g *Generator) poolFor(string) []*genObject {
-	out := make([]*genObject, len(g.curPool))
-	for i, o := range g.curPool {
-		out[len(g.curPool)-1-i] = o
+func (st *chainState) poolFor() []*genObject {
+	out := make([]*genObject, len(st.pool))
+	for i, o := range st.pool {
+		out[len(st.pool)-1-i] = o
 	}
 	return out
 }
 
 // findThisObject searches the pool for an object satisfying the rule's
 // this-REQUIRES predicates and spec type.
-func (g *Generator) findThisObject(rule *crysl.Rule, idx int) *genObject {
+func (g *Generator) findThisObject(st *chainState, rule *crysl.Rule) *genObject {
 	specDecl := ast.Type{Name: rule.SpecType()}
 	for _, req := range rule.AST.Requires {
 		if len(req.Params) == 0 || !req.Params[0].This {
 			continue
 		}
-		for _, obj := range g.curPool {
+		for _, obj := range st.pool {
 			if obj.preds[req.Name] && obj.goType != nil && g.api.matchesCrySLType(obj.goType, specDecl) {
 				return obj
 			}
@@ -405,8 +404,8 @@ func (g *Generator) findThisObject(rule *crysl.Rule, idx int) *genObject {
 	}
 	// No this-REQUIRES: fall back to any pool object of the spec type.
 	if len(rule.AST.Requires) == 0 || !hasThisRequires(rule) {
-		for i := len(g.curPool) - 1; i >= 0; i-- {
-			obj := g.curPool[i]
+		for i := len(st.pool) - 1; i >= 0; i-- {
+			obj := st.pool[i]
 			if obj.goType != nil && g.api.matchesCrySLType(obj.goType, specDecl) {
 				return obj
 			}

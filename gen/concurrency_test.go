@@ -10,14 +10,14 @@ import (
 )
 
 // TestConcurrentGeneration is the concurrency contract of the package,
-// enforced under the race detector: a compiled rule set and a PathCache are
-// safe for any number of concurrent readers, provided each goroutine owns
-// its Generator. It fans 16 goroutines over all 13 templates (the 11 Table
-// 1 use cases plus the two §7 extensions), every goroutine generating from
-// the same shared *crysl.RuleSet and shared *PathCache with verification
-// off and on, while the pooled splice and print buffers and type infos
-// pass between them. Every output must hash to the bytes
-// TestPipelineGolden pins for its template and verify setting.
+// enforced under the race detector: one Generator and its WithOptions
+// derivative are safe for any number of concurrent callers. It fans 16
+// goroutines over all 13 templates (the 11 Table 1 use cases plus the two
+// §7 extensions), every goroutine generating through the same Generator
+// with verification off and through the same verifying derivative, while
+// the pooled splice and print buffers and type infos pass between them.
+// Every output must hash to the bytes TestPipelineGolden pins for its
+// template and verify setting.
 func TestConcurrentGeneration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrent full-corpus generation is expensive; skipped in -short")
@@ -36,6 +36,12 @@ func TestConcurrentGeneration(t *testing.T) {
 		srcs[uc.File] = src
 	}
 
+	plain, err := New(rs, "", Options{Paths: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verified := plain.WithOptions(Options{Verify: true, Paths: cache})
+
 	const goroutines = 16
 	errs := make([]error, goroutines)
 	var wg sync.WaitGroup
@@ -43,15 +49,6 @@ func TestConcurrentGeneration(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// One Generator per goroutine (the documented contract),
-			// and its verifying derivative; rule set and path cache are
-			// shared across all of them.
-			plain, err := New(rs, "", Options{Paths: cache})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			verified := plain.WithOptions(Options{Verify: true, Paths: cache})
 			// Half the goroutines generate each template verified first.
 			order := []bool{false, true}
 			if i%2 == 1 {

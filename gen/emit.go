@@ -10,13 +10,13 @@ import (
 )
 
 // addToPool appends obj to the chain pool unless it is already present.
-func (g *Generator) addToPool(obj *genObject) {
-	for _, o := range g.curPool {
+func (st *chainState) addToPool(obj *genObject) {
+	for _, o := range st.pool {
 		if o == obj {
 			return
 		}
 	}
-	g.curPool = append(g.curPool, obj)
+	st.pool = append(st.pool, obj)
 }
 
 // emit renders the resolved plan of one rule invocation into Go statements
@@ -58,7 +58,7 @@ func (g *Generator) emit(tmpl *Template, m *TemplateMethod, inv *Invocation, idx
 			receiverObj.goType = t
 		}
 		res.objects["this"] = receiverObj
-		g.addToPool(receiverObj)
+		st.addToPool(receiverObj)
 	}
 
 	var produced []*genObject
@@ -102,7 +102,7 @@ func (g *Generator) emit(tmpl *Template, m *TemplateMethod, inv *Invocation, idx
 			if pe.pattern.Result != "" && pe.pattern.Result != "this" {
 				res.objects[pe.pattern.Result] = receiverObj
 			}
-			g.addToPool(receiverObj)
+			st.addToPool(receiverObj)
 			produced = append(produced, receiverObj)
 			call := fmt.Sprintf("%s.%s(%s)", g.api.pkg.Name(), pe.pattern.Method, strings.Join(args, ", "))
 			if pe.shape.returnsErr {
@@ -122,7 +122,7 @@ func (g *Generator) emit(tmpl *Template, m *TemplateMethod, inv *Invocation, idx
 				st.declared = append(st.declared, name)
 				obj := &genObject{expr: name, goType: pe.shape.value, producedBy: idx}
 				res.objects[bind] = obj
-				g.addToPool(obj)
+				st.addToPool(obj)
 				produced = append(produced, obj)
 				if pe.shape.returnsErr {
 					lines = append(lines, fmt.Sprintf("%s, err := %s", name, call), "if err != nil {", "\t"+st.errRet, "}")
@@ -148,11 +148,11 @@ func (g *Generator) emit(tmpl *Template, m *TemplateMethod, inv *Invocation, idx
 		}
 
 		for _, pd := range rule.EnsuredAfter(pe.label) {
-			g.grantPredicate(pd, receiverObj, res)
+			st.grantPredicate(pd, receiverObj, res)
 		}
 	}
 	for _, pd := range rule.UnconditionalEnsures() {
-		g.grantPredicate(pd, receiverObj, res)
+		st.grantPredicate(pd, receiverObj, res)
 	}
 
 	if inv.ReturnObj != "" {
@@ -164,7 +164,7 @@ func (g *Generator) emit(tmpl *Template, m *TemplateMethod, inv *Invocation, idx
 }
 
 // grantPredicate attaches an ENSURES predicate to the object it names.
-func (g *Generator) grantPredicate(pd *ast.PredicateDef, receiver *genObject, res *resolved) {
+func (st *chainState) grantPredicate(pd *ast.PredicateDef, receiver *genObject, res *resolved) {
 	if len(pd.Params) == 0 {
 		if receiver != nil {
 			receiver.grant(pd.Name)
@@ -176,14 +176,14 @@ func (g *Generator) grantPredicate(pd *ast.PredicateDef, receiver *genObject, re
 	case target.This:
 		if receiver != nil {
 			receiver.grant(pd.Name)
-			g.addToPool(receiver)
+			st.addToPool(receiver)
 		}
 	case target.Wildcard:
 		// Nothing concrete to attach to.
 	default:
 		if obj := res.objects[target.Name]; obj != nil {
 			obj.grant(pd.Name)
-			g.addToPool(obj)
+			st.addToPool(obj)
 		}
 	}
 }

@@ -86,18 +86,17 @@ type Options struct {
 
 // Generator turns code templates into secure implementations.
 //
-// A Generator is NOT safe for concurrent use: it threads the current
-// chain's object pool (curPool) through generation. Concurrent servers run
-// one Generator per worker.
-//
-// The inputs a Generator reads, however, are safe to share: a compiled
-// *crysl.RuleSet is immutable after loading (rules, events, aggregates,
-// objects, and DFAs are built once and only read afterwards), a *PathCache
-// is internally synchronized, and the type-checked package universe behind
-// its srccheck.Checker is a process-wide concurrency-safe cache shared by
-// every Generator of the same module root. Any number of Generators in any
-// number of goroutines may therefore share one rule set and one path
-// cache; TestConcurrentGeneration enforces this with the race detector.
+// A Generator and its WithOptions derivatives are safe for concurrent use:
+// a generation keeps its state (the chain's object pool among it) in
+// per-call values, and a Generator is never mutated after New. What it
+// reads is safe to share too: a compiled *crysl.RuleSet is immutable after
+// loading (rules, events, aggregates, objects, and DFAs are built once and
+// only read afterwards), a *PathCache and a *PlanCache are internally
+// synchronized, and the type-checked package universe behind its
+// srccheck.Checker is a process-wide concurrency-safe cache shared by
+// every Generator of the same module root. A server therefore builds one
+// Generator per rule set and calls it from every goroutine;
+// TestConcurrentGeneration enforces this with the race detector.
 type Generator struct {
 	rules   *crysl.RuleSet
 	checker *srccheck.Checker
@@ -106,9 +105,6 @@ type Generator struct {
 	// rulesFP is rules.Fingerprint(), hashed on first use and shared with
 	// every WithOptions derivative: the rule-set half of the plan key.
 	rulesFP func() string
-
-	// curPool is the object pool of the chain currently being generated.
-	curPool []*genObject
 }
 
 // New creates a Generator over the rule set. The module is located from
@@ -149,12 +145,10 @@ func (g *Generator) Rules() *crysl.RuleSet { return g.rules }
 
 // WithOptions returns a Generator sharing this one's compiled rule set,
 // type-checker, and API model, but running under opts. Construction is
-// O(1), which lets a long-lived worker keep one base Generator and derive
-// per-request variants (package name override, verification on/off) for
-// free. The derived Generator follows the same rule as the base: use from
-// one goroutine at a time, and not concurrently with the base (the
-// generation state itself is per-Generator; the shared type-check universe
-// underneath is concurrency-safe).
+// O(1), which lets a server keep one base Generator per rule set and
+// derive per-request variants (package name override, verification on/off)
+// for free. Like the base, the derived Generator is safe for concurrent
+// use, alongside the base and every other derivative.
 func (g *Generator) WithOptions(opts Options) *Generator {
 	if opts.MaxPaths == 0 {
 		opts.MaxPaths = DefaultMaxPaths
@@ -263,7 +257,7 @@ func (g *Generator) GenerateFileCtx(ctx context.Context, name, src string) (res 
 
 	// Plan fast path: one earlier generation of this (template source,
 	// rule set, verify) tuple makes this one a byte splice. Requests the
-	// splicer cannot serve exactly (see planExecutable) take the legacy
+	// splicer cannot serve exactly (see planExecutable) take the
 	// pipeline below, whose result then seeds the cache; ablation runs
 	// (see planDefault) take it without touching the cache.
 	plannable := g.opts.Plans != nil && planDefault(g.opts) && planExecutable(name, g.opts.PackageName)
@@ -293,7 +287,7 @@ func (g *Generator) GenerateFileCtx(ctx context.Context, name, src string) (res 
 	return res, nil
 }
 
-// generate is the legacy (plan-free) pipeline: workflow steps ① through ⑤
+// generate is the plan-free pipeline: workflow steps ① through ⑤
 // plus optional output verification. It additionally returns the
 // template's own package name so the caller can compile a Plan.
 func (g *Generator) generate(ctx context.Context, name, src string, start time.Time) (*Result, string, error) {
@@ -710,5 +704,3 @@ func calledSet(rule *crysl.Rule, path []string) map[string]bool {
 	}
 	return called
 }
-
-var _ = types.Identical // referenced from sibling files

@@ -30,15 +30,10 @@ func (g *Generator) GenerateInto(dir, name, src string) (string, *Result, error)
 		pkgName = sanitizePackageName(filepath.Base(dir))
 	}
 
-	// Override the output package for this run (Generators are documented
-	// as not concurrency-safe).
-	savedPkg := g.opts.PackageName
-	savedVerify := g.opts.Verify
-	g.opts.PackageName = pkgName
-	g.opts.Verify = false // joint verification below replaces the single-file pass
-	res, err := g.GenerateFile(name, src)
-	g.opts.PackageName = savedPkg
-	g.opts.Verify = savedVerify
+	opts := g.opts
+	opts.PackageName = pkgName
+	opts.Verify = false // joint verification below replaces the single-file pass
+	res, err := g.WithOptions(opts).GenerateFile(name, src)
 	if err != nil {
 		return "", nil, err
 	}

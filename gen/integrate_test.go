@@ -1,9 +1,11 @@
 package gen
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"cognicryptgen/templates"
@@ -105,5 +107,70 @@ func TestSanitizePackageName(t *testing.T) {
 		if got := sanitizePackageName(in); got != want {
 			t.Errorf("sanitizePackageName(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestGenerateIntoConcurrentWithGenerateFile: GenerateInto derives a
+// Generator for its target package rather than overriding the receiver's
+// options, so generations running meanwhile on the same Generator keep
+// its package and verification. Each GenerateFile output must hash to
+// TestPipelineGolden's bytes, and each GenerateInto output must carry its
+// own directory's package. Run under -race by scripts/verify.sh.
+func TestGenerateIntoConcurrentWithGenerateFile(t *testing.T) {
+	g := sharedGenerator(t) // Verify: true
+	uc, err := templates.ByID(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := templates.Source(uc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pipelineGolden(t)[uc.File+"|pkg=|verify=true|as-is"]
+	if want == "" {
+		t.Fatal("no golden hash for the template")
+	}
+
+	const rounds = 4
+	errs := make(chan error, 2*rounds)
+	var wg sync.WaitGroup
+	for i := 0; i < rounds; i++ {
+		dir := filepath.Join(t.TempDir(), fmt.Sprintf("target%d", i))
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			path, _, err := g.GenerateInto(dir, uc.File, src)
+			if err != nil {
+				errs <- err
+				return
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				errs <- err
+				return
+			}
+			if pkg := "package " + filepath.Base(dir); !strings.Contains(string(data), pkg) {
+				errs <- fmt.Errorf("%s: output lacks %q", path, pkg)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			res, err := g.GenerateFile(uc.File, src)
+			if err != nil {
+				errs <- err
+				return
+			}
+			if outputHash(res.Output) != want {
+				errs <- fmt.Errorf("GenerateFile output beside GenerateInto differs from the golden hash:\n%s", res.Output)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -28,8 +28,7 @@ const planHeaderPrefix = "// Code generated by CogniCryptGEN from "
 // text go/format never rewrites) and the package identifier stands alone
 // in the clause, so substituting either cannot perturb the formatting of
 // any other byte. Requests whose name or package could break that
-// property are rejected by planExecutable and fall back to the legacy
-// pipeline.
+// property are rejected by planExecutable and fall back to the pipeline.
 //
 // A Plan is immutable and safe for concurrent use by any number of
 // goroutines.
@@ -46,11 +45,11 @@ type Plan struct {
 }
 
 // errNotPlannable reports an output whose shape the splicer does not
-// recognise; the caller simply keeps the legacy result and compiles no
+// recognise; the caller simply keeps the pipeline result and compiles no
 // plan.
 var errNotPlannable = errors.New("gen: output shape not plannable")
 
-// compilePlan distils a legacy pipeline Result into a Plan. name and
+// compilePlan distils a pipeline Result into a Plan. name and
 // outPkg must be the values the Result was generated under (outPkg is the
 // effective output package: the override if one was set, else the
 // template's own); tmplPkg is the template's own package name, kept as the
@@ -108,7 +107,7 @@ func (p *Plan) size() int64 {
 // output beyond the two spliced identifiers — a newline in the name that
 // would break the header comment, surrounding whitespace the formatter
 // might see at a line boundary, a package override that is not a Go
-// identifier (the legacy pipeline rejects those at format time) — falls
+// identifier (the pipeline rejects those at format time) — falls
 // back to the full pipeline instead.
 func planExecutable(name, pkg string) bool {
 	if name == "" || strings.ContainsAny(name, "\n\r") || strings.TrimSpace(name) != name {

@@ -211,9 +211,9 @@ func TestPlanFallbacks(t *testing.T) {
 }
 
 // TestPlanConcurrentExecution: many goroutines over one shared PlanCache
-// (the daemon's shape: one Generator per goroutine, distinct request
-// names, same template body) must all see byte-identical bodies. Run
-// under -race by scripts/verify.sh.
+// (the daemon's shape: one Generator shared by every goroutine, distinct
+// request names, same template body) must all see byte-identical bodies.
+// Run under -race by scripts/verify.sh.
 func TestPlanConcurrentExecution(t *testing.T) {
 	rs := rules.MustLoad()
 	paths := NewPathCache()
@@ -241,14 +241,9 @@ func TestPlanConcurrentExecution(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			g, err := New(rs, "", Options{Paths: paths, Plans: plans})
-			if err != nil {
-				errs <- err
-				return
-			}
 			for i := 0; i < perWorker; i++ {
 				name := fmt.Sprintf("c%d_%d.go", w, i)
-				res, err := g.GenerateFile(name, miniTemplate)
+				res, err := base.GenerateFile(name, miniTemplate)
 				if err != nil {
 					errs <- err
 					return

@@ -66,8 +66,8 @@ func (c *PlanCache) FingerprintFor(set *crysl.RuleSet) string {
 // splices name and opts.PackageName into the resident skeleton and
 // returns the result. ok=false means the request is not plan-executable,
 // opts is not the default algorithm, or no plan is resident; the caller
-// must run the legacy pipeline (whose Generator, when wired with this
-// cache, will count the miss and compile the plan). Only hits are counted
+// must run the pipeline (whose Generator, when wired with this cache,
+// will count the miss and compile the plan). Only hits are counted
 // here so a miss that falls through to GenerateFileCtx is not counted
 // twice.
 func (c *PlanCache) Execute(rulesFP, name, src string, opts Options) (*Result, bool) {
@@ -171,5 +171,5 @@ func (c *PlanCache) Bytes() int64 {
 func (c *PlanCache) Hits() int64 { return c.hits.Load() }
 
 // Misses returns the cumulative plan-miss count (plan-eligible
-// generations that had to run the legacy pipeline).
+// generations that had to run the pipeline).
 func (c *PlanCache) Misses() int64 { return c.misses.Load() }

@@ -35,8 +35,8 @@ const (
 	// PointPathEnum fires per rule during the registry's candidate-snapshot
 	// path warm-up (service.Registry.Reload).
 	PointPathEnum = "path-enum"
-	// PointWorkerExec fires on a pool worker immediately before it runs a
-	// job (service.Pool).
+	// PointWorkerExec fires immediately before an admitted pool call runs
+	// (service.Pool).
 	PointWorkerExec = "worker-exec"
 	// PointReloadSwap fires after a candidate snapshot compiled and warmed,
 	// immediately before it would be swapped in (service.Registry.Reload).

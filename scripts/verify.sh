@@ -117,12 +117,16 @@ go test -race -count=3 -run 'TestReloadReleasesSupersededRuleSet' ./service
 # their types.Info from a pool that Recycle refills: a recycled Info must
 # come back empty, and eight goroutines passing pooled Infos between them
 # must each record exactly what a new Info records. Generation draws its
-# splice and print buffers from pools too: 16 goroutines generating the
-# 13 templates with verify off and on must each produce the bytes
-# TestPipelineGolden pins.
+# splice and print buffers from pools too: 16 goroutines sharing one
+# Generator and its verifying derivative over the 13 templates must each
+# produce the bytes TestPipelineGolden pins, and GenerateInto running
+# beside GenerateFile on one Generator must leave the latter's bytes
+# alone. A daemon snapshot shares one Analyzer too: eight goroutines over
+# the 13 outputs and the Figure 1 misuse must match a serial run.
 # Same repetitions, same detector.
-echo "==> FileSet returns to baseline + one scan per package dir + API pruning + body blanking + recycled type info + pooled generation buffers (-race, 3 runs)"
-go test -race -count=3 -run 'TestFileSetReturnsToBaseline|TestConcurrentGeneration' ./gen
+echo "==> FileSet returns to baseline + one scan per package dir + API pruning + body blanking + recycled type info + pooled generation buffers + shared Generator and Analyzer (-race, 3 runs)"
+go test -race -count=3 -run 'TestFileSetReturnsToBaseline|TestConcurrentGeneration|TestGenerateIntoConcurrentWithGenerateFile' ./gen
+go test -race -count=3 -run 'TestConcurrentAnalysis' ./analysis
 go test -race -count=3 \
     -run 'TestChecksReleaseFiles|TestResolveMatchesGoBuild|TestOneScanPerPackageDir|TestModuleLocalBuildConstraints|TestUniverseClosure|TestUniverseLineTablesExact|TestCheckerBuildConstraints|TestBlankBodies|TestUniversePositionsMatchUnblanked|TestBootWarmCoversTemplates|TestRecycledInfoIsCleared|TestRecycleConcurrent' \
     ./internal/srccheck

@@ -203,7 +203,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	for _, key := range []string{
 		"requests", "generate_requests", "batch_requests", "analyze_requests",
 		"errors", "cache_hits", "cache_misses", "cache_hit_rate", "cache_entries",
-		"coalesced", "queue_depth", "queue_waiters", "latency_p50_ms",
+		"coalesced", "queue_depth", "latency_p50_ms",
 		"latency_p99_ms", "timeouts", "reloads", "panics_recovered",
 		"shed_total",
 	} {

@@ -183,10 +183,9 @@ func TestChaosLatencyShedding(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
 	srv, ts := chaosServer(t, Config{
-		Workers:   1,
-		QueueSize: 1,
-		// One submission may wait behind the full queue; the rest shed.
-		MaxWaiters:     1,
+		Workers: 1,
+		// Two submissions may wait for the one worker; the rest shed.
+		QueueSize:      2,
 		RequestTimeout: 30 * time.Second,
 	})
 
@@ -198,7 +197,7 @@ func TestChaosLatencyShedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the worker's generator so the storm measures queueing, not the
+	// Warm the snapshot's generator so the storm measures queueing, not the
 	// one-off type-check warm-up.
 	if resp, body := postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{Name: "chaos_warm.go", Source: src}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm-up: status %d: %s", resp.StatusCode, body)
@@ -263,9 +262,32 @@ func TestChaosLatencyShedding(t *testing.T) {
 	}
 }
 
+// TestRetryAfterJitter: the 429 hint for shed streak k (capped at 6) is
+// 2^k seconds plus up to half of that again, so a fleet shed together
+// comes back spread over the window instead of as one herd.
+func TestRetryAfterJitter(t *testing.T) {
+	for streak := int64(0); streak <= 8; streak++ {
+		k := min(streak, 6)
+		lo, hi := 1<<k, 1<<k+(1<<k)/2
+		s := &Server{}
+		s.shedStreak.Store(streak)
+		seen := map[int]bool{}
+		for range 200 {
+			got := s.retryAfterSeconds()
+			if got < lo || got > hi {
+				t.Fatalf("streak %d: Retry-After %d outside [%d, %d]", streak, got, lo, hi)
+			}
+			seen[got] = true
+		}
+		if hi > lo && len(seen) < 2 {
+			t.Errorf("streak %d: 200 hints all %v; want jitter over [%d, %d]", streak, seen, lo, hi)
+		}
+	}
+}
+
 // TestNewRejectsNegativeMaxWaiters: a negative size or bound is a
 // configuration error rather than a silently broken daemon. Admission
-// control has no unbounded waiter mode; a negative body cap would answer
+// control has no unbounded queue mode; a negative body cap would answer
 // every POST with 413; a negative worker count would run one worker while
 // /healthz reported the negative figure.
 func TestNewRejectsNegativeMaxWaiters(t *testing.T) {
@@ -273,7 +295,7 @@ func TestNewRejectsNegativeMaxWaiters(t *testing.T) {
 		field string
 		cfg   Config
 	}{
-		{"MaxWaiters", Config{Workers: 1, MaxWaiters: -1}},
+		{"QueueSize", Config{Workers: 1, QueueSize: -1}},
 		{"MaxBodyBytes", Config{Workers: 1, MaxBodyBytes: -1}},
 		{"Workers", Config{Workers: -3}},
 	} {

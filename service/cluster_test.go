@@ -389,9 +389,9 @@ func TestClusterProbeSlowPeerStaysAdmitted(t *testing.T) {
 // forwarded work relies on instead of a deadline budget of its own: the
 // owner's only worker is busy, so a forwarded request waits in its queue;
 // when the forwarder's context ends, its http.Transport closes the
-// connection, the owner's request context is cancelled, and the worker
-// skips the queued job once freed instead of compiling a plan nobody will
-// read. Nothing leaks on either node.
+// connection, the owner's request context is cancelled, and the waiting
+// request leaves the queue at once instead of compiling a plan nobody
+// will read. Nothing leaks on either node.
 //
 // The owner notices the closed connection asynchronously, so the worker
 // is released only once the owner's handler has answered the cancelled
@@ -431,10 +431,10 @@ func TestClusterForwardCancelSkipsQueuedJob(t *testing.T) {
 	// Hold the owner's only worker.
 	started, release, held := make(chan struct{}), make(chan struct{}), make(chan error, 1)
 	go func() {
-		_, err := owner.pool.Submit(context.Background(), func(context.Context, *Worker) (any, error) {
+		err := owner.pool.Submit(context.Background(), func() error {
 			close(started)
 			<-release
-			return nil, nil
+			return nil
 		})
 		held <- err
 	}()
@@ -455,17 +455,17 @@ func TestClusterForwardCancelSkipsQueuedJob(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if d := owner.pool.QueueDepth(); d != 1 {
-		t.Fatalf("owner queue depth %d, want the forwarded job queued behind the held worker", d)
+	if d := owner.pool.QueueDepth(); d != 0 {
+		t.Fatalf("owner queue depth %d, want 0: the cancelled forward still waits for the held worker", d)
 	}
 
 	close(release)
 	if err := <-held; err != nil {
 		t.Fatal(err)
 	}
-	// One worker takes jobs in order, so once this one has run the
-	// forwarded job ahead of it has been skipped or run.
-	if _, err := owner.pool.Submit(context.Background(), func(context.Context, *Worker) (any, error) { return nil, nil }); err != nil {
+	// The freed worker serves the next call; the cancelled forward is
+	// not among them.
+	if err := owner.pool.Submit(context.Background(), func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	after := owner.MetricsSnapshot()

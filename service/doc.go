@@ -13,19 +13,22 @@
 //     a gen.PathCache of its own with every rule's accepting-path
 //     enumeration, and on Reload swaps in a freshly compiled and warmed set
 //     atomically. Each Snapshot owns its path cache, so a superseded rule
-//     set is freed with it; only the plan cache outlives a snapshot.
+//     set is freed with it; only the plan cache outlives a snapshot. Each
+//     Snapshot also builds its one Generator and one Analyzer on first
+//     use.
 //
-//   - Pool (pool.go): a bounded worker pool. Each worker owns its own
-//     gen.Generator and analysis.Analyzer (a Generator is not safe for
-//     concurrent use) while all workers share the snapshot's immutable
-//     rule set and path cache. Jobs carry a context that is propagated
-//     into the generation pipeline (gen.GenerateFileCtx), so work that is
-//     cancelled while queued is skipped and work cancelled mid-flight
-//     stops at the next workflow-step boundary. Submissions and shutdown
-//     are fenced by an RWMutex so a Submit racing Close either lands
-//     before the workers' final drain or fails with ErrClosed — never
-//     strands a job. Close drains queued jobs before returning (graceful
-//     SIGTERM shutdown).
+//   - Pool (pool.go): admission control. At most Workers calls run at
+//     once, each on its caller's goroutine under a panic guard; at most
+//     QueueSize more wait for a slot, and the rest are shed with
+//     ErrOverloaded. The calls share the snapshot's one gen.Generator and
+//     one analysis.Analyzer, which are safe for concurrent use. A caller
+//     whose context ends while it waits leaves without running, and the
+//     context is propagated into the generation pipeline
+//     (gen.GenerateFileCtx), so work cancelled mid-flight stops at the
+//     next workflow-step boundary. Submissions and shutdown are fenced by
+//     an RWMutex so a Submit racing Close is either waited for or fails
+//     with ErrClosed. Close returns once every submitted call finished
+//     (graceful SIGTERM shutdown).
 //
 //   - The registry's gen.PlanCache: the node's only generation cache.
 //     Every request is served on one body-level key, (rule-set

@@ -90,7 +90,7 @@ func (m *metrics) quantiles() (p50, p99 time.Duration) {
 }
 
 // snapshot renders all counters for GET /metrics as the typed wire shape.
-func (m *metrics) snapshot(queueDepth, queueWaiters, cacheEntries int) wire.Metrics {
+func (m *metrics) snapshot(queueDepth, cacheEntries int) wire.Metrics {
 	p50, p99 := m.quantiles()
 	hits, misses := m.cacheHits.Value(), m.cacheMisses.Value()
 	hitRate := 0.0
@@ -117,7 +117,6 @@ func (m *metrics) snapshot(queueDepth, queueWaiters, cacheEntries int) wire.Metr
 		PanicsRecovered:  m.panics.Value(),
 		ShedTotal:        m.shed.Value(),
 		QueueDepth:       queueDepth,
-		QueueWaiters:     queueWaiters,
 		LatencyP50MS:     float64(p50) / float64(time.Millisecond),
 		LatencyP99MS:     float64(p99) / float64(time.Millisecond),
 		ForwardedTotal:   fwd,

@@ -11,23 +11,19 @@ import (
 // TestPoolSubmitCloseStress races Submit against Close and asserts the
 // shutdown contract: every submission either completes or fails with
 // ErrClosed — never hangs. The submitters use context.Background(), so a
-// job enqueued after the workers' final drain (the pre-fix lost-job
-// window) would block its caller forever and trip the watchdog. Run under
+// submission Close neither waited for nor rejected would go unaccounted,
+// and one stranded waiting for a slot would trip the watchdog. Run under
 // -race in CI (scripts/verify.sh).
 func TestPoolSubmitCloseStress(t *testing.T) {
-	reg, err := NewRegistry(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const (
 		rounds       = 4
 		submitters   = 16
 		perSubmitter = 25
 	)
 	for round := 0; round < rounds; round++ {
-		// MaxWaiters covers every submitter, so admission control
+		// The queue covers every submitter, so admission control
 		// cannot shed and each outcome is a completion or ErrClosed.
-		pool := NewPoolConfig(reg, "", PoolConfig{Workers: 2, QueueSize: 4, MaxWaiters: submitters})
+		pool := NewPool(2, submitters)
 		var completed, rejected atomic.Int64
 		start := make(chan struct{})
 		var wg sync.WaitGroup
@@ -37,9 +33,7 @@ func TestPoolSubmitCloseStress(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for k := 0; k < perSubmitter; k++ {
-					_, err := pool.Submit(context.Background(), func(context.Context, *Worker) (any, error) {
-						return nil, nil
-					})
+					err := pool.Submit(context.Background(), func() error { return nil })
 					switch err {
 					case nil:
 						completed.Add(1)

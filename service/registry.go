@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"cognicryptgen/analysis"
 	"cognicryptgen/crysl"
 	"cognicryptgen/gen"
 	"cognicryptgen/internal/faultinject"
@@ -13,9 +14,10 @@ import (
 )
 
 // Snapshot is one immutable compiled-rule-set generation. All requests
-// running against the same Snapshot share its rule set and path cache;
-// Reload produces a new Snapshot without disturbing in-flight requests,
-// and a superseded Snapshot — path cache included — is freed once the
+// running against the same Snapshot share its rule set, its path cache,
+// its one gen.Generator and its one analysis.Analyzer; Reload produces a
+// new Snapshot without disturbing in-flight requests, and a superseded
+// Snapshot — caches, Generator and Analyzer included — is freed once the
 // last request holding it finishes.
 type Snapshot struct {
 	// Rules is the compiled rule set. Immutable; safe for any number of
@@ -33,10 +35,31 @@ type Snapshot struct {
 	// rule-set fingerprint, so a reload of unchanged rules keeps every
 	// plan.
 	Plans *gen.PlanCache
-	// Version increments on every (re)load, letting workers detect that
-	// their cached Generator was built over a stale snapshot.
+	// Version increments on every (re)load; /v1/rules and /v1/reload
+	// report it.
 	Version uint64
+
+	// generator and analyzer build the snapshot's Generator and Analyzer
+	// once, on first use. Both are safe for concurrent use, so every
+	// request over the snapshot shares them.
+	generator func() (*gen.Generator, error)
+	analyzer  func() (*analysis.Analyzer, error)
 }
+
+// Generator returns the snapshot's Generator running under opts, with the
+// snapshot's path and plan caches wired in. The first call builds the
+// Generator (gen.New); later calls derive from it in O(1).
+func (s *Snapshot) Generator(opts gen.Options) (*gen.Generator, error) {
+	base, err := s.generator()
+	if err != nil {
+		return nil, err
+	}
+	opts.Paths, opts.Plans = s.Paths, s.Plans
+	return base.WithOptions(opts), nil
+}
+
+// Analyzer returns the snapshot's misuse analyzer, built on first use.
+func (s *Snapshot) Analyzer() (*analysis.Analyzer, error) { return s.analyzer() }
 
 // RegistryHealth describes the registry's degradation state for /readyz.
 type RegistryHealth struct {
@@ -67,6 +90,7 @@ type RegistryHealth struct {
 // plan whose fingerprint is not the live snapshot's.
 type Registry struct {
 	loader func() (*crysl.RuleSet, error)
+	dir    string // module location for the snapshots' type checks
 
 	plans *gen.PlanCache
 
@@ -77,9 +101,16 @@ type Registry struct {
 
 // NewRegistry compiles the initial snapshot using loader (nil = the
 // embedded gca rule set via rules.LoadFresh); plans becomes the registry's
-// plan cache (nil = gen.NewPlanCache(0)). A loader that fails at boot
-// fails NewRegistry: there is no last-good rule set to serve yet.
+// plan cache (nil = gen.NewPlanCache(0)). The snapshots' Generators and
+// Analyzers type-check against the module of the working directory. A
+// loader that fails at boot fails NewRegistry: there is no last-good rule
+// set to serve yet.
 func NewRegistry(loader func() (*crysl.RuleSet, error), plans *gen.PlanCache) (*Registry, error) {
+	return newRegistry(loader, plans, "")
+}
+
+// newRegistry is NewRegistry over the module located from dir.
+func newRegistry(loader func() (*crysl.RuleSet, error), plans *gen.PlanCache, dir string) (*Registry, error) {
 	if loader == nil {
 		loader = rules.LoadFresh
 	}
@@ -88,6 +119,7 @@ func NewRegistry(loader func() (*crysl.RuleSet, error), plans *gen.PlanCache) (*
 	}
 	r := &Registry{
 		loader: loader,
+		dir:    dir,
 		plans:  plans,
 	}
 	if _, err := r.Reload(); err != nil {
@@ -158,6 +190,12 @@ func (r *Registry) Reload() (*Snapshot, error) {
 		Paths:       paths,
 		Plans:       r.plans,
 		Version:     version,
+		generator: sync.OnceValues(func() (*gen.Generator, error) {
+			return gen.New(set, r.dir, gen.Options{})
+		}),
+		analyzer: sync.OnceValues(func() (*analysis.Analyzer, error) {
+			return analysis.New(set, r.dir, analysis.Options{})
+		}),
 	}
 	r.degraded = RegistryHealth{}
 	snap := r.snap

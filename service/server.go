@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"log"
 	"maps"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -35,12 +35,12 @@ type Config struct {
 	// Dir locates the module for template type-checking ("" = working
 	// directory; the daemon must run inside the cognicryptgen module).
 	Dir string
-	// Workers is the worker-pool size (0 = runtime.NumCPU; negative is an
-	// error).
+	// Workers bounds the pipeline and analysis calls that run at once
+	// (0 = runtime.NumCPU; negative is an error).
 	Workers int
-	// QueueSize bounds pending jobs (0 = 4×Workers). When the queue is
-	// full, up to MaxWaiters submissions wait until space frees or their
-	// context expires; the rest are shed.
+	// QueueSize bounds the calls that wait for one of the Workers slots
+	// until a slot frees or their context expires; beyond it, admission
+	// control sheds with 429 (0 = 12×Workers; negative is an error).
 	QueueSize int
 	// RequestTimeout caps per-request processing time (0 = 30s). Requests
 	// that expire while queued are answered 503 without running.
@@ -48,10 +48,6 @@ type Config struct {
 	// CacheSize bounds the compiled-plan cache, the node's only generation
 	// cache (0 = gen.DefaultMaxPlans, 256 plans).
 	CacheSize int
-	// MaxWaiters bounds submissions allowed to wait behind a full worker
-	// queue before admission control sheds with 429 (0 = 2×QueueSize;
-	// negative is an error).
-	MaxWaiters int
 	// MaxBodyBytes caps request bodies on the POST endpoints; oversized
 	// requests get 413 (0 = DefaultMaxBodyBytes; negative is an error).
 	MaxBodyBytes int64
@@ -95,27 +91,24 @@ type Server struct {
 	// draining flips when Close begins; /readyz reports it so load
 	// balancers stop routing before the listener goes away.
 	draining atomic.Bool
-	// shedStreak counts consecutive sheds since the last successful
-	// admission; Retry-After backs off exponentially with it.
+	// shedStreak counts consecutive sheds since the last call the pool
+	// admitted; Retry-After backs off exponentially with it.
 	shedStreak atomic.Int64
 	// panicLogged dedupes panic stack logging per recovery site, so a
 	// crash loop emits one stack, not one per request.
 	panicLogged sync.Map
-	// jitterMu guards jitterRand (math/rand.Rand is not concurrency-safe).
-	jitterMu   sync.Mutex
-	jitterRand *rand.Rand
 }
 
-// New compiles the rule set, warms its path cache, and starts the worker
-// pool. The shared type-check universe (the crypto façade's transitive
-// closure, the expensive half of a worker's first Generator, and every
-// package the embedded templates import) begins warming in the background
+// New compiles the rule set, warms its path cache, and sets up the pool.
+// The shared type-check universe (the crypto façade's transitive closure,
+// the expensive half of a snapshot's Generator, and every package the
+// embedded templates import) begins warming in the background
 // immediately, all of it at once, so by the time the first request or the
-// template warm below arrives its worker either finds the universe built
-// or joins the in-flight warm-up instead of starting its own.
+// template warm below arrives it either finds the universe built or joins
+// the in-flight warm-up instead of starting its own.
 func New(cfg Config) (*Server, error) {
-	if cfg.MaxWaiters < 0 {
-		return nil, fmt.Errorf("service: MaxWaiters %d is negative; 0 selects the default bound", cfg.MaxWaiters)
+	if cfg.QueueSize < 0 {
+		return nil, fmt.Errorf("service: QueueSize %d is negative; 0 selects the default bound", cfg.QueueSize)
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("service: Workers %d is negative; 0 selects one per CPU", cfg.Workers)
@@ -137,35 +130,25 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes == 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	registry, err := NewRegistry(cfg.Loader, gen.NewPlanCache(cfg.CacheSize))
+	registry, err := newRegistry(cfg.Loader, gen.NewPlanCache(cfg.CacheSize), cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		cfg:        cfg,
-		registry:   registry,
-		metrics:    newMetrics(),
-		started:    time.Now(),
-		jitterRand: rand.New(rand.NewSource(time.Now().UnixNano())),
+		cfg:      cfg,
+		registry: registry,
+		pool:     NewPool(cfg.Workers, cfg.QueueSize),
+		metrics:  newMetrics(),
+		started:  time.Now(),
 	}
-	s.pool = NewPoolConfig(registry, cfg.Dir, PoolConfig{
-		Workers:    cfg.Workers,
-		QueueSize:  cfg.QueueSize,
-		MaxWaiters: cfg.MaxWaiters,
-		OnPanic:    s.recordPanic,
-		OnShed: func() {
-			s.metrics.shed.Add(1)
-			s.shedStreak.Add(1)
-		},
-		OnAdmit: func() { s.shedStreak.Store(0) },
-	})
 	s.transport = newTransport(s)
 	if len(cfg.Peers) > 0 {
 		s.cluster = newCluster(cfg.Self, cfg.Peers, cfg.PeerProbeInterval)
 	}
 	// Every boot warms the embedded templates in the background, each
-	// compiled into a plan through the pipeline. The gen.New inside rides
-	// the universe warm-up started above rather than racing the first
+	// compiled into a plan through the pipeline. The warm's first
+	// Generator call runs the snapshot's gen.New, which rides the
+	// universe warm-up started above rather than racing the first
 	// request for it. /readyz reports "restoring" from here until the warm
 	// finishes; requests are served correctly throughout, by the pipeline
 	// until their plan is resident.
@@ -193,15 +176,29 @@ func (s *Server) recordPanic(op string, v any, stack []byte) {
 // 50% random jitter so a synchronized client fleet does not come back as
 // one thundering herd.
 func (s *Server) retryAfterSeconds() int {
-	streak := s.shedStreak.Load()
-	if streak > 6 {
-		streak = 6
-	}
+	streak := min(s.shedStreak.Load(), 6)
 	base := 1 << streak
-	s.jitterMu.Lock()
-	j := s.jitterRand.Intn(base/2 + 1)
-	s.jitterMu.Unlock()
-	return base + j
+	return base + rand.IntN(base/2+1)
+}
+
+// submit runs fn on the pool and keeps the admission counters: a shed
+// counts toward shed_total and lengthens the Retry-After streak, an
+// admitted call ends the streak, and a panic the pool recovered is
+// recorded.
+func (s *Server) submit(ctx context.Context, fn func() error) error {
+	err := s.pool.Submit(ctx, func() error {
+		s.shedStreak.Store(0)
+		return fn()
+	})
+	var ie *InternalError
+	switch {
+	case errors.Is(err, ErrOverloaded):
+		s.metrics.shed.Add(1)
+		s.shedStreak.Add(1)
+	case errors.As(err, &ie) && ie.Stack != nil:
+		s.recordPanic(ie.Op, ie.Value, ie.Stack)
+	}
+	return err
 }
 
 // Handler returns the daemon's HTTP handler (the transport over this
@@ -211,8 +208,8 @@ func (s *Server) Handler() http.Handler {
 	return s.transport.handler()
 }
 
-// Close drains the worker pool: queued requests finish, new submissions
-// fail with 503. /readyz flips to draining immediately so load balancers
+// Close drains the pool: submitted requests finish, new submissions fail
+// with 503. /readyz flips to draining immediately so load balancers
 // stop routing, and the peer prober stops. Call after the HTTP listener
 // stopped accepting.
 func (s *Server) Close() {
@@ -290,7 +287,7 @@ func bootWarmPaths() []string {
 // transparent fallback), so they are logged — once per pass, not once per
 // template — never propagated.
 func (s *Server) warm(snap *Snapshot) {
-	g, err := gen.New(snap.Rules, s.cfg.Dir, gen.Options{Paths: snap.Paths, Plans: snap.Plans})
+	g, err := snap.Generator(gen.Options{})
 	if err != nil {
 		log.Printf("service: plan warm: %v", err)
 		return
@@ -390,7 +387,7 @@ func (s *Server) ReadyInfo() wire.ReadyResponse {
 // (benchmark harnesses consume this without going through HTTP).
 func (s *Server) MetricsSnapshot() wire.Metrics {
 	plans := s.registry.Plans()
-	m := s.metrics.snapshot(s.pool.QueueDepth(), s.pool.Waiters(), plans.Len())
+	m := s.metrics.snapshot(s.pool.QueueDepth(), plans.Len())
 	m.PlanHits = plans.Hits()
 	m.PlanMisses = plans.Misses()
 	m.PlanEntries = plans.Len()
@@ -413,20 +410,22 @@ func (s *Server) AnalyzeJSON(ctx context.Context, req wire.AnalyzeRequest) (wire
 	if name == "" {
 		name = "input.go"
 	}
-	v, err := s.pool.Submit(ctx, func(_ context.Context, worker *Worker) (any, error) {
-		an, err := worker.Analyzer()
+	var resp wire.AnalyzeResponse
+	err := s.submit(ctx, func() error {
+		snap := s.registry.Snapshot()
+		an, err := snap.Analyzer()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rep, err := an.AnalyzeSource(name, req.Source)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		resp := wire.AnalyzeResponse{
+		resp = wire.AnalyzeResponse{
 			Name:        name,
 			Findings:    []*wire.Finding{},
 			Assumptions: rep.Assumptions,
-			Fingerprint: worker.Snapshot().Fingerprint,
+			Fingerprint: snap.Fingerprint,
 		}
 		for _, f := range rep.Findings {
 			resp.Findings = append(resp.Findings, &wire.Finding{
@@ -437,12 +436,12 @@ func (s *Server) AnalyzeJSON(ctx context.Context, req wire.AnalyzeRequest) (wire
 				Message:  f.Message,
 			})
 		}
-		return resp, nil
+		return nil
 	})
 	if err != nil {
 		return wire.AnalyzeResponse{}, err
 	}
-	return v.(wire.AnalyzeResponse), nil
+	return resp, nil
 }
 
 // Generate runs one generation in-process, bypassing HTTP but using the
@@ -534,21 +533,26 @@ func (s *Server) attempt(ctx context.Context, name, src string, req wire.Generat
 	// owner's miss (or hit), not this node's, so the cluster-wide sum of
 	// cache_misses equals the number of pipeline runs actually made.
 	s.metrics.cacheMisses.Add(1)
-	v, err := s.pool.Submit(ctx, func(ctx context.Context, worker *Worker) (any, error) {
-		g := worker.Generator(gen.Options{PackageName: req.Package, Verify: req.Verify})
+	err = s.submit(ctx, func() error {
+		snap := s.registry.Snapshot()
+		g, err := snap.Generator(gen.Options{PackageName: req.Package, Verify: req.Verify})
+		if err != nil {
+			return err
+		}
 		res, err := g.GenerateFileCtx(ctx, name, src)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return wire.GenerateResponse{
+		resp = wire.GenerateResponse{
 			Name:        name,
 			Output:      res.Output,
-			Fingerprint: worker.Snapshot().Fingerprint,
-		}, nil
+			Fingerprint: snap.Fingerprint,
+		}
+		return nil
 	})
 	if err != nil {
 		// gen's own guard converts pipeline panics to *gen.PanicError
-		// before the worker sees them; count those recoveries here, at the
+		// before the pool sees them; count those recoveries here, at the
 		// one place per attempt they surface.
 		var pe *gen.PanicError
 		if errors.As(err, &pe) {
@@ -556,5 +560,5 @@ func (s *Server) attempt(ctx context.Context, name, src string, req wire.Generat
 		}
 		return wire.GenerateResponse{}, err
 	}
-	return v.(wire.GenerateResponse), nil
+	return resp, nil
 }

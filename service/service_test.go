@@ -323,15 +323,11 @@ func TestGenerateTimeout503(t *testing.T) {
 	}
 }
 
-// TestPoolDrain: Close completes queued work and rejects later
+// TestPoolDrain: Close completes submitted work and rejects later
 // submissions with ErrClosed (mapped to 503 by the HTTP layer).
 func TestPoolDrain(t *testing.T) {
-	reg, err := NewRegistry(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MaxWaiters covers every submitter, so admission control cannot shed.
-	pool := NewPoolConfig(reg, "", PoolConfig{Workers: 2, QueueSize: 8, MaxWaiters: 8})
+	// The queue covers every submitter, so admission control cannot shed.
+	pool := NewPool(2, 8)
 	var ran int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -339,11 +335,11 @@ func TestPoolDrain(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := pool.Submit(context.Background(), func(_ context.Context, w *Worker) (any, error) {
+			err := pool.Submit(context.Background(), func() error {
 				mu.Lock()
 				ran++
 				mu.Unlock()
-				return nil, nil
+				return nil
 			})
 			if err != nil && err != ErrClosed {
 				t.Errorf("submit: %v", err)
@@ -352,7 +348,7 @@ func TestPoolDrain(t *testing.T) {
 	}
 	wg.Wait()
 	pool.Close()
-	if _, err := pool.Submit(context.Background(), func(_ context.Context, w *Worker) (any, error) { return nil, nil }); err != ErrClosed {
+	if err := pool.Submit(context.Background(), func() error { return nil }); err != ErrClosed {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
 	mu.Lock()

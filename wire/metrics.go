@@ -31,7 +31,6 @@ type Metrics struct {
 	PanicsRecovered  int64   `json:"panics_recovered"`
 	ShedTotal        int64   `json:"shed_total"`
 	QueueDepth       int     `json:"queue_depth"`
-	QueueWaiters     int     `json:"queue_waiters"`
 	LatencyP50MS     float64 `json:"latency_p50_ms"`
 	LatencyP99MS     float64 `json:"latency_p99_ms"`
 
@@ -41,8 +40,8 @@ type Metrics struct {
 	// request-path splices counted in CacheHits and pipeline submissions
 	// that found their plan compiled meanwhile.
 	PlanHits int64 `json:"plan_hits"`
-	// PlanMisses counts plan-eligible generations that ran the legacy
-	// pipeline (and compiled a plan for next time).
+	// PlanMisses counts plan-eligible generations that ran the pipeline
+	// (and compiled a plan for next time).
 	PlanMisses int64 `json:"plan_misses"`
 	// PlanEntries is the resident compiled-plan count.
 	PlanEntries int `json:"plan_entries"`

@@ -74,7 +74,7 @@ func TestMetricsRoundTrip(t *testing.T) {
 		"requests", "generate_requests", "batch_requests", "analyze_requests",
 		"errors", "timeouts", "cache_hits", "cache_misses", "cache_hit_rate",
 		"cache_entries", "coalesced", "reloads", "panics_recovered",
-		"shed_total", "queue_depth", "queue_waiters", "latency_p50_ms",
+		"shed_total", "queue_depth", "latency_p50_ms",
 		"latency_p99_ms", "forwarded_total", "forward_hits",
 		"forward_fallbacks", "forward_hit_rate", "peers",
 	} {
