@@ -30,6 +30,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"go/ast"
 	"go/constant"
@@ -127,6 +128,16 @@ func New(ruleSet *crysl.RuleSet, dir string, opts Options) (*Analyzer, error) {
 
 // AnalyzeSource type-checks and analyses a single Go file.
 func (a *Analyzer) AnalyzeSource(name, src string) (*Report, error) {
+	return a.AnalyzeSourceCtx(context.Background(), name, src)
+}
+
+// AnalyzeSourceCtx is AnalyzeSource with cooperative cancellation: ctx is
+// checked before the type-check and between functions, and once it ends
+// the analysis stops with ctx.Err().
+func (a *Analyzer) AnalyzeSourceCtx(ctx context.Context, name, src string) (*Report, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	file, _, info, err := a.checker.CheckSource(name, src)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s does not type-check: %w", name, err)
@@ -135,7 +146,7 @@ func (a *Analyzer) AnalyzeSource(name, src string) (*Report, error) {
 	// line table and the type info can go once the analysis has run.
 	defer a.checker.Release(file)
 	defer a.checker.Recycle(info)
-	return a.analyzeFiles([]*ast.File{file}, info), nil
+	return a.analyzeFiles(ctx, []*ast.File{file}, info)
 }
 
 // AnalyzeDir analyses every non-test file of the Go package in dir as one
@@ -148,7 +159,7 @@ func (a *Analyzer) AnalyzeDir(dir string) (*Report, error) {
 	}
 	defer a.checker.Release(files...)
 	defer a.checker.Recycle(info)
-	return a.analyzeFiles(files, info), nil
+	return a.analyzeFiles(context.Background(), files, info)
 }
 
 func sortFindings(report *Report) {
@@ -174,8 +185,9 @@ type funcSummary struct {
 
 // analyzeFiles runs the two-pass analysis: pass 1 computes function
 // summaries (findings discarded), pass 2 reports findings with summaries
-// available at call sites.
-func (a *Analyzer) analyzeFiles(files []*ast.File, info *types.Info) *Report {
+// available at call sites. ctx is checked before each function of either
+// pass.
+func (a *Analyzer) analyzeFiles(ctx context.Context, files []*ast.File, info *types.Info) (*Report, error) {
 	summaries := map[types.Object]*funcSummary{}
 	for _, file := range files {
 		for _, decl := range file.Decls {
@@ -186,6 +198,9 @@ func (a *Analyzer) analyzeFiles(files []*ast.File, info *types.Info) *Report {
 			def := info.Defs[fd.Name]
 			if def == nil {
 				continue
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
 			out := &funcSummary{results: map[int]map[string]bool{}}
 			fa := a.newFuncAnalysis(fd, info, &Report{}, nil)
@@ -204,12 +219,15 @@ func (a *Analyzer) analyzeFiles(files []*ast.File, info *types.Info) *Report {
 			if !ok || fd.Body == nil {
 				continue
 			}
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			fa := a.newFuncAnalysis(fd, info, report, summaries)
 			fa.run()
 		}
 	}
 	sortFindings(report)
-	return report
+	return report, nil
 }
 
 func (a *Analyzer) newFuncAnalysis(fd *ast.FuncDecl, info *types.Info, report *Report, summaries map[types.Object]*funcSummary) *funcAnalysis {

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -241,5 +243,47 @@ func TestFindingStringFormat(t *testing.T) {
 	s := rep.Findings[0].String()
 	if !strings.Contains(s, "gca.") || !strings.Contains(s, "generateKey") {
 		t.Errorf("finding string lacks rule/function context: %q", s)
+	}
+}
+
+// cancelAfter is a context whose Err turns to context.Canceled once it
+// has been asked n times.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAnalyzeSourceCtxCancel: an analysis stops with the context's error
+// when the context has ended before the type-check, and when it ends
+// after the type-check, between functions.
+func TestAnalyzeSourceCtxCancel(t *testing.T) {
+	a := newTestAnalyzer(t, Options{})
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"before the type-check", ended},
+		{"between functions", &cancelAfter{Context: context.Background(), n: 1}},
+	} {
+		rep, err := a.AnalyzeSourceCtx(tc.ctx, "prog.go", figure1)
+		if !errors.Is(err, context.Canceled) || rep != nil {
+			t.Errorf("%s: report %v, err %v; want context.Canceled", tc.name, rep, err)
+		}
+	}
+	rep, err := a.AnalyzeSourceCtx(context.Background(), "prog.go", figure1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Findings) == 0 {
+		t.Fatal("live context: no findings on the Figure 1 misuse")
 	}
 }

@@ -76,23 +76,26 @@ func compilePlan(res *Result, name, outPkg, tmplPkg, rulesFP string) (*Plan, err
 	}, nil
 }
 
-// Execute renders the plan for one request. name and pkg follow
-// GenerateFileCtx semantics: name is the template's diagnostic name and
-// pkg overrides the output package ("" keeps the template's own). The
-// caller must have vetted the pair with planExecutable. The Result carries
-// the output alone: a plan keeps no generation report.
-func (p *Plan) Execute(name, pkg string) *Result {
+// Parts returns the plan's output for one request as its five pieces: the
+// header prefix, the name, the text from the name to the package clause's
+// identifier, the package, and the rest of the file. Their concatenation is
+// the output; the daemon writes them into its response as they are. name
+// and pkg follow GenerateFileCtx semantics: name is the template's
+// diagnostic name and pkg overrides the output package ("" keeps the
+// template's own). The caller must have vetted the pair with
+// planExecutable.
+func (p *Plan) Parts(name, pkg string) [5]string {
 	if pkg == "" {
 		pkg = p.defaultPkg
 	}
-	var b strings.Builder
-	b.Grow(len(planHeaderPrefix) + len(name) + len(p.nameToPkg) + len(pkg) + len(p.afterPkg))
-	b.WriteString(planHeaderPrefix)
-	b.WriteString(name)
-	b.WriteString(p.nameToPkg)
-	b.WriteString(pkg)
-	b.WriteString(p.afterPkg)
-	return &Result{Output: b.String()}
+	return [5]string{planHeaderPrefix, name, p.nameToPkg, pkg, p.afterPkg}
+}
+
+// Execute renders the plan for one request: the join of Parts. The Result
+// carries the output alone: a plan keeps no generation report.
+func (p *Plan) Execute(name, pkg string) *Result {
+	parts := p.Parts(name, pkg)
+	return &Result{Output: strings.Join(parts[:], "")}
 }
 
 // size approximates the plan's resident bytes for the cache's

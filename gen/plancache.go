@@ -71,15 +71,34 @@ func (c *PlanCache) FingerprintFor(set *crysl.RuleSet) string {
 // here so a miss that falls through to GenerateFileCtx is not counted
 // twice.
 func (c *PlanCache) Execute(rulesFP, name, src string, opts Options) (*Result, bool) {
+	p, ok := c.hit(rulesFP, name, src, opts)
+	if !ok {
+		return nil, false
+	}
+	return p.Execute(name, opts.PackageName), true
+}
+
+// Parts is Execute without the join: on a plan hit it returns the output
+// as the plan's five pieces (Plan.Parts), counted as a hit like Execute.
+func (c *PlanCache) Parts(rulesFP, name, src string, opts Options) ([5]string, bool) {
+	p, ok := c.hit(rulesFP, name, src, opts)
+	if !ok {
+		return [5]string{}, false
+	}
+	return p.Parts(name, opts.PackageName), true
+}
+
+// hit returns the resident plan that can serve the request and counts the
+// hit, or reports that the request must run the pipeline.
+func (c *PlanCache) hit(rulesFP, name, src string, opts Options) (*Plan, bool) {
 	if c == nil || !planDefault(opts) || !planExecutable(name, opts.PackageName) {
 		return nil, false
 	}
 	p, ok := c.peek(newPlanKey(rulesFP, src, opts.Verify))
-	if !ok {
-		return nil, false
+	if ok {
+		c.hits.Add(1)
 	}
-	c.hits.Add(1)
-	return p.Execute(name, opts.PackageName), true
+	return p, ok
 }
 
 // lookup is the Generator-side fast path: it counts both hits and misses,

@@ -58,8 +58,9 @@ go test -race -cpu 1,2 -count=20 -run 'TestConcurrentMissesOneBody' ./service
 
 # Timed fuzz smoke: 10s of exploration per parser entry point, for the
 # generator's word scanner against the regexps it replaces, for the
-# wire's one-copy string decoder against encoding/json, for the
-# type-check universe's body blanker against go/parser, and for the
+# wire's one-copy string decoder and its piecewise response encoder
+# against encoding/json, for the type-check universe's body blanker
+# against go/parser, and for the
 # generator's one-parse printer against go/format, on top of the
 # seed-corpus replay in the normal test run. Any crasher or mismatch
 # fails the gate and lands in testdata/fuzz/ for triage.
@@ -68,6 +69,7 @@ go test -run NONE -fuzz 'FuzzParseRule' -fuzztime 10s ./crysl
 go test -run NONE -fuzz 'FuzzParseTemplate' -fuzztime 10s ./gen
 go test -run NONE -fuzz 'FuzzWordMatches' -fuzztime 10s ./gen
 go test -run NONE -fuzz 'FuzzUnquote' -fuzztime 10s ./wire
+go test -run NONE -fuzz 'FuzzEncodeGenerate' -fuzztime 10s ./wire
 go test -run NONE -fuzz 'FuzzBlankBodies' -fuzztime 10s ./internal/srccheck
 go test -run NONE -fuzz 'FuzzFormatFile' -fuzztime 10s ./internal/srccheck
 

@@ -38,6 +38,8 @@
 //     rendezvous owner (cluster.go, routed by wire.CacheKey over the same
 //     tuple), or a pipeline run on the pool that compiles the plan, after
 //     which every request over the body, under any name, is a splice.
+//     The HTTP handler encodes a splice's pieces into the response body
+//     as they are (wire.EncodeGenerate); Generate joins them.
 //
 //   - Server (server.go, batch.go): the HTTP JSON API — POST /v1/generate,
 //     POST /v1/generate/batch (concurrent fan-out with per-item results

@@ -14,7 +14,9 @@ import (
 // splicing the plan its boot warm compiled. It is the request path of the
 // catalogue_hits workload, so B/op and allocs/op count what one hit costs
 // the SDK and the daemon together (both run in this process): request
-// encoding, HTTP, the splice, response encoding and decoding.
+// encoding, HTTP, the splice, response encoding and decoding. The daemon
+// writes the plan's pieces into the response body without joining them,
+// so the output is built as a string once, by the SDK's decode.
 func BenchmarkCatalogueHit(b *testing.B) {
 	srv, err := New(Config{Workers: 1})
 	if err != nil {

@@ -417,7 +417,7 @@ func (s *Server) AnalyzeJSON(ctx context.Context, req wire.AnalyzeRequest) (wire
 		if err != nil {
 			return err
 		}
-		rep, err := an.AnalyzeSource(name, req.Source)
+		rep, err := an.AnalyzeSourceCtx(ctx, name, req.Source)
 		if err != nil {
 			return err
 		}
@@ -465,18 +465,30 @@ func (s *Server) AnalyzeJSON(ctx context.Context, req wire.AnalyzeRequest) (wire
 // at its owner, which is what makes N nodes one effective cache instead of
 // N copies of the same hot set.
 func (s *Server) Generate(ctx context.Context, req wire.GenerateRequest) (wire.GenerateResponse, error) {
+	resp, parts, spliced, err := s.serve(ctx, req)
+	if spliced {
+		resp.Output = strings.Join(parts[:], "")
+	}
+	return resp, err
+}
+
+// serve is Generate without the join, for the HTTP handler: on a plan hit
+// (spliced) resp.Output is empty and parts holds the output's five pieces
+// (gen.Plan.Parts), which the handler encodes into the response body as
+// they are; otherwise resp.Output is the output and parts is empty.
+func (s *Server) serve(ctx context.Context, req wire.GenerateRequest) (resp wire.GenerateResponse, parts [5]string, spliced bool, err error) {
 	if req.UseCase != 0 && req.Source != "" {
-		return wire.GenerateResponse{}, errors.New("source and usecase are mutually exclusive")
+		return resp, parts, false, errors.New("source and usecase are mutually exclusive")
 	}
 	name, src := req.Name, req.Source
 	if req.UseCase != 0 {
 		uc, err := templates.ByID(req.UseCase)
 		if err != nil {
-			return wire.GenerateResponse{}, err
+			return resp, parts, false, err
 		}
 		ucSrc, err := templates.Source(uc)
 		if err != nil {
-			return wire.GenerateResponse{}, err
+			return resp, parts, false, err
 		}
 		name, src = uc.File, ucSrc
 	}
@@ -484,28 +496,15 @@ func (s *Server) Generate(ctx context.Context, req wire.GenerateRequest) (wire.G
 		name = "template.go"
 	}
 	if strings.TrimSpace(src) == "" {
-		return wire.GenerateResponse{}, errors.New("service: need source or usecase")
+		return resp, parts, false, errors.New("service: need source or usecase")
 	}
-	if resp, ok := s.splice(name, src, req); ok {
-		s.metrics.cacheHits.Add(1)
-		resp.Cached = true
-		return resp, nil
-	}
-	return s.attempt(ctx, name, src, req)
-}
-
-// splice serves a request from the resident plan for its body, if any.
-func (s *Server) splice(name, src string, req wire.GenerateRequest) (wire.GenerateResponse, bool) {
 	snap := s.registry.Snapshot()
-	res, ok := snap.Plans.Execute(snap.Fingerprint, name, src, gen.Options{PackageName: req.Package, Verify: req.Verify})
-	if !ok {
-		return wire.GenerateResponse{}, false
+	if parts, spliced = snap.Plans.Parts(snap.Fingerprint, name, src, gen.Options{PackageName: req.Package, Verify: req.Verify}); spliced {
+		s.metrics.cacheHits.Add(1)
+		return wire.GenerateResponse{Name: name, Fingerprint: snap.Fingerprint, Cached: true}, parts, true, nil
 	}
-	return wire.GenerateResponse{
-		Name:        name,
-		Output:      res.Output,
-		Fingerprint: snap.Fingerprint,
-	}, true
+	resp, err = s.attempt(ctx, name, src, req)
+	return resp, parts, false, err
 }
 
 // attempt produces a response the splice could not: a forward to the

@@ -89,14 +89,19 @@ func (t *transport) requestCtx(r *http.Request) (context.Context, context.Cancel
 	return context.WithTimeout(ctx, t.srv.cfg.RequestTimeout)
 }
 
-// writeJSON answers with v as compact, single-line JSON framed by an
-// explicit Content-Length: the body is encoded into a pooled buffer first
-// (wire.Encode) and written in one Write, so the SDK and the peer forwarder
-// (wire.ReadBody) read it into a pooled buffer of exactly its length. A
-// value that fails to encode becomes a 500 envelope rather than a
-// truncated 2xx.
+// writeJSON answers with v as compact, single-line JSON (wire.Encode),
+// framed by writeBody.
 func (t *transport) writeJSON(w http.ResponseWriter, status int, v any) {
 	body, release, err := wire.Encode(v)
+	t.writeBody(w, status, body, release, err)
+}
+
+// writeBody answers with a body encoded into a pooled buffer (wire.Encode,
+// wire.EncodeGenerate), framed by an explicit Content-Length and written
+// in one Write, so the SDK and the peer forwarder (wire.ReadBody) read it
+// into a pooled buffer of exactly its length. A value that failed to
+// encode (err) becomes a 500 envelope rather than a truncated 2xx.
+func (t *transport) writeBody(w http.ResponseWriter, status int, body []byte, release func(), err error) {
 	if err != nil {
 		// The envelope itself always encodes, so this recursion ends.
 		t.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
@@ -203,13 +208,20 @@ func (t *transport) handleGenerate(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := t.requestCtx(r)
 	defer cancel()
-	resp, err := t.srv.Generate(ctx, req)
+	resp, parts, spliced, err := t.srv.serve(ctx, req)
 	if err != nil {
 		t.writeAPIError(w, err, "generate")
 		return
 	}
 	resp.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
-	t.writeJSON(w, http.StatusOK, resp)
+	// A plan hit's pieces go into the body as they are; the output is
+	// never joined into a string.
+	output := []string{resp.Output}
+	if spliced {
+		output = parts[:]
+	}
+	body, release, err := wire.EncodeGenerate(&resp, output...)
+	t.writeBody(w, http.StatusOK, body, release, err)
 }
 
 func (t *transport) handleGenerateBatch(w http.ResponseWriter, r *http.Request) {

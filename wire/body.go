@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -84,17 +83,4 @@ func ReadBody(body io.Reader, length, limit int64) (data []byte, release func(),
 		data = buf.Bytes()
 	}
 	return data, func() { putBuffer(buf) }, nil
-}
-
-// Encode encodes v as one line of compact JSON, newline-terminated, into a
-// pooled buffer. The returned bytes stay valid until release is called. On
-// error nothing is held and release is nil.
-func Encode(v any) (data []byte, release func(), err error) {
-	buf := bodyPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		putBuffer(buf)
-		return nil, nil, err
-	}
-	return buf.Bytes(), func() { putBuffer(buf) }, nil
 }

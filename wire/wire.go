@@ -8,7 +8,11 @@
 // It also owns the framing every hop shares, in both directions: one body
 // reader (ReadBody) and one encoder (Encode) over one pool of body
 // buffers, and one decoder (Unmarshal) that copies each large text field —
-// template source, generated output — out of the body exactly once.
+// template source, generated output — out of the body exactly once. Encode
+// is encoding/json except for GenerateResponse, whose one encoder
+// (EncodeGenerate) is hand-written: it takes the output as pieces, so the
+// daemon escapes a plan hit's pieces straight into the body without
+// joining them, and writes the bytes encoding/json would.
 //
 // The types here used to live inline in the service package; they were
 // extracted so that a client does not import the whole generation pipeline
