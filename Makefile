@@ -12,9 +12,9 @@ test:
 
 # Full gate: build + vet + race-enabled tests (includes the 16-goroutine
 # concurrent-generation contracts in gen and service), the Submit/Close
-# shutdown stress test, the cluster drill table (TestDrills in
-# internal/clustertest) on 1 and 2 CPUs, and the cold-start gate
-# (TestSecondGeneratorReusesUniverse in gen).
+# shutdown stress test, the multi-node tests (TestClusterNodeKill and
+# the shared-cache tests in service) on 1 and 2 CPUs, and the cold-start
+# gate (TestSecondGeneratorReusesUniverse in gen).
 verify:
 	./scripts/verify.sh
 

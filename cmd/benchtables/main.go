@@ -8,8 +8,8 @@
 //	benchtables -table all      everything
 //
 // Serving performance (the cryptgend daemon and its cluster) is measured
-// by the bench/ harness (`bash bench/run.sh`) and the drill table
-// (`go test -run TestDrills ./internal/clustertest`), not here.
+// by the bench/ harness (`bash bench/run.sh`) and the node-kill test
+// (`go test -v -run TestClusterNodeKill ./service`), not here.
 //
 // Runtime and memory come from repeated in-process runs (10 by default,
 // matching the paper's methodology of averaging ten runs); memory is the

@@ -81,8 +81,8 @@ func main() {
 	addr := flag.String("addr", ":8572", "listen address")
 	workers := flag.Int("workers", runtime.NumCPU(), "pipeline and analysis runs at once (0 = one per CPU; negative is rejected)")
 	queue := flag.Int("queue", 0, "runs allowed to wait for a worker before shedding 429s (0 = 12x workers; negative is rejected)")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
-	cacheSize := flag.Int("cache", 256, "compiled-plan cache entries, the only generation cache")
+	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout (0 = 30s; negative is rejected)")
+	cacheSize := flag.Int("cache", 256, "compiled-plan cache entries, the only generation cache (0 = 256; negative is rejected)")
 	dir := flag.String("dir", "", "module directory (default: working directory)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful shutdown deadline")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/ (opt-in: profiles reveal source being generated)")
@@ -90,7 +90,7 @@ func main() {
 	rulesDir := flag.String("rules", "", "serve GoCrySL rules from this directory instead of the embedded set; /v1/reload recompiles from it")
 	self := flag.String("self", "", `this node's base URL as peers address it, e.g. "http://10.0.0.1:8572" (cluster mode; required with -peers)`)
 	peers := flag.String("peers", "", `comma-separated peer base URLs; enables peer forwarding so the cluster's plans shard by template body instead of duplicating`)
-	probe := flag.Duration("peer-probe", 2*time.Second, "peer /readyz probe interval (cluster mode)")
+	probe := flag.Duration("peer-probe", 2*time.Second, "peer /readyz probe interval in cluster mode (0 = 2s; negative is rejected)")
 	flag.Parse()
 
 	var peerList []string

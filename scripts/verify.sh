@@ -139,16 +139,19 @@ go test -race -count=3 \
 echo "==> bench harness tests (-short)"
 (cd bench && GOFLAGS=-buildvcs=false GOPROXY=off go test -short ./...)
 
-# Cluster drill table: every row (smoke, node-kill) with the bounds its
-# Checks enforce, as listed in internal/clustertest/drill.go; on both 1
-# and 2 CPUs under -race. The rows keep only multi-node outcomes.
+# Multi-node outcomes, on both 1 and 2 CPUs under -race: a node killed
+# and restarted under SDK load (TestClusterNodeKill, on probe rounds the
+# test drives itself), and a healthy cluster whose every node answers
+# byte-identically with one pipeline run per body, whether a request is
+# sent to each node or round-robin (TestClusterSharedCacheByteIdentical,
+# TestClusterOneRunPerBody).
 # Single-node fault behaviour lives in unit tests of the package run
 # above: the partition fallback and open-breaker rejection in
 # TestClusterPeerDownFallback, the slow-peer probe floor in
 # TestClusterProbeSlowPeerStaysAdmitted, and eject and re-admission in
-# TestClusterProbeEjectsAndReadmits (service).
-echo "==> cluster drills (TestDrills, -race, 1 and 2 CPUs)"
-go test -race -cpu 1,2 -count=1 -run TestDrills ./internal/clustertest
+# TestClusterProbeEjectsAndReadmits.
+echo "==> cluster node kill + shared cache (-race, 1 and 2 CPUs)"
+go test -race -cpu 1,2 -count=1 -run 'TestClusterNodeKill|TestClusterSharedCacheByteIdentical|TestClusterOneRunPerBody' ./service
 
 # Cold-start gate: a second gen.New must cost under 10% of the process's
 # first and share its type-check universe (FileSet and gca package). The

@@ -285,12 +285,15 @@ func TestRetryAfterJitter(t *testing.T) {
 	}
 }
 
-// TestNewRejectsNegativeMaxWaiters: a negative size or bound is a
+// TestNewRejectsNegativeConfig: a negative size, bound or duration is a
 // configuration error rather than a silently broken daemon. Admission
 // control has no unbounded queue mode; a negative body cap would answer
 // every POST with 413; a negative worker count would run one worker while
-// /healthz reported the negative figure.
-func TestNewRejectsNegativeMaxWaiters(t *testing.T) {
+// /healthz reported the negative figure; a negative request timeout would
+// answer every pipeline run and analysis 503 while plan hits still served.
+// A negative cache size or probe interval would silently become the
+// default, which their docs reserve for 0.
+func TestNewRejectsNegativeConfig(t *testing.T) {
 	for _, tc := range []struct {
 		field string
 		cfg   Config
@@ -298,6 +301,9 @@ func TestNewRejectsNegativeMaxWaiters(t *testing.T) {
 		{"QueueSize", Config{Workers: 1, QueueSize: -1}},
 		{"MaxBodyBytes", Config{Workers: 1, MaxBodyBytes: -1}},
 		{"Workers", Config{Workers: -3}},
+		{"RequestTimeout", Config{Workers: 1, RequestTimeout: -time.Second}},
+		{"CacheSize", Config{Workers: 1, CacheSize: -1}},
+		{"PeerProbeInterval", Config{Workers: 1, Self: "http://self", Peers: []string{"http://peer"}, PeerProbeInterval: -time.Second}},
 	} {
 		s, err := New(tc.cfg)
 		if err == nil {

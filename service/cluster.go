@@ -29,8 +29,11 @@ import (
 // about a third's health; the one-hop guard bounds the damage to a single
 // extra forward.
 type cluster struct {
-	self       string
-	peers      []string // excluding self, sorted order as configured
+	self string
+	// peers excludes self and is in the state map's random iteration
+	// order; neither ownership (wire.RendezvousOwner) nor probeRound
+	// depends on that order.
+	peers      []string
 	httpc      *http.Client
 	probeEvery time.Duration
 

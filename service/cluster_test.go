@@ -10,7 +10,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,14 +24,19 @@ import (
 	"cognicryptgen/wire"
 )
 
-// startCluster boots n in-process nodes wired as a cluster (the same
-// listener-first dance as internal/clustertest, duplicated here because a
-// white-box test in package service cannot import a helper that imports
-// service back).
+// startCluster boots n in-process nodes wired as a cluster, each probing
+// its peers every 50 ms.
 func startCluster(t *testing.T, n int) ([]*Server, []*httptest.Server, []string) {
 	return startClusterProbe(t, n, 50*time.Millisecond)
 }
 
+// startClusterProbe boots n in-process nodes wired as a cluster: real
+// Servers behind real loopback listeners, each with the others as peers
+// and a peer probe every probeEvery. Every node must know all URLs before
+// any node is built (Config.Peers is static), but a port is known only
+// once its listener exists, so the listeners are bound first and each
+// Server is then attached to its own. This is the root module's one
+// listener-first boot; restartNode brings a killed node back on it.
 func startClusterProbe(t *testing.T, n int, probeEvery time.Duration) ([]*Server, []*httptest.Server, []string) {
 	t.Helper()
 	listeners := make([]net.Listener, n)
@@ -44,25 +51,54 @@ func startClusterProbe(t *testing.T, n int, probeEvery time.Duration) ([]*Server
 	}
 	srvs := make([]*Server, n)
 	tss := make([]*httptest.Server, n)
-	for i := 0; i < n; i++ {
+	for i := range n {
 		cfg := Config{Workers: 2, CacheSize: 64, PeerProbeInterval: probeEvery, Self: urls[i]}
 		for j, u := range urls {
 			if j != i {
 				cfg.Peers = append(cfg.Peers, u)
 			}
 		}
-		srv, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewUnstartedServer(srv.Handler())
-		ts.Listener.Close()
-		ts.Listener = listeners[i]
-		ts.Start()
-		srvs[i], tss[i] = srv, ts
-		t.Cleanup(func() { ts.Close(); srv.Close() })
+		srvs[i], tss[i] = bootNode(t, listeners[i], cfg)
 	}
 	return srvs, tss, urls
+}
+
+// bootNode starts a daemon from cfg on l, which it then owns, and
+// registers its teardown: the listener first, so peers see connection
+// refused rather than hangs, then the daemon.
+func bootNode(t *testing.T, l net.Listener, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Listener.Close()
+	ts.Listener = l
+	ts.Start()
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	return srv, ts
+}
+
+// restartNode replaces a killed node with a fresh daemon of the same
+// configuration on the same address, as a supervisor would: new breakers
+// and empty caches that its boot warm refills. The bind can race the dead
+// listener's socket, so it retries briefly.
+func restartNode(t *testing.T, srv *Server, ts *httptest.Server) (*Server, *httptest.Server) {
+	t.Helper()
+	addr := ts.Listener.Addr().String()
+	var l net.Listener
+	var err error
+	for range 50 {
+		if l, err = net.Listen("tcp", addr); err == nil {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatalf("rebinding %s: %v", addr, err)
+	}
+	return bootNode(t, l, srv.cfg)
 }
 
 // TestClusterSharedCacheByteIdentical is the cluster's core guarantee: the
@@ -70,8 +106,10 @@ func startClusterProbe(t *testing.T, n int, probeEvery time.Duration) ([]*Server
 // byte-identical to a standalone daemon — and each template body runs the
 // pipeline exactly once across the whole cluster, because every body is
 // served (via one-hop forwarding) by the node that owns it. The bodies are
-// unseen, so no boot warm has compiled them; a second pass by use case
-// pins byte identity for the embedded templates' warmed plans too.
+// unseen, so no boot warm has compiled them. The verified catalogue is
+// unseen too, since the boot warm compiles unverified plans, so it also
+// runs once per use case. A last pass by use case pins byte identity for
+// the embedded templates' warmed plans.
 func TestClusterSharedCacheByteIdentical(t *testing.T) {
 	standalone, err := New(Config{Workers: 2, CacheSize: 64})
 	if err != nil {
@@ -108,6 +146,9 @@ func TestClusterSharedCacheByteIdentical(t *testing.T) {
 	for _, uc := range cases {
 		sendAll(wire.GenerateRequest{Name: uc.File, Source: unseenBody(t, uc.ID, "shared cache")}, fmt.Sprintf("unseen body %d", uc.ID))
 	}
+	for _, uc := range cases {
+		sendAll(wire.GenerateRequest{UseCase: uc.ID, Verify: true}, fmt.Sprintf("verified use case %d", uc.ID))
+	}
 
 	var misses, forwarded, forwardHits int64
 	for _, s := range srvs {
@@ -119,10 +160,10 @@ func TestClusterSharedCacheByteIdentical(t *testing.T) {
 			t.Errorf("node %s: %d forward fallbacks in a healthy cluster", m.Self, m.ForwardFallbacks)
 		}
 	}
-	// 39 requests (13 bodies × 3 nodes), one pipeline run per body: the
+	// 78 requests (26 bodies × 3 nodes), one pipeline run per body: the
 	// cluster's plans shard, they do not duplicate.
-	if misses != int64(len(cases)) {
-		t.Errorf("cluster ran the pipeline %d times for %d distinct bodies — plans are duplicating, not sharding", misses, len(cases))
+	if bodies := int64(2 * len(cases)); misses != bodies {
+		t.Errorf("cluster ran the pipeline %d times for %d distinct bodies, want one run per body", misses, bodies)
 	}
 	if forwarded == 0 {
 		t.Error("no request was forwarded: 3 nodes cannot all own every body")
@@ -382,6 +423,223 @@ func TestClusterProbeSlowPeerStaysAdmitted(t *testing.T) {
 		if st := c.peerStatuses()[peer.URL]; !st.Healthy || st.BreakerState != "closed" || st.Failures != 0 || st.LastError != "" {
 			t.Fatalf("after %d slow rounds status = %+v, want closed with no failure", round, st)
 		}
+	}
+}
+
+// TestClusterNodeKill kills one node of three under closed-loop SDK load
+// and restarts it on the same address (DESIGN.md E13). The daemons' probe
+// ticker is an hour long: the test drives the survivors' probe rounds
+// itself, so no timer decides when they eject or re-admit the victim, and
+// the load phases advance on completed requests, not wall time. The
+// victim is the rendezvous owner of the working set's first key, so it
+// owns traffic by construction. No request may be lost, every answer must
+// match its key's first answer byte for byte, health must converge on
+// every node and in the SDK, the SDK must have spent retries, and no
+// goroutine may outlive the teardown. With -v it logs E13's numbers.
+func TestClusterNodeKill(t *testing.T) {
+	// Registered before the cluster's teardown, so it runs after it.
+	baseline := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			runtime.GC()
+			if g := runtime.NumGoroutine(); g <= baseline {
+				return
+			} else if time.Now().After(deadline) {
+				t.Errorf("goroutines leaked: %d after teardown vs %d before the cluster", g, baseline)
+				return
+			}
+		}
+	})
+	srvs, tss, urls := startClusterProbe(t, 3, time.Hour)
+	ctx := context.Background()
+	sdk, err := client.New(client.Config{
+		Nodes:              urls,
+		MaxRetries:         4,
+		BackoffBase:        5 * time.Millisecond,
+		BackoffMax:         50 * time.Millisecond,
+		BreakerOpenTimeout: 250 * time.Millisecond,
+		RetryBudget:        100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sdk.Close()
+
+	// Twelve unseen bodies over the paper's running example (PBE on byte
+	// arrays), each its own plan and rendezvous key. Each key's first
+	// answer comes from the healthy cluster, whose owners compile the
+	// working set's plans.
+	work := make([]wire.GenerateRequest, 12)
+	first := make([]string, len(work))
+	var fp string
+	for k := range work {
+		work[k] = wire.GenerateRequest{Name: fmt.Sprintf("kill%03d.go", k), Source: unseenBody(t, 3, fmt.Sprintf("node kill key %03d", k))}
+		resp, err := sdk.Generate(ctx, work[k])
+		if err != nil {
+			t.Fatalf("priming key %d: %v", k, err)
+		}
+		first[k], fp = resp.Output, resp.Fingerprint
+	}
+	owner := func(req wire.GenerateRequest) string { return wire.RendezvousOwner(wire.RouteKey(fp, req), urls) }
+	victimURL := owner(work[0])
+	victim := slices.Index(urls, victimURL)
+	victimKeys := 0
+	for _, req := range work {
+		if owner(req) == victimURL {
+			victimKeys++
+		}
+	}
+	if victimKeys == 0 {
+		t.Fatalf("victim %s owns no working-set key", victimURL)
+	}
+
+	// call sends key k through the SDK, checks the answer against the
+	// key's first one and files its latency under the current phase.
+	const (
+		steady = iota
+		outage
+		recovery
+	)
+	var (
+		requests, lost, diverged atomic.Int64
+		phase                    atomic.Int32
+		latMu                    sync.Mutex
+		lats                     [3][]time.Duration
+	)
+	call := func(k int) {
+		ph, t0 := phase.Load(), time.Now()
+		resp, err := sdk.Generate(ctx, work[k])
+		d := time.Since(t0)
+		requests.Add(1)
+		switch {
+		case err != nil:
+			lost.Add(1)
+		case resp.Output != first[k] || resp.Fingerprint != fp:
+			diverged.Add(1)
+		default:
+			latMu.Lock()
+			lats[ph] = append(lats[ph], d)
+			latMu.Unlock()
+		}
+	}
+	// Two closed-loop clients run until stop.
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+					call(i % len(work))
+				}
+			}
+		}()
+	}
+	stop := sync.OnceFunc(func() { close(done); wg.Wait() })
+	defer stop()
+	// loadPhase waits until n more requests completed.
+	loadPhase := func(n int64, what string) {
+		t.Helper()
+		target, deadline := requests.Load()+n, time.Now().Add(time.Minute)
+		for requests.Load() < target {
+			if time.Now().After(deadline) {
+				t.Fatalf("load stalled during %s (%d requests)", what, requests.Load())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// probeSurvivors drives rounds probe rounds on each survivor and
+	// returns the survivors' breaker states for the victim.
+	probeSurvivors := func(rounds int) []string {
+		var states []string
+		for i, s := range srvs {
+			if i == victim {
+				continue
+			}
+			for range rounds {
+				s.cluster.probeRound()
+			}
+			states = append(states, s.cluster.peerStatuses()[victimURL].BreakerState)
+		}
+		return states
+	}
+
+	const load = 60
+	loadPhase(load, "steady state")
+	phase.Store(outage)
+	tss[victim].CloseClientConnections()
+	tss[victim].Close()
+	srvs[victim].Close()
+	loadPhase(load, "outage")
+	if st := probeSurvivors(3); !slices.Equal(st, []string{"open", "open"}) {
+		t.Fatalf("after 3 probe rounds the survivors' breakers for the killed node are %v, want open", st)
+	}
+	phase.Store(recovery)
+	srvs[victim], tss[victim] = restartNode(t, srvs[victim], tss[victim])
+	restarted := time.Now()
+	st := probeSurvivors(1)
+	recovered := time.Since(restarted)
+	if !slices.Equal(st, []string{"closed", "closed"}) {
+		t.Fatalf("after a probe round the survivors' breakers for the restarted node are %v, want closed", st)
+	}
+	loadPhase(load, "recovery")
+	stop()
+
+	var breakerRejects int64
+	for _, s := range srvs {
+		breakerRejects += s.MetricsSnapshot().BreakerRejects
+	}
+	retries := sdk.Stats().Retries
+	p99MS := func(lats []time.Duration) float64 {
+		if len(lats) == 0 {
+			return 0
+		}
+		slices.Sort(lats)
+		return float64(lats[(99*len(lats)+99)/100-1]) / float64(time.Millisecond)
+	}
+	t.Logf("requests %d; victim %s owns %d of %d keys; steady p99 %.1f ms; FailoverP99MS %.1f; RecoveryMS %.1f; BreakerRejects %d; ClientRetries %d",
+		requests.Load(), victimURL, victimKeys, len(work), p99MS(lats[steady]), p99MS(lats[outage]),
+		float64(recovered)/float64(time.Millisecond), breakerRejects, retries)
+	if retries == 0 {
+		t.Error("the SDK spent no retries although a node it routes to was killed")
+	}
+
+	// Health converges: every node sees every peer healthy, and walking
+	// the working set closes the SDK's breakers. The SDK has no probe; its
+	// breakers re-admit a node through the half-open trial after
+	// BreakerOpenTimeout.
+	for i, s := range srvs {
+		for peer, ps := range s.MetricsSnapshot().Peers {
+			if !ps.Healthy || ps.BreakerState != "closed" {
+				t.Errorf("node %d sees peer %s as %+v after recovery", i, peer, ps)
+			}
+		}
+	}
+	sdkClosed := func() bool {
+		for _, state := range sdk.Stats().BreakerStates {
+			if state != "closed" {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(5 * time.Second); !sdkClosed(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the SDK's breakers never closed: %v", sdk.Stats().BreakerStates)
+		}
+		for k := range work {
+			call(k)
+		}
+	}
+	if n := lost.Load(); n != 0 {
+		t.Errorf("%d of %d requests lost", n, requests.Load())
+	}
+	if n := diverged.Load(); n != 0 {
+		t.Errorf("%d of %d answers differ from their key's first answer", n, requests.Load())
 	}
 }
 

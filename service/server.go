@@ -42,11 +42,12 @@ type Config struct {
 	// until a slot frees or their context expires; beyond it, admission
 	// control sheds with 429 (0 = 12×Workers; negative is an error).
 	QueueSize int
-	// RequestTimeout caps per-request processing time (0 = 30s). Requests
-	// that expire while queued are answered 503 without running.
+	// RequestTimeout caps per-request processing time (0 = 30s; negative
+	// is an error). Requests that expire while queued are answered 503
+	// without running.
 	RequestTimeout time.Duration
 	// CacheSize bounds the compiled-plan cache, the node's only generation
-	// cache (0 = gen.DefaultMaxPlans, 256 plans).
+	// cache (0 = gen.DefaultMaxPlans, 256 plans; negative is an error).
 	CacheSize int
 	// MaxBodyBytes caps request bodies on the POST endpoints; oversized
 	// requests get 413 (0 = DefaultMaxBodyBytes; negative is an error).
@@ -67,9 +68,10 @@ type Config struct {
 	Peers []string
 	// PeerProbeInterval paces the background /readyz probe that ejects
 	// unhealthy peers from the forwarding set and re-admits them on
-	// recovery (0 = 2s). Three consecutive forward/probe failures open a
-	// peer's circuit breaker, removing it from the forwarding set until a
-	// probe or a half-open trial forward succeeds.
+	// recovery (0 = 2s; negative is an error). Three consecutive
+	// forward/probe failures open a peer's circuit breaker, removing it
+	// from the forwarding set until a probe or a half-open trial forward
+	// succeeds.
 	PeerProbeInterval time.Duration
 }
 
@@ -115,6 +117,15 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBodyBytes < 0 {
 		return nil, fmt.Errorf("service: MaxBodyBytes %d is negative; 0 selects the default cap", cfg.MaxBodyBytes)
+	}
+	if cfg.RequestTimeout < 0 {
+		return nil, fmt.Errorf("service: RequestTimeout %v is negative; 0 selects the default timeout", cfg.RequestTimeout)
+	}
+	if cfg.CacheSize < 0 {
+		return nil, fmt.Errorf("service: CacheSize %d is negative; 0 selects the default size", cfg.CacheSize)
+	}
+	if cfg.PeerProbeInterval < 0 {
+		return nil, fmt.Errorf("service: PeerProbeInterval %v is negative; 0 selects the default interval", cfg.PeerProbeInterval)
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.NumCPU()

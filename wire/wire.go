@@ -1,9 +1,8 @@
 // Package wire defines the cryptgend cluster's wire contract: the JSON
 // request, response, and error shapes spoken by the daemon (service), the
-// Go SDK (client), and the tools (cmd/cryptgend, the bench/ harness, and the
-// cluster drill table in internal/clustertest), plus the routing key and
-// rendezvous hash that daemon and client share so both sides agree on
-// which node owns a request.
+// Go SDK (client), and the tools (cmd/cryptgend and the bench/ harness),
+// plus the routing key and rendezvous hash that daemon and client share so
+// both sides agree on which node owns a request.
 //
 // It also owns the framing every hop shares, in both directions: one body
 // reader (ReadBody) and one encoder (Encode) over one pool of body
@@ -16,7 +15,7 @@
 //
 // The types here used to live inline in the service package; they were
 // extracted so that a client does not import the whole generation pipeline
-// to talk to a daemon, and so the daemon, the SDK, and the drills cannot
+// to talk to a daemon, and so the daemon, the SDK, and the tools cannot
 // drift apart — one package is the contract (the salsacore
 // core-types layout: one shared package used by server, client, and
 // tools).
