@@ -120,7 +120,7 @@ func TestClusterSharedCacheByteIdentical(t *testing.T) {
 	srvs, tss, _ := startCluster(t, 3)
 	ctx := context.Background()
 	cases := templates.All()
-	sendAll := func(req wire.GenerateRequest, what string) {
+	sendAll := func(t *testing.T, req wire.GenerateRequest, what string) {
 		t.Helper()
 		want, err := standalone.Generate(ctx, req)
 		if err != nil {
@@ -143,11 +143,18 @@ func TestClusterSharedCacheByteIdentical(t *testing.T) {
 			}
 		}
 	}
-	for _, uc := range cases {
-		sendAll(wire.GenerateRequest{Name: uc.File, Source: unseenBody(t, uc.ID, "shared cache")}, fmt.Sprintf("unseen body %d", uc.ID))
-	}
-	for _, uc := range cases {
-		sendAll(wire.GenerateRequest{UseCase: uc.ID, Verify: true}, fmt.Sprintf("verified use case %d", uc.ID))
+	passed := t.Run("unseen-bodies", func(t *testing.T) {
+		for _, uc := range cases {
+			sendAll(t, wire.GenerateRequest{Name: uc.File, Source: unseenBody(t, uc.ID, "shared cache")}, fmt.Sprintf("unseen body %d", uc.ID))
+		}
+	})
+	passed = t.Run("verified-catalogue", func(t *testing.T) {
+		for _, uc := range cases {
+			sendAll(t, wire.GenerateRequest{UseCase: uc.ID, Verify: true}, fmt.Sprintf("verified use case %d", uc.ID))
+		}
+	}) && passed
+	if !passed {
+		t.FailNow()
 	}
 
 	var misses, forwarded, forwardHits int64
@@ -171,9 +178,11 @@ func TestClusterSharedCacheByteIdentical(t *testing.T) {
 	if forwardHits == 0 {
 		t.Error("no forward was answered from the owner's plan")
 	}
-	for _, uc := range cases {
-		sendAll(wire.GenerateRequest{UseCase: uc.ID}, fmt.Sprintf("use case %d", uc.ID))
-	}
+	t.Run("catalogue", func(t *testing.T) {
+		for _, uc := range cases {
+			sendAll(t, wire.GenerateRequest{UseCase: uc.ID}, fmt.Sprintf("use case %d", uc.ID))
+		}
+	})
 }
 
 // TestClusterOneRunPerBody: with the body-level key, distinct names and
